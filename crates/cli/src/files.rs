@@ -156,9 +156,10 @@ mod tests {
         let path = temp_path("scheme.json");
         let path = path.to_str().unwrap();
         write_scheme(path, &solution.scheme).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(text.contains(r#""format": 2"#) && text.contains(r#""edges": ["#));
         let back = read_scheme(path).unwrap();
-        assert_eq!(back.instance().num_nodes(), 6);
-        assert_eq!(back.edges().len(), solution.scheme.edges().len());
+        assert_eq!(back, solution.scheme);
         std::fs::remove_file(path).ok();
     }
 
@@ -181,6 +182,68 @@ mod tests {
         ));
         assert!(matches!(read_scheme(path).unwrap_err(), CliError::Json(_)));
         std::fs::remove_file(path).ok();
+    }
+
+    /// Reads `text` as a scheme file.
+    fn read_scheme_text(tag: &str, text: &str) -> Result<BroadcastScheme, CliError> {
+        let path = temp_path(tag);
+        let path = path.to_str().unwrap();
+        std::fs::write(path, text).unwrap();
+        let result = read_scheme(path);
+        std::fs::remove_file(path).ok();
+        result
+    }
+
+    #[test]
+    fn malformed_scheme_documents_are_json_errors() {
+        let instance = serde_json::to_string(&figure1()).unwrap(); // 6 nodes
+        let dense_35 = vec!["0"; 35].join(",");
+        let cases = [
+            (
+                "dense-length",
+                format!(r#"{{"instance":{instance},"rates":[{dense_35}]}}"#),
+            ),
+            (
+                "endpoint",
+                format!(r#"{{"format":2,"instance":{instance},"edges":[[0,6,1.0]]}}"#),
+            ),
+            (
+                "duplicate",
+                format!(
+                    r#"{{"format":2,"instance":{instance},"edges":[[0,1,1.0],[2,1,1.0],[0,1,0.5]]}}"#
+                ),
+            ),
+            (
+                "pair",
+                format!(r#"{{"format":2,"instance":{instance},"edges":[[0,1]]}}"#),
+            ),
+            (
+                "quad",
+                format!(r#"{{"format":2,"instance":{instance},"edges":[[0,1,1.0,2.0]]}}"#),
+            ),
+            (
+                "object",
+                format!(r#"{{"format":2,"instance":{instance},"edges":[{{"from":0}}]}}"#),
+            ),
+            (
+                "rate",
+                format!(r#"{{"format":2,"instance":{instance},"edges":[[0,1,"fast"]]}}"#),
+            ),
+            (
+                "format",
+                format!(r#"{{"format":3,"instance":{instance},"edges":[]}}"#),
+            ),
+            (
+                "format-type",
+                format!(r#"{{"format":"2","instance":{instance},"edges":[]}}"#),
+            ),
+        ];
+        for (tag, text) in cases {
+            match read_scheme_text(tag, &text) {
+                Err(CliError::Json(message)) => assert!(!message.is_empty()),
+                other => panic!("{tag}: expected a JSON error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

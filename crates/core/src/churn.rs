@@ -16,7 +16,7 @@
 //!   delivered throughput drops below a floor. Its probes re-score the same scheme with
 //!   only that node's outgoing rates moving — exactly the access pattern the dirty-edge
 //!   journal of [`BroadcastScheme`] accelerates (the evaluation context patches the few
-//!   journaled capacities instead of rescanning the O(n²) rate matrix per probe), and
+//!   journaled capacities instead of rescanning the scheme's rows per probe), and
 //!   that warm residual reuse ([`EvalCtx::set_incremental`]) accelerates further: the
 //!   retained arena keeps its epoch across probes, so each probe's max-flows start from
 //!   the previous probe's residual instead of a cold Dinic (bit-identical tolerances,
@@ -96,7 +96,7 @@ pub fn residual_throughput_with(
 /// the [`crate::scheme`] module docs): it clones **one** working copy up front and
 /// mutates only `node`'s outgoing rates per probe, so every evaluation rides the
 /// dirty-edge journal ([`crate::solver::Telemetry::rescans_skipped`]) instead of
-/// rescanning the rate matrix — cloning inside the probe loop would hand the context a
+/// rescanning the scheme's rows — cloning inside the probe loop would hand the context a
 /// fresh `eval_id` each time and pay the full scan.
 ///
 /// # Panics
@@ -111,12 +111,7 @@ pub fn degradation_tolerance(
 ) -> f64 {
     let instance = scheme.instance();
     assert!(node < instance.num_nodes(), "node {node} out of range");
-    let out_edges: Vec<(NodeId, f64)> = (0..instance.num_nodes())
-        .filter_map(|to| {
-            let rate = scheme.rate(node, to);
-            (to != node && rate > RATE_EPS).then_some((to, rate))
-        })
-        .collect();
+    let out_edges: Vec<(NodeId, f64)> = scheme.out_edges(node).collect();
     let mut probe = scheme.clone();
     let search = ctx.search();
     let tol = 1e-9 * floor.max(1.0);

@@ -152,6 +152,10 @@ pub fn is_conservative(scheme: &BroadcastScheme, order: &[NodeId]) -> Result<boo
     let instance = scheme.instance();
     validate_order(instance, order)?;
     let len = order.len();
+    let mut position = vec![0; len];
+    for (k, &node) in order.iter().enumerate() {
+        position[node] = k;
+    }
     for k in 1..len {
         let node_k = order[k];
         if instance.class(node_k) != NodeClass::Open {
@@ -164,14 +168,14 @@ pub fn is_conservative(scheme: &BroadcastScheme, order: &[NodeId]) -> Result<boo
             }
             // σ(j) (open-like) feeds the open node σ(k): no earlier guarded node may have
             // spare capacity towards the prefix ending at k.
-            for i in 0..k {
-                let node_i = order[i];
+            for (i, &node_i) in order[..k].iter().enumerate() {
                 if instance.class(node_i) != NodeClass::Guarded {
                     continue;
                 }
-                let used_up_to_k: f64 = order[i + 1..=k]
-                    .iter()
-                    .map(|&l| scheme.rate(node_i, l))
+                let used_up_to_k: f64 = scheme
+                    .out_edges(node_i)
+                    .filter(|&(to, _)| (i + 1..=k).contains(&position[to]))
+                    .map(|(_, rate)| rate)
                     .sum();
                 if eps::definitely_lt(used_up_to_k, instance.bandwidth(node_i)) {
                     return Ok(false);

@@ -11,8 +11,7 @@
 //!   to forward one chunk over each hop at the edge's allocated rate),
 //! * summary statistics used by the depth ablation experiment.
 
-use crate::scheme::{BroadcastScheme, RATE_EPS};
-use bmp_platform::NodeId;
+use crate::scheme::BroadcastScheme;
 use std::collections::VecDeque;
 
 /// Depth / delay profile of a scheme.
@@ -66,13 +65,6 @@ impl DepthProfile {
 #[must_use]
 pub fn depth_profile(scheme: &BroadcastScheme) -> DepthProfile {
     let n = scheme.instance().num_nodes();
-    let adjacency: Vec<Vec<NodeId>> = (0..n)
-        .map(|from| {
-            (0..n)
-                .filter(|&to| to != from && scheme.rate(from, to) > RATE_EPS)
-                .collect()
-        })
-        .collect();
 
     // Hop depth: plain BFS.
     let mut hops: Vec<Option<usize>> = vec![None; n];
@@ -80,7 +72,7 @@ pub fn depth_profile(scheme: &BroadcastScheme) -> DepthProfile {
     let mut queue = VecDeque::from([0usize]);
     while let Some(node) = queue.pop_front() {
         let next_depth = hops[node].expect("visited nodes have a depth") + 1;
-        for &to in &adjacency[node] {
+        for (to, _) in scheme.out_edges(node) {
             if hops[to].is_none() {
                 hops[to] = Some(next_depth);
                 queue.push_back(to);
@@ -104,8 +96,8 @@ pub fn depth_profile(scheme: &BroadcastScheme) -> DepthProfile {
         let Some(current) = current else { break };
         visited[current] = true;
         let base = delay[current].expect("selected node has a delay");
-        for &to in &adjacency[current] {
-            let weight = 1.0 / scheme.rate(current, to);
+        for (to, rate) in scheme.out_edges(current) {
+            let weight = 1.0 / rate;
             let candidate = base + weight;
             if delay[to].is_none_or(|existing| candidate < existing) {
                 delay[to] = Some(candidate);

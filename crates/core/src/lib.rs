@@ -32,8 +32,8 @@
 //!   [`scheme`] remains only as a convenience fallback for ad-hoc calls) and it makes
 //!   re-evaluation incremental end-to-end: every scheme mutation is journaled
 //!   ([`scheme`]'s dirty-edge journal), so re-scoring a scheme whose edge set is
-//!   unchanged patches only the journaled capacities into the retained arena — no O(n²)
-//!   rate-matrix rescan, no CSR rebuild — observable as
+//!   unchanged patches only the journaled capacities into the retained arena — no
+//!   rescan of the scheme's rows, no CSR rebuild — observable as
 //!   [`solver::Telemetry::rescans_skipped`].
 //! * [`solver::registry`] — enumerates the built-in solvers (`acyclic-guarded`,
 //!   `acyclic-open`, `cyclic-open`, `exhaustive`, `omega-word`, `auto`); downstream

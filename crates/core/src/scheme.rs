@@ -6,12 +6,50 @@
 //! throughput is the minimum over all receivers of the maximum flow from the source in the
 //! weighted digraph `c`.
 //!
+//! # Storage: one sorted row per sender
+//!
+//! Real schemes are sparse. The acyclic construction of Lemma 4.6 gives every node an
+//! outdegree of at most `⌈b_i / T⌉ + 1`, so a solved 2000-receiver scheme has about 4,000
+//! edges out of 4,004,001 ordered pairs. A scheme therefore stores one row per sender:
+//! `rows[from]` is a `Vec<(to, rate)>` sorted by receiver. A row holds every nonzero rate
+//! that was set, dust below [`RATE_EPS`] included; only exact zeros are dropped, so an
+//! absent pair reads as `0.0` and [`BroadcastScheme::prune_dust`] keeps its meaning.
+//!
+//! Walking the rows in order yields the stored rates in row-major order, the order a dense
+//! `n × n` scan visits them, so everything derived from that walk is bit-identical to a
+//! dense scan. With `m` stored rates:
+//!
+//! * O(n + m): [`BroadcastScheme::edges`] and [`BroadcastScheme::edges_into`] (which feed
+//!   the flow arenas), [`BroadcastScheme::validate`] (same violations, same order),
+//!   [`BroadcastScheme::topological_order`], [`BroadcastScheme::prune_dust`],
+//!   [`BroadcastScheme::outdegrees`], clone, equality and (de)serialization;
+//! * one row: [`BroadcastScheme::rate`], [`BroadcastScheme::set_rate`] and
+//!   [`BroadcastScheme::add_rate`] (a binary search, plus a shift when an entry appears or
+//!   disappears), [`BroadcastScheme::sent`], [`BroadcastScheme::outdegree`] and
+//!   [`BroadcastScheme::out_edges`];
+//! * O(n log row): [`BroadcastScheme::received`], the only column query.
+//!
+//! # Document format
+//!
+//! A scheme serializes as format 2: `{"format": 2, "instance": …, "edges": [[from, to,
+//! rate], …]}`, one triple per stored rate in row-major order (the triple encoding the
+//! controller snapshots of the simulator use for their deployed edges). The reader also
+//! accepts the dense documents written before format 2, `{"instance": …, "rates": [c_00,
+//! c_01, …]}` with no `format` field and `n²` row-major rates, so files already on disk
+//! still load.
+//!
+//! A malformed document is a typed [`serde::DeError`], never a panic: a dense matrix whose
+//! length is not `n²`, an endpoint `≥ n`, a repeated `(from, to)` pair, an entry that is
+//! not a `[from, to, rate]` triple, or an unknown `format`. A stored self-rate `c_{i,i}`
+//! is read like any other hand-edited value: the setters forbid it, and
+//! [`BroadcastScheme::validate`] flags it and charges it to the sender's bandwidth.
+//!
 //! # The dirty-edge journal
 //!
 //! Search loops (the dichotomic drivers, the churn degradation probes, the benchmarks)
-//! evaluate long runs of near-identical schemes. Rediscovering *which* rates moved used
-//! to cost a full O(n²) rate-matrix scan per evaluation, so every mutation now maintains
-//! a journal that [`crate::solver::EvalCtx`] consumes to skip the scan entirely:
+//! evaluate long runs of near-identical schemes. Every mutation maintains a journal that
+//! [`crate::solver::EvalCtx`] consumes to patch the capacities of its cached flow arena
+//! instead of collecting the edge list again:
 //!
 //! * every scheme object carries a process-unique [`BroadcastScheme::eval_id`] (fresh on
 //!   construction, clone and deserialization — two objects never share an id, so a cached
@@ -25,13 +63,18 @@
 //!   / [`BroadcastScheme::journal_since`]) and compacts itself once it exceeds a few
 //!   entries per node: a caught-up evaluator keeps patching after compaction, a stale one
 //!   falls back to the full scan — never to a wrong answer;
-//! * [`BroadcastScheme::prune_dust`] only zeroes rates that are already below
+//! * [`BroadcastScheme::prune_dust`] only drops rates that are already below
 //!   [`RATE_EPS`], i.e. values that were never edges, so it touches neither the epoch nor
 //!   the journal.
 //!
-//! The journal is pure bookkeeping: it is excluded from equality, serialization and the
-//! serialized document format (a deserialized scheme starts with a fresh id and an empty
-//! journal).
+//! The journal is pure bookkeeping: it is excluded from equality and from the document
+//! (a deserialized scheme starts with a fresh id and an empty journal).
+//!
+//! The journal was built to avoid an O(n²) scan of the dense matrix. With sparse rows the
+//! full scan is O(n + m), so the journal's remaining saving is small. It stays for now
+//! because [`crate::solver::EvalCtx`] and its callers key their caches on
+//! `eval_id`/`edge_epoch`. Keeping it lets this storage change leave every evaluation
+//! bit-identical. Retiring it is a separate simplification.
 //!
 //! # Copy-on-probe: how to write a search loop that stays fast
 //!
@@ -39,11 +82,11 @@
 //! fresh on every construction, clone and deserialization, so an evaluation context can
 //! associate its cached arena with exactly one object. The flip side: a search that
 //! clones the scheme *inside* its probe loop hands the context a brand-new identity on
-//! every probe and silently pays the full O(n²) rate-matrix scan each time. The intended
+//! every probe and silently pays the full rescan and arena rebuild each time. The intended
 //! idiom — used by `churn::degradation_tolerance` and every dichotomic driver — is
 //! **copy-on-probe**: clone **one working copy** before the loop, then mutate that same
 //! object in place per probe, so every mutation lands in its journal and every
-//! re-evaluation patches a handful of capacities instead of rescanning the matrix:
+//! re-evaluation patches a handful of capacities instead of rescanning the rows:
 //!
 //! ```
 //! use bmp_core::scheme::BroadcastScheme;
@@ -72,7 +115,7 @@
 //! assert_eq!(ctx.arena_builds(), 1);
 //! ```
 
-use bmp_flow::{eps, FlowArena, FlowNetwork, FlowSolver};
+use bmp_flow::{eps, FlowArena, FlowSolver};
 use bmp_platform::node::degree_lower_bound;
 use bmp_platform::{Instance, NodeClass, NodeId};
 use std::cell::RefCell;
@@ -93,6 +136,9 @@ thread_local! {
 /// Rates below this threshold are treated as "no connection" when counting outdegrees and
 /// building flow networks; they only arise from floating-point dust.
 pub const RATE_EPS: f64 = 1e-7;
+
+/// The document format [`BroadcastScheme`] serializes to (see the module docs).
+const DOCUMENT_FORMAT: i64 = 2;
 
 /// A feasibility violation detected by [`BroadcastScheme::validate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -132,12 +178,15 @@ fn fresh_eval_id() -> u64 {
     NEXT_EVAL_ID.fetch_add(1, Ordering::Relaxed)
 }
 
+/// One sender's stored rates: `(to, rate)` pairs sorted by `to`, no exact zeros.
+type Row = Vec<(NodeId, f64)>;
+
 /// A broadcast scheme over a given instance.
 #[derive(Debug)]
 pub struct BroadcastScheme {
     instance: Instance,
-    /// Row-major rate matrix `c[i * num_nodes + j]`.
-    rates: Vec<f64>,
+    /// `rows[from]`: the nonzero rates `from` sends (see the module docs).
+    rows: Vec<Row>,
     /// Process-unique identity of this object (see the module docs).
     eval_id: u64,
     /// Incremented whenever a mutation creates or removes an edge.
@@ -154,69 +203,133 @@ impl Clone for BroadcastScheme {
     /// fresh [`BroadcastScheme::eval_id`] and an empty journal (the original and the clone
     /// may diverge independently, so they must not share journal state).
     fn clone(&self) -> Self {
-        BroadcastScheme {
-            instance: self.instance.clone(),
-            rates: self.rates.clone(),
-            eval_id: fresh_eval_id(),
-            edge_epoch: 0,
-            journal_base: 0,
-            journal: Vec::new(),
-        }
+        Self::from_rows(self.instance.clone(), self.rows.clone())
     }
 }
 
 impl PartialEq for BroadcastScheme {
-    /// Equality is semantic: same instance, same rate matrix. The journal bookkeeping is
+    /// Equality is semantic: same instance, same rates. The journal bookkeeping is
     /// per-object state and does not participate.
     fn eq(&self, other: &Self) -> bool {
-        self.instance == other.instance && self.rates == other.rates
+        self.instance == other.instance && self.rows == other.rows
     }
 }
 
 impl serde::Serialize for BroadcastScheme {
-    /// Serializes the semantic fields only (`instance`, `rates`), exactly like the
-    /// pre-journal derived implementation, so documents stay interchangeable.
+    /// Writes document format 2: `format`, `instance` and the row-major `edges` triples
+    /// of every stored rate (see the module docs).
     fn to_value(&self) -> serde::Value {
+        let edges = self
+            .stored_rates()
+            .map(|triple| serde::Serialize::to_value(&triple))
+            .collect();
         serde::Value::Object(vec![
+            ("format".to_string(), serde::Value::I64(DOCUMENT_FORMAT)),
             (
                 "instance".to_string(),
                 serde::Serialize::to_value(&self.instance),
             ),
-            ("rates".to_string(), serde::Serialize::to_value(&self.rates)),
+            ("edges".to_string(), serde::Value::Array(edges)),
         ])
     }
 }
 
 impl serde::Deserialize for BroadcastScheme {
-    /// Rebuilds the scheme with a fresh evaluation identity and an empty journal (a
-    /// document knows nothing about the mutation history of the object it came from).
+    /// Reads format 2 or a dense document without a `format` field, rejecting malformed
+    /// rates with a typed error. The scheme gets a fresh evaluation identity and an empty
+    /// journal (a document knows nothing about the mutation history of its source).
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         let obj = value
             .as_object()
             .ok_or_else(|| serde::DeError::expected("map", "BroadcastScheme"))?;
-        Ok(BroadcastScheme {
-            instance: serde::Deserialize::from_value(serde::field(
-                obj,
-                "instance",
-                "BroadcastScheme",
-            )?)?,
-            rates: serde::Deserialize::from_value(serde::field(obj, "rates", "BroadcastScheme")?)?,
-            eval_id: fresh_eval_id(),
-            edge_epoch: 0,
-            journal_base: 0,
-            journal: Vec::new(),
-        })
+        let instance: Instance =
+            serde::Deserialize::from_value(serde::field(obj, "instance", "BroadcastScheme")?)?;
+        let n = instance.num_nodes();
+        let format = obj.iter().find(|(key, _)| key == "format").map(|(_, v)| v);
+        let rows = match format {
+            None => rows_from_dense(serde::field(obj, "rates", "BroadcastScheme")?, n)?,
+            Some(format) if format.as_i64() == Some(DOCUMENT_FORMAT) => {
+                rows_from_edges(serde::field(obj, "edges", "BroadcastScheme")?, n)?
+            }
+            Some(_) => {
+                return Err(serde::DeError::custom(format!(
+                    "unknown scheme document format (this reader knows format \
+                     {DOCUMENT_FORMAT} and dense documents without a `format` field)"
+                )))
+            }
+        };
+        Ok(Self::from_rows(instance, rows))
     }
+}
+
+/// Rows of a dense document: `n²` row-major rates.
+fn rows_from_dense(rates: &serde::Value, n: usize) -> Result<Vec<Row>, serde::DeError> {
+    let rates: Vec<f64> = serde::Deserialize::from_value(rates)?;
+    if Some(rates.len()) != n.checked_mul(n) {
+        return Err(serde::DeError::custom(format!(
+            "dense scheme has {} rates, expected {n}×{n}",
+            rates.len()
+        )));
+    }
+    let mut rows = vec![Row::new(); n];
+    for (idx, rate) in rates.into_iter().enumerate() {
+        if rate != 0.0 {
+            rows[idx / n].push((idx % n, rate));
+        }
+    }
+    Ok(rows)
+}
+
+/// Rows of a format-2 document: `[from, to, rate]` triples, each pair at most once.
+fn rows_from_edges(edges: &serde::Value, n: usize) -> Result<Vec<Row>, serde::DeError> {
+    let edges = edges
+        .as_array()
+        .ok_or_else(|| serde::DeError::expected("array", "scheme edges"))?;
+    let node = |value: &serde::Value| -> Result<NodeId, serde::DeError> {
+        let id: NodeId = serde::Deserialize::from_value(value)?;
+        if id < n {
+            Ok(id)
+        } else {
+            Err(serde::DeError::custom(format!(
+                "scheme edge endpoint {id} out of range for {n} nodes"
+            )))
+        }
+    };
+    let mut rows = vec![Row::new(); n];
+    for (index, edge) in edges.iter().enumerate() {
+        let Some([from, to, rate]) = edge.as_array() else {
+            return Err(serde::DeError::custom(format!(
+                "scheme edge #{index} is not a [from, to, rate] triple"
+            )));
+        };
+        rows[node(from)?].push((node(to)?, serde::Deserialize::from_value(rate)?));
+    }
+    for (from, row) in rows.iter_mut().enumerate() {
+        row.sort_unstable_by_key(|&(to, _)| to);
+        if let Some(pair) = row.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(serde::DeError::custom(format!(
+                "scheme edge ({from}, {}) appears more than once",
+                pair[0].0
+            )));
+        }
+        row.retain(|&(_, rate)| rate != 0.0);
+    }
+    Ok(rows)
 }
 
 impl BroadcastScheme {
     /// Creates an all-zero scheme for `instance`.
     #[must_use]
     pub fn new(instance: Instance) -> Self {
-        let n = instance.num_nodes();
+        let rows = vec![Row::new(); instance.num_nodes()];
+        Self::from_rows(instance, rows)
+    }
+
+    /// A scheme with the given rows, a fresh identity and an empty journal.
+    fn from_rows(instance: Instance, rows: Vec<Row>) -> Self {
         BroadcastScheme {
             instance,
-            rates: vec![0.0; n * n],
+            rows,
             eval_id: fresh_eval_id(),
             edge_epoch: 0,
             journal_base: 0,
@@ -230,27 +343,40 @@ impl BroadcastScheme {
         &self.instance
     }
 
-    #[inline]
-    fn index(&self, from: NodeId, to: NodeId) -> usize {
-        from * self.instance.num_nodes() + to
-    }
-
     /// Transfer rate `c_{from,to}`.
     #[must_use]
     pub fn rate(&self, from: NodeId, to: NodeId) -> f64 {
-        self.rates[self.index(from, to)]
+        let row = &self.rows[from];
+        row.binary_search_by_key(&to, |&(to, _)| to)
+            .map_or(0.0, |pos| row[pos].1)
+    }
+
+    /// Stores `rate` as `c_{from,to}` (dropping the entry when it is exactly zero) and
+    /// returns the previous value.
+    fn store(&mut self, from: NodeId, to: NodeId, rate: f64) -> f64 {
+        assert_ne!(from, to, "a node cannot send to itself");
+        let n = self.instance.num_nodes();
+        assert!(to < n, "receiver {to} out of range for {n} nodes");
+        let row = &mut self.rows[from];
+        match row.binary_search_by_key(&to, |&(to, _)| to) {
+            Ok(pos) if rate == 0.0 => row.remove(pos).1,
+            Ok(pos) => std::mem::replace(&mut row[pos].1, rate),
+            Err(pos) => {
+                if rate != 0.0 {
+                    row.insert(pos, (to, rate));
+                }
+                0.0
+            }
+        }
     }
 
     /// Sets the transfer rate `c_{from,to}`, journaling the change (see the module docs).
     ///
     /// # Panics
     ///
-    /// Panics if `from == to`.
+    /// Panics if `from == to` or either node is out of range.
     pub fn set_rate(&mut self, from: NodeId, to: NodeId, rate: f64) {
-        assert_ne!(from, to, "a node cannot send to itself");
-        let idx = self.index(from, to);
-        let old = self.rates[idx];
-        self.rates[idx] = rate;
+        let old = self.store(from, to, rate);
         self.record_rate_change(from, to, old, rate);
     }
 
@@ -259,13 +385,10 @@ impl BroadcastScheme {
     ///
     /// # Panics
     ///
-    /// Panics if `from == to`.
+    /// Panics if `from == to` or either node is out of range.
     pub fn add_rate(&mut self, from: NodeId, to: NodeId, delta: f64) {
-        assert_ne!(from, to, "a node cannot send to itself");
-        let idx = self.index(from, to);
-        let old = self.rates[idx];
-        let new = eps::clamp_nonnegative(old + delta);
-        self.rates[idx] = new;
+        let new = eps::clamp_nonnegative(self.rate(from, to) + delta);
+        let old = self.store(from, to, new);
         self.record_rate_change(from, to, old, new);
     }
 
@@ -347,9 +470,9 @@ impl BroadcastScheme {
     /// Total rate sent by `node`.
     #[must_use]
     pub fn sent(&self, node: NodeId) -> f64 {
-        (0..self.instance.num_nodes())
-            .map(|j| self.rate(node, j))
-            .sum()
+        self.rows[node]
+            .iter()
+            .fold(0.0, |sum, &(_, rate)| sum + rate)
     }
 
     /// Total rate received by `node`.
@@ -369,9 +492,19 @@ impl BroadcastScheme {
     /// Outdegree of `node`: number of receivers it sends a meaningful rate to.
     #[must_use]
     pub fn outdegree(&self, node: NodeId) -> usize {
-        (0..self.instance.num_nodes())
-            .filter(|&j| self.rate(node, j) > RATE_EPS)
+        self.rows[node]
+            .iter()
+            .filter(|&&(_, rate)| rate > RATE_EPS)
             .count()
+    }
+
+    /// The edges leaving `node` as `(to, rate)` pairs in receiver order: its rates above
+    /// [`RATE_EPS`], like [`BroadcastScheme::edges`], without scanning the other nodes.
+    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        self.rows[node]
+            .iter()
+            .copied()
+            .filter(move |&(to, rate)| rate > RATE_EPS && to != node)
     }
 
     /// The *busiest relay*: the receiver with the largest outdegree (ties broken by the
@@ -410,35 +543,22 @@ impl BroadcastScheme {
             .unwrap_or(0)
     }
 
-    /// Checks bandwidth, firewall and rate-validity constraints. Returns all violations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the rate matrix does not have `num_nodes²` entries — possible only for a
-    /// scheme deserialized from a malformed document, which must not validate silently.
+    /// Checks bandwidth, firewall and rate-validity constraints. Returns all violations,
+    /// row by row in receiver order.
     #[must_use]
     pub fn validate(&self) -> Vec<SchemeViolation> {
         let mut violations = Vec::new();
-        let n = self.instance.num_nodes();
-        assert_eq!(
-            self.rates.len(),
-            n * n,
-            "rate matrix has {} entries, expected {n}×{n} (malformed scheme document?)",
-            self.rates.len()
-        );
-        // Single pass over the rate matrix: per-row totals are accumulated inline instead
+        // Single pass over the stored rates: per-row totals are accumulated inline instead
         // of re-scanning each row through `sent`.
-        for (from, row) in self.rates.chunks_exact(n).enumerate() {
+        for (from, row) in self.rows.iter().enumerate() {
             let from_guarded = self.instance.class(from) == NodeClass::Guarded;
             let mut sent = 0.0;
-            for (to, &rate) in row.iter().enumerate() {
+            for &(to, rate) in row {
                 sent += rate;
                 if from == to {
-                    // The setters forbid self-loops, but a deserialized matrix can carry
+                    // The setters forbid self-loops, but a deserialized document can carry
                     // one; it still consumes bandwidth (summed above) and is invalid.
-                    if rate != 0.0 {
-                        violations.push(SchemeViolation::InvalidRate { from, to, rate });
-                    }
+                    violations.push(SchemeViolation::InvalidRate { from, to, rate });
                     continue;
                 }
                 if !rate.is_finite() || rate < -RATE_EPS {
@@ -467,28 +587,20 @@ impl BroadcastScheme {
         self.validate().is_empty()
     }
 
+    /// Every stored rate as a `(from, to, rate)` triple in row-major order, dust and any
+    /// deserialized diagonal included.
+    fn stored_rates(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .flat_map(|(from, row)| row.iter().map(move |&(to, rate)| (from, to, rate)))
+    }
+
     /// The nonzero rates as `(from, to, rate)` triples, skipping dust and the diagonal —
     /// the single definition of "which edges exist" shared by every graph view below.
     fn nonzero_rates(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        let n = self.instance.num_nodes();
-        self.rates
-            .iter()
-            .enumerate()
-            .filter_map(move |(idx, &rate)| {
-                let (from, to) = (idx / n, idx % n);
-                (rate > RATE_EPS && from != to).then_some((from, to, rate))
-            })
-    }
-
-    /// Converts the scheme into a flow network (one edge per meaningful rate).
-    #[must_use]
-    pub fn to_flow_network(&self) -> FlowNetwork {
-        let n = self.instance.num_nodes();
-        let mut network = FlowNetwork::with_capacity(n, n * n / 2);
-        for (from, to, rate) in self.nonzero_rates() {
-            network.add_edge(from, to, rate);
-        }
-        network
+        self.stored_rates()
+            .filter(|&(from, to, rate)| rate > RATE_EPS && from != to)
     }
 
     /// Converts the scheme into the flat CSR arena the flow solvers operate on (one pass
@@ -566,7 +678,7 @@ impl BroadcastScheme {
     pub fn topological_order(&self) -> Option<Vec<NodeId>> {
         let n = self.instance.num_nodes();
         // One pass over the nonzero rates builds the adjacency lists and indegrees; the
-        // Kahn loop below then touches only actual edges instead of rescanning the matrix.
+        // Kahn loop below then touches only actual edges instead of rescanning the rows.
         let mut indegree = vec![0usize; n];
         let mut successors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         for (from, to, _) in self.nonzero_rates() {
@@ -601,17 +713,15 @@ impl BroadcastScheme {
         self.topological_order().is_some()
     }
 
-    /// Removes rates below [`RATE_EPS`] (floating-point dust) from the matrix.
+    /// Removes rates below [`RATE_EPS`] (floating-point dust) from the rows.
     ///
     /// Dust is never an edge ([`BroadcastScheme::edges`] and the flow views share the
-    /// strict `> RATE_EPS` threshold), so zeroing it changes neither the edge set nor any
+    /// strict `> RATE_EPS` threshold), so dropping it changes neither the edge set nor any
     /// edge capacity: the journal and the epoch are deliberately left untouched, and a
     /// journal-patching evaluator remains exact across a prune.
     pub fn prune_dust(&mut self) {
-        for rate in &mut self.rates {
-            if *rate <= RATE_EPS {
-                *rate = 0.0;
-            }
+        for row in &mut self.rows {
+            row.retain(|&(_, rate)| rate > RATE_EPS || rate.is_nan());
         }
     }
 
@@ -827,52 +937,130 @@ mod tests {
         assert_eq!(s.max_flow_to(5), 0.0);
     }
 
-    /// Mutates the serialized form of `scheme` through the JSON value model and
-    /// deserializes it back, bypassing the setters' invariants like a hand-edited file.
-    fn rebuild_with_rates(
-        scheme: &BroadcastScheme,
-        edit: impl FnOnce(&mut Vec<serde::Value>),
-    ) -> BroadcastScheme {
-        let json = serde_json::to_string(scheme).unwrap();
-        let mut value: serde::Value = serde_json::from_str(&json).unwrap();
-        let serde::Value::Object(fields) = &mut value else {
-            panic!("scheme serializes as an object");
+    /// The dense document `scheme` would have been written as before format 2.
+    fn dense_document(scheme: &BroadcastScheme) -> serde::Value {
+        let n = scheme.instance().num_nodes();
+        let rates: Vec<f64> = (0..n * n)
+            .map(|idx| scheme.rate(idx / n, idx % n))
+            .collect();
+        serde::Value::Object(vec![
+            (
+                "instance".to_string(),
+                serde::Serialize::to_value(scheme.instance()),
+            ),
+            ("rates".to_string(), serde::Serialize::to_value(&rates)),
+        ])
+    }
+
+    /// The array field `name` of a scheme document, for editing it by hand.
+    fn array_field<'a>(document: &'a mut serde::Value, name: &str) -> &'a mut Vec<serde::Value> {
+        let serde::Value::Object(fields) = document else {
+            panic!("a scheme document is an object");
         };
-        let rates = fields
-            .iter_mut()
-            .find(|(key, _)| key == "rates")
-            .map(|(_, value)| value)
-            .unwrap();
-        let serde::Value::Array(items) = rates else {
-            panic!("rates serialize as an array");
-        };
-        edit(items);
-        serde_json::from_str(&serde_json::to_string(&value).unwrap()).unwrap()
+        match fields.iter_mut().find(|(key, _)| key == name) {
+            Some((_, serde::Value::Array(items))) => items,
+            _ => panic!("no array field `{name}`"),
+        }
+    }
+
+    /// Reads an edited document back through its JSON text, like a hand-edited file.
+    fn reparse(document: &serde::Value) -> serde_json::Result<BroadcastScheme> {
+        serde_json::from_str(&serde_json::to_string(document).unwrap())
     }
 
     #[test]
     fn validate_rejects_deserialized_self_loop() {
         // A hand-edited document can put rate mass on the diagonal, which the setters
-        // forbid; validation must flag it (and count it against the sender's bandwidth).
-        let tampered = rebuild_with_rates(&BroadcastScheme::new(figure1()), |rates| {
-            rates[0] = serde::Value::F64(1000.0); // c_{0,0}
-        });
-        let violations = tampered.validate();
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, SchemeViolation::InvalidRate { from: 0, to: 0, .. })));
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, SchemeViolation::BandwidthExceeded { node: 0, .. })));
+        // forbid; validation must flag it (and count it against the sender's bandwidth),
+        // whichever document format carried it.
+        let empty = BroadcastScheme::new(figure1());
+        let mut sparse = serde::Serialize::to_value(&empty);
+        array_field(&mut sparse, "edges").push(serde::Serialize::to_value(&(0, 0, 1000.0)));
+        let mut dense = dense_document(&empty);
+        array_field(&mut dense, "rates")[0] = serde::Value::F64(1000.0); // c_{0,0}
+        for document in [sparse, dense] {
+            let tampered = reparse(&document).unwrap();
+            assert_eq!(tampered.rate(0, 0), 1000.0);
+            assert!(tampered.edges().is_empty(), "a self-rate is never an edge");
+            let violations = tampered.validate();
+            assert!(violations
+                .iter()
+                .any(|v| matches!(v, SchemeViolation::InvalidRate { from: 0, to: 0, .. })));
+            assert!(violations
+                .iter()
+                .any(|v| matches!(v, SchemeViolation::BandwidthExceeded { node: 0, .. })));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "malformed scheme document")]
-    fn validate_rejects_truncated_rate_matrix() {
-        let truncated = rebuild_with_rates(&figure1_optimal_scheme(), |rates| {
-            rates.pop();
-        });
-        let _ = truncated.validate();
+    fn deserialize_rejects_truncated_rate_matrix() {
+        let mut truncated = dense_document(&figure1_optimal_scheme());
+        array_field(&mut truncated, "rates").pop();
+        let err = reparse(&truncated).unwrap_err();
+        assert!(err.to_string().contains("expected 6×6"), "{err}");
+    }
+
+    #[test]
+    fn hand_written_dense_document_reads_back_equal() {
+        // The Figure 1 scheme as a pre-format-2 document: no `format`, 6×6 row-major rates.
+        let instance = serde_json::to_string(&figure1()).unwrap();
+        let text = format!(
+            r#"{{"instance": {instance}, "rates": [
+                0, 0.2, 0,   3.4, 1.2, 1.2,
+                0, 0,   0.8, 1,   1.6, 1.6,
+                0, 1.8, 0,   0,   1.6, 1.6,
+                0, 2.4, 1.6, 0,   0,   0,
+                0, 0,   1,   0,   0,   0,
+                0, 0,   1,   0,   0,   0
+            ]}}"#
+        );
+        let back: BroadcastScheme = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, figure1_optimal_scheme());
+        // Written again, it comes out as format 2.
+        let rewritten = serde_json::to_string(&back).unwrap();
+        assert!(rewritten.starts_with(r#"{"format":2,"#), "{rewritten}");
+    }
+
+    #[test]
+    fn documents_list_every_stored_rate_in_row_major_order() {
+        let mut s = BroadcastScheme::new(figure1());
+        s.set_rate(2, 1, 1.5);
+        s.set_rate(0, 4, 2.0);
+        s.set_rate(0, 1, 1e-12); // dust is stored, and written
+        s.set_rate(0, 3, 1.0);
+        s.set_rate(0, 3, 0.0); // an exact zero is dropped
+        let mut document = serde::Serialize::to_value(&s);
+        let edges: Vec<(NodeId, NodeId, f64)> = serde::Deserialize::from_value(
+            &serde::Value::Array(array_field(&mut document, "edges").clone()),
+        )
+        .unwrap();
+        assert_eq!(edges, vec![(0, 1, 1e-12), (0, 4, 2.0), (2, 1, 1.5)]);
+        assert_eq!(reparse(&document).unwrap(), s);
+    }
+
+    #[test]
+    fn format_two_documents_accept_any_edge_order() {
+        let s = figure1_optimal_scheme();
+        let mut document = serde::Serialize::to_value(&s);
+        array_field(&mut document, "edges").reverse();
+        assert_eq!(reparse(&document).unwrap(), s);
+    }
+
+    #[test]
+    fn out_edges_iterate_one_row_above_the_dust_threshold() {
+        let mut s = figure1_optimal_scheme();
+        s.set_rate(1, 0, 1e-12);
+        let out: Vec<(NodeId, f64)> = s.out_edges(1).collect();
+        assert_eq!(out, vec![(2, 0.8), (3, 1.0), (4, 1.6), (5, 1.6)]);
+        for node in 0..s.instance().num_nodes() {
+            let expected: Vec<(NodeId, f64)> = s
+                .edges()
+                .into_iter()
+                .filter(|&(from, _, _)| from == node)
+                .map(|(_, to, rate)| (to, rate))
+                .collect();
+            assert_eq!(s.out_edges(node).collect::<Vec<_>>(), expected);
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   [`crate::scheme`] as the primary evaluation path and retains the arena across
 //!   evaluations. Scheme evaluations are incremental end-to-end: the context consumes
 //!   the dirty-edge journal of [`BroadcastScheme`] (see the `scheme` module docs), so a
-//!   re-evaluation of a scheme whose edge *set* is unchanged skips the O(n²) rate-matrix
-//!   scan entirely and patches only the journaled capacities into the cached arena
+//!   re-evaluation of a scheme whose edge *set* is unchanged skips the O(n + m) scan of
+//!   the scheme's rows entirely and patches only the journaled capacities into the cached arena
 //!   ([`FlowArena::patch_edge_capacities`], resolved through a CSR edge-index map the
 //!   context maintains). An edge-set change (epoch bump), a different scheme object, or
 //!   a stale journal cursor falls back to the scan-plus-rewrite path
@@ -43,7 +43,7 @@
 //!
 //! The journal fast path keys on *object identity* ([`BroadcastScheme::eval_id`]): a
 //! search that clones the scheme per probe hands the context a fresh, journal-less
-//! object every time and silently pays the full O(n²) rescan. Clone **one working
+//! object every time and silently pays the full rescan. Clone **one working
 //! copy** before the loop and mutate it in place per probe instead — see the
 //! "Copy-on-probe" section of the [`crate::scheme`] module docs for the doctest'd
 //! pattern (`churn::degradation_tolerance` is the in-tree exemplar).
@@ -95,7 +95,7 @@ pub struct Telemetry {
     /// Evaluated speculative candidates the bracket walk never consumed (the sunk
     /// cost of losing wagers; at most [`Telemetry::probes_speculated`]).
     pub probes_wasted: u64,
-    /// Number of scheme evaluations that skipped the O(n²) rate-matrix rescan by
+    /// Number of scheme evaluations that skipped the full rescan of the scheme's rows by
     /// consuming the scheme's dirty-edge journal instead.
     pub rescans_skipped: u64,
     /// Total edge capacities patched into the cached arena by journaled evaluations.
@@ -237,8 +237,8 @@ struct JournalAssoc {
 /// the arena across evaluations, and counts work for [`Telemetry`].
 ///
 /// In steady state (re-probing the same scheme object with an unchanged edge set — the
-/// access pattern of every dichotomic search loop) an evaluation performs no O(n²)
-/// rate-matrix scan, no CSR construction and no allocation: the journaled capacities are
+/// access pattern of every dichotomic search loop) an evaluation performs no scan of
+/// the scheme's rows, no CSR construction and no allocation: the journaled capacities are
 /// patched into the cached arena and the reusable [`FlowSolver`] buffers are refilled.
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
@@ -546,8 +546,8 @@ impl EvalCtx {
         self.arena_updates
     }
 
-    /// Number of scheme evaluations that skipped the O(n²) rate-matrix rescan via the
-    /// dirty-edge journal.
+    /// Number of scheme evaluations that skipped the full rescan of the scheme's rows via
+    /// the dirty-edge journal.
     #[must_use]
     pub fn rescans_skipped(&self) -> u64 {
         self.rescans_skipped
@@ -1427,7 +1427,7 @@ mod tests {
         // The solve's own verification built the arena for this scheme object; every
         // following evaluation of the same object with an unchanged edge set — including
         // one with perturbed rates — must consume the journal: no rebuild, no bulk
-        // rewrite, no rate-matrix rescan.
+        // rewrite, no rescan of the rows.
         let builds_before = ctx.arena_builds();
         let updates_before = ctx.arena_updates();
         let skips_before = ctx.rescans_skipped();

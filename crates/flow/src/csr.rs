@@ -272,7 +272,7 @@ impl FlowArena {
     /// This is the journaled-update path used by evaluation contexts whose caller knows
     /// exactly which edges moved since the arena was last current (a dirty-edge journal on
     /// the scheme being probed): instead of rewriting every capacity
-    /// ([`FlowArena::set_edge_capacities`]) — let alone rescanning an O(n²) rate matrix to
+    /// ([`FlowArena::set_edge_capacities`]) — let alone rescanning the whole scheme to
     /// find the changes — only the touched capacities are written and only the affected
     /// heads' in-capacities are recomputed. Each affected head is resummed over its
     /// incoming edges in insertion order, so the result is bit-for-bit the arena that

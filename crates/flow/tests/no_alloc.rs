@@ -2,19 +2,32 @@
 //! warm, repeated value-only solves (`max_flow`, `max_flow_limited`, `min_max_flow`) must
 //! not touch the heap. A counting global allocator makes any regression an immediate test
 //! failure instead of a silent performance cliff.
+//!
+//! The count is per thread: the test harness runs tests on parallel threads, and an
+//! allocation made by a sibling test must not be charged to the solver under test.
 
 use bmp_flow::{FlowArena, FlowSolver};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// System allocator wrapper counting every allocation (and reallocation).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread (const-initialized, so reading it never
+    /// allocates from inside the allocator).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread tears its locals down; nothing is measured
+    // then.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,7 +36,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -31,8 +44,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A layered network large enough that a solve exercises BFS, DFS and multiple phases.
@@ -61,7 +75,12 @@ fn layered_arena(layers: usize, width: usize) -> FlowArena {
 
 #[test]
 fn warm_solver_performs_no_heap_allocation() {
+    let start = allocation_count();
     let arena = layered_arena(5, 8);
+    assert!(
+        allocation_count() > start,
+        "the counter must see the calling thread's allocations"
+    );
     let sinks: Vec<usize> = (2..arena.num_nodes()).collect();
     let mut solver = FlowSolver::new();
 

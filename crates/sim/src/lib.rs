@@ -32,7 +32,7 @@
 //!   [`adapt::RepairController`] is the reference implementation: it probes the victim's
 //!   degradation tolerance (the *copy-on-probe* idiom of the `bmp_core::scheme` module
 //!   docs — one working copy, journaled rate mutations, re-evaluations that skip the
-//!   O(n²) rescan), measures the frozen overlay's residual throughput, and re-solves the
+//!   full rescan), measures the frozen overlay's residual throughput, and re-solves the
 //!   surviving platform only when the residual misses its floor;
 //! * metrics for the closed loop: [`metrics::SimReport::delivered_goodput`] (defined
 //!   even when starved receivers never complete) and the per-swap recovery instants of
