@@ -7,7 +7,7 @@
 //! `BENCH_dichotomic.json` at the repo root (machine-readable perf trajectory).
 
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
-use bmp_core::solver::{batched_guarded_throughputs, AcyclicGuardedAlgorithm, EvalCtx, Solver};
+use bmp_core::solver::{AcyclicGuardedAlgorithm, EvalCtx, Solver};
 use bmp_core::BroadcastScheme;
 use bmp_flow::FlowSolver;
 use bmp_platform::distribution::UniformBandwidth;
@@ -226,34 +226,6 @@ fn bench_journaled(c: &mut Criterion) {
     group.finish();
 }
 
-/// Speculative dichotomic probing against the flow pool: the full Theorem 4.1 solve at
-/// depth 0 (serial — one probe per bisection step), 1 and 2 (the candidate tree of the
-/// next 1–2 levels is evaluated concurrently and the wrong branch discarded). The
-/// three runs are bit-identical in their answer; the depth only trades wasted probes
-/// for critical-path latency, so the gap is the direct measure of "when speculation
-/// wins" (multi-lane: spec beats serial; single-core: speculation is pure overhead).
-fn bench_speculative(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dichotomic");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    let inst = random_instance(400, 0.6, 7);
-    for (label, depth) in [("serial", 0usize), ("spec1", 1), ("spec2", 2)] {
-        group.bench_with_input(BenchmarkId::new("speculative", label), &inst, |b, inst| {
-            b.iter(|| {
-                let mut ctx = EvalCtx::new();
-                ctx.set_speculation(depth);
-                AcyclicGuardedAlgorithm
-                    .solve(inst, &mut ctx)
-                    .expect("solvable")
-                    .throughput
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Warm residual reuse across re-probes: the dichotomic access pattern (fixed edge
 /// set, one rate nudged per probe, full multi-sink evaluation) with and without
 /// [`EvalCtx::set_incremental`]. Values are bit-identical; warm mode retains each
@@ -297,56 +269,12 @@ fn bench_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cross-instance batched probing: a 64-cell sweep solved by `BatchedSearch` (one
-/// pending probe per unfinished cell, gathered into shared pool passes) versus the
-/// per-cell serial loop the sweeps used before. Cell results are bit-identical; the
-/// batching only changes how probes share the pool's lanes.
-fn bench_batched_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sweep");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    let instances: Vec<Instance> = (0..64)
-        .map(|i| random_instance(24, 0.6, 1000 + i))
-        .collect();
-    let tolerance = 1e-9;
-    group.bench_with_input(
-        BenchmarkId::new("batched-probes", "batched"),
-        &instances,
-        |b, instances| {
-            b.iter(|| {
-                batched_guarded_throughputs(instances, tolerance, 0)
-                    .iter()
-                    .map(|(t, _, _)| t)
-                    .sum::<f64>()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("batched-probes", "per-cell"),
-        &instances,
-        |b, instances| {
-            let solver = AcyclicGuardedSolver::with_tolerance(tolerance);
-            b.iter(|| {
-                instances
-                    .iter()
-                    .map(|inst| solver.optimal_throughput(inst).0)
-                    .sum::<f64>()
-            })
-        },
-    );
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_dichotomic,
     bench_reevaluation,
     bench_journaled,
-    bench_speculative,
-    bench_incremental,
-    bench_batched_sweep
+    bench_incremental
 );
 
 fn main() {

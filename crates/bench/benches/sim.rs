@@ -253,9 +253,8 @@ fn bench_repair_warm_vs_cold(c: &mut Criterion) {
 /// most per-sink max-flows from a retained residual state instead of a cold Dinic
 /// (the certification solve stays cold by construction either way). Decisions,
 /// verdicts and telemetry probe counts are bit-identical (asserted by the sim
-/// suite); the delta is pure wall time. Unlike the speculative benches this win
-/// needs no spare cores — the warm path is sequential — so the perf gate asserts
-/// warm beats its cold sibling on every host.
+/// suite); the delta is pure wall time. The win needs no spare cores — the warm path
+/// is sequential — so the perf gate asserts warm beats its cold sibling on every host.
 fn bench_repair_incremental_vs_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("repair");
     group.sample_size(10);

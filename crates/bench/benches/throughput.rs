@@ -1,5 +1,5 @@
 //! Multi-sink throughput evaluation: naive per-sink Dinic vs the batched CSR evaluator
-//! vs the scoped-thread parallel fan-out, measured from n = 50 up to the fleet-scale
+//! vs the pooled parallel fan-out, measured from n = 50 up to the fleet-scale
 //! n ∈ {2000, 5000} overlays called out by the ROADMAP.
 //!
 //! `BroadcastScheme::throughput` is `min_k maxflow(source → C_k)` over all receivers.
@@ -15,24 +15,19 @@
 //!   above),
 //! * `parallel/T`     — fixed thread counts for the fan-out curve.
 //!
-//! The `worker_pool` group compares the three fan-out strategies head to head at a
-//! fixed thread count (pool-vs-scoped and pool-vs-sequential):
+//! The `worker_pool` group compares the pool against the sequential evaluator at a
+//! fixed thread count:
 //!
 //! * `sequential`     — warm `FlowSolver::min_max_flow` (the no-fan-out floor),
-//! * `scoped/4`       — `min_max_flow_scoped`, the per-call scoped-thread spawn,
 //! * `pooled/4`       — `FlowPool::min_max_flow_with` on the persistent global pool
 //!   (long-lived workers, warm per-worker solvers, no per-call spawn).
-//!
-//! On a single-core container all three land within noise of each other — the group
-//! exists so the BENCH JSON records the trajectory and multi-core hardware shows the
-//! pool's win the moment it runs there.
 //!
 //! Results are drained from the harness and written as `BENCH_throughput.json` at the
 //! repo root (machine-readable perf trajectory).
 
 use bmp_flow::{
-    dinic_max_flow, min_max_flow_parallel, min_max_flow_scoped, suggested_flow_threads,
-    FlowNetwork, FlowPool, FlowSolver,
+    dinic_max_flow, min_max_flow_parallel, suggested_flow_threads, FlowNetwork, FlowPool,
+    FlowSolver,
 };
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -125,7 +120,7 @@ fn bench_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pool-vs-scoped and pool-vs-sequential at a fixed fan-out of 4 lanes.
+/// Pool-vs-sequential at a fixed fan-out of 4 lanes.
 fn bench_worker_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("worker_pool");
     group
@@ -139,14 +134,10 @@ fn bench_worker_pool(c: &mut Criterion) {
         let arena = Arc::new(net.arena());
         let mut warm = FlowSolver::new();
         let expected = warm.min_max_flow(&arena, 0, &sinks);
-        // All three strategies are exact — assert it before timing them.
-        assert_eq!(min_max_flow_scoped(&arena, 0, &sinks, 4), expected);
+        // Both strategies are exact — assert it before timing them.
         assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 4), expected);
         group.bench_with_input(BenchmarkId::new("sequential", n), &arena, |b, arena| {
             b.iter(|| warm.min_max_flow(arena, 0, &sinks))
-        });
-        group.bench_with_input(BenchmarkId::new("scoped/4", n), &arena, |b, arena| {
-            b.iter(|| min_max_flow_scoped(arena, 0, &sinks, 4))
         });
         let mut submitter = FlowSolver::new();
         group.bench_with_input(BenchmarkId::new("pooled/4", n), &arena, |b, arena| {

@@ -17,15 +17,9 @@
 //! With `--require-improvement ID:RATIO` (repeatable) it asserts a *relative win*
 //! rather than the absence of a regression: `ID`'s median must be at least `RATIO`×
 //! faster than its reference sibling (`ID` with the last path segment replaced by
-//! `serial`, or by `cold` when no serial sibling exists — e.g.
-//! `dichotomic/speculative/spec1:1.3` requires spec1 to beat
-//! `dichotomic/speculative/serial` by 1.3×, and `dichotomic/incremental/warm:1.5`
-//! requires the warm re-probe loop to beat `dichotomic/incremental/cold` by 1.5×).
-//! The assertion abstains, and says so, on smoke documents; serial-referenced ids
-//! additionally abstain on single-core hosts — speculation spends extra lanes to
-//! shorten the critical path, so with one core there is nothing to win — while
-//! cold-referenced (warm-vs-cold) ids stay asserted everywhere, their win being
-//! sequential by construction.
+//! `cold` — e.g. `dichotomic/incremental/warm:1.5` requires the warm re-probe loop to
+//! beat `dichotomic/incremental/cold` by 1.5×). The assertion abstains, and says so,
+//! on smoke documents.
 
 use bmp_bench::{
     perf_gate, read_bench_document, repo_root, require_improvement, resolve_reference_id,
@@ -133,9 +127,8 @@ fn main() {
         }
     }
 
-    let lanes = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     for (id, ratio) in &improvements {
-        match check_improvement(id, *ratio, lanes) {
+        match check_improvement(id, *ratio) {
             Ok(Improvement::Achieved {
                 benchmark,
                 reference,
@@ -147,10 +140,6 @@ fn main() {
             Ok(Improvement::Smoke) => {
                 println!("improvement: {id}: skipped (smoke-mode document has no timings)")
             }
-            Ok(Improvement::SingleCore) => println!(
-                "improvement: {id}: skipped (single-core host: speculation has no \
-                 free lanes to win with)"
-            ),
             Err(error) => {
                 eprintln!("improvement assertion failed: {error}");
                 failed = true;
@@ -172,15 +161,11 @@ enum Improvement {
     },
     /// Abstained: the document is a smoke run with no timings.
     Smoke,
-    /// Abstained: the id measures speculation (its reference is a `serial` sibling)
-    /// and the host has a single core, so there are no free lanes to win with.
-    /// Warm-vs-cold ids (a `cold` reference) stay asserted — that win is sequential.
-    SingleCore,
 }
 
 /// Finds the document containing `id` among the four reports and asserts the
 /// improvement there.
-fn check_improvement(id: &str, ratio: f64, lanes: usize) -> Result<Improvement, String> {
+fn check_improvement(id: &str, ratio: f64) -> Result<Improvement, String> {
     let root = repo_root();
     for benchmark in ["dichotomic", "throughput", "sim", "serve"] {
         let path = root.join(format!("BENCH_{benchmark}.json"));
@@ -192,9 +177,6 @@ fn check_improvement(id: &str, ratio: f64, lanes: usize) -> Result<Improvement, 
         }
         if doc.is_measured() {
             let reference = resolve_reference_id(&doc, id)?;
-            if lanes < 2 && reference.rsplit('/').next() == Some("serial") {
-                return Ok(Improvement::SingleCore);
-            }
             return require_improvement(&doc, id, ratio).map(|achieved| Improvement::Achieved {
                 benchmark: benchmark.to_string(),
                 reference,

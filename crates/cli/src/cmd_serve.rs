@@ -44,7 +44,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
         "--seed",
         "--floor",
         "--threads",
-        "--speculate",
         "--incremental",
         "--max-sessions",
         "--capacity",
@@ -172,6 +171,10 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
             "--sessions and --shards must both be at least 1".into(),
         ));
     }
+    let chunks: usize = args.get_parsed("--chunks", 60)?;
+    if chunks == 0 {
+        return Err(CliError::Usage("--chunks must be at least 1".into()));
+    }
     let floor: f64 = args.get_parsed("--floor", 0.9)?;
     if !(floor > 0.0 && floor <= 1.0) {
         return Err(CliError::Usage(format!(
@@ -236,7 +239,7 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         sessions,
         shards,
         receivers: args.get_parsed("--receivers", 4)?,
-        chunks: args.get_parsed("--chunks", 60)?,
+        chunks,
         seed: args.get_parsed("--seed", 0x5EED)?,
         floor,
         flow_threads: args.get_parsed("--threads", 1)?,
@@ -256,14 +259,11 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
 /// Runs the `serve` subcommand.
 ///
 /// Flags: `--sessions N` (default 8), `--shards K` (default 1), `--receivers R`
-/// (default 4), `--chunks C` (default 60), `--seed S`, `--floor F` (default 0.9),
-/// `--threads T` (flow fan-out per controller), `--speculate N` (dichotomic
-/// speculation depth for every controller's re-solves; a scheduling knob — reports
-/// are bit-identical at any depth, so it also composes with `--resume`),
-/// `--incremental` (warm residual reuse across every controller's re-probes; same
-/// bit-identity contract, also composable with `--resume`),
-/// `--max-sessions N` / `--capacity L` /
-/// `--queue` (admission policy), `--repair-algorithm NAME`, `--churn
+/// (default 4), `--chunks C` (at least 1, default 60), `--seed S`, `--floor F` (default
+/// 0.9), `--threads T` (flow fan-out per controller), `--incremental` (warm residual
+/// reuse across every controller's re-probes; a scheduling knob — reports are
+/// bit-identical either way, so it also composes with `--resume`), `--max-sessions N` /
+/// `--capacity L` / `--queue` (admission policy), `--repair-algorithm NAME`, `--churn
 /// START:SPACING:WAVES` (default `4:3:2`), `--fault-plan SPEC` (`storm`,
 /// `storm:SEED`, `off`; unset reads `BMP_FAULT_PLAN`), `--report FILE` (fleet report
 /// JSON), `--csv FILE` (per-session rows).
@@ -337,17 +337,11 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         "serving {} session(s) across {} shard(s) (receivers {}, chunks {}, seed {:#x}, floor {})",
         config.sessions, config.shards, config.receivers, config.chunks, config.seed, config.floor
     )?;
-    // Speculation is a scheduling knob, not fleet description: it never changes a
-    // session's results, so it composes with --resume and stays out of the
-    // checkpoint. Controllers are built deep inside the shard threads, so the depth
-    // travels via the process default (restored afterwards to keep in-process
-    // callers hermetic).
-    let speculate: usize =
-        args.get_parsed("--speculate", bmp_core::solver::default_speculation())?;
-    let previous_speculation = bmp_core::solver::set_default_speculation(speculate);
-    // Same contract for warm residual reuse: bit-identical reports, so it composes
-    // with --resume and travels to the shard-built controllers via the process
-    // default.
+    // Warm residual reuse is a scheduling knob, not fleet description: it never
+    // changes a session's results, so it composes with --resume and stays out of the
+    // checkpoint. Controllers are built deep inside the shard threads, so the flag
+    // travels via the process default (restored afterwards to keep in-process callers
+    // hermetic).
     let incremental = args.has("--incremental") || bmp_core::solver::default_incremental();
     let previous_incremental = bmp_core::solver::set_default_incremental(incremental);
     let mut write_error: Option<CliError> = None;
@@ -376,7 +370,6 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         };
         run_fleet_with(&config, options)
     };
-    bmp_core::solver::set_default_speculation(previous_speculation);
     bmp_core::solver::set_default_incremental(previous_incremental);
     if let Some(e) = write_error {
         return Err(e);
@@ -636,6 +629,7 @@ mod tests {
         for args in [
             vec!["--sessions".to_string(), "0".into()],
             vec!["--shards".to_string(), "0".into()],
+            vec!["--chunks".to_string(), "0".into()],
             vec!["--floor".to_string(), "1.5".into()],
             vec!["--churn".to_string(), "4:3".into()],
             vec!["--churn".to_string(), "4:-1:2".into()],

@@ -51,7 +51,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
         "--instance",
         "--algorithm",
         "--threads",
-        "--speculate",
         "--incremental",
         "--chunks",
         "--policy",
@@ -130,7 +129,6 @@ fn parse_churn(raw: &str, scheme: &BroadcastScheme) -> Result<ChurnSchedule, Cli
 fn load_scheme<W: Write>(
     args: &ArgList,
     threads: usize,
-    speculate: usize,
     incremental: bool,
     out: &mut W,
 ) -> Result<BroadcastScheme, CliError> {
@@ -151,7 +149,6 @@ fn load_scheme<W: Write>(
             let solver = resolve_algorithm(args.get("--algorithm").unwrap_or("acyclic-guarded"))?;
             let mut ctx = EvalCtx::new();
             ctx.set_parallelism(threads);
-            ctx.set_speculation(speculate);
             ctx.set_incremental(incremental);
             let solution = solver.solve(&instance, &mut ctx)?;
             writeln!(
@@ -358,7 +355,6 @@ fn run_resumed<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         "--instance",
         "--algorithm",
         "--threads",
-        "--speculate",
         "--incremental",
         "--chunks",
         "--policy",
@@ -453,10 +449,10 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 /// Runs the `simulate` subcommand.
 ///
 /// Flags: `--scheme FILE` *or* `--instance FILE` (solve first; `--algorithm NAME`
-/// selects the registry solver, `--threads N` its flow fan-out, `--speculate N` its
-/// dichotomic speculation depth, `--incremental` warm residual reuse across its
-/// dichotomic probes — bit-identical results either way), `--chunks N` (default
-/// 300), `--policy NAME` (default random), `--seed S`, `--jitter J`, `--live RATE`,
+/// selects the registry solver, `--threads N` its flow fan-out, `--incremental` warm
+/// residual reuse across its dichotomic probes — bit-identical results either way),
+/// `--chunks N` (at least 1, default 300), `--policy NAME` (default random), `--seed S`,
+/// `--jitter J` (in `[0, 1)`, default 0), `--live RATE`,
 /// `--trace` (worst-receiver progress every 50 rounds; frozen-overlay runs only),
 /// `--churn SPEC` (scheduled departures/rejoins, e.g. `"5:busiest"` or `"5:3,7;12:+3"`),
 /// `--repair` (adapt by incremental re-solve + hot-swap instead of the static baseline),
@@ -484,26 +480,29 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             "--threads only applies when solving (--instance) or repairing (--repair)".into(),
         ));
     }
-    let speculate: usize =
-        args.get_parsed("--speculate", bmp_core::solver::default_speculation())?;
-    if args.has("--speculate") && !(args.has("--repair") || args.get("--instance").is_some()) {
-        return Err(CliError::Usage(
-            "--speculate only applies when solving (--instance) or repairing (--repair)".into(),
-        ));
-    }
     let incremental = args.has("--incremental") || bmp_core::solver::default_incremental();
     if args.has("--incremental") && !(args.has("--repair") || args.get("--instance").is_some()) {
         return Err(CliError::Usage(
             "--incremental only applies when solving (--instance) or repairing (--repair)".into(),
         ));
     }
-    let scheme = load_scheme(args, threads, speculate, incremental, out)?;
+    let scheme = load_scheme(args, threads, incremental, out)?;
     let nominal = scheme.throughput();
     let overlay = Overlay::from_scheme(&scheme);
 
+    let num_chunks: usize = args.get_parsed("--chunks", 300usize)?;
+    if num_chunks == 0 {
+        return Err(CliError::Usage("--chunks must be at least 1".into()));
+    }
+    let jitter: f64 = args.get_parsed("--jitter", 0.0)?;
+    if !(0.0..1.0).contains(&jitter) {
+        return Err(CliError::Usage(format!(
+            "--jitter {jitter} must lie in [0, 1)"
+        )));
+    }
     let mut config = SimConfig {
-        num_chunks: args.get_parsed("--chunks", 300usize)?,
-        jitter: args.get_parsed("--jitter", 0.0)?,
+        num_chunks,
+        jitter,
         policy: parse_policy(args.get("--policy").unwrap_or("random"))?,
         ..SimConfig::default()
     };
@@ -571,7 +570,6 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             let mut controller =
                 RepairController::new(scheme.instance().clone(), scheme.clone(), nominal, floor);
             controller.set_parallelism(threads);
-            controller.set_speculation(speculate);
             controller.set_incremental(incremental);
             controller.set_repair_algorithm(repair_algorithm.map(str::to_string));
             PolicyKind::Repair(Box::new(controller))
@@ -739,6 +737,21 @@ mod tests {
             ]),
             Err(CliError::Usage(_))
         ));
+        // Values the simulator would reject with a panic are usage errors instead.
+        for (flag, value) in [("--chunks", "0"), ("--jitter", "1.5"), ("--jitter", "nan")] {
+            assert!(
+                matches!(
+                    run_args(vec![
+                        "--scheme".into(),
+                        path.clone(),
+                        flag.into(),
+                        value.into()
+                    ]),
+                    Err(CliError::Usage(_))
+                ),
+                "{flag} {value} should be a usage error"
+            );
+        }
         std::fs::remove_file(path).ok();
     }
 

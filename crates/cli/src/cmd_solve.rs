@@ -16,7 +16,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
         "--cyclic",
         "--tolerance",
         "--threads",
-        "--speculate",
         "--incremental",
         "--out",
         "--dot",
@@ -108,15 +107,10 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
 /// `1e-9`), `--threads N` (flow-evaluation fan-out over the persistent worker pool:
 /// `1` sequential — the default — `N > 1` up to N concurrent lanes, `0` the
 /// instance-size heuristic; the reported throughput is bit-identical either way),
-/// `--speculate N` (dichotomic speculation depth: `0` — the default unless
-/// `BMP_SPECULATE` is set — probes one midpoint at a time, `N > 0` additionally
-/// submits the next N levels of candidate midpoints to the flow pool and discards
-/// the branch the serial search would not have taken; the report is bit-identical
-/// at any depth), `--incremental` (warm residual reuse: consecutive dichotomic
-/// probes start each max-flow from the previous probe's retained residual instead
-/// of a cold solve — on by default when `BMP_INCREMENTAL` is set, bit-identical
-/// report either way), `--out FILE` (write the scheme as JSON), `--dot FILE`
-/// (write a Graphviz rendering).
+/// `--incremental` (warm residual reuse: consecutive dichotomic probes start each
+/// max-flow from the previous probe's retained residual instead of a cold solve — on by
+/// default when `BMP_INCREMENTAL` is set, bit-identical report either way), `--out
+/// FILE` (write the scheme as JSON), `--dot FILE` (write a Graphviz rendering).
 ///
 /// # Errors
 ///
@@ -128,12 +122,9 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     let instance = files::read_instance(args.require("--instance")?)?;
     let tolerance: f64 = args.get_parsed("--tolerance", 1e-9)?;
     let threads: usize = args.get_parsed("--threads", 1)?;
-    let speculate: usize =
-        args.get_parsed("--speculate", bmp_core::solver::default_speculation())?;
 
     let mut ctx = EvalCtx::with_tolerance(tolerance);
     ctx.set_parallelism(threads);
-    ctx.set_speculation(speculate);
     ctx.set_incremental(args.has("--incremental") || bmp_core::solver::default_incremental());
     let solution = solver.solve(&instance, &mut ctx)?;
     report(&solution, out)?;
@@ -268,40 +259,6 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains("--threads"), "{err}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn speculate_flag_changes_nothing_but_wall_time() {
-        let path = write_figure1();
-        let serial = run_args(&["--instance".into(), path.clone()]).unwrap();
-        for depth in ["1", "2", "3"] {
-            let speculative = run_args(&[
-                "--instance".into(),
-                path.clone(),
-                "--speculate".into(),
-                depth.into(),
-            ])
-            .unwrap();
-            // The determinism contract: speculation may only change the telemetry
-            // timing line, never the word, throughput, or scheme.
-            let stable = |report: &str| {
-                report
-                    .lines()
-                    .filter(|line| !line.starts_with("telemetry"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(stable(&serial), stable(&speculative), "--speculate {depth}");
-        }
-        let err = run_args(&[
-            "--instance".into(),
-            path.clone(),
-            "--speculate".into(),
-            "deep".into(),
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("--speculate"), "{err}");
         std::fs::remove_file(path).ok();
     }
 

@@ -16,7 +16,7 @@ use crate::bounds::cyclic_upper_bound;
 use crate::error::CoreError;
 use crate::greedy::{greedy_test, GreedyOutcome};
 use crate::scheme::BroadcastScheme;
-use crate::search::{DichotomicSearch, SearchOutcome};
+use crate::search::DichotomicSearch;
 use crate::word::{CodingWord, Symbol};
 use bmp_platform::{Instance, NodeId};
 
@@ -111,73 +111,6 @@ impl AcyclicGuardedSolver {
             .cloned()
             .unwrap_or_default();
         (outcome.value, word, outcome.probes)
-    }
-
-    /// The speculative counterpart of
-    /// [`AcyclicGuardedSolver::optimal_throughput_traced_from`]: the same search with
-    /// each round's candidate tree of depth `depth` evaluated concurrently on the
-    /// shared flow worker pool ([`bmp_flow::FlowPool::global`]), returning the full
-    /// [`SearchOutcome`] so callers can account the speculation separately.
-    ///
-    /// The probes are the pure `GreedyTest` feasibility predicate, so the result —
-    /// value, word and serial probe count — is bit-identical to the serial search at
-    /// any depth (the determinism contract of
-    /// [`DichotomicSearch::maximize_speculative_from`]); `depth == 0` simply runs the
-    /// serial path. Speculative tickets are tagged
-    /// ([`bmp_flow::TicketClass::Speculative`]) so the pool reserves a fair-share lane
-    /// and accounts cancelled wagers separately. The instance is cloned once into an
-    /// [`std::sync::Arc`] per call — the pool's workers outlive the call, so they
-    /// cannot borrow it — which is noise next to the probes a bisection performs.
-    #[must_use]
-    pub fn optimal_throughput_traced_spec(
-        &self,
-        lower_hint: f64,
-        instance: &Instance,
-        depth: usize,
-    ) -> (f64, CodingWord, SearchOutcome) {
-        if depth == 0 {
-            let (value, word, probes) = self.optimal_throughput_traced_from(lower_hint, instance);
-            return (
-                value,
-                word,
-                SearchOutcome {
-                    value,
-                    probes,
-                    probes_speculated: 0,
-                    probes_wasted: 0,
-                },
-            );
-        }
-        let upper = cyclic_upper_bound(instance);
-        let solver = *self;
-        let shared = std::sync::Arc::new(instance.clone());
-        let probe: bmp_flow::ProbeFn = {
-            let instance = std::sync::Arc::clone(&shared);
-            std::sync::Arc::new(move |_, t| solver.is_feasible(&instance, t))
-        };
-        let pool = bmp_flow::FlowPool::global();
-        let mut tagged: Vec<(u64, f64)> = Vec::new();
-        let outcome = self.search().maximize_speculative_from(
-            lower_hint,
-            upper,
-            depth,
-            |candidates, verdicts| {
-                tagged.clear();
-                tagged.extend(candidates.iter().map(|&t| (0u64, t)));
-                pool.probe_batch(
-                    &probe,
-                    &tagged,
-                    candidates.len(),
-                    bmp_flow::TicketClass::Speculative,
-                    verdicts,
-                );
-            },
-        );
-        let word = greedy_test(instance, outcome.value)
-            .word()
-            .cloned()
-            .unwrap_or_default();
-        (outcome.value, word, outcome)
     }
 
     /// Builds the low-degree scheme of Lemma 4.6 for a valid word at throughput `t`.

@@ -1,56 +1,20 @@
-//! The shared incremental dichotomic driver behind every bisection in the crate.
+//! The dichotomic driver behind every bisection in the crate.
 //!
-//! Three call sites used to carry their own copy of the same loop — the Theorem 4.1
-//! solver ([`crate::acyclic_guarded`]), the per-word optimum
+//! The Theorem 4.1 solver ([`crate::acyclic_guarded`]), the per-word optimum
 //! ([`crate::word::optimal_throughput_for_word`], which also serves the per-order search
-//! of [`crate::conservative`]), and the exhaustive oracle ([`crate::exhaustive`]). They
-//! now all drive [`DichotomicSearch::maximize`], which fixes the bracketing convention
-//! (`lo` feasible, `hi` infeasible), the relative stopping rule, and the defensive
-//! iteration cap in one place, and reports how many probes were spent so callers can
-//! surface it as telemetry ([`crate::solver::Telemetry::bisection_iters`]).
+//! of [`crate::conservative`]) and the exhaustive oracle ([`crate::exhaustive`]) all
+//! drive [`DichotomicSearch::maximize`], which fixes the bracketing convention (`lo`
+//! feasible, `hi` infeasible), the relative stopping rule, and the defensive iteration
+//! cap in one place, and reports how many probes were spent so callers can surface it
+//! as telemetry ([`crate::solver::Telemetry::bisection_iters`]).
 //!
-//! # Speculative mode: the state machine and its determinism contract
-//!
-//! [`DichotomicSearch::maximize_speculative_from`] runs the *same* search with the
-//! probes regrouped into concurrent batches. Each round it materialises the bracket's
-//! candidate tree of depth `d`: a heap-indexed array of `2^(d+1) - 1` midpoints where
-//! node `k` holds the midpoint of its bracket, child `2k + 1` the follow-up midpoint
-//! should `k` probe infeasible (bracket `[lo, mid]`), and child `2k + 2` the follow-up
-//! should it probe feasible (`[mid, hi]`). The whole tree is handed to the batch
-//! evaluator in one call — on a pooled evaluator, `2^(d+1) - 1` concurrent lanes —
-//! and the driver then *walks* the tree exactly as the serial loop would: consume the
-//! root, let the real verdict pick a child, repeat, re-checking the stopping rule and
-//! the iteration cap before every consumed step. Consumed nodes advance the bracket;
-//! evaluated-but-unconsumed nodes are the price of speculation.
-//!
-//! The determinism contract: **every speculative run is bit-identical to the serial
-//! search** — same bracket sequence, same final value, same `probes` count — because
-//! each tree node's midpoint is computed by the very expression (`0.5 * (lo + hi)`)
-//! on the very values the serial loop would use, verdicts come from the same pure
-//! predicate, and the walk consumes them in serial order under the serial stopping
-//! rule. Speculation changes only *when* probes are evaluated, never *which* bracket
-//! path is taken. The extra work is accounted separately:
-//! [`SearchOutcome::probes_speculated`] counts the non-root candidates evaluated per
-//! round and [`SearchOutcome::probes_wasted`] the evaluated candidates the walk never
-//! consumed, so telemetry can report the wager's cost without perturbing the serial
-//! `probes` accounting. The preamble (the `upper` probe and the optional warm-start
-//! hint probe) is never speculated: each is a batch of one.
-//!
-//! [`BatchedSearch`] is the cross-*instance* counterpart: many independent searches
-//! advanced in lockstep, one pending probe per unfinished cell per round, all of a
-//! round's probes interleaved into one shared batch. Each cell's probe sequence is
-//! exactly its own serial search, so results and per-cell probe counts are
-//! bit-identical to running the cells one by one; only the grouping changes.
-//! Batching and speculation are orthogonal and composable in principle, but the
-//! drivers here keep them separate: a batched round already fills the pool with one
-//! probe per cell, so speculating inside it would only displace fair-share work.
-//!
-//! Both drivers compose with warm residual reuse (`EvalCtx::set_incremental` /
-//! `bmp_flow::incremental`): the search itself only sees verdicts, but the flow-backed
+//! The search is plain bisection: one probe per step, each probe a call of the caller's
+//! monotone predicate. It composes with warm residual reuse (`EvalCtx::set_incremental`
+//! / `bmp_flow::incremental`): the search itself only sees verdicts, but the flow-backed
 //! predicates it drives evaluate near-identical capacity vectors probe after probe, so
 //! each probe's max-flows can start from the previous probe's retained residual. The
 //! warm path is constructed so every verdict, bracket and final value stays
-//! bit-identical to cold evaluation — the same contract speculation holds.
+//! bit-identical to cold evaluation.
 
 /// Dichotomic search over a monotone feasibility predicate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,17 +36,6 @@ impl Default for DichotomicSearch {
     }
 }
 
-/// Depth cap for speculative search: depth 6 already means 127 candidates per round,
-/// far past the lane count of any pool this crate drives (the global flow pool caps at
-/// 8 workers), so deeper requests are clamped rather than allowed to build
-/// exponentially useless trees.
-pub const MAX_SPECULATION_DEPTH: usize = 6;
-
-/// Default speculation depth when a caller enables speculation without choosing one:
-/// one step of lookahead (3 candidates per round), the break-even sweet spot on 2–4
-/// free pool lanes (see the "when speculation wins" note in `bmp-flow`'s crate docs).
-pub const DEFAULT_SPECULATION_DEPTH: usize = 1;
-
 /// Result of a [`DichotomicSearch::maximize`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchOutcome {
@@ -90,15 +43,7 @@ pub struct SearchOutcome {
     /// search tolerance).
     pub value: f64,
     /// Number of predicate probes spent, including the initial probe of `upper`.
-    /// Identical between the serial and speculative drivers: speculative extras are
-    /// accounted in [`SearchOutcome::probes_speculated`], never here.
     pub probes: u64,
-    /// Speculative candidates evaluated beyond each round's root (zero for the serial
-    /// driver). `probes + probes_speculated` is the total predicate work performed.
-    pub probes_speculated: u64,
-    /// Evaluated speculative candidates the bracket walk never consumed — the sunk
-    /// cost of losing wagers. Always at most [`SearchOutcome::probes_speculated`].
-    pub probes_wasted: u64,
 }
 
 impl DichotomicSearch {
@@ -140,11 +85,17 @@ impl DichotomicSearch {
         mut feasible: impl FnMut(f64) -> bool,
     ) -> SearchOutcome {
         if upper <= 0.0 {
-            return SearchOutcome::serial(0.0, 0);
+            return SearchOutcome {
+                value: 0.0,
+                probes: 0,
+            };
         }
         let mut probes = 1;
         if feasible(upper) {
-            return SearchOutcome::serial(upper, probes);
+            return SearchOutcome {
+                value: upper,
+                probes,
+            };
         }
         let mut lo = 0.0_f64;
         let mut hi = upper;
@@ -168,267 +119,7 @@ impl DichotomicSearch {
                 hi = mid;
             }
         }
-        SearchOutcome::serial(lo, probes)
-    }
-
-    /// [`DichotomicSearch::maximize_speculative_from`] without a warm-start hint.
-    pub fn maximize_speculative(
-        &self,
-        upper: f64,
-        depth: usize,
-        batch: impl FnMut(&[f64], &mut Vec<bool>),
-    ) -> SearchOutcome {
-        self.maximize_speculative_from(0.0, upper, depth, batch)
-    }
-
-    /// The speculative variant of [`DichotomicSearch::maximize_from`]: same search,
-    /// same result, with each round's probes regrouped into one batch of the
-    /// bracket's candidate tree of depth `depth` (clamped to
-    /// [`MAX_SPECULATION_DEPTH`]; `depth == 0` degenerates to a batch of one per
-    /// step, probe-for-probe the serial search). See the module docs for the state
-    /// machine and the determinism contract.
-    ///
-    /// `batch` receives the candidate values and must fill `verdicts` with exactly
-    /// one boolean per candidate, in candidate order, computed by a pure monotone
-    /// predicate — [`bmp_flow::FlowPool::probe_batch`] upholds this contract when
-    /// handed a pure probe. The driver may call `batch` with a single candidate (the
-    /// preamble probes of `upper` and the hint are never speculated).
-    ///
-    /// [`bmp_flow::FlowPool::probe_batch`]: ../../bmp_flow/pool/struct.FlowPool.html#method.probe_batch
-    pub fn maximize_speculative_from(
-        &self,
-        lower_hint: f64,
-        upper: f64,
-        depth: usize,
-        mut batch: impl FnMut(&[f64], &mut Vec<bool>),
-    ) -> SearchOutcome {
-        let depth = depth.min(MAX_SPECULATION_DEPTH);
-        let mut verdicts: Vec<bool> = Vec::new();
-        if upper <= 0.0 {
-            return SearchOutcome::serial(0.0, 0);
-        }
-        let mut probes = 1u64;
-        batch(&[upper], &mut verdicts);
-        debug_assert_eq!(verdicts.len(), 1, "batch evaluator broke its contract");
-        if verdicts[0] {
-            return SearchOutcome::serial(upper, probes);
-        }
-        let mut lo = 0.0_f64;
-        let mut hi = upper;
-        if lower_hint > 0.0 && lower_hint < upper {
-            probes += 1;
-            batch(&[lower_hint], &mut verdicts);
-            debug_assert_eq!(verdicts.len(), 1, "batch evaluator broke its contract");
-            if verdicts[0] {
-                lo = lower_hint;
-            } else {
-                hi = lower_hint;
-            }
-        }
-        let nodes = (1usize << (depth + 1)) - 1;
-        let mut candidates = vec![0.0_f64; nodes];
-        let mut speculated = 0u64;
-        let mut wasted = 0u64;
-        let mut iterations = 0usize;
-        while iterations < self.max_iterations && hi - lo > self.tolerance * hi.max(1.0) {
-            // One speculative round: evaluate the whole candidate tree of the current
-            // bracket concurrently, then walk it in serial probe order.
-            fill_candidate_tree(&mut candidates, 0, lo, hi);
-            batch(&candidates, &mut verdicts);
-            debug_assert_eq!(verdicts.len(), nodes, "batch evaluator broke its contract");
-            speculated += (nodes - 1) as u64;
-            let mut consumed = 0usize;
-            let mut node = 0;
-            while node < nodes
-                && iterations < self.max_iterations
-                && hi - lo > self.tolerance * hi.max(1.0)
-            {
-                let mid = candidates[node];
-                probes += 1;
-                iterations += 1;
-                consumed += 1;
-                if verdicts[node] {
-                    lo = mid;
-                    node = 2 * node + 2;
-                } else {
-                    hi = mid;
-                    node = 2 * node + 1;
-                }
-            }
-            wasted += (nodes - consumed) as u64;
-        }
-        SearchOutcome {
-            value: lo,
-            probes,
-            probes_speculated: speculated,
-            probes_wasted: wasted,
-        }
-    }
-}
-
-/// Fills the heap-indexed candidate tree of bracket `[lo, hi]`: node `k` holds the
-/// bracket's midpoint, child `2k + 1` speculates on the infeasible verdict
-/// (`[lo, mid]`), child `2k + 2` on the feasible one (`[mid, hi]`). Every midpoint is
-/// computed by the serial loop's exact expression on the exact values it would see,
-/// which is what makes the speculative walk bit-identical to the serial search.
-fn fill_candidate_tree(candidates: &mut [f64], node: usize, lo: f64, hi: f64) {
-    if node >= candidates.len() {
-        return;
-    }
-    let mid = 0.5 * (lo + hi);
-    candidates[node] = mid;
-    fill_candidate_tree(candidates, 2 * node + 1, lo, mid);
-    fill_candidate_tree(candidates, 2 * node + 2, mid, hi);
-}
-
-impl SearchOutcome {
-    /// An outcome of the serial driver: no speculation performed.
-    const fn serial(value: f64, probes: u64) -> Self {
-        SearchOutcome {
-            value,
-            probes,
-            probes_speculated: 0,
-            probes_wasted: 0,
-        }
-    }
-}
-
-/// Many independent dichotomic searches advanced in lockstep, their probes
-/// interleaved into shared batches — the cross-instance counterpart of speculation
-/// for sweeps over many cells (see the module docs). Each cell's probe sequence,
-/// outcome and probe count are bit-identical to running
-/// [`DichotomicSearch::maximize`] on it alone.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BatchedSearch {
-    /// The per-cell search driver (tolerance and iteration cap shared by all cells).
-    pub search: DichotomicSearch,
-}
-
-/// Per-cell progress of a [`BatchedSearch`] round.
-enum CellPhase {
-    /// The initial probe of the cell's upper bound is pending.
-    Upper,
-    /// Bracketed; bisecting `[lo, hi]`.
-    Bisect,
-    /// Finished; the outcome is final.
-    Done,
-}
-
-struct CellState {
-    lo: f64,
-    hi: f64,
-    upper: f64,
-    probes: u64,
-    iterations: usize,
-    phase: CellPhase,
-    value: f64,
-}
-
-impl BatchedSearch {
-    /// Creates a batched driver sharing `search` across every cell.
-    #[must_use]
-    pub fn new(search: DichotomicSearch) -> Self {
-        BatchedSearch { search }
-    }
-
-    /// Runs one search per entry of `uppers` — cell `i` maximizes over
-    /// `[0, uppers[i]]` — advancing all unfinished cells one probe per round.
-    ///
-    /// `batch` receives one `(cell, candidate)` pair per unfinished cell and must
-    /// fill `verdicts` with one boolean per pair, in pair order, computed by the
-    /// cell's pure monotone predicate. On a pooled evaluator every round becomes one
-    /// shared pool pass, so `n` cells bisecting `k` steps cost `~k` batched rounds
-    /// instead of `n * k` serial probe latencies.
-    pub fn maximize_many(
-        &self,
-        uppers: &[f64],
-        mut batch: impl FnMut(&[(u64, f64)], &mut Vec<bool>),
-    ) -> Vec<SearchOutcome> {
-        let mut cells: Vec<CellState> = uppers
-            .iter()
-            .map(|&upper| {
-                if upper <= 0.0 {
-                    CellState {
-                        lo: 0.0,
-                        hi: 0.0,
-                        upper,
-                        probes: 0,
-                        iterations: 0,
-                        phase: CellPhase::Done,
-                        value: 0.0,
-                    }
-                } else {
-                    CellState {
-                        lo: 0.0,
-                        hi: upper,
-                        upper,
-                        probes: 0,
-                        iterations: 0,
-                        phase: CellPhase::Upper,
-                        value: 0.0,
-                    }
-                }
-            })
-            .collect();
-        let mut requests: Vec<(u64, f64)> = Vec::new();
-        let mut verdicts: Vec<bool> = Vec::new();
-        loop {
-            requests.clear();
-            for (index, cell) in cells.iter_mut().enumerate() {
-                match cell.phase {
-                    CellPhase::Done => {}
-                    CellPhase::Upper => requests.push((index as u64, cell.upper)),
-                    CellPhase::Bisect => {
-                        // The serial loop checks the stopping rule before probing;
-                        // so must the lockstep driver, or probe counts would drift.
-                        if cell.iterations >= self.search.max_iterations
-                            || cell.hi - cell.lo <= self.search.tolerance * cell.hi.max(1.0)
-                        {
-                            cell.phase = CellPhase::Done;
-                            cell.value = cell.lo;
-                        } else {
-                            requests.push((index as u64, 0.5 * (cell.lo + cell.hi)));
-                        }
-                    }
-                }
-            }
-            if requests.is_empty() {
-                break;
-            }
-            batch(&requests, &mut verdicts);
-            debug_assert_eq!(
-                verdicts.len(),
-                requests.len(),
-                "batch evaluator broke its contract"
-            );
-            for (&(index, candidate), &feasible) in requests.iter().zip(&verdicts) {
-                let cell = &mut cells[index as usize];
-                cell.probes += 1;
-                match cell.phase {
-                    CellPhase::Upper => {
-                        if feasible {
-                            cell.phase = CellPhase::Done;
-                            cell.value = cell.upper;
-                        } else {
-                            cell.phase = CellPhase::Bisect;
-                        }
-                    }
-                    CellPhase::Bisect => {
-                        cell.iterations += 1;
-                        if feasible {
-                            cell.lo = candidate;
-                        } else {
-                            cell.hi = candidate;
-                        }
-                    }
-                    CellPhase::Done => unreachable!("finished cells are never probed"),
-                }
-            }
-        }
-        cells
-            .into_iter()
-            .map(|cell| SearchOutcome::serial(cell.value, cell.probes))
-            .collect()
+        SearchOutcome { value: lo, probes }
     }
 }
 
@@ -527,126 +218,5 @@ mod tests {
         // One probe of the upper bound plus at most seven bisection probes.
         assert!(outcome.probes <= 8);
         assert!(outcome.value <= 0.3);
-    }
-
-    /// Adapts a plain predicate into the batch-evaluator shape, mimicking what a
-    /// pooled evaluator does sequentially.
-    fn batch_of(feasible: impl Fn(f64) -> bool) -> impl FnMut(&[f64], &mut Vec<bool>) {
-        move |candidates: &[f64], verdicts: &mut Vec<bool>| {
-            verdicts.clear();
-            verdicts.extend(candidates.iter().map(|&t| feasible(t)));
-        }
-    }
-
-    #[test]
-    fn speculative_depths_match_serial_bit_for_bit() {
-        let search = DichotomicSearch::default();
-        for threshold in [0.1, 2.5, std::f64::consts::PI, 9.999] {
-            let serial = search.maximize(10.0, |t| t <= threshold);
-            for depth in 0..=3 {
-                let spec = search.maximize_speculative(10.0, depth, batch_of(|t| t <= threshold));
-                assert_eq!(spec.value.to_bits(), serial.value.to_bits());
-                assert_eq!(spec.probes, serial.probes);
-                assert!(spec.probes_wasted <= spec.probes_speculated);
-                if depth == 0 {
-                    assert_eq!(spec.probes_speculated, 0);
-                    assert_eq!(spec.probes_wasted, 0);
-                } else {
-                    assert!(spec.probes_speculated > 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn speculative_warm_starts_match_serial_bit_for_bit() {
-        let search = DichotomicSearch::default();
-        for hint in [-1.0, 0.0, 2.0, 8.9, 9.5, 10.0, 11.0] {
-            let serial = search.maximize_from(hint, 10.0, |t| t <= 9.0);
-            for depth in 1..=3 {
-                let spec =
-                    search.maximize_speculative_from(hint, 10.0, depth, batch_of(|t| t <= 9.0));
-                assert_eq!(spec.value.to_bits(), serial.value.to_bits(), "hint {hint}");
-                assert_eq!(spec.probes, serial.probes, "hint {hint}");
-            }
-        }
-    }
-
-    #[test]
-    fn speculative_edge_cases_match_serial() {
-        let search = DichotomicSearch::default();
-        // Non-positive upper: no probe at all.
-        let outcome = search.maximize_speculative(0.0, 2, |_: &[f64], _: &mut Vec<bool>| {
-            panic!("must not probe")
-        });
-        assert_eq!(outcome, search.maximize(0.0, |_| panic!("must not probe")));
-        // Feasible upper: one probe, no speculation charged.
-        let outcome = search.maximize_speculative(4.0, 2, batch_of(|_| true));
-        assert_eq!(outcome.value, 4.0);
-        assert_eq!(outcome.probes, 1);
-        assert_eq!(outcome.probes_speculated, 0);
-    }
-
-    #[test]
-    fn speculative_iteration_cap_matches_serial() {
-        let search = DichotomicSearch {
-            tolerance: 0.0,
-            max_iterations: 7,
-        };
-        let serial = search.maximize(1.0, |t| t <= 0.3);
-        for depth in 1..=3 {
-            let spec = search.maximize_speculative(1.0, depth, batch_of(|t| t <= 0.3));
-            assert_eq!(spec.value.to_bits(), serial.value.to_bits());
-            assert_eq!(spec.probes, serial.probes);
-        }
-    }
-
-    #[test]
-    fn requested_depth_is_clamped() {
-        let search = DichotomicSearch::default();
-        let mut largest_batch = 0usize;
-        let _ = search.maximize_speculative(10.0, 64, |candidates, verdicts: &mut Vec<bool>| {
-            largest_batch = largest_batch.max(candidates.len());
-            verdicts.clear();
-            verdicts.extend(candidates.iter().map(|&t| t <= 3.0));
-        });
-        assert_eq!(largest_batch, (1 << (MAX_SPECULATION_DEPTH + 1)) - 1);
-    }
-
-    #[test]
-    fn batched_search_matches_per_cell_serial() {
-        let search = DichotomicSearch::default();
-        let thresholds = [0.5, 3.25, 7.0, 0.0, 12.0];
-        // Cell 3 has a non-positive upper (skipped without probing); cell 4's upper is
-        // below its threshold (feasible upper, one probe).
-        let uppers = [2.0, 8.0, 7.5, 0.0, 10.0];
-        let batched = BatchedSearch::new(search);
-        let mut rounds = 0u64;
-        let outcomes = batched.maximize_many(&uppers, |requests, verdicts| {
-            rounds += 1;
-            verdicts.clear();
-            verdicts.extend(
-                requests
-                    .iter()
-                    .map(|&(cell, t)| t <= thresholds[cell as usize]),
-            );
-        });
-        let mut total_probes = 0;
-        for (cell, outcome) in outcomes.iter().enumerate() {
-            let serial = search.maximize(uppers[cell], |t| t <= thresholds[cell]);
-            assert_eq!(
-                outcome.value.to_bits(),
-                serial.value.to_bits(),
-                "cell {cell}"
-            );
-            assert_eq!(outcome.probes, serial.probes, "cell {cell}");
-            total_probes += serial.probes;
-        }
-        // The whole point: a round carries one probe from every unfinished cell, so
-        // there are far fewer rounds than total probes.
-        assert!(
-            rounds < total_probes,
-            "rounds {rounds} vs probes {total_probes}"
-        );
     }
 }

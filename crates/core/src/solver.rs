@@ -69,7 +69,7 @@ use crate::exhaustive::optimal_acyclic_exhaustive_traced;
 use crate::faults::{FaultSite, InjectedFaults};
 use crate::omega::{omega1, omega2};
 use crate::scheme::BroadcastScheme;
-use crate::search::{BatchedSearch, DichotomicSearch};
+use crate::search::DichotomicSearch;
 use crate::word::{is_valid_word, CodingWord, Symbol};
 use bmp_flow::{suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
 use bmp_platform::{Instance, NodeId};
@@ -85,16 +85,8 @@ pub struct Telemetry {
     /// Number of per-sink max-flow evaluations requested through the context (batched
     /// evaluations count one per sink, even when the early-exit cap truncates a solve).
     pub flow_solves: u64,
-    /// Number of feasibility probes spent by dichotomic searches. Bit-identical
-    /// between serial and speculative solves: speculative extras are accounted in
-    /// [`Telemetry::probes_speculated`], never here.
+    /// Number of feasibility probes spent by dichotomic searches.
     pub bisection_iters: u64,
-    /// Speculative dichotomic candidates evaluated beyond each round's root (zero on
-    /// serial solves — see [`crate::search::SearchOutcome::probes_speculated`]).
-    pub probes_speculated: u64,
-    /// Evaluated speculative candidates the bracket walk never consumed (the sunk
-    /// cost of losing wagers; at most [`Telemetry::probes_speculated`]).
-    pub probes_wasted: u64,
     /// Number of scheme evaluations that skipped the full rescan of the scheme's rows by
     /// consuming the scheme's dirty-edge journal instead.
     pub rescans_skipped: u64,
@@ -142,52 +134,15 @@ fn journal_disabled_by_env() -> bool {
         .unwrap_or(false)
 }
 
-/// Speculation depth requested by the `BMP_SPECULATE` environment variable (the same
-/// process-wide override pattern as `BMP_DISABLE_JOURNAL`, read once): unset, empty,
-/// `0` or `off` mean serial search; a positive integer is the depth; any other
-/// non-empty value enables the default depth.
-fn speculation_from_env() -> usize {
-    match std::env::var("BMP_SPECULATE") {
-        Err(_) => 0,
-        Ok(value) => {
-            let value = value.trim().to_ascii_lowercase();
-            if value.is_empty() || value == "0" || value == "off" {
-                0
-            } else {
-                value
-                    .parse::<usize>()
-                    .unwrap_or(crate::search::DEFAULT_SPECULATION_DEPTH)
-            }
-        }
-    }
-}
-
-/// The cell holding the process-wide default speculation depth, initialised from
-/// `BMP_SPECULATE` on first use.
-fn default_speculation_cell() -> &'static std::sync::atomic::AtomicUsize {
-    static CELL: std::sync::OnceLock<std::sync::atomic::AtomicUsize> = std::sync::OnceLock::new();
-    CELL.get_or_init(|| std::sync::atomic::AtomicUsize::new(speculation_from_env()))
-}
-
-/// The process-wide default speculation depth new contexts start from: the
-/// `BMP_SPECULATE` environment override unless [`set_default_speculation`] replaced it.
+/// Speculation depth of the dichotomic searches: always `0`, since every search
+/// probes one midpoint at a time.
 #[must_use]
 pub fn default_speculation() -> usize {
-    default_speculation_cell().load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Replaces the process-wide default speculation depth (returning the previous one) —
-/// the programmatic counterpart of `BMP_SPECULATE` behind the CLI's `--speculate N`
-/// flag. Affects contexts constructed *after* the call, which is how one flag reaches
-/// every internally-constructed context (repair controllers, sweep workers, fleet
-/// shards) without threading a parameter through each layer; already-built contexts
-/// keep their depth ([`EvalCtx::set_speculation`] adjusts those).
-pub fn set_default_speculation(depth: usize) -> usize {
-    default_speculation_cell().swap(depth, std::sync::atomic::Ordering::Relaxed)
+    0
 }
 
 /// Whether the `BMP_INCREMENTAL` environment variable requests warm residual reuse
-/// (same pattern as `BMP_SPECULATE`, read once): unset, empty, `0` or `off` mean cold
+/// (read once): unset, empty, `0` or `off` mean cold
 /// evaluation; any other value enables incremental mode.
 fn incremental_from_env() -> bool {
     match std::env::var("BMP_INCREMENTAL") {
@@ -215,10 +170,11 @@ pub fn default_incremental() -> bool {
 
 /// Replaces the process-wide default incremental-evaluation flag (returning the
 /// previous one) — the programmatic counterpart of `BMP_INCREMENTAL` behind the CLI's
-/// `--incremental` flag, reaching every internally-constructed context (repair
-/// controllers, sweep workers, fleet shards) the same way
-/// [`set_default_speculation`] does. Already-built contexts keep their setting
-/// ([`EvalCtx::set_incremental`] adjusts those).
+/// `--incremental` flag. Affects contexts constructed *after* the call, which is how
+/// one flag reaches every internally-constructed context (repair controllers, sweep
+/// workers, fleet shards) without threading a parameter through each layer;
+/// already-built contexts keep their setting ([`EvalCtx::set_incremental`] adjusts
+/// those).
 pub fn set_default_incremental(enabled: bool) -> bool {
     default_incremental_cell().swap(enabled, std::sync::atomic::Ordering::Relaxed)
 }
@@ -272,10 +228,6 @@ pub struct EvalCtx {
     /// Fan-out of `throughput` evaluations: `0` the per-evaluation size heuristic
     /// (default), `1` sequential, `> 1` dispatch onto the shared worker pool.
     parallelism: usize,
-    /// Speculation depth of dichotomic solves: `0` (serial) unless `BMP_SPECULATE` /
-    /// [`set_default_speculation`] raised the process default or
-    /// [`EvalCtx::set_speculation`] set it here.
-    speculation: usize,
     /// Warm residual reuse across evaluations: `false` (cold) unless
     /// `BMP_INCREMENTAL` / [`set_default_incremental`] raised the process default or
     /// [`EvalCtx::set_incremental`] set it here. Values are bit-identical either way
@@ -298,8 +250,6 @@ pub struct EvalCtx {
     warm_start_lower: Option<f64>,
     flow_solves: u64,
     bisection_iters: u64,
-    probes_speculated: u64,
-    probes_wasted: u64,
     arena_builds: u64,
     arena_updates: u64,
     rescans_skipped: u64,
@@ -332,12 +282,8 @@ impl EvalCtx {
     /// The dirty-edge journal starts enabled unless the `BMP_DISABLE_JOURNAL`
     /// environment variable is set to a non-empty value other than `0` — the
     /// process-wide kill switch the CI matrix uses to keep the scan-based path covered.
-    /// [`EvalCtx::set_journal_enabled`] overrides either way. The speculation depth
-    /// starts at the process default (the `BMP_SPECULATE` environment variable unless
-    /// [`set_default_speculation`] replaced it — the same override pattern, used by
-    /// the CI speculation matrix); [`EvalCtx::set_speculation`] overrides per context.
-    /// Solutions, throughputs and serial probe counts are bit-identical at every
-    /// depth, both journal modes — only wall time and the speculation counters move.
+    /// [`EvalCtx::set_journal_enabled`] overrides either way. Solutions, throughputs
+    /// and probe counts are bit-identical in both journal modes — only wall time moves.
     #[must_use]
     pub fn with_tolerance(tolerance: f64) -> Self {
         EvalCtx {
@@ -353,7 +299,6 @@ impl EvalCtx {
             explicit_edges: Vec::new(),
             journal_enabled: !journal_disabled_by_env(),
             parallelism: 0,
-            speculation: default_speculation(),
             incremental: default_incremental(),
             warm_cache: bmp_flow::WarmFlowCache::new(),
             scratch_edges: Vec::new(),
@@ -366,8 +311,6 @@ impl EvalCtx {
             warm_start_lower: None,
             flow_solves: 0,
             bisection_iters: 0,
-            probes_speculated: 0,
-            probes_wasted: 0,
             arena_builds: 0,
             arena_updates: 0,
             rescans_skipped: 0,
@@ -435,31 +378,6 @@ impl EvalCtx {
         self.bisection_iters += probes;
     }
 
-    /// Records the speculative side of a search outcome: `speculated` extra candidates
-    /// evaluated, of which `wasted` were never consumed. Kept apart from
-    /// [`EvalCtx::add_bisection_iters`] so serial probe accounting stays bit-identical
-    /// between speculative and serial solves.
-    pub fn add_speculation(&mut self, speculated: u64, wasted: u64) {
-        self.probes_speculated += speculated;
-        self.probes_wasted += wasted;
-    }
-
-    /// Sets the speculation depth of this context's dichotomic solves: `0` (serial)
-    /// probes strictly one midpoint at a time; `depth >= 1` evaluates each round's
-    /// candidate tree of `2^(depth+1) - 1` midpoints concurrently on the shared worker
-    /// pool and walks it in serial order (see the module docs of
-    /// [`crate::search`]). Solutions, throughputs and serial probe counts are
-    /// bit-identical at every depth; only wall time and the speculation counters move.
-    pub fn set_speculation(&mut self, depth: usize) {
-        self.speculation = depth;
-    }
-
-    /// The configured speculation depth (`0` = serial search).
-    #[must_use]
-    pub fn speculation(&self) -> usize {
-        self.speculation
-    }
-
     /// Enables or disables warm residual reuse (incremental max-flow) for this
     /// context's evaluations. When enabled, per-sink solves retain their residual
     /// capacities per `(arena epoch, source, sink)` and the next probe applies the
@@ -508,18 +426,6 @@ impl EvalCtx {
         self.flows_warm_started += stats.flows_warm_started;
         self.augment_saved += stats.augment_saved;
         self.excess_drained += stats.excess_drained;
-    }
-
-    /// Total speculative candidates evaluated so far (beyond each round's root).
-    #[must_use]
-    pub fn probes_speculated(&self) -> u64 {
-        self.probes_speculated
-    }
-
-    /// Total evaluated speculative candidates never consumed by a bracket walk.
-    #[must_use]
-    pub fn probes_wasted(&self) -> u64 {
-        self.probes_wasted
     }
 
     /// Total per-sink max-flow evaluations requested so far.
@@ -588,12 +494,10 @@ impl EvalCtx {
     /// `threads > 1` dispatches the per-receiver max-flows onto the shared persistent
     /// worker pool ([`FlowPool::global`]) with up to `threads` concurrent lanes.
     ///
-    /// Auto became the default when the heuristic was re-tuned against the persistent
-    /// pool (PR 4 ran contexts sequential-by-default because the scoped fan-out's
-    /// spawn cost could regress small solves): below the size thresholds — every
-    /// conformance instance, and any machine without available parallelism — auto
-    /// resolves to the same sequential path as `1`, and above them the pool is a
-    /// strict improvement, so the promotion costs nothing where fan-out cannot win.
+    /// Auto is the default because below the size thresholds — every conformance
+    /// instance, and any machine without available parallelism — it resolves to the
+    /// same sequential path as `1`, and above them the pool wins, so it costs nothing
+    /// where fan-out cannot win.
     ///
     /// Values and telemetry counters are bit-for-bit independent of this setting; only
     /// wall time changes. Contexts used *inside* an already-parallel sweep should be
@@ -910,68 +814,6 @@ impl EvalCtx {
     }
 }
 
-/// Optimal guarded-acyclic throughput of many independent instances, their dichotomic
-/// probes interleaved into shared pool passes: one [`BatchedSearch`] round gathers the
-/// pending probe of every unfinished cell and evaluates them as a single
-/// [`FlowPool::probe_batch`] (fair-share tickets — batching is not speculation), so
-/// `n` cells bisecting `k` steps cost `~k` batched pool passes instead of `n·k`
-/// serial probe latencies. This is the cross-instance evaluation shape the experiment
-/// sweeps fan out over `parallel_map_with`, turned inside out for the regime where
-/// the *probes*, not the cells, should own the pool lanes.
-///
-/// Returns one `(throughput, word, probes)` triple per instance, bit-identical —
-/// value, word and probe count — to running
-/// [`AcyclicGuardedSolver::optimal_throughput_traced`] on each instance alone (the
-/// lockstep driver's per-cell determinism contract, see [`crate::search`]).
-///
-/// `lanes` is the pool fan-out per batched round; `0` picks the machine's available
-/// parallelism (capped just above the pool size), which degenerates to the plain
-/// sequential per-cell loop on a single-core host.
-#[must_use]
-pub fn batched_guarded_throughputs(
-    instances: &[Instance],
-    tolerance: f64,
-    lanes: usize,
-) -> Vec<(f64, CodingWord, u64)> {
-    let solver = AcyclicGuardedSolver::with_tolerance(tolerance);
-    let uppers: Vec<f64> = instances.iter().map(cyclic_upper_bound).collect();
-    let pool = FlowPool::global();
-    let lanes = if lanes == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(pool.max_workers() + 1)
-    } else {
-        lanes
-    };
-    let shared: Arc<Vec<Instance>> = Arc::new(instances.to_vec());
-    let probe: bmp_flow::ProbeFn = {
-        let instances = Arc::clone(&shared);
-        Arc::new(move |cell, t| solver.is_feasible(&instances[cell as usize], t))
-    };
-    let outcomes =
-        BatchedSearch::new(solver.search()).maximize_many(&uppers, |requests, verdicts| {
-            pool.probe_batch(
-                &probe,
-                requests,
-                lanes,
-                bmp_flow::TicketClass::FairShare,
-                verdicts,
-            );
-        });
-    outcomes
-        .iter()
-        .zip(instances)
-        .map(|(outcome, instance)| {
-            let word = crate::greedy::greedy_test(instance, outcome.value)
-                .word()
-                .cloned()
-                .unwrap_or_default();
-            (outcome.value, word, outcome.probes)
-        })
-        .collect()
-}
-
 /// Certifies that `scheme` delivers at least `claimed` by max-flow through `ctx` and
 /// returns the measured throughput — the shared flow-certification stage of the
 /// experiment sweeps (Figure 7 worst cells, Figure 19 spot checks, depth profiling).
@@ -1021,8 +863,6 @@ pub struct SolveRecorder {
     started: Instant,
     flow_solves: u64,
     bisection_iters: u64,
-    probes_speculated: u64,
-    probes_wasted: u64,
     rescans_skipped: u64,
     edges_patched: u64,
     flows_warm_started: u64,
@@ -1038,8 +878,6 @@ impl SolveRecorder {
             started: Instant::now(),
             flow_solves: ctx.flow_solves,
             bisection_iters: ctx.bisection_iters,
-            probes_speculated: ctx.probes_speculated,
-            probes_wasted: ctx.probes_wasted,
             rescans_skipped: ctx.rescans_skipped,
             edges_patched: ctx.edges_patched,
             flows_warm_started: ctx.flows_warm_started,
@@ -1057,8 +895,6 @@ impl SolveRecorder {
         Telemetry {
             flow_solves: ctx.flow_solves - self.flow_solves,
             bisection_iters: ctx.bisection_iters - self.bisection_iters,
-            probes_speculated: ctx.probes_speculated - self.probes_speculated,
-            probes_wasted: ctx.probes_wasted - self.probes_wasted,
             rescans_skipped: ctx.rescans_skipped - self.rescans_skipped,
             edges_patched: ctx.edges_patched - self.edges_patched,
             flows_warm_started: ctx.flows_warm_started - self.flows_warm_started,
@@ -1130,15 +966,7 @@ impl Solver for AcyclicGuardedAlgorithm {
         let recorder = SolveRecorder::start(ctx);
         let legacy = AcyclicGuardedSolver::with_tolerance(ctx.tolerance());
         let hint = ctx.take_warm_start_lower().unwrap_or(0.0);
-        let (throughput, word, probes) = match ctx.speculation() {
-            0 => legacy.optimal_throughput_traced_from(hint, instance),
-            depth => {
-                let (throughput, word, outcome) =
-                    legacy.optimal_throughput_traced_spec(hint, instance, depth);
-                ctx.add_speculation(outcome.probes_speculated, outcome.probes_wasted);
-                (throughput, word, outcome.probes)
-            }
-        };
+        let (throughput, word, probes) = legacy.optimal_throughput_traced_from(hint, instance);
         ctx.add_bisection_iters(probes);
         let scheme = if throughput <= 0.0 {
             BroadcastScheme::new(instance.clone())
@@ -1262,39 +1090,7 @@ impl Solver for OmegaWordAlgorithm {
             omega2(instance.n(), instance.m()),
             omega1(instance.n(), instance.m()),
         ] {
-            let outcome = match ctx.speculation() {
-                0 => search.maximize(upper, |t| is_valid_word(instance, t, &word)),
-                depth => {
-                    // The probe is the pure word-validity predicate, so the
-                    // speculative walk returns the serial bracket sequence
-                    // bit-for-bit; the closure Arcs its own instance + word clones
-                    // because pool workers outlive the call.
-                    let shared = Arc::new((instance.clone(), word.clone()));
-                    let probe: bmp_flow::ProbeFn = {
-                        let shared = Arc::clone(&shared);
-                        Arc::new(move |_, t| is_valid_word(&shared.0, t, &shared.1))
-                    };
-                    let pool = FlowPool::global();
-                    let mut tagged: Vec<(u64, f64)> = Vec::new();
-                    let outcome = search.maximize_speculative(
-                        upper,
-                        depth,
-                        |candidates, verdicts: &mut Vec<bool>| {
-                            tagged.clear();
-                            tagged.extend(candidates.iter().map(|&t| (0u64, t)));
-                            pool.probe_batch(
-                                &probe,
-                                &tagged,
-                                candidates.len(),
-                                bmp_flow::TicketClass::Speculative,
-                                verdicts,
-                            );
-                        },
-                    );
-                    ctx.add_speculation(outcome.probes_speculated, outcome.probes_wasted);
-                    outcome
-                }
-            };
+            let outcome = search.maximize(upper, |t| is_valid_word(instance, t, &word));
             ctx.add_bisection_iters(outcome.probes);
             if outcome.value >= best.0 {
                 best = (outcome.value, word);

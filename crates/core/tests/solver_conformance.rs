@@ -9,7 +9,6 @@ use bmp_core::churn::degradation_tolerance;
 use bmp_core::cyclic_open::cyclic_open_optimal_scheme;
 use bmp_core::exhaustive::optimal_acyclic_exhaustive;
 use bmp_core::omega::best_omega_throughput;
-use bmp_core::search::DichotomicSearch;
 use bmp_core::solver::{registry, EvalCtx, SolveRecorder};
 use bmp_core::CoreError;
 use bmp_platform::paper::{figure1, figure11, figure14};
@@ -266,80 +265,10 @@ fn every_solver_matches_under_a_pooled_ctx() {
     }
 }
 
-/// Every registry solver must produce the *same* solution under a speculating
-/// evaluation context as under a serial one, at every depth in {1, 2, 3} and with the
-/// journal both on and off: same algorithm label, bit-identical claimed and verified
-/// throughput, same word, same scheme, and bit-identical telemetry counters.
-/// `probes_speculated` / `probes_wasted` are the only counters allowed to grow (and
-/// `wall_time` the only field allowed to shrink) — speculation buys time, never a
-/// different answer. This is the in-repo half of the CI speculation matrix, which
-/// re-runs the whole suite under `BMP_SPECULATE` ∈ {0, 1, 2} × `BMP_DISABLE_JOURNAL`
-/// ∈ {unset, 1}.
-#[test]
-fn every_solver_matches_under_speculation() {
-    let mut speculated_somewhere = 0u64;
-    for journal in [true, false] {
-        for depth in [1usize, 2, 3] {
-            for solver in registry() {
-                for instance in corpus() {
-                    let mut serial = EvalCtx::new();
-                    serial.set_journal_enabled(journal);
-                    serial.set_speculation(0);
-                    let mut spec = EvalCtx::new();
-                    spec.set_journal_enabled(journal);
-                    spec.set_speculation(depth);
-                    let plain = solver.solve(&instance, &mut serial);
-                    let speculative = solver.solve(&instance, &mut spec);
-                    match (plain, speculative) {
-                        (Ok(plain), Ok(speculative)) => {
-                            let name = solver.name();
-                            assert_eq!(plain.algorithm, speculative.algorithm, "{name}");
-                            assert_eq!(
-                                plain.throughput.to_bits(),
-                                speculative.throughput.to_bits(),
-                                "{name}: claimed throughput diverged at depth {depth}"
-                            );
-                            assert_eq!(
-                                plain.verified_throughput.to_bits(),
-                                speculative.verified_throughput.to_bits(),
-                                "{name}: verified throughput diverged at depth {depth}"
-                            );
-                            assert_eq!(plain.word, speculative.word, "{name}");
-                            assert_eq!(plain.scheme, speculative.scheme, "{name}");
-                            let (s, p) = (&plain.telemetry, &speculative.telemetry);
-                            assert_eq!(s.flow_solves, p.flow_solves, "{name}");
-                            assert_eq!(s.bisection_iters, p.bisection_iters, "{name}");
-                            assert_eq!(s.rescans_skipped, p.rescans_skipped, "{name}");
-                            assert_eq!(s.edges_patched, p.edges_patched, "{name}");
-                            assert_eq!(s.probes_speculated, 0, "{name}: serial speculated");
-                            assert!(
-                                p.probes_wasted <= p.probes_speculated,
-                                "{name}: wasted {} > speculated {}",
-                                p.probes_wasted,
-                                p.probes_speculated
-                            );
-                            speculated_somewhere += p.probes_speculated;
-                        }
-                        (Err(_), Err(_)) => {} // class restrictions hit identically
-                        (plain, speculative) => panic!(
-                            "{}: serial {:?} vs speculative {:?} disagree on solvability",
-                            solver.name(),
-                            plain.map(|s| s.throughput),
-                            speculative.map(|s| s.throughput)
-                        ),
-                    }
-                }
-            }
-        }
-    }
-    // The comparison proves nothing if no solver ever actually speculated.
-    assert!(speculated_somewhere > 0, "no probe was ever speculated");
-}
-
 /// Every registry solver must produce the *same* solution with warm residual reuse
-/// enabled as with it disabled, with the journal on and off and speculation at depths
-/// {0, 2}: same algorithm label, bit-identical claimed and verified throughput, same
-/// word, same scheme, and bit-identical telemetry counters. The solved scheme is then
+/// enabled as with it disabled, with the journal on and off: same algorithm label,
+/// bit-identical claimed and verified throughput, same word, same scheme, and
+/// bit-identical telemetry counters. The solved scheme is then
 /// re-probed by the dichotomic degradation search through the same contexts — the
 /// probe sequence whose repeated same-arena evaluations the warm path accelerates —
 /// and the tolerances must agree bit-for-bit while the warm context demonstrably
@@ -349,70 +278,61 @@ fn every_solver_matches_under_speculation() {
 fn every_solver_matches_under_incremental_reuse() {
     let mut warmed_somewhere = 0u64;
     for journal in [true, false] {
-        for depth in [0usize, 2] {
-            for solver in registry() {
-                for instance in corpus() {
-                    let mut cold = EvalCtx::new();
-                    cold.set_journal_enabled(journal);
-                    cold.set_speculation(depth);
-                    cold.set_incremental(false);
-                    let mut warm = EvalCtx::new();
-                    warm.set_journal_enabled(journal);
-                    warm.set_speculation(depth);
-                    warm.set_incremental(true);
-                    let plain = solver.solve(&instance, &mut cold);
-                    let reused = solver.solve(&instance, &mut warm);
-                    match (plain, reused) {
-                        (Ok(plain), Ok(reused)) => {
-                            let name = solver.name();
-                            assert_eq!(plain.algorithm, reused.algorithm, "{name}");
+        for solver in registry() {
+            for instance in corpus() {
+                let mut cold = EvalCtx::new();
+                cold.set_journal_enabled(journal);
+                cold.set_incremental(false);
+                let mut warm = EvalCtx::new();
+                warm.set_journal_enabled(journal);
+                warm.set_incremental(true);
+                let plain = solver.solve(&instance, &mut cold);
+                let reused = solver.solve(&instance, &mut warm);
+                match (plain, reused) {
+                    (Ok(plain), Ok(reused)) => {
+                        let name = solver.name();
+                        assert_eq!(plain.algorithm, reused.algorithm, "{name}");
+                        assert_eq!(
+                            plain.throughput.to_bits(),
+                            reused.throughput.to_bits(),
+                            "{name}: claimed throughput diverged (journal={journal})"
+                        );
+                        assert_eq!(
+                            plain.verified_throughput.to_bits(),
+                            reused.verified_throughput.to_bits(),
+                            "{name}: verified throughput diverged (journal={journal})"
+                        );
+                        assert_eq!(plain.word, reused.word, "{name}");
+                        assert_eq!(plain.scheme, reused.scheme, "{name}");
+                        let (c, w) = (&plain.telemetry, &reused.telemetry);
+                        assert_eq!(c.flow_solves, w.flow_solves, "{name}");
+                        assert_eq!(c.bisection_iters, w.bisection_iters, "{name}");
+                        assert_eq!(c.rescans_skipped, w.rescans_skipped, "{name}");
+                        assert_eq!(c.edges_patched, w.edges_patched, "{name}");
+                        assert_eq!(c.flows_warm_started, 0, "{name}: cold context warm-started");
+                        warmed_somewhere += w.flows_warm_started;
+                        if plain.throughput > 0.0 {
+                            // Re-probe the solution with the degradation search:
+                            // repeated same-arena evaluations, the warm path's
+                            // bread and butter. Verdict sequences diverging would
+                            // surface as a different tolerance.
+                            let floor = 0.9 * plain.throughput;
+                            let t_cold = degradation_tolerance(&plain.scheme, 0, floor, &mut cold);
+                            let t_warm = degradation_tolerance(&reused.scheme, 0, floor, &mut warm);
                             assert_eq!(
-                                plain.throughput.to_bits(),
-                                reused.throughput.to_bits(),
-                                "{name}: claimed throughput diverged (journal={journal}, depth={depth})"
+                                t_cold, t_warm,
+                                "{name}: degradation re-probe diverged (journal={journal})"
                             );
-                            assert_eq!(
-                                plain.verified_throughput.to_bits(),
-                                reused.verified_throughput.to_bits(),
-                                "{name}: verified throughput diverged (journal={journal}, depth={depth})"
-                            );
-                            assert_eq!(plain.word, reused.word, "{name}");
-                            assert_eq!(plain.scheme, reused.scheme, "{name}");
-                            let (c, w) = (&plain.telemetry, &reused.telemetry);
-                            assert_eq!(c.flow_solves, w.flow_solves, "{name}");
-                            assert_eq!(c.bisection_iters, w.bisection_iters, "{name}");
-                            assert_eq!(c.rescans_skipped, w.rescans_skipped, "{name}");
-                            assert_eq!(c.edges_patched, w.edges_patched, "{name}");
-                            assert_eq!(
-                                c.flows_warm_started, 0,
-                                "{name}: cold context warm-started"
-                            );
-                            warmed_somewhere += w.flows_warm_started;
-                            if plain.throughput > 0.0 {
-                                // Re-probe the solution with the degradation search:
-                                // repeated same-arena evaluations, the warm path's
-                                // bread and butter. Verdict sequences diverging would
-                                // surface as a different tolerance.
-                                let floor = 0.9 * plain.throughput;
-                                let t_cold =
-                                    degradation_tolerance(&plain.scheme, 0, floor, &mut cold);
-                                let t_warm =
-                                    degradation_tolerance(&reused.scheme, 0, floor, &mut warm);
-                                assert_eq!(
-                                    t_cold, t_warm,
-                                    "{name}: degradation re-probe diverged (journal={journal}, depth={depth})"
-                                );
-                                warmed_somewhere += warm.flows_warm_started();
-                            }
+                            warmed_somewhere += warm.flows_warm_started();
                         }
-                        (Err(_), Err(_)) => {} // class restrictions hit identically
-                        (plain, reused) => panic!(
-                            "{}: cold {:?} vs incremental {:?} disagree on solvability",
-                            solver.name(),
-                            plain.map(|s| s.throughput),
-                            reused.map(|s| s.throughput)
-                        ),
                     }
+                    (Err(_), Err(_)) => {} // class restrictions hit identically
+                    (plain, reused) => panic!(
+                        "{}: cold {:?} vs incremental {:?} disagree on solvability",
+                        solver.name(),
+                        plain.map(|s| s.throughput),
+                        reused.map(|s| s.throughput)
+                    ),
                 }
             }
         }
@@ -547,8 +467,8 @@ proptest! {
     }
 }
 
-/// Random small guarded/open instance for the speculation equivalence properties
-/// (the corpus shapes, randomized).
+/// Random small guarded/open instance for the incremental equivalence property (the
+/// corpus shapes, randomized).
 fn random_instance() -> impl Strategy<Value = Instance> {
     (
         0.3_f64..10.0,
@@ -564,63 +484,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Theorem 4.1's solver must return a bit-identical [`Solution`] — throughput,
-    /// verified throughput, word, scheme, and every telemetry counter — whether its
-    /// dichotomic search probes serially or speculates 1–3 levels ahead against the
-    /// flow pool, with the journal on or off.
-    #[test]
-    fn speculative_solve_is_bit_identical_to_serial(
-        instance in random_instance(),
-        depth in 1usize..=3,
-        journal_bit in 0usize..=1,
-    ) {
-        let journal = journal_bit == 1;
-        use bmp_core::solver::{AcyclicGuardedAlgorithm, Solver as _};
-        let solver = AcyclicGuardedAlgorithm;
-        let mut serial = EvalCtx::new();
-        serial.set_journal_enabled(journal);
-        serial.set_speculation(0);
-        let mut spec = EvalCtx::new();
-        spec.set_journal_enabled(journal);
-        spec.set_speculation(depth);
-        let plain = solver.solve(&instance, &mut serial).expect("guarded solver");
-        let speculative = solver.solve(&instance, &mut spec).expect("guarded solver");
-        prop_assert_eq!(plain.throughput.to_bits(), speculative.throughput.to_bits());
-        prop_assert_eq!(
-            plain.verified_throughput.to_bits(),
-            speculative.verified_throughput.to_bits()
-        );
-        prop_assert_eq!(&plain.word, &speculative.word);
-        prop_assert_eq!(&plain.scheme, &speculative.scheme);
-        let (s, p) = (&plain.telemetry, &speculative.telemetry);
-        prop_assert_eq!(s.flow_solves, p.flow_solves);
-        prop_assert_eq!(s.bisection_iters, p.bisection_iters);
-        prop_assert_eq!(s.rescans_skipped, p.rescans_skipped);
-        prop_assert_eq!(s.edges_patched, p.edges_patched);
-        prop_assert!(p.probes_wasted <= p.probes_speculated);
-    }
-
-    /// Theorem 4.1's solver must return a bit-identical [`Solution`] — throughput,
     /// verified throughput, word, scheme, and every telemetry counter — with warm
-    /// residual reuse on or off, across the journal × speculation matrix; and the
+    /// residual reuse on or off, with the journal on or off; and the
     /// solution's dichotomic degradation re-probe (the warm path's target workload)
     /// must produce the same tolerance through both contexts.
     #[test]
     fn incremental_solve_is_bit_identical_to_cold(
         instance in random_instance(),
         journal_bit in 0usize..=1,
-        depth_bit in 0usize..=1,
     ) {
         let journal = journal_bit == 1;
-        let depth = depth_bit * 2;
         use bmp_core::solver::{AcyclicGuardedAlgorithm, Solver as _};
         let solver = AcyclicGuardedAlgorithm;
         let mut cold = EvalCtx::new();
         cold.set_journal_enabled(journal);
-        cold.set_speculation(depth);
         cold.set_incremental(false);
         let mut warm = EvalCtx::new();
         warm.set_journal_enabled(journal);
-        warm.set_speculation(depth);
         warm.set_incremental(true);
         let plain = solver.solve(&instance, &mut cold).expect("guarded solver");
         let reused = solver.solve(&instance, &mut warm).expect("guarded solver");
@@ -645,65 +525,4 @@ proptest! {
         }
     }
 
-    /// The determinism contract at probe granularity: replaying the candidate trees a
-    /// speculative search submitted, with the serial walk rule, must reproduce the
-    /// serial probe trace *exactly* — every tree root is the midpoint the serial
-    /// search would probe next, every consumed node continues its bracket, and the
-    /// total consumed count equals the serial probe count.
-    #[test]
-    fn speculative_probe_trace_equals_serial(
-        threshold in 0.001_f64..9.99,
-        upper in 0.5_f64..10.0,
-        hint in -1.0_f64..11.0,
-        depth in 1usize..=3,
-    ) {
-        let search = DichotomicSearch::default();
-        let feasible = |t: f64| t <= threshold;
-
-        // Serial reference: the exact probe sequence, in order.
-        let mut serial_trace = Vec::new();
-        let serial = search.maximize_from(hint, upper, |t| {
-            serial_trace.push(t);
-            feasible(t)
-        });
-
-        // Speculative run: record every submitted batch (preamble singletons and
-        // full candidate trees alike).
-        let mut batches: Vec<Vec<f64>> = Vec::new();
-        let spec = search.maximize_speculative_from(hint, upper, depth, |candidates: &[f64], verdicts: &mut Vec<bool>| {
-            batches.push(candidates.to_vec());
-            verdicts.clear();
-            verdicts.extend(candidates.iter().map(|&t| feasible(t)));
-        });
-        prop_assert_eq!(spec.value.to_bits(), serial.value.to_bits());
-        prop_assert_eq!(spec.probes, serial.probes);
-
-        // Replay: walk each recorded tree by the predicate. The nodes visited, in
-        // order across all batches, must be precisely the serial trace.
-        let mut consumed = 0usize;
-        for batch in &batches {
-            let mut node = 0usize;
-            while node < batch.len() && consumed < serial_trace.len() {
-                prop_assert_eq!(
-                    batch[node].to_bits(),
-                    serial_trace[consumed].to_bits(),
-                    "probe {} diverged from the serial trace", consumed
-                );
-                node = if feasible(batch[node]) { 2 * node + 2 } else { 2 * node + 1 };
-                consumed += 1;
-            }
-        }
-        prop_assert_eq!(consumed, serial_trace.len(), "consumed probes != serial probes");
-        // Accounting: each main round submits one candidate tree and charges all but
-        // its root as speculated; wasted = submitted-but-not-consumed tree nodes.
-        // Preamble probes travel as singleton batches (a tree has >= 3 nodes).
-        let preamble = batches.iter().filter(|b| b.len() == 1).count();
-        let rounds = batches.iter().filter(|b| b.len() > 1).count();
-        let tree_nodes: usize = batches.iter().filter(|b| b.len() > 1).map(Vec::len).sum();
-        prop_assert_eq!(spec.probes_speculated as usize, tree_nodes - rounds);
-        prop_assert_eq!(
-            spec.probes_wasted as usize,
-            tree_nodes - (spec.probes as usize - preamble)
-        );
-    }
 }

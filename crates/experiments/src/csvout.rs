@@ -40,8 +40,6 @@ pub fn telemetry_sum<'a>(telemetries: impl IntoIterator<Item = &'a Telemetry>) -
         total.bisection_iters += t.bisection_iters;
         total.rescans_skipped += t.rescans_skipped;
         total.edges_patched += t.edges_patched;
-        total.probes_speculated += t.probes_speculated;
-        total.probes_wasted += t.probes_wasted;
         total.flows_warm_started += t.flows_warm_started;
         total.augment_saved += t.augment_saved;
         total.excess_drained += t.excess_drained;
@@ -177,8 +175,6 @@ mod tests {
             bisection_iters: 7,
             rescans_skipped: 5,
             edges_patched: 9,
-            probes_speculated: 3,
-            probes_wasted: 1,
             flows_warm_started: 6,
             augment_saved: 4,
             excess_drained: 2,

@@ -7,7 +7,6 @@ use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_core::bounds::{
     acyclic_open_optimum, cyclic_open_optimum, cyclic_upper_bound, theorem61_ratio_bound,
 };
-use bmp_core::solver::batched_guarded_throughputs;
 use bmp_core::worst_case::{
     theorem63_acyclic_upper_bound, theorem63_instance, unbounded_degree_instance,
     unbounded_degree_optimal_scheme,
@@ -30,31 +29,20 @@ pub struct Figure18Row {
 
 /// Sweeps ε over the Figure 18 family and reports the acyclic/cyclic ratio. The minimum is
 /// reached at ε = 1/14 with ratio exactly 5/7.
-///
-/// The cells are independent, so their bisection probes are interleaved into shared
-/// pool passes ([`batched_guarded_throughputs`]) — bit-identical to solving each cell
-/// alone, and on a single-core host the batch degenerates to the per-cell loop.
 #[must_use]
 pub fn figure18_sweep(steps: usize) -> Vec<Figure18Row> {
     let steps = steps.max(2);
-    // ε ranges over [0, 0.25]; the interesting region is around 1/14 ≈ 0.0714.
-    let epsilons: Vec<f64> = (0..steps)
-        .map(|k| 0.25 * k as f64 / (steps - 1) as f64)
-        .collect();
-    let instances: Vec<Instance> = epsilons
-        .iter()
-        .map(|&epsilon| figure18(epsilon).expect("epsilon in range"))
-        .collect();
     let solver = AcyclicGuardedSolver::default();
-    let solved = batched_guarded_throughputs(&instances, solver.tolerance, 0);
-    epsilons
-        .iter()
-        .zip(instances.iter().zip(&solved))
-        .map(|(&epsilon, (instance, (acyclic, _, _)))| {
-            let cyclic = cyclic_upper_bound(instance);
+    // ε ranges over [0, 0.25]; the interesting region is around 1/14 ≈ 0.0714.
+    (0..steps)
+        .map(|k| {
+            let epsilon = 0.25 * k as f64 / (steps - 1) as f64;
+            let instance = figure18(epsilon).expect("epsilon in range");
+            let (acyclic, _) = solver.optimal_throughput(&instance);
+            let cyclic = cyclic_upper_bound(&instance);
             Figure18Row {
                 epsilon,
-                acyclic: *acyclic,
+                acyclic,
                 cyclic,
                 ratio: acyclic / cyclic,
             }
@@ -84,21 +72,17 @@ pub fn theorem63_sweep(max_k: u32) -> Vec<Theorem63Row> {
     let (p, q) = theorem63_rational_alpha();
     let alpha = f64::from(p) / f64::from(q);
     let bound = theorem63_acyclic_upper_bound(alpha);
-    let ks: Vec<u32> = (1..=max_k.max(1)).collect();
-    let instances: Vec<Instance> = ks
-        .iter()
-        .map(|&k| theorem63_instance(p, q, k).expect("valid parameters"))
-        .collect();
-    // Independent cells → interleave their bisection probes into shared pool passes.
-    let solved = batched_guarded_throughputs(&instances, solver.tolerance, 0);
-    ks.iter()
-        .zip(instances.iter().zip(&solved))
-        .map(|(&k, (instance, (acyclic, _, _)))| Theorem63Row {
-            k,
-            n: instance.n(),
-            m: instance.m(),
-            acyclic: *acyclic,
-            analytic_bound: bound,
+    (1..=max_k.max(1))
+        .map(|k| {
+            let instance = theorem63_instance(p, q, k).expect("valid parameters");
+            let (acyclic, _) = solver.optimal_throughput(&instance);
+            Theorem63Row {
+                k,
+                n: instance.n(),
+                m: instance.m(),
+                acyclic,
+                analytic_bound: bound,
+            }
         })
         .collect()
 }

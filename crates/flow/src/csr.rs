@@ -19,8 +19,7 @@
 //! * [`min_max_flow_parallel`] — the same evaluation fanned out over the persistent
 //!   worker pool ([`crate::pool::FlowPool`]) for large instances, one long-lived solver
 //!   workspace per worker, sharing the running minimum through an atomic so late sinks
-//!   still benefit from early-exit caps. [`min_max_flow_scoped`] keeps the old per-call
-//!   scoped-thread fan-out as the A/B baseline.
+//!   still benefit from early-exit caps.
 
 use crate::eps;
 use crate::graph::{FlowNetwork, FlowResult};
@@ -760,13 +759,10 @@ impl FlowSolver {
 /// spawning for a multi-sink evaluation of `num_sinks` sinks on a `num_nodes`-node arena.
 ///
 /// Small evaluations are dominated by per-lane warm-up, so the heuristic stays
-/// sequential below 512 nodes or 96 sinks. The original thresholds (1000 nodes / 128
-/// sinks) were tuned against the scoped-thread fan-out, whose per-call cost was a
-/// thread spawn and join per lane; the persistent [`crate::pool::FlowPool`] replaced
-/// that with a queue push to already-warm workers, so the entry bar dropped — the
-/// `worker_pool` group of `crates/bench/benches/throughput.rs` shows the pool matching
-/// the sequential evaluator at sizes where the scoped fan-out still lost. Above the
-/// thresholds it uses the machine's available parallelism, capped at 8 so evaluation
+/// sequential below 512 nodes or 96 sinks; the persistent [`crate::pool::FlowPool`]
+/// costs a queue push to already-warm workers per call, and the `worker_pool` group of
+/// `crates/bench/benches/throughput.rs` measures it against the sequential evaluator
+/// at these sizes. Above the thresholds it uses the machine's available parallelism, capped at 8 so evaluation
 /// fan-out stays polite inside already-parallel sweeps (on a single-core host it
 /// therefore always returns 1, and fan-out costs nothing where it cannot win).
 #[must_use]
@@ -806,59 +802,6 @@ pub fn min_max_flow_parallel(
     }
     let arena = std::sync::Arc::new(arena.clone());
     crate::pool::FlowPool::global().min_max_flow_with(&mut solver, &arena, source, sinks, threads)
-}
-
-/// [`FlowSolver::min_max_flow`] fanned out over per-call scoped threads — the PR-3
-/// fan-out, kept as the A/B baseline the `worker_pool` benchmark group measures the
-/// persistent pool against (and as a fallback for callers that must not share the
-/// process-wide pool).
-///
-/// Each worker owns a private [`FlowSolver`] and pulls sinks from the same
-/// ascending-in-capacity order (strided), publishing the running minimum through an atomic
-/// so every solve is capped by the best bound known so far. Exactness is preserved: a solve
-/// stopped by a (possibly stale, therefore never too small) cap had a flow at least as
-/// large as the final minimum, so discarding its exact value cannot change the result.
-///
-/// `threads <= 1` falls back to the sequential evaluator. Returns `f64::INFINITY` for an
-/// empty `sinks`.
-#[must_use]
-pub fn min_max_flow_scoped(
-    arena: &FlowArena,
-    source: usize,
-    sinks: &[usize],
-    threads: usize,
-) -> f64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let workers = threads.min(sinks.len());
-    if workers <= 1 {
-        return FlowSolver::new().min_max_flow(arena, source, sinks);
-    }
-    let mut order = Vec::new();
-    arena.order_sinks_into(sinks, &mut order);
-    // Non-negative IEEE-754 doubles (flows and +inf) order identically to their bit
-    // patterns, so the shared minimum can be a single `AtomicU64` updated with `fetch_min`.
-    let shared_min = AtomicU64::new(f64::INFINITY.to_bits());
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let order = &order;
-            let shared_min = &shared_min;
-            scope.spawn(move || {
-                let mut solver = FlowSolver::new();
-                let mut index = worker;
-                while index < order.len() {
-                    let cap = f64::from_bits(shared_min.load(Ordering::Acquire));
-                    if cap <= 0.0 {
-                        break;
-                    }
-                    let flow = solver.max_flow_limited(arena, source, order[index] as usize, cap);
-                    shared_min.fetch_min(flow.to_bits(), Ordering::AcqRel);
-                    index += workers;
-                }
-            });
-        }
-    });
-    f64::from_bits(shared_min.load(Ordering::Acquire))
 }
 
 #[cfg(test)]
@@ -927,7 +870,6 @@ mod tests {
         let batched = solver.min_max_flow(&arena, 0, &[1, 2, 3]);
         assert_eq!(batched, naive);
         assert_eq!(min_max_flow_parallel(&arena, 0, &[1, 2, 3], 3), naive);
-        assert_eq!(min_max_flow_scoped(&arena, 0, &[1, 2, 3], 3), naive);
     }
 
     #[test]
@@ -1092,6 +1034,5 @@ mod tests {
         let sequential = FlowSolver::new().min_max_flow(&arena, 0, &sinks);
         assert_eq!(sequential, 0.5);
         assert_eq!(min_max_flow_parallel(&arena, 0, &sinks, 8), 0.5);
-        assert_eq!(min_max_flow_scoped(&arena, 0, &sinks, 8), 0.5);
     }
 }

@@ -31,47 +31,21 @@
 //!
 //! # The worker-pool layer
 //!
-//! Large multi-sink evaluations fan out across threads. Two fan-outs exist:
-//!
-//! * [`pool::FlowPool`] — the production path: a persistent pool of long-lived workers,
-//!   each owning a reusable [`csr::FlowSolver`] that stays warm across evaluations.
-//!   Workers are spawned lazily up to the pool cap and fed sink batches through a
-//!   channel; every evaluation shares its running minimum through an atomic, and the
-//!   submitting thread always works a share itself. [`pool::FlowPool::global`] is the
-//!   process-wide instance (capped at 8 workers, the same ceiling as
-//!   [`suggested_flow_threads`]) shared by [`min_max_flow_parallel`] and the parallel
-//!   evaluation mode of `bmp-core`'s `EvalCtx`, so the machine-wide flow-thread count
-//!   stays bounded no matter how many contexts request parallelism. Arenas travel to the
-//!   workers as `Arc<FlowArena>` clones that are dropped before the submitter is
-//!   released — a context that owns the only other reference keeps patching its retained
-//!   arena in place.
-//! * [`csr::min_max_flow_scoped`] — the former per-call scoped-thread fan-out, kept as
-//!   the A/B baseline (benchmarked against the pool in the `worker_pool` group of
-//!   `crates/bench/benches/throughput.rs`) and for callers that must not share the
-//!   global pool.
+//! Large multi-sink evaluations fan out across [`pool::FlowPool`], a persistent pool of
+//! long-lived workers, each owning a reusable [`csr::FlowSolver`] that stays warm across
+//! evaluations. Workers are spawned lazily up to the pool cap and fed sink batches
+//! through a channel; every evaluation shares its running minimum through an atomic, and
+//! the submitting thread always works a share itself. [`pool::FlowPool::global`] is the
+//! process-wide instance (capped at 8 workers, the same ceiling as
+//! [`suggested_flow_threads`]) shared by [`min_max_flow_parallel`] and the parallel
+//! evaluation mode of `bmp-core`'s `EvalCtx`, so the machine-wide flow-thread count stays
+//! bounded no matter how many contexts request parallelism. Arenas travel to the workers
+//! as `Arc<FlowArena>` clones that are dropped before the submitter is released — a
+//! context that owns the only other reference keeps patching its retained arena in place.
 //!
 //! [`suggested_flow_threads`] decides when fan-out pays at all: sequential below 512
-//! nodes / 96 sinks (re-tuned against the pool, whose per-call cost is a queue push
-//! instead of a thread spawn), available parallelism capped at 8 above. Every fan-out
-//! is bit-for-bit equal to the sequential batched evaluation.
-//!
-//! # When speculation wins
-//!
-//! The pool also runs *probe batches* ([`pool::FlowPool::probe_batch`]) — the candidate
-//! midpoints of a speculative dichotomic search (`bmp-core`'s `DichotomicSearch`). A
-//! speculative round of depth `d` evaluates `2^(d+1) - 1` candidates to make `d + 1`
-//! bisection steps of progress, so the break-even is lanes versus depth: with `L` free
-//! pool lanes, depth `d` turns `d + 1` serial probe latencies into
-//! `ceil((2^(d+1) - 1) / L)` batched ones. Depth 1 (3 candidates) needs ≥ 2 free lanes
-//! to win ~2× on probe latency; depth 2 (7 candidates) needs ≥ 4 lanes for ~2.3×, and
-//! on fewer lanes deeper speculation only burns wasted probes — exactly half the
-//! evaluated speculative candidates are discarded per round at any depth. On a
-//! single-core host (or a saturated pool) every depth loses to serial by the wasted
-//! work, which is why speculation is opt-in (`BMP_SPECULATE`, `--speculate N`) and the
-//! perf gate abstains on single-core runners. Speculative tickets are tagged
-//! ([`pool::TicketClass`]) so cancelled wagers never pollute the fair-share
-//! starvation accounting, and they reserve one pool lane for co-resident fair-share
-//! work (see the module docs of [`pool`]).
+//! nodes / 96 sinks, available parallelism capped at 8 above. The fan-out is bit-for-bit
+//! equal to the sequential batched evaluation.
 //!
 //! # Incremental reuse: warm residual states
 //!
@@ -132,17 +106,13 @@ pub mod mincut;
 pub mod pool;
 pub mod push_relabel;
 
-pub use csr::{
-    min_max_flow_parallel, min_max_flow_scoped, suggested_flow_threads, FlowArena, FlowSolver,
-};
+pub use csr::{min_max_flow_parallel, suggested_flow_threads, FlowArena, FlowSolver};
 pub use dinic::dinic_max_flow;
 pub use edmonds_karp::edmonds_karp_max_flow;
 pub use graph::{EdgeId, FlowNetwork, FlowResult};
 pub use incremental::{WarmFlowCache, WarmStats};
 pub use mincut::{min_cut, MinCut};
-pub use pool::{
-    arm_worker_panics, disarm_worker_panics, FlowPool, ProbeFn, TicketClass, WorkerPanicGuard,
-};
+pub use pool::{arm_worker_panics, disarm_worker_panics, FlowPool, WorkerPanicGuard};
 pub use push_relabel::push_relabel_max_flow;
 
 /// Maximum-flow value from `source` to `sink` computed with the default solver (Dinic).

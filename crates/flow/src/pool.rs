@@ -10,11 +10,10 @@
 //!   dependency, no unsafe code);
 //! * workers are spawned lazily: a pool starts with zero threads and grows on demand up
 //!   to its configured cap, so sequential callers never pay for a pool;
-//! * every evaluation shares its running minimum through an atomic, exactly like the
-//!   scoped-thread fan-out it replaces ([`crate::csr::min_max_flow_scoped`], kept as the
-//!   A/B benchmark baseline), and the *submitting* thread always works a share of the
-//!   sinks itself, so an evaluation makes progress even when every pool worker is busy
-//!   with other submitters (no deadlock, no idle submitter);
+//! * every evaluation shares its running minimum through an atomic, and the
+//!   *submitting* thread always works a share of the sinks itself, so an evaluation
+//!   makes progress even when every pool worker is busy with other submitters (no
+//!   deadlock, no idle submitter);
 //! * dropping the pool shuts the workers down cleanly: the queue is drained, the
 //!   shutdown flag raised, and every worker joined.
 //!
@@ -44,26 +43,6 @@
 //! capped at a running minimum that is never below the true minimum, a capped-out solve
 //! cannot lower the minimum, and the sink realising the minimum is computed exactly —
 //! so the pooled result is bit-for-bit the sequential [`FlowSolver::min_max_flow`].
-//!
-//! # Probe batches and speculation
-//!
-//! Besides multi-sink flow evaluations the pool runs *probe batches*
-//! ([`FlowPool::probe_batch`]): a set of independent boolean feasibility probes —
-//! the candidate midpoints of a speculative dichotomic search, or one round of
-//! interleaved probes from many independent searches — drained with the same
-//! submitter-first contract. Each batch ticket is tagged with a [`TicketClass`]:
-//!
-//! * [`TicketClass::FairShare`] tickets are ordinary work; reclaimed ones count
-//!   into [`FlowPool::tickets_reclaimed`] exactly like flow tickets.
-//! * [`TicketClass::Speculative`] tickets are wagers: the searcher that queued them
-//!   may consume only some of their results. Reclaimed speculative tickets count
-//!   into [`FlowPool::speculation_cancelled`] — *not* `tickets_reclaimed` — so
-//!   fleet metrics distinguish cancelled speculation from reclaimed fair-share
-//!   work. Speculative submissions also reserve headroom: they queue at most
-//!   `max_workers - 1` helper tickets, leaving one pool lane that queued
-//!   speculation can never occupy, so a co-resident session's fair-share probe is
-//!   never starved by a neighbour's wagers (on top of the FIFO-interleave and
-//!   submitter-self-drain guarantees above).
 
 use crate::csr::{FlowArena, FlowSolver};
 use crate::incremental::{WarmFlowCache, WarmStats};
@@ -78,81 +57,14 @@ use std::thread::JoinHandle;
 /// already-parallel sweeps.
 const GLOBAL_POOL_CAP: usize = 8;
 
-/// A pooled feasibility probe: a pure predicate over a caller-defined tag (a cell
-/// index for batched searches, unused for single-search speculation) and a candidate
-/// value. `Arc`-wrapped so one closure is shared across every ticket of a batch and
-/// across rounds of a search without re-boxing.
-pub type ProbeFn = Arc<dyn Fn(u64, f64) -> bool + Send + Sync>;
-
-/// Classification of queued pool tickets, for reclaim accounting and lane
-/// reservation (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TicketClass {
-    /// Ordinary work whose every result the submitter will consume.
-    FairShare,
-    /// A speculative wager (e.g. follow-up midpoints of a dichotomic search): some
-    /// results may be discarded, and reclaimed tickets are cancelled speculation,
-    /// not starvation evidence.
-    Speculative,
-}
-
-/// Shared state of one probe batch dispatched onto the pool: workers and the
-/// submitter claim candidate indices from `next` and write verdicts into `results`.
-struct ProbeShared {
-    probe: ProbeFn,
-    candidates: Vec<(u64, f64)>,
-    results: Vec<AtomicBool>,
-    /// Next unclaimed index into `candidates`.
-    next: AtomicUsize,
-    /// Tickets not yet finished; the submitter waits for zero.
-    pending: Mutex<usize>,
-    done: Condvar,
-    /// Raised when a worker panicked mid-ticket; the submitter discards the batch
-    /// and recomputes every probe sequentially.
-    poisoned: AtomicBool,
-}
-
-impl ProbeShared {
-    /// Claims candidates until the batch is exhausted.
-    fn drain(&self) {
-        loop {
-            let index = self.next.fetch_add(1, Ordering::Relaxed);
-            if index >= self.candidates.len() {
-                return;
-            }
-            let (tag, value) = self.candidates[index];
-            let verdict = (self.probe)(tag, value);
-            self.results[index].store(verdict, Ordering::Release);
-        }
-    }
-
-    /// Marks one ticket finished, waking the submitter when it was the last.
-    fn finish_ticket(&self) {
-        let mut pending = self.pending.lock().expect("pool probe state poisoned");
-        *pending -= 1;
-        if *pending == 0 {
-            self.done.notify_all();
-        }
-    }
-}
-
-impl std::fmt::Debug for ProbeShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProbeShared")
-            .field("candidates", &self.candidates.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// Shared state of one multi-sink evaluation dispatched onto the pool.
 #[derive(Debug)]
 struct EvalShared {
     /// Sinks in ascending in-capacity order — the evaluation order shared with the
-    /// sequential and scoped evaluators.
+    /// sequential evaluator.
     order: Vec<u32>,
     source: u32,
-    /// Next unclaimed index into `order`; workers and the submitter pull from it, which
-    /// load-balances better than the strided split of the scoped fan-out.
+    /// Next unclaimed index into `order`; workers and the submitter pull from it.
     next: AtomicUsize,
     /// Bit pattern of the running minimum (non-negative IEEE-754 doubles, flows and
     /// +inf, order identically to their bit patterns, so `fetch_min` works on the bits).
@@ -238,21 +150,10 @@ impl EvalShared {
     }
 }
 
-/// One unit of pool work: a share of one evaluation's sinks, or a share of one
-/// probe batch's candidates.
-enum TicketWork {
-    Flow {
-        arena: Arc<FlowArena>,
-        shared: Arc<EvalShared>,
-    },
-    Probe {
-        shared: Arc<ProbeShared>,
-    },
-}
-
+/// One unit of pool work: a share of one evaluation's sinks.
 struct Ticket {
-    class: TicketClass,
-    work: TicketWork,
+    arena: Arc<FlowArena>,
+    shared: Arc<EvalShared>,
 }
 
 /// The channel feeding tickets to the workers.
@@ -344,45 +245,30 @@ fn worker_main(queue: Arc<Queue>) {
                 state = queue.available.wait(state).expect("pool queue poisoned");
             }
         };
-        // A panicking probe or solve must not wedge the submitter (it waits for the
-        // pending count) or kill the worker; contain it, flag the work as poisoned,
-        // and let the submitter recompute sequentially. The worker itself stays in
-        // its loop — a panic never shrinks the pool's parallelism.
-        match ticket.work {
-            TicketWork::Flow { arena, shared } => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if take_injected_panic() {
-                        panic!("injected flow worker panic");
-                    }
-                    shared.drain(&mut solver, &arena, Some(&mut warm))
-                }));
-                // Release the network before the submitter can wake: once `pending`
-                // hits zero, no worker holds an arena reference any more.
-                drop(arena);
-                shared.add_warm_stats(&warm.stats.take());
-                if outcome.is_err() {
-                    shared.poisoned.store(true, Ordering::Release);
-                    // The unwound solve may have left the workspace mid-mutation; a
-                    // fresh solver (and warm cache — its residual states are equally
-                    // suspect) restores the buffers' invariants for the next ticket.
-                    solver = FlowSolver::new();
-                    warm = WarmFlowCache::new();
-                }
-                shared.finish_ticket();
+        // A panicking solve must not wedge the submitter (it waits for the pending
+        // count) or kill the worker; contain it, flag the evaluation as poisoned, and
+        // let the submitter recompute sequentially. The worker itself stays in its
+        // loop — a panic never shrinks the pool's parallelism.
+        let Ticket { arena, shared } = ticket;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if take_injected_panic() {
+                panic!("injected flow worker panic");
             }
-            TicketWork::Probe { shared } => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if take_injected_panic() {
-                        panic!("injected flow worker panic");
-                    }
-                    shared.drain()
-                }));
-                if outcome.is_err() {
-                    shared.poisoned.store(true, Ordering::Release);
-                }
-                shared.finish_ticket();
-            }
+            shared.drain(&mut solver, &arena, Some(&mut warm))
+        }));
+        // Release the network before the submitter can wake: once `pending` hits
+        // zero, no worker holds an arena reference any more.
+        drop(arena);
+        shared.add_warm_stats(&warm.stats.take());
+        if outcome.is_err() {
+            shared.poisoned.store(true, Ordering::Release);
+            // The unwound solve may have left the workspace mid-mutation; a fresh
+            // solver (and warm cache — its residual states are equally suspect)
+            // restores the buffers' invariants for the next ticket.
+            solver = FlowSolver::new();
+            warm = WarmFlowCache::new();
         }
+        shared.finish_ticket();
     }
 }
 
@@ -401,13 +287,8 @@ pub struct FlowPool {
     panics_contained: AtomicU64,
     /// Helper tickets reclaimed unpicked by their own submitter after it drained the
     /// whole sink order itself (the anti-starvation escape hatch of the fairness
-    /// contract — see the module docs). Fair-share work only; cancelled speculation
-    /// has its own counter.
+    /// contract — see the module docs).
     tickets_reclaimed: AtomicU64,
-    /// Speculative helper tickets reclaimed unpicked by their own submitter — a
-    /// wager that was never even evaluated, not starvation evidence (see the
-    /// module docs on probe batches).
-    speculation_cancelled: AtomicU64,
 }
 
 impl std::fmt::Debug for Queue {
@@ -435,7 +316,6 @@ impl FlowPool {
             workers: Mutex::new(Vec::new()),
             panics_contained: AtomicU64::new(0),
             tickets_reclaimed: AtomicU64::new(0),
-            speculation_cancelled: AtomicU64::new(0),
         }
     }
 
@@ -496,16 +376,6 @@ impl FlowPool {
     #[must_use]
     pub fn tickets_reclaimed(&self) -> u64 {
         self.tickets_reclaimed.load(Ordering::Relaxed)
-    }
-
-    /// Number of [`TicketClass::Speculative`] helper tickets reclaimed by their own
-    /// submitter before any worker picked them up: speculation that was cancelled
-    /// outright rather than evaluated and wasted. Kept separate from
-    /// [`FlowPool::tickets_reclaimed`] so fleet metrics do not read cancelled
-    /// wagers as fair-share starvation pressure.
-    #[must_use]
-    pub fn speculation_cancelled(&self) -> u64 {
-        self.speculation_cancelled.load(Ordering::Relaxed)
     }
 
     /// Lazily grows the worker set to `wanted` threads (capped at the pool maximum).
@@ -605,11 +475,8 @@ impl FlowPool {
             let mut state = self.queue.state.lock().expect("pool queue poisoned");
             for _ in 0..helpers {
                 state.tickets.push_back(Ticket {
-                    class: TicketClass::FairShare,
-                    work: TicketWork::Flow {
-                        arena: Arc::clone(arena),
-                        shared: Arc::clone(&shared),
-                    },
+                    arena: Arc::clone(arena),
+                    shared: Arc::clone(&shared),
                 });
             }
         }
@@ -623,9 +490,9 @@ impl FlowPool {
         {
             let mut state = self.queue.state.lock().expect("pool queue poisoned");
             let before = state.tickets.len();
-            state.tickets.retain(|ticket| {
-                !matches!(&ticket.work, TicketWork::Flow { shared: s, .. } if Arc::ptr_eq(s, &shared))
-            });
+            state
+                .tickets
+                .retain(|ticket| !Arc::ptr_eq(&ticket.shared, &shared));
             let reclaimed = before - state.tickets.len();
             drop(state);
             if reclaimed > 0 {
@@ -676,126 +543,6 @@ impl FlowPool {
         threads: usize,
     ) -> f64 {
         self.min_max_flow_with(&mut FlowSolver::new(), arena, source, sinks, threads)
-    }
-
-    /// Evaluates `probe` on every candidate concurrently (up to `lanes` lanes, the
-    /// submitting thread one of them) and fills `results` with one verdict per
-    /// candidate, in candidate order. The probe must be pure: results are
-    /// bit-for-bit what a sequential `candidates.iter().map(probe)` would produce,
-    /// regardless of how candidates landed on workers.
-    ///
-    /// `class` tags the queued helper tickets for reclaim accounting and lane
-    /// reservation: [`TicketClass::Speculative`] batches queue at most
-    /// `max_workers - 1` helpers so queued speculation always leaves one pool lane
-    /// for co-resident fair-share work, and their reclaimed tickets count into
-    /// [`FlowPool::speculation_cancelled`] rather than
-    /// [`FlowPool::tickets_reclaimed`].
-    ///
-    /// A worker panic mid-batch is contained like a flow-ticket panic: the batch is
-    /// poisoned, discarded, and every probe recomputed sequentially on the
-    /// submitting thread (counted by [`FlowPool::panics_contained`]).
-    pub fn probe_batch(
-        &self,
-        probe: &ProbeFn,
-        candidates: &[(u64, f64)],
-        lanes: usize,
-        class: TicketClass,
-        results: &mut Vec<bool>,
-    ) {
-        results.clear();
-        let reserve = match class {
-            TicketClass::FairShare => 0,
-            TicketClass::Speculative => 1,
-        };
-        let helper_cap = self.max_workers.saturating_sub(reserve);
-        let helpers = lanes
-            .min(candidates.len())
-            .saturating_sub(1)
-            .min(helper_cap);
-        if helpers == 0 {
-            results.extend(candidates.iter().map(|&(tag, value)| probe(tag, value)));
-            return;
-        }
-        self.ensure_workers(helpers);
-        let shared = Arc::new(ProbeShared {
-            probe: Arc::clone(probe),
-            candidates: candidates.to_vec(),
-            results: candidates.iter().map(|_| AtomicBool::new(false)).collect(),
-            next: AtomicUsize::new(0),
-            pending: Mutex::new(helpers),
-            done: Condvar::new(),
-            poisoned: AtomicBool::new(false),
-        });
-        {
-            let mut state = self.queue.state.lock().expect("pool queue poisoned");
-            for _ in 0..helpers {
-                state.tickets.push_back(Ticket {
-                    class,
-                    work: TicketWork::Probe {
-                        shared: Arc::clone(&shared),
-                    },
-                });
-            }
-        }
-        self.queue.available.notify_all();
-        // The submitter works its own share: progress never depends on a free worker.
-        shared.drain();
-        // Reclaim helper tickets no worker has picked up yet — same anti-starvation
-        // escape hatch as the flow path, but accounted per ticket class.
-        {
-            let mut state = self.queue.state.lock().expect("pool queue poisoned");
-            let mut reclaimed_fair = 0u64;
-            let mut reclaimed_spec = 0u64;
-            state.tickets.retain(|ticket| {
-                let mine = matches!(&ticket.work, TicketWork::Probe { shared: s } if Arc::ptr_eq(s, &shared));
-                if mine {
-                    // Each reclaimed ticket is accounted by its own tag: cancelled
-                    // speculation must never read as fair-share starvation pressure.
-                    match ticket.class {
-                        TicketClass::FairShare => reclaimed_fair += 1,
-                        TicketClass::Speculative => reclaimed_spec += 1,
-                    }
-                }
-                !mine
-            });
-            drop(state);
-            let reclaimed = reclaimed_fair + reclaimed_spec;
-            if reclaimed > 0 {
-                if reclaimed_fair > 0 {
-                    self.tickets_reclaimed
-                        .fetch_add(reclaimed_fair, Ordering::Relaxed);
-                }
-                if reclaimed_spec > 0 {
-                    self.speculation_cancelled
-                        .fetch_add(reclaimed_spec, Ordering::Relaxed);
-                }
-                let mut pending = shared.pending.lock().expect("pool probe state poisoned");
-                *pending -= reclaimed as usize;
-                // No notify needed: this thread is the only waiter on `done`.
-            }
-        }
-        let mut pending = shared.pending.lock().expect("pool probe state poisoned");
-        while *pending > 0 {
-            pending = shared
-                .done
-                .wait(pending)
-                .expect("pool probe state poisoned");
-        }
-        drop(pending);
-        if shared.poisoned.load(Ordering::Acquire) {
-            // A worker panicked mid-batch: its claimed candidate may have been
-            // abandoned with a stale verdict. Recompute every probe sequentially —
-            // same result contract, one thread.
-            self.panics_contained.fetch_add(1, Ordering::Relaxed);
-            results.extend(candidates.iter().map(|&(tag, value)| probe(tag, value)));
-            return;
-        }
-        results.extend(
-            shared
-                .results
-                .iter()
-                .map(|slot| slot.load(Ordering::Acquire)),
-        );
     }
 }
 
@@ -1012,173 +759,6 @@ mod tests {
                 }
             });
         }
-        assert!(pool.spawned_workers() <= 2);
-        assert_eq!(pool.live_workers(), pool.spawned_workers());
-    }
-
-    #[test]
-    fn probe_batch_matches_sequential_evaluation() {
-        let pool = FlowPool::new(3);
-        let probe: ProbeFn = Arc::new(|tag, value| value < tag as f64 * 0.5);
-        let candidates: Vec<(u64, f64)> = (0..64).map(|i| (i, (i as f64) * 0.3)).collect();
-        let expected: Vec<bool> = candidates.iter().map(|&(t, v)| probe(t, v)).collect();
-        let mut results = Vec::new();
-        for lanes in [1usize, 2, 4, 64] {
-            for class in [TicketClass::FairShare, TicketClass::Speculative] {
-                pool.probe_batch(&probe, &candidates, lanes, class, &mut results);
-                assert_eq!(results, expected, "lanes {lanes}, class {class:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn speculative_batches_reserve_a_pool_lane() {
-        let pool = FlowPool::new(2);
-        let probe: ProbeFn = Arc::new(|_, value| value >= 0.0);
-        let candidates: Vec<(u64, f64)> = (0..64).map(|i| (i, i as f64)).collect();
-        let mut results = Vec::new();
-        // A speculative batch queues at most `max_workers - 1` helpers — one lane is
-        // reserved for fair-share work — so no matter how many lanes it asks for, at
-        // most one of this pool's two workers is ever spawned for it.
-        pool.probe_batch(
-            &probe,
-            &candidates,
-            64,
-            TicketClass::Speculative,
-            &mut results,
-        );
-        assert!(results.iter().all(|&b| b));
-        assert!(pool.spawned_workers() <= 1);
-        // A fair-share batch may use the full pool.
-        pool.probe_batch(
-            &probe,
-            &candidates,
-            64,
-            TicketClass::FairShare,
-            &mut results,
-        );
-        assert_eq!(pool.spawned_workers(), 2);
-    }
-
-    #[test]
-    fn a_poisoned_probe_batch_is_recomputed_exactly() {
-        let pool = FlowPool::new(2);
-        let probe: ProbeFn = Arc::new(|tag, value| {
-            std::thread::sleep(std::time::Duration::from_micros(20));
-            (tag % 3 == 0) ^ (value < 4.0)
-        });
-        let candidates: Vec<(u64, f64)> = (0..64).map(|i| (i, i as f64 * 0.1)).collect();
-        let expected: Vec<bool> = candidates.iter().map(|&(t, v)| probe(t, v)).collect();
-        let mut results = Vec::new();
-        // Warm the pool so workers exist before the fault is armed.
-        pool.probe_batch(&probe, &candidates, 3, TicketClass::FairShare, &mut results);
-        assert_eq!(results, expected);
-        let mut attempts = 0;
-        while pool.panics_contained() == 0 {
-            attempts += 1;
-            assert!(attempts <= 500, "no injected panic ever reached this pool");
-            arm_worker_panics(1);
-            // Even a poisoned batch returns the exact sequential verdicts.
-            pool.probe_batch(&probe, &candidates, 3, TicketClass::FairShare, &mut results);
-            assert_eq!(results, expected);
-        }
-        disarm_worker_panics();
-        assert_eq!(pool.live_workers(), pool.spawned_workers());
-    }
-
-    #[test]
-    fn a_speculating_searchers_unpicked_tickets_are_reclaimed_as_cancelled() {
-        // The PR-7 `tickets_reclaimed` contract, extended to speculation: a searcher
-        // whose speculative tickets never get picked up (workers busy elsewhere)
-        // reclaims them itself, and they are accounted as cancelled speculation —
-        // never as fair-share reclaim.
-        let pool = Arc::new(FlowPool::new(2));
-        let slow: ProbeFn = Arc::new(|_, value| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            value > 0.0
-        });
-        let fast: ProbeFn = Arc::new(|_, value| value > 0.0);
-        let slow_cands: Vec<(u64, f64)> = (0..8).map(|i| (i, 1.0)).collect();
-        let fast_cands: Vec<(u64, f64)> = (0..128).map(|i| (i, 1.0)).collect();
-        let mut attempts = 0;
-        while pool.speculation_cancelled() == 0 {
-            attempts += 1;
-            assert!(attempts <= 500, "no speculative ticket was ever reclaimed");
-            std::thread::scope(|scope| {
-                let pool_a = Arc::clone(&pool);
-                let (slow, slow_cands) = (&slow, &slow_cands);
-                scope.spawn(move || {
-                    let mut results = Vec::new();
-                    pool_a.probe_batch(slow, slow_cands, 2, TicketClass::Speculative, &mut results);
-                    assert!(results.iter().all(|&b| b));
-                });
-                let pool_b = Arc::clone(&pool);
-                let (fast, fast_cands) = (&fast, &fast_cands);
-                scope.spawn(move || {
-                    let mut results = Vec::new();
-                    for _ in 0..4 {
-                        pool_b.probe_batch(
-                            fast,
-                            fast_cands,
-                            2,
-                            TicketClass::Speculative,
-                            &mut results,
-                        );
-                        assert!(results.iter().all(|&b| b));
-                    }
-                });
-            });
-        }
-        // Only speculative tickets were ever queued on this pool, so nothing may
-        // have landed in the fair-share reclaim counter.
-        assert_eq!(pool.tickets_reclaimed(), 0);
-    }
-
-    #[test]
-    fn speculation_cannot_starve_co_resident_fair_share_probes() {
-        // Lane reservation under load: a speculative storm shares the pool with a
-        // fair-share prober; every fair-share batch must come back exact, every
-        // pass, no matter what the storm occupies.
-        let pool = Arc::new(FlowPool::new(2));
-        let storm: ProbeFn = Arc::new(|_, value| {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            value > 0.5
-        });
-        let fair: ProbeFn = Arc::new(|tag, value| value * (tag as f64) < 100.0);
-        let storm_cands: Vec<(u64, f64)> = (0..32).map(|i| (i, i as f64)).collect();
-        let fair_cands: Vec<(u64, f64)> = (0..48).map(|i| (i, i as f64 * 0.7)).collect();
-        let fair_expected: Vec<bool> = fair_cands.iter().map(|&(t, v)| fair(t, v)).collect();
-        std::thread::scope(|scope| {
-            let pool_storm = Arc::clone(&pool);
-            let (storm, storm_cands) = (&storm, &storm_cands);
-            scope.spawn(move || {
-                let mut results = Vec::new();
-                for _ in 0..8 {
-                    pool_storm.probe_batch(
-                        storm,
-                        storm_cands,
-                        3,
-                        TicketClass::Speculative,
-                        &mut results,
-                    );
-                }
-            });
-            let pool_fair = Arc::clone(&pool);
-            let (fair, fair_cands, fair_expected) = (&fair, &fair_cands, &fair_expected);
-            scope.spawn(move || {
-                let mut results = Vec::new();
-                for _ in 0..16 {
-                    pool_fair.probe_batch(
-                        fair,
-                        fair_cands,
-                        3,
-                        TicketClass::FairShare,
-                        &mut results,
-                    );
-                    assert_eq!(&results, fair_expected);
-                }
-            });
-        });
         assert!(pool.spawned_workers() <= 2);
         assert_eq!(pool.live_workers(), pool.spawned_workers());
     }

@@ -392,13 +392,6 @@ impl RepairController {
         self.ctx.set_parallelism(threads);
     }
 
-    /// Forwards to [`EvalCtx::set_speculation`]: repair re-solves speculate `depth`
-    /// extra dichotomic levels against the flow pool (`0` = serial probing). The
-    /// repaired overlays are bit-identical at any depth.
-    pub fn set_speculation(&mut self, depth: usize) {
-        self.ctx.set_speculation(depth);
-    }
-
     /// Forwards to [`EvalCtx::set_incremental`]: repair re-solves and residual probes
     /// reuse warm residual states across the attempt loop, composing with the warm
     /// lower bracket the repair attempt loop arms (`attempt_repair`). Repaired overlays and
