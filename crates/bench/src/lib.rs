@@ -534,6 +534,44 @@ mod tests {
     }
 
     #[test]
+    fn require_improvement_falls_back_to_the_cold_sibling() {
+        let doc = BenchDocument {
+            mode: "measured".to_string(),
+            medians: vec![
+                ("dichotomic/incremental/cold".to_string(), 900.0),
+                ("dichotomic/incremental/warm".to_string(), 300.0),
+            ],
+        };
+        // The reference resolves to the `cold` sibling…
+        assert_eq!(
+            resolve_reference_id(&doc, "dichotomic/incremental/warm").unwrap(),
+            "dichotomic/incremental/cold"
+        );
+        let achieved = require_improvement(&doc, "dichotomic/incremental/warm", 1.5)
+            .unwrap()
+            .unwrap();
+        assert!((achieved - 3.0).abs() < 1e-9, "{achieved}");
+        // …a shortfall names the cold reference…
+        let err = require_improvement(&doc, "dichotomic/incremental/warm", 4.0).unwrap_err();
+        assert!(err.contains("cold"), "{err}");
+        // …and a `serial` sibling is no reference: `cold` wins when both exist, and a
+        // document with only `serial` has nothing to compare against.
+        let both = BenchDocument {
+            mode: "measured".to_string(),
+            medians: vec![
+                ("g/serial".to_string(), 1000.0),
+                ("g/cold".to_string(), 2000.0),
+                ("g/fast".to_string(), 500.0),
+                ("h/serial".to_string(), 1000.0),
+                ("h/fast".to_string(), 500.0),
+            ],
+        };
+        assert_eq!(resolve_reference_id(&both, "g/fast").unwrap(), "g/cold");
+        assert!(resolve_reference_id(&both, "h/fast").is_err());
+        assert!(require_improvement(&both, "h/fast", 1.0).is_err());
+    }
+
+    #[test]
     fn require_improvement_abstains_on_smoke_documents() {
         let doc = BenchDocument {
             mode: "smoke".to_string(),
