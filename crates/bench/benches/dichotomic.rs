@@ -1,14 +1,12 @@
 //! Dichotomic search benches: cost of the optimal-throughput search as a function of the
 //! tolerance (shared `DichotomicSearch` driver, Theorem 4.1) and the cost of re-scoring
 //! near-identical schemes — per-iteration `to_flow_arena` rebuilds versus the retained
-//! incremental-capacity arena of `EvalCtx` (PR 2) versus the dirty-edge-journal fast
-//! path that skips the rescan of the scheme's rates entirely, measured up to
-//! n = 5000 overlays. The results are drained from the harness and written as
-//! `BENCH_dichotomic.json` at the repo root (machine-readable perf trajectory).
+//! arena of `EvalCtx`, whose capacities are rewritten in place. The results are drained
+//! from the harness and written as `BENCH_dichotomic.json` at the repo root
+//! (machine-readable perf trajectory).
 
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_core::solver::{AcyclicGuardedAlgorithm, EvalCtx, Solver};
-use bmp_core::BroadcastScheme;
 use bmp_flow::FlowSolver;
 use bmp_platform::distribution::UniformBandwidth;
 use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
@@ -16,7 +14,6 @@ use bmp_platform::Instance;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 fn random_instance(receivers: usize, p: f64, seed: u64) -> Instance {
     let config = GeneratorConfig::new(receivers, p).unwrap();
@@ -154,128 +151,7 @@ fn bench_reevaluation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The scale benchmark of the dirty-edge journal: single-edge re-probes (the dichotomic
-/// access pattern) on n ∈ {500, 2000, 5000} overlays, journaled evaluation versus the
-/// PR-2 scan-based path. Both variants run identical flow solves on identical arenas
-/// (the journal is exact); the difference is purely the per-probe rescan of the scheme's
-/// rows the journal skips, O(n + m) since schemes store sparse rows.
-fn bench_journaled(c: &mut Criterion) {
-    let mut group = c.benchmark_group("journaled_reevaluation");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for &n in &[500usize, 2000, 5000] {
-        let inst = random_instance(n, 0.7, 42);
-        let solution = AcyclicGuardedAlgorithm
-            .solve(&inst, &mut EvalCtx::new())
-            .expect("solvable");
-        let receivers: Vec<usize> = inst.receivers().collect();
-        let base_edges = solution.scheme.edges();
-        let probe_sink = receivers[receivers.len() / 2];
-
-        // A probe loop evaluating one max-flow per mutation: arena handling dominates.
-        let mut single_sink = |label: &str, journal: bool| {
-            group.bench_with_input(
-                BenchmarkId::new(label, n),
-                &solution.scheme,
-                |b, scheme: &BroadcastScheme| {
-                    let mut scheme = scheme.clone();
-                    let mut ctx = EvalCtx::new();
-                    ctx.set_journal_enabled(journal);
-                    let mut k = 0usize;
-                    b.iter(|| {
-                        let (from, to, rate) = base_edges[k % base_edges.len()];
-                        let scale = if k.is_multiple_of(2) { 0.999 } else { 0.9995 };
-                        k += 1;
-                        scheme.set_rate(from, to, rate * scale);
-                        ctx.max_flow_to(&scheme, probe_sink)
-                    })
-                },
-            );
-        };
-        single_sink("scan-single-sink", false);
-        single_sink("journaled-single-sink", true);
-
-        // Full multi-sink evaluation per probe (flow solves dominate at scale, so the
-        // journal's win is relative — measured at the two acceptance sizes only).
-        if n <= 2000 {
-            let mut full_eval = |label: &str, journal: bool| {
-                group.bench_with_input(
-                    BenchmarkId::new(label, n),
-                    &solution.scheme,
-                    |b, scheme: &BroadcastScheme| {
-                        let mut scheme = scheme.clone();
-                        let mut ctx = EvalCtx::new();
-                        ctx.set_journal_enabled(journal);
-                        let mut k = 0usize;
-                        b.iter(|| {
-                            let (from, to, rate) = base_edges[k % base_edges.len()];
-                            let scale = if k.is_multiple_of(2) { 0.999 } else { 0.9995 };
-                            k += 1;
-                            scheme.set_rate(from, to, rate * scale);
-                            ctx.throughput(&scheme)
-                        })
-                    },
-                );
-            };
-            full_eval("scan-full", false);
-            full_eval("journaled-full", true);
-        }
-    }
-    group.finish();
-}
-
-/// Warm residual reuse across re-probes: the dichotomic access pattern (fixed edge
-/// set, one rate nudged per probe, full multi-sink evaluation) with and without
-/// [`EvalCtx::set_incremental`]. Values are bit-identical; warm mode retains each
-/// sink's residual per `(arena epoch, source, sink)` and answers most per-sink solves
-/// with a capacity-delta apply plus a certificate check instead of a cold Dinic —
-/// only the bottleneck sink (whose exact value steers the running minimum) and the
-/// first, unlimited solve recompute cold. The receiver count stays below the warm
-/// cache's 64-state cap so the states survive probe to probe; the gap is the direct
-/// measure of what the retained residuals save (the perf gate pins warm ≥ 1.5× cold).
-fn bench_incremental(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dichotomic");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    let inst = random_instance(48, 0.7, 21);
-    let solution = AcyclicGuardedAlgorithm
-        .solve(&inst, &mut EvalCtx::new())
-        .expect("solvable");
-    let base_edges = solution.scheme.edges();
-    for (label, incremental) in [("cold", false), ("warm", true)] {
-        group.bench_with_input(
-            BenchmarkId::new("incremental", label),
-            &solution.scheme,
-            |b, scheme| {
-                let mut scheme = scheme.clone();
-                let mut ctx = EvalCtx::new();
-                ctx.set_parallelism(1);
-                ctx.set_incremental(incremental);
-                let mut k = 0usize;
-                b.iter(|| {
-                    let (from, to, rate) = base_edges[k % base_edges.len()];
-                    let scale = if k.is_multiple_of(2) { 0.999 } else { 0.9995 };
-                    k += 1;
-                    scheme.set_rate(from, to, rate * scale);
-                    ctx.throughput(&scheme)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_dichotomic,
-    bench_reevaluation,
-    bench_journaled,
-    bench_incremental
-);
+criterion_group!(benches, bench_dichotomic, bench_reevaluation);
 
 fn main() {
     benches();

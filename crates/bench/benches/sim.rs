@@ -148,7 +148,7 @@ fn bench_session_round(c: &mut Criterion) {
 }
 
 /// One full faulted repair cycle of the hardened controller on a 50-receiver platform:
-/// the victim probe (journal-riding bisection), the pooled-capable residual evaluation,
+/// the victim probe (degradation bisection), the pooled-capable residual evaluation,
 /// two injected solve failures absorbed by the retry budget, and the successful third
 /// attempt producing the hot-swap plan. This is the whole control-plane cost of
 /// surviving a transient solver outage, gated so hardening never regresses it silently.
@@ -246,52 +246,12 @@ fn bench_repair_warm_vs_cold(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full controller adaptation cycle with and without warm residual reuse
-/// ([`RepairController::set_incremental`]): the victim probe's degradation-tolerance
-/// bisection and the survivor residual evaluation re-probe the retained arena with
-/// near-identical capacity vectors dozens of times per cycle, so warm mode answers
-/// most per-sink max-flows from a retained residual state instead of a cold Dinic
-/// (the certification solve stays cold by construction either way). Decisions,
-/// verdicts and telemetry probe counts are bit-identical (asserted by the sim
-/// suite); the delta is pure wall time. The win needs no spare cores — the warm path
-/// is sequential — so the perf gate asserts warm beats its cold sibling on every host.
-fn bench_repair_incremental_vs_cold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("repair");
-    group.sample_size(10);
-    let receivers = 50usize;
-    let instance = generated_instance(receivers, 17);
-    let solution = AcyclicGuardedSolver::default().solve(&instance);
-    let victim = solution.scheme.busiest_receiver().unwrap();
-    for (variant, incremental) in [("warm", true), ("cold", false)] {
-        group.bench_with_input(
-            BenchmarkId::new("incremental-vs-cold", variant),
-            &(&instance, &solution),
-            |b, (instance, solution)| {
-                b.iter(|| {
-                    let mut controller = RepairController::new(
-                        (*instance).clone(),
-                        solution.scheme.clone(),
-                        solution.throughput,
-                        0.9,
-                    );
-                    controller.set_incremental(incremental);
-                    let decision = controller.adapt(&[victim], 0.0);
-                    assert!(decision.is_some(), "the fault-free repair must succeed");
-                    controller.ctx().flows_warm_started()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_simulation,
     bench_session_round,
     bench_fault_storm,
-    bench_repair_warm_vs_cold,
-    bench_repair_incremental_vs_cold
+    bench_repair_warm_vs_cold
 );
 
 fn main() {

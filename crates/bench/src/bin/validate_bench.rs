@@ -17,8 +17,8 @@
 //! With `--require-improvement ID:RATIO` (repeatable) it asserts a *relative win*
 //! rather than the absence of a regression: `ID`'s median must be at least `RATIO`×
 //! faster than its reference sibling (`ID` with the last path segment replaced by
-//! `cold` — e.g. `dichotomic/incremental/warm:1.5` requires the warm re-probe loop to
-//! beat `dichotomic/incremental/cold` by 1.5×). The assertion abstains, and says so,
+//! `cold` — e.g. `repair/warm-vs-cold/warm:1.2` requires the warm-started repair solve
+//! to beat `repair/warm-vs-cold/cold` by 1.2×). The assertion abstains, and says so,
 //! on smoke documents.
 
 use bmp_bench::{

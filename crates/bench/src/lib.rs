@@ -95,7 +95,7 @@ impl BenchDocument {
 /// fails the gate only when its freshly measured median exceeds this multiple of the
 /// committed baseline median. 3× absorbs runner-to-runner noise, thermal variance and
 /// the vendored harness's coarse sampling while still catching a hot path falling off a
-/// cliff (the journal wins being guarded are 20×–1000×).
+/// cliff.
 pub const REGRESSION_TOLERANCE: f64 = 3.0;
 
 /// Outcome of gating one fresh benchmark document against its committed baseline.
@@ -159,8 +159,8 @@ pub fn perf_gate(
 
 /// Resolves the reference sibling a `--require-improvement` assertion for `id`
 /// compares against: the same benchmark path with its last segment replaced by `cold`
-/// (the warm-vs-cold convention of the incremental-reuse benches —
-/// `dichotomic/incremental/warm` is measured against `dichotomic/incremental/cold`).
+/// (the warm-vs-cold convention of the repair benches — `repair/warm-vs-cold/warm` is
+/// measured against `repair/warm-vs-cold/cold`).
 ///
 /// # Errors
 ///
@@ -327,19 +327,14 @@ pub fn read_bench_document(path: &Path, benchmark: &str) -> Result<BenchDocument
     })
 }
 
-/// The benchmark ids the `dichotomic` report must contain (the acceptance surface of
-/// the incremental-evaluation work — journal vs scan at n = 500 / 2000 / 5000 — plus
-/// the warm-residual-reuse cold/warm re-probe pair, so a regenerated report can never
-/// silently drop the comparisons the perf gate asserts on).
-pub const DICHOTOMIC_REQUIRED_IDS: [&str; 8] = [
-    "journaled_reevaluation/scan-single-sink/500",
-    "journaled_reevaluation/journaled-single-sink/500",
-    "journaled_reevaluation/scan-single-sink/2000",
-    "journaled_reevaluation/journaled-single-sink/2000",
-    "journaled_reevaluation/scan-single-sink/5000",
-    "journaled_reevaluation/journaled-single-sink/5000",
-    "dichotomic/incremental/cold",
-    "dichotomic/incremental/warm",
+/// The benchmark ids the `dichotomic` report must contain (per-probe arena rebuilds
+/// versus the retained arena rewritten in place, multi-sink and single-sink, at
+/// n = 500, so a regenerated report can never silently drop the comparison).
+pub const DICHOTOMIC_REQUIRED_IDS: [&str; 4] = [
+    "dichotomic_reevaluation/rebuild/500",
+    "dichotomic_reevaluation/incremental/500",
+    "dichotomic_reevaluation/rebuild-single-sink/500",
+    "dichotomic_reevaluation/incremental-single-sink/500",
 ];
 
 /// The benchmark ids the `throughput` report must contain (sequential batched pass vs
@@ -356,17 +351,14 @@ pub const THROUGHPUT_REQUIRED_IDS: [&str; 6] = [
 
 /// The benchmark ids the `sim` report must contain (the session engine's per-round hot
 /// path over the word-packed possession bitsets, the widest policy scan, the hardened
-/// repair pipeline's faulted repair cycle, the warm-vs-cold repair solve pair that
-/// keeps the residual warm-start from regressing silently, and the
-/// incremental-vs-cold repair pair guarding warm residual reuse the same way).
-pub const SIM_REQUIRED_IDS: [&str; 7] = [
+/// repair pipeline's faulted repair cycle, and the warm-vs-cold repair solve pair that
+/// keeps the residual warm-start from regressing silently).
+pub const SIM_REQUIRED_IDS: [&str; 5] = [
     "sim_round/session/50x1000",
     "sim_round/pick/rarest-first/4096",
     "fault_storm/repair-cycle/50",
     "repair/warm-vs-cold/warm",
     "repair/warm-vs-cold/cold",
-    "repair/incremental-vs-cold/warm",
-    "repair/incremental-vs-cold/cold",
 ];
 
 /// The benchmark ids the `serve` report must contain (the sharded fleet runner end to
@@ -478,35 +470,35 @@ mod tests {
         let doc = BenchDocument {
             mode: "measured".to_string(),
             medians: vec![
-                ("dichotomic/incremental/cold".to_string(), 900.0),
-                ("dichotomic/incremental/warm".to_string(), 300.0),
+                ("repair/warm-vs-cold/cold".to_string(), 900.0),
+                ("repair/warm-vs-cold/warm".to_string(), 300.0),
                 ("a/cold".to_string(), 1.0),
                 ("cold".to_string(), 1.0),
             ],
         };
         assert_eq!(
-            resolve_reference_id(&doc, "dichotomic/incremental/warm").unwrap(),
-            "dichotomic/incremental/cold"
+            resolve_reference_id(&doc, "repair/warm-vs-cold/warm").unwrap(),
+            "repair/warm-vs-cold/cold"
         );
         assert_eq!(resolve_reference_id(&doc, "a/b").unwrap(), "a/cold");
         assert_eq!(resolve_reference_id(&doc, "bare").unwrap(), "cold");
         // A document without the sibling cannot resolve a reference…
         assert!(resolve_reference_id(&doc, "other/group/warm").is_err());
         // …and an id is never its own reference.
-        assert!(resolve_reference_id(&doc, "dichotomic/incremental/cold").is_err());
+        assert!(resolve_reference_id(&doc, "repair/warm-vs-cold/cold").is_err());
     }
 
     #[test]
     fn require_improvement_compares_against_the_cold_reference() {
         let reports = vec![
             BenchReport {
-                id: "dichotomic/incremental/cold".to_string(),
+                id: "repair/warm-vs-cold/cold".to_string(),
                 median_ns: 1000.0,
                 best_ns: 900.0,
                 smoke: false,
             },
             BenchReport {
-                id: "dichotomic/incremental/warm".to_string(),
+                id: "repair/warm-vs-cold/warm".to_string(),
                 median_ns: 500.0,
                 best_ns: 450.0,
                 smoke: false,
@@ -518,17 +510,17 @@ mod tests {
         std::fs::write(&path, bench_report_json("sample", &reports)).unwrap();
         let doc = read_bench_document(&path, "sample").unwrap();
         // 2x measured: a 1.5x requirement passes with the achieved ratio reported…
-        let achieved = require_improvement(&doc, "dichotomic/incremental/warm", 1.5)
+        let achieved = require_improvement(&doc, "repair/warm-vs-cold/warm", 1.5)
             .unwrap()
             .unwrap();
         assert!((achieved - 2.0).abs() < 1e-9, "{achieved}");
         // …a 2.5x requirement fails, naming both ids and the shortfall…
-        let err = require_improvement(&doc, "dichotomic/incremental/warm", 2.5).unwrap_err();
+        let err = require_improvement(&doc, "repair/warm-vs-cold/warm", 2.5).unwrap_err();
         assert!(err.contains("warm"), "{err}");
         assert!(err.contains("cold"), "{err}");
         assert!(err.contains("2.00x"), "{err}");
         // …and a missing id (either side) is a structural error, not a pass.
-        assert!(require_improvement(&doc, "dichotomic/incremental/hot", 1.0).is_err());
+        assert!(require_improvement(&doc, "repair/warm-vs-cold/hot", 1.0).is_err());
         assert!(require_improvement(&doc, "other/group/fast", 1.0).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -538,21 +530,21 @@ mod tests {
         let doc = BenchDocument {
             mode: "measured".to_string(),
             medians: vec![
-                ("dichotomic/incremental/cold".to_string(), 900.0),
-                ("dichotomic/incremental/warm".to_string(), 300.0),
+                ("repair/warm-vs-cold/cold".to_string(), 900.0),
+                ("repair/warm-vs-cold/warm".to_string(), 300.0),
             ],
         };
         // The reference resolves to the `cold` sibling…
         assert_eq!(
-            resolve_reference_id(&doc, "dichotomic/incremental/warm").unwrap(),
-            "dichotomic/incremental/cold"
+            resolve_reference_id(&doc, "repair/warm-vs-cold/warm").unwrap(),
+            "repair/warm-vs-cold/cold"
         );
-        let achieved = require_improvement(&doc, "dichotomic/incremental/warm", 1.5)
+        let achieved = require_improvement(&doc, "repair/warm-vs-cold/warm", 1.5)
             .unwrap()
             .unwrap();
         assert!((achieved - 3.0).abs() < 1e-9, "{achieved}");
         // …a shortfall names the cold reference…
-        let err = require_improvement(&doc, "dichotomic/incremental/warm", 4.0).unwrap_err();
+        let err = require_improvement(&doc, "repair/warm-vs-cold/warm", 4.0).unwrap_err();
         assert!(err.contains("cold"), "{err}");
         // …and a `serial` sibling is no reference: `cold` wins when both exist, and a
         // document with only `serial` has nothing to compare against.
@@ -575,10 +567,10 @@ mod tests {
     fn require_improvement_abstains_on_smoke_documents() {
         let doc = BenchDocument {
             mode: "smoke".to_string(),
-            medians: vec![("dichotomic/incremental/warm".to_string(), 0.0)],
+            medians: vec![("repair/warm-vs-cold/warm".to_string(), 0.0)],
         };
         assert_eq!(
-            require_improvement(&doc, "dichotomic/incremental/warm", 1.5),
+            require_improvement(&doc, "repair/warm-vs-cold/warm", 1.5),
             Ok(None)
         );
     }

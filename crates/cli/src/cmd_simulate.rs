@@ -5,7 +5,7 @@
 //! * **frozen overlay** (no `--churn`): the classic one-shot validation run, with
 //!   optional progress tracing;
 //! * **closed loop** (`--churn SPEC`): the session engine applies the churn trace and an
-//!   adaptation policy — the static baseline by default, the incremental
+//!   adaptation policy — the static baseline by default, the
 //!   re-solve-and-hot-swap controller with `--repair` — and reports *delivered* goodput
 //!   against the nominal throughput, plus the controller's decision log and telemetry.
 //!
@@ -51,7 +51,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
         "--instance",
         "--algorithm",
         "--threads",
-        "--incremental",
         "--chunks",
         "--policy",
         "--seed",
@@ -125,11 +124,11 @@ fn parse_churn(raw: &str, scheme: &BroadcastScheme) -> Result<ChurnSchedule, Cli
 }
 
 /// Loads the scheme: from `--scheme FILE`, or by solving `--instance FILE` with the
-/// requested `--algorithm` (one-shot solve + simulate).
+/// requested `--algorithm` (one-shot solve + simulate). A `--scheme` file that fails
+/// [`BroadcastScheme::validate`] is refused, naming its first violation.
 fn load_scheme<W: Write>(
     args: &ArgList,
     threads: usize,
-    incremental: bool,
     out: &mut W,
 ) -> Result<BroadcastScheme, CliError> {
     match (args.get("--scheme"), args.get("--instance")) {
@@ -142,14 +141,22 @@ fn load_scheme<W: Write>(
                     "--algorithm only applies when solving from --instance".into(),
                 ));
             }
-            files::read_scheme(path)
+            let scheme = files::read_scheme(path)?;
+            let violations = scheme.validate();
+            match violations.first() {
+                None => Ok(scheme),
+                Some(first) => Err(CliError::InvalidScheme(format!(
+                    "{path} violates its constraints: {first:?} (1 of {} violation(s); \
+                     `verify` lists them all)",
+                    violations.len()
+                ))),
+            }
         }
         (None, Some(path)) => {
             let instance = files::read_instance(path)?;
             let solver = resolve_algorithm(args.get("--algorithm").unwrap_or("acyclic-guarded"))?;
             let mut ctx = EvalCtx::new();
             ctx.set_parallelism(threads);
-            ctx.set_incremental(incremental);
             let solution = solver.solve(&instance, &mut ctx)?;
             writeln!(
                 out,
@@ -316,12 +323,9 @@ fn finish_closed_loop<W: Write>(
         let ctx = controller.ctx();
         writeln!(
             out,
-            "controller telemetry : {} flow solves, {} bisection iters, {} rescans skipped ({} edges patched), {} flows warm-started",
+            "controller telemetry : {} flow solves, {} bisection iters",
             ctx.flow_solves(),
-            ctx.bisection_iters(),
-            ctx.rescans_skipped(),
-            ctx.edges_patched(),
-            ctx.flows_warm_started()
+            ctx.bisection_iters()
         )?;
         for decision in controller.decisions() {
             let solver = decision.solver.as_deref().unwrap_or("-");
@@ -355,7 +359,6 @@ fn run_resumed<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         "--instance",
         "--algorithm",
         "--threads",
-        "--incremental",
         "--chunks",
         "--policy",
         "--seed",
@@ -449,13 +452,12 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 /// Runs the `simulate` subcommand.
 ///
 /// Flags: `--scheme FILE` *or* `--instance FILE` (solve first; `--algorithm NAME`
-/// selects the registry solver, `--threads N` its flow fan-out, `--incremental` warm
-/// residual reuse across its dichotomic probes — bit-identical results either way),
-/// `--chunks N` (at least 1, default 300), `--policy NAME` (default random), `--seed S`,
-/// `--jitter J` (in `[0, 1)`, default 0), `--live RATE`,
+/// selects the registry solver, `--threads N` its flow fan-out), `--chunks N` (at
+/// least 1, default 300), `--policy NAME` (default random), `--seed S`, `--jitter J`
+/// (in `[0, 1)`, default 0), `--live RATE`,
 /// `--trace` (worst-receiver progress every 50 rounds; frozen-overlay runs only),
 /// `--churn SPEC` (scheduled departures/rejoins, e.g. `"5:busiest"` or `"5:3,7;12:+3"`),
-/// `--repair` (adapt by incremental re-solve + hot-swap instead of the static baseline),
+/// `--repair` (adapt by re-solve + hot-swap instead of the static baseline),
 /// `--repair-algorithm NAME` (pin the named registry solver to the front of the repair
 /// fallback chain; unset keeps the registry order), `--floor F` (repair when the
 /// residual drops below `F ×` nominal, default 0.9).
@@ -468,7 +470,8 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] when the scheme/instance cannot be read or a flag is malformed.
+/// Returns a [`CliError`] when the scheme/instance cannot be read, a `--scheme` file
+/// violates its constraints, or a flag is malformed.
 pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     args.reject_unknown_flags(&FLAGS)?;
     if args.get("--resume").is_some() {
@@ -480,13 +483,7 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             "--threads only applies when solving (--instance) or repairing (--repair)".into(),
         ));
     }
-    let incremental = args.has("--incremental") || bmp_core::solver::default_incremental();
-    if args.has("--incremental") && !(args.has("--repair") || args.get("--instance").is_some()) {
-        return Err(CliError::Usage(
-            "--incremental only applies when solving (--instance) or repairing (--repair)".into(),
-        ));
-    }
-    let scheme = load_scheme(args, threads, incremental, out)?;
+    let scheme = load_scheme(args, threads, out)?;
     let nominal = scheme.throughput();
     let overlay = Overlay::from_scheme(&scheme);
 
@@ -570,7 +567,6 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             let mut controller =
                 RepairController::new(scheme.instance().clone(), scheme.clone(), nominal, floor);
             controller.set_parallelism(threads);
-            controller.set_incremental(incremental);
             controller.set_repair_algorithm(repair_algorithm.map(str::to_string));
             PolicyKind::Repair(Box::new(controller))
         } else {
@@ -670,6 +666,30 @@ mod tests {
         let mut out = Vec::new();
         run(&list, &mut out)?;
         Ok(String::from_utf8(out).unwrap())
+    }
+
+    #[test]
+    fn infeasible_scheme_files_are_refused() {
+        // A well-formed document whose edge carries a negative rate: `verify` reports
+        // the violation, and `simulate` must refuse to deploy it.
+        let instance = serde_json::to_string(&figure1()).unwrap();
+        let path = temp_path("sim-infeasible.json")
+            .to_str()
+            .unwrap()
+            .to_string();
+        std::fs::write(
+            &path,
+            format!(r#"{{"format":2,"instance":{instance},"edges":[[0,1,2],[0,2,-2]]}}"#),
+        )
+        .unwrap();
+        match run_args(vec!["--scheme".into(), path.clone()]) {
+            Err(CliError::InvalidScheme(message)) => {
+                assert!(message.contains("InvalidRate"), "{message}");
+                assert!(message.contains("rate: -2.0"), "{message}");
+            }
+            other => panic!("expected an invalid-scheme error, got {other:?}"),
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -814,57 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_repair_run_is_identical_and_warm_starts() {
-        let path = scheme_path();
-        let common = |incremental: bool| {
-            let mut args = vec![
-                "--scheme".to_string(),
-                path.clone(),
-                "--chunks".into(),
-                "150".into(),
-                "--churn".into(),
-                "5:3".into(),
-                "--repair".into(),
-            ];
-            if incremental {
-                args.push("--incremental".into());
-            }
-            run_args(args).unwrap()
-        };
-        let cold = common(false);
-        let warm = common(true);
-        // Warm residual reuse may only change the telemetry counters line — every
-        // decision, swap, goodput and recovery line must match verbatim.
-        let stable = |report: &str| {
-            report
-                .lines()
-                .filter(|line| !line.contains("telemetry"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(stable(&cold), stable(&warm), "--incremental");
-        // And the reuse is observable: the warm run reports warm-started flows.
-        let warm_started = |report: &str| -> u64 {
-            report
-                .lines()
-                .find(|line| line.starts_with("controller telemetry"))
-                .and_then(|line| line.split(',').next_back())
-                .and_then(|cell| cell.trim().split(' ').next())
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        // The flagless run stays cold only when the process default is cold (under
-        // BMP_INCREMENTAL=1 both runs warm-start, which the diff above already
-        // proves equivalent).
-        if !bmp_core::solver::default_incremental() {
-            assert_eq!(warm_started(&cold), 0, "{cold}");
-        }
-        assert!(warm_started(&warm) > 0, "{warm}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn repair_algorithm_flag_pins_the_chain_head() {
         let path = scheme_path();
         let output = run_args(vec![
@@ -965,12 +934,6 @@ mod tests {
                 scheme.clone(),
                 "--threads".into(),
                 "4".into(),
-            ],
-            // --incremental needs a solve (--instance) or a repair loop to act on.
-            vec![
-                "--scheme".to_string(),
-                scheme.clone(),
-                "--incremental".into(),
             ],
             // --repair-algorithm without --repair, and an unknown solver name.
             vec![

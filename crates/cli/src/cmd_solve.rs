@@ -16,7 +16,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
         "--cyclic",
         "--tolerance",
         "--threads",
-        "--incremental",
         "--out",
         "--dot",
     ],
@@ -89,11 +88,9 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
     let telemetry = &solution.telemetry;
     writeln!(
         out,
-        "telemetry  : {} flow solves, {} bisection iters, {} rescans skipped ({} edges patched), {:.3} ms",
+        "telemetry  : {} flow solves, {} bisection iters, {:.3} ms",
         telemetry.flow_solves,
         telemetry.bisection_iters,
-        telemetry.rescans_skipped,
-        telemetry.edges_patched,
         telemetry.wall_time.as_secs_f64() * 1e3
     )?;
     Ok(())
@@ -106,10 +103,7 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
 /// `--algorithm cyclic-open`), `--tolerance EPS` (dichotomic search precision, default
 /// `1e-9`), `--threads N` (flow-evaluation fan-out over the persistent worker pool:
 /// `1` sequential — the default — `N > 1` up to N concurrent lanes, `0` the
-/// instance-size heuristic; the reported throughput is bit-identical either way),
-/// `--incremental` (warm residual reuse: consecutive dichotomic probes start each
-/// max-flow from the previous probe's retained residual instead of a cold solve — on by
-/// default when `BMP_INCREMENTAL` is set, bit-identical report either way), `--out
+/// instance-size heuristic; the reported throughput is bit-identical either way), `--out
 /// FILE` (write the scheme as JSON), `--dot FILE` (write a Graphviz rendering).
 ///
 /// # Errors
@@ -125,7 +119,6 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
 
     let mut ctx = EvalCtx::with_tolerance(tolerance);
     ctx.set_parallelism(threads);
-    ctx.set_incremental(args.has("--incremental") || bmp_core::solver::default_incremental());
     let solution = solver.solve(&instance, &mut ctx)?;
     report(&solution, out)?;
 
@@ -259,24 +252,6 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains("--threads"), "{err}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn incremental_flag_changes_nothing_but_wall_time() {
-        let path = write_figure1();
-        let cold = run_args(&["--instance".into(), path.clone()]).unwrap();
-        let warm = run_args(&["--instance".into(), path.clone(), "--incremental".into()]).unwrap();
-        // The bit-identity contract: warm residual reuse may only change the telemetry
-        // timing line, never the word, throughput, or scheme.
-        let stable = |report: &str| {
-            report
-                .lines()
-                .filter(|line| !line.starts_with("telemetry"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(stable(&cold), stable(&warm), "--incremental");
         std::fs::remove_file(path).ok();
     }
 

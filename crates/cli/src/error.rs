@@ -13,6 +13,8 @@ pub enum CliError {
     Json(String),
     /// An algorithm reported an error (infeasible throughput, unsupported instance, …).
     Algorithm(String),
+    /// A well-formed scheme document violates its feasibility constraints.
+    InvalidScheme(String),
 }
 
 impl fmt::Display for CliError {
@@ -22,6 +24,7 @@ impl fmt::Display for CliError {
             CliError::Io(msg) => write!(f, "I/O error: {msg}"),
             CliError::Json(msg) => write!(f, "JSON error: {msg}"),
             CliError::Algorithm(msg) => write!(f, "algorithm error: {msg}"),
+            CliError::InvalidScheme(msg) => write!(f, "invalid scheme: {msg}"),
         }
     }
 }
@@ -70,6 +73,9 @@ mod tests {
         assert!(CliError::Algorithm("x".into())
             .to_string()
             .starts_with("algorithm"));
+        assert!(CliError::InvalidScheme("x".into())
+            .to_string()
+            .starts_with("invalid scheme"));
     }
 
     #[test]

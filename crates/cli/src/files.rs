@@ -247,6 +247,44 @@ mod tests {
     }
 
     #[test]
+    fn invalid_instance_documents_are_json_errors() {
+        // The instance reader validates like `Instance::new_presorted`, whether the
+        // instance stands alone or is embedded in a scheme document.
+        let cases = [
+            (
+                "count",
+                r#"{"bandwidths":[10,5,3],"n":5,"m":1}"#,
+                "expected n + m + 1",
+            ),
+            (
+                "negative",
+                r#"{"bandwidths":[10,4,3,-5],"n":2,"m":1}"#,
+                "invalid bandwidth -5",
+            ),
+            (
+                "overflow",
+                r#"{"bandwidths":[10,1e400,3,4],"n":2,"m":1}"#,
+                "invalid bandwidth inf",
+            ),
+        ];
+        for (tag, instance, expected) in cases {
+            let path = temp_path(tag);
+            let path = path.to_str().unwrap();
+            std::fs::write(path, instance).unwrap();
+            match read_instance(path) {
+                Err(CliError::Json(message)) => assert!(message.contains(expected), "{message}"),
+                other => panic!("{tag}: expected a JSON error, got {other:?}"),
+            }
+            std::fs::remove_file(path).ok();
+            let scheme = format!(r#"{{"format":2,"instance":{instance},"edges":[]}}"#);
+            match read_scheme_text(tag, &scheme) {
+                Err(CliError::Json(message)) => assert!(message.contains(expected), "{message}"),
+                other => panic!("{tag} scheme: expected a JSON error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn write_text_creates_parent_directories() {
         let dir = temp_path("nested");
         let path = dir.join("deep/file.txt");

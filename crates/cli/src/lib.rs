@@ -65,7 +65,8 @@ flags are rejected with the subcommand's accepted flag list.
 `simulate --churn \"5:busiest;12:+3\"` injects scheduled departures/rejoins and
 reports delivered goodput; adding `--repair` re-solves the surviving platform
 on every membership change and hot-swaps the repaired overlay mid-broadcast.
-With `--instance` the command solves and simulates in one shot.
+With `--instance` the command solves and simulates in one shot. A `--scheme`
+file that violates its constraints is refused; `verify` lists the violations.
 ";
 
 /// Parses `args` (excluding the binary name) and runs the corresponding subcommand, writing

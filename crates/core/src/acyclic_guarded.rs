@@ -90,8 +90,8 @@ impl AcyclicGuardedSolver {
     }
 
     /// [`AcyclicGuardedSolver::optimal_throughput_traced`] warm-started from a
-    /// caller-known throughput hint ([`DichotomicSearch::maximize_from`]): the incremental
-    /// repair path seeds the bisection with the residual throughput its probe already
+    /// caller-known throughput hint ([`DichotomicSearch::maximize_from`]): the repair
+    /// path seeds the bisection with the residual throughput its probe already
     /// verified, so the search starts from a bracket `[residual, upper]` instead of
     /// `[0, upper]`. The hint is probed, not trusted — a residual above the acyclic
     /// optimum (a cyclic deployed overlay) is refuted and merely narrows the bracket

@@ -29,12 +29,9 @@
 //!   bisection probes, wall time).
 //! * [`solver::EvalCtx`] — the *explicit* evaluation context owning the flow arena and
 //!   solver workspace. It is the primary throughput-evaluation path (the thread-local in
-//!   [`scheme`] remains only as a convenience fallback for ad-hoc calls) and it makes
-//!   re-evaluation incremental end-to-end: every scheme mutation is journaled
-//!   ([`scheme`]'s dirty-edge journal), so re-scoring a scheme whose edge set is
-//!   unchanged patches only the journaled capacities into the retained arena — no
-//!   rescan of the scheme's rows, no CSR rebuild — observable as
-//!   [`solver::Telemetry::rescans_skipped`].
+//!   [`scheme`] remains only as a convenience fallback for ad-hoc calls). It retains
+//!   its arena across evaluations: re-scoring a scheme whose edge set is unchanged
+//!   rewrites the capacities in place instead of rebuilding the CSR arena.
 //! * [`solver::registry`] — enumerates the built-in solvers (`acyclic-guarded`,
 //!   `acyclic-open`, `cyclic-open`, `exhaustive`, `omega-word`, `auto`); downstream
 //!   crates append their own implementations (`bmp-trees` ships a tree-decomposition

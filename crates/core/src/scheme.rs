@@ -44,49 +44,12 @@
 //! is read like any other hand-edited value: the setters forbid it, and
 //! [`BroadcastScheme::validate`] flags it and charges it to the sender's bandwidth.
 //!
-//! # The dirty-edge journal
+//! # Evaluation
 //!
-//! Search loops (the dichotomic drivers, the churn degradation probes, the benchmarks)
-//! evaluate long runs of near-identical schemes. Every mutation maintains a journal that
-//! [`crate::solver::EvalCtx`] consumes to patch the capacities of its cached flow arena
-//! instead of collecting the edge list again:
-//!
-//! * every scheme object carries a process-unique [`BroadcastScheme::eval_id`] (fresh on
-//!   construction, clone and deserialization — two objects never share an id, so a cached
-//!   arena can be associated with exactly one scheme);
-//! * [`BroadcastScheme::set_rate`] / [`BroadcastScheme::add_rate`] compare the old and
-//!   new value against [`RATE_EPS`]: a mutation that creates or removes an *edge* bumps
-//!   [`BroadcastScheme::edge_epoch`] (the edge set changed — evaluators must rebuild),
-//!   while a capacity-only change on an existing edge appends the touched `(from, to)`
-//!   pair to the journal;
-//! * the journal is addressed by *absolute* cursors ([`BroadcastScheme::journal_bounds`]
-//!   / [`BroadcastScheme::journal_since`]) and compacts itself once it exceeds a few
-//!   entries per node: a caught-up evaluator keeps patching after compaction, a stale one
-//!   falls back to the full scan — never to a wrong answer;
-//! * [`BroadcastScheme::prune_dust`] only drops rates that are already below
-//!   [`RATE_EPS`], i.e. values that were never edges, so it touches neither the epoch nor
-//!   the journal.
-//!
-//! The journal is pure bookkeeping: it is excluded from equality and from the document
-//! (a deserialized scheme starts with a fresh id and an empty journal).
-//!
-//! The journal was built to avoid an O(n²) scan of the dense matrix. With sparse rows the
-//! full scan is O(n + m), so the journal's remaining saving is small. It stays for now
-//! because [`crate::solver::EvalCtx`] and its callers key their caches on
-//! `eval_id`/`edge_epoch`. Keeping it lets this storage change leave every evaluation
-//! bit-identical. Retiring it is a separate simplification.
-//!
-//! # Copy-on-probe: how to write a search loop that stays fast
-//!
-//! The journal fast path keys on *object identity*: a [`BroadcastScheme::eval_id`] is
-//! fresh on every construction, clone and deserialization, so an evaluation context can
-//! associate its cached arena with exactly one object. The flip side: a search that
-//! clones the scheme *inside* its probe loop hands the context a brand-new identity on
-//! every probe and silently pays the full rescan and arena rebuild each time. The intended
-//! idiom — used by `churn::degradation_tolerance` and every dichotomic driver — is
-//! **copy-on-probe**: clone **one working copy** before the loop, then mutate that same
-//! object in place per probe, so every mutation lands in its journal and every
-//! re-evaluation patches a handful of capacities instead of rescanning the rows:
+//! [`BroadcastScheme::throughput`] builds a one-shot flow arena per call. Loops that score
+//! many schemes over the same instance should go through a [`crate::solver::EvalCtx`],
+//! which retains its arena and rewrites the capacities in place while the edge set stays
+//! the same:
 //!
 //! ```
 //! use bmp_core::scheme::BroadcastScheme;
@@ -94,24 +57,17 @@
 //! use bmp_platform::Instance;
 //!
 //! let instance = Instance::open_only(4.0, vec![2.0, 1.0]).unwrap();
-//! let mut nominal = BroadcastScheme::new(instance);
-//! nominal.set_rate(0, 1, 2.0);
-//! nominal.set_rate(0, 2, 1.0);
-//! nominal.set_rate(1, 2, 1.0);
+//! let mut scheme = BroadcastScheme::new(instance);
+//! scheme.set_rate(0, 1, 2.0);
+//! scheme.set_rate(0, 2, 1.0);
+//! scheme.set_rate(1, 2, 1.0);
+//! assert_eq!(scheme.throughput(), 2.0);
 //!
 //! let mut ctx = EvalCtx::new();
-//! # ctx.set_journal_enabled(true); // the CI matrix exports BMP_DISABLE_JOURNAL=1
-//! // ONE clone for the whole search, made before the loop. (A clone per probe would
-//! // carry a fresh `eval_id` each time — full rescan on every evaluation.)
-//! let mut probe = nominal.clone();
-//! let baseline = ctx.throughput(&probe); // first evaluation builds + caches the arena
 //! for step in 1..=4 {
-//!     let scale = 1.0 - 0.1 * f64::from(step);
-//!     probe.set_rate(0, 1, 2.0 * scale); // capacity-only change: journaled
-//!     let degraded = ctx.throughput(&probe); // patches 1 capacity, skips the rescan
-//!     assert!(degraded <= baseline);
+//!     scheme.set_rate(0, 1, 2.0 - 0.25 * f64::from(step)); // same edges, new rate
+//!     assert_eq!(ctx.throughput(&scheme), scheme.throughput());
 //! }
-//! assert_eq!(ctx.rescans_skipped(), 4);
 //! assert_eq!(ctx.arena_builds(), 1);
 //! ```
 
@@ -119,7 +75,6 @@ use bmp_flow::{eps, FlowArena, FlowSolver};
 use bmp_platform::node::degree_lower_bound;
 use bmp_platform::{Instance, NodeClass, NodeId};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     /// Convenience fallback workspace for the inherent evaluation methods below.
@@ -170,49 +125,15 @@ pub enum SchemeViolation {
     },
 }
 
-/// Source of process-unique scheme identities (never reused, so an evaluation context can
-/// safely key its cached arena by id).
-static NEXT_EVAL_ID: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_eval_id() -> u64 {
-    NEXT_EVAL_ID.fetch_add(1, Ordering::Relaxed)
-}
-
 /// One sender's stored rates: `(to, rate)` pairs sorted by `to`, no exact zeros.
 type Row = Vec<(NodeId, f64)>;
 
 /// A broadcast scheme over a given instance.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BroadcastScheme {
     instance: Instance,
     /// `rows[from]`: the nonzero rates `from` sends (see the module docs).
     rows: Vec<Row>,
-    /// Process-unique identity of this object (see the module docs).
-    eval_id: u64,
-    /// Incremented whenever a mutation creates or removes an edge.
-    edge_epoch: u64,
-    /// Absolute cursor of `journal[0]` (grows on compaction; see the module docs).
-    journal_base: u64,
-    /// Touched `(from, to)` pairs of capacity-only mutations since the last epoch bump or
-    /// compaction, oldest first.
-    journal: Vec<(NodeId, NodeId)>,
-}
-
-impl Clone for BroadcastScheme {
-    /// Clones the instance and the rates; the clone is a *new* evaluation identity with a
-    /// fresh [`BroadcastScheme::eval_id`] and an empty journal (the original and the clone
-    /// may diverge independently, so they must not share journal state).
-    fn clone(&self) -> Self {
-        Self::from_rows(self.instance.clone(), self.rows.clone())
-    }
-}
-
-impl PartialEq for BroadcastScheme {
-    /// Equality is semantic: same instance, same rates. The journal bookkeeping is
-    /// per-object state and does not participate.
-    fn eq(&self, other: &Self) -> bool {
-        self.instance == other.instance && self.rows == other.rows
-    }
 }
 
 impl serde::Serialize for BroadcastScheme {
@@ -236,8 +157,7 @@ impl serde::Serialize for BroadcastScheme {
 
 impl serde::Deserialize for BroadcastScheme {
     /// Reads format 2 or a dense document without a `format` field, rejecting malformed
-    /// rates with a typed error. The scheme gets a fresh evaluation identity and an empty
-    /// journal (a document knows nothing about the mutation history of its source).
+    /// rates with a typed error.
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         let obj = value
             .as_object()
@@ -258,7 +178,7 @@ impl serde::Deserialize for BroadcastScheme {
                 )))
             }
         };
-        Ok(Self::from_rows(instance, rows))
+        Ok(BroadcastScheme { instance, rows })
     }
 }
 
@@ -322,19 +242,7 @@ impl BroadcastScheme {
     #[must_use]
     pub fn new(instance: Instance) -> Self {
         let rows = vec![Row::new(); instance.num_nodes()];
-        Self::from_rows(instance, rows)
-    }
-
-    /// A scheme with the given rows, a fresh identity and an empty journal.
-    fn from_rows(instance: Instance, rows: Vec<Row>) -> Self {
-        BroadcastScheme {
-            instance,
-            rows,
-            eval_id: fresh_eval_id(),
-            edge_epoch: 0,
-            journal_base: 0,
-            journal: Vec::new(),
-        }
+        BroadcastScheme { instance, rows }
     }
 
     /// The underlying instance.
@@ -351,120 +259,34 @@ impl BroadcastScheme {
             .map_or(0.0, |pos| row[pos].1)
     }
 
-    /// Stores `rate` as `c_{from,to}` (dropping the entry when it is exactly zero) and
-    /// returns the previous value.
-    fn store(&mut self, from: NodeId, to: NodeId, rate: f64) -> f64 {
-        assert_ne!(from, to, "a node cannot send to itself");
-        let n = self.instance.num_nodes();
-        assert!(to < n, "receiver {to} out of range for {n} nodes");
-        let row = &mut self.rows[from];
-        match row.binary_search_by_key(&to, |&(to, _)| to) {
-            Ok(pos) if rate == 0.0 => row.remove(pos).1,
-            Ok(pos) => std::mem::replace(&mut row[pos].1, rate),
-            Err(pos) => {
-                if rate != 0.0 {
-                    row.insert(pos, (to, rate));
-                }
-                0.0
-            }
-        }
-    }
-
-    /// Sets the transfer rate `c_{from,to}`, journaling the change (see the module docs).
+    /// Sets the transfer rate `c_{from,to}` (an exact zero drops the entry).
     ///
     /// # Panics
     ///
     /// Panics if `from == to` or either node is out of range.
     pub fn set_rate(&mut self, from: NodeId, to: NodeId, rate: f64) {
-        let old = self.store(from, to, rate);
-        self.record_rate_change(from, to, old, rate);
+        assert_ne!(from, to, "a node cannot send to itself");
+        let n = self.instance.num_nodes();
+        assert!(to < n, "receiver {to} out of range for {n} nodes");
+        let row = &mut self.rows[from];
+        match row.binary_search_by_key(&to, |&(to, _)| to) {
+            Ok(pos) if rate == 0.0 => {
+                row.remove(pos);
+            }
+            Ok(pos) => row[pos].1 = rate,
+            Err(pos) if rate != 0.0 => row.insert(pos, (to, rate)),
+            Err(_) => {}
+        }
     }
 
-    /// Adds `delta` to the transfer rate `c_{from,to}` (clamping tiny negative results to 0),
-    /// journaling the change (see the module docs).
+    /// Adds `delta` to the transfer rate `c_{from,to}` (clamping tiny negative results to 0).
     ///
     /// # Panics
     ///
     /// Panics if `from == to` or either node is out of range.
     pub fn add_rate(&mut self, from: NodeId, to: NodeId, delta: f64) {
         let new = eps::clamp_nonnegative(self.rate(from, to) + delta);
-        let old = self.store(from, to, new);
-        self.record_rate_change(from, to, old, new);
-    }
-
-    /// Journal capacity before compaction: a few entries per node, with a floor so tiny
-    /// instances can still buffer a whole search round.
-    fn journal_capacity(&self) -> usize {
-        (4 * self.instance.num_nodes()).max(256)
-    }
-
-    /// Maintains the dirty-edge journal for one rate write (see the module docs): an
-    /// edge-set change bumps the epoch, a capacity change on an existing edge is appended
-    /// to the journal, and a dust-level change (never an edge either way) is ignored.
-    fn record_rate_change(&mut self, from: NodeId, to: NodeId, old: f64, new: f64) {
-        if old == new {
-            return;
-        }
-        let was_edge = old > RATE_EPS;
-        let is_edge = new > RATE_EPS;
-        if was_edge != is_edge {
-            self.edge_epoch += 1;
-            self.journal_base += self.journal.len() as u64;
-            self.journal.clear();
-        } else if is_edge {
-            if self.journal.len() >= self.journal_capacity() {
-                // Compaction: drop the buffered entries but keep the absolute cursor
-                // space monotone. Evaluators that already consumed everything up to the
-                // new base keep patching; stale ones fall back to a full scan.
-                self.journal_base += self.journal.len() as u64;
-                self.journal.clear();
-            }
-            self.journal.push((from, to));
-        }
-    }
-
-    /// Process-unique identity of this scheme object (see the module docs).
-    #[must_use]
-    pub fn eval_id(&self) -> u64 {
-        self.eval_id
-    }
-
-    /// Number of edge-set-changing mutations this object has seen. Two evaluations of the
-    /// same object with equal epochs are guaranteed to see the same edge *set* (only
-    /// capacities may differ, and every difference is journaled).
-    #[must_use]
-    pub fn edge_epoch(&self) -> u64 {
-        self.edge_epoch
-    }
-
-    /// Absolute `(base, end)` cursor range of the currently buffered journal entries.
-    ///
-    /// An evaluator that consumed the journal up to cursor `c` can later patch
-    /// incrementally iff `base <= c` (no compaction swallowed unseen entries) and the
-    /// epoch is unchanged; the entries to apply are [`BroadcastScheme::journal_since`]`(c)`.
-    #[must_use]
-    pub fn journal_bounds(&self) -> (u64, u64) {
-        (
-            self.journal_base,
-            self.journal_base + self.journal.len() as u64,
-        )
-    }
-
-    /// The journaled `(from, to)` pairs from absolute cursor `cursor` onwards, oldest
-    /// first. Pairs may repeat; each is an edge of the current edge set whose rate
-    /// changed since `cursor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cursor` lies outside [`BroadcastScheme::journal_bounds`].
-    #[must_use]
-    pub fn journal_since(&self, cursor: u64) -> &[(NodeId, NodeId)] {
-        let (base, end) = self.journal_bounds();
-        assert!(
-            (base..=end).contains(&cursor),
-            "journal cursor {cursor} outside the buffered range {base}..={end}"
-        );
-        &self.journal[(cursor - base) as usize..]
+        self.set_rate(from, to, new);
     }
 
     /// Total rate sent by `node`.
@@ -631,45 +453,6 @@ impl BroadcastScheme {
         FLOW_SOLVER.with(|solver| solver.borrow_mut().min_max_flow(&arena, 0, &receivers))
     }
 
-    /// Like [`BroadcastScheme::throughput`], but fanning the receivers out across the
-    /// persistent worker pool ([`bmp_flow::FlowPool::global`]) with up to `threads`
-    /// concurrent lanes (long-lived workers with warm solver workspaces; this thread
-    /// works a share itself).
-    ///
-    /// Worth it for large instances only; the sequential batched evaluator wins below a
-    /// few hundred nodes. The pool is shared and capped, so calls from inside an
-    /// already-parallel sweep stay bounded — but such callers should still prefer
-    /// [`BroadcastScheme::throughput`], as the outer fan-out owns the cores. Searches
-    /// re-evaluating near-identical schemes should use an
-    /// [`crate::solver::EvalCtx`] with [`crate::solver::EvalCtx::set_parallelism`]
-    /// instead: it retains the arena across probes, which this convenience method
-    /// rebuilds per call.
-    #[must_use]
-    pub fn throughput_parallel(&self, threads: usize) -> f64 {
-        let receivers: Vec<NodeId> = self.instance.receivers().collect();
-        if threads.min(receivers.len()) <= 1 {
-            return self.throughput();
-        }
-        let arena = std::sync::Arc::new(self.to_flow_arena());
-        bmp_flow::FlowPool::global().min_max_flow(&arena, 0, &receivers, threads)
-    }
-
-    /// [`BroadcastScheme::throughput`] with the worker count picked by
-    /// [`bmp_flow::suggested_flow_threads`]: sequential below the fan-out break-even
-    /// (small instances), scoped-thread parallel above it (n ≥ 1000 overlays).
-    #[must_use]
-    pub fn throughput_auto(&self) -> f64 {
-        let threads = bmp_flow::suggested_flow_threads(
-            self.instance.num_nodes(),
-            self.instance.receivers().count(),
-        );
-        if threads <= 1 {
-            self.throughput()
-        } else {
-            self.throughput_parallel(threads)
-        }
-    }
-
     /// Topological order of the scheme's digraph if it is acyclic, `None` otherwise.
     ///
     /// The returned order always starts with the source when the source has no incoming
@@ -717,8 +500,7 @@ impl BroadcastScheme {
     ///
     /// Dust is never an edge ([`BroadcastScheme::edges`] and the flow views share the
     /// strict `> RATE_EPS` threshold), so dropping it changes neither the edge set nor any
-    /// edge capacity: the journal and the epoch are deliberately left untouched, and a
-    /// journal-patching evaluator remains exact across a prune.
+    /// edge capacity.
     pub fn prune_dust(&mut self) {
         for row in &mut self.rows {
             row.retain(|&(_, rate)| rate > RATE_EPS || rate.is_nan());
@@ -733,8 +515,8 @@ impl BroadcastScheme {
     }
 
     /// Like [`BroadcastScheme::edges`], but writing into `buf` (cleared first) so repeat
-    /// callers — the incremental arena cache of [`crate::solver::EvalCtx`] — reuse one
-    /// allocation across evaluations.
+    /// callers — the retained arena of [`crate::solver::EvalCtx`] — reuse one allocation
+    /// across evaluations.
     pub fn edges_into(&self, buf: &mut Vec<(NodeId, NodeId, f64)>) {
         buf.clear();
         buf.extend(self.nonzero_rates());
@@ -918,8 +700,6 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             let batched = scheme.throughput();
             assert_eq!(batched, naive, "batched {batched} vs naive {naive}");
-            let parallel = scheme.throughput_parallel(4);
-            assert_eq!(parallel, naive, "parallel {parallel} vs naive {naive}");
             assert!(
                 (batched - expected).abs() < 1e-9,
                 "expected {expected}, got {batched}"
@@ -1069,95 +849,6 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: BroadcastScheme = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
-    }
-
-    #[test]
-    fn journal_records_capacity_changes_and_epochs_edge_set_changes() {
-        let mut s = BroadcastScheme::new(figure1());
-        let epoch0 = s.edge_epoch();
-        assert_eq!(s.journal_bounds(), (0, 0));
-        // Creating an edge is an edge-set change: epoch bump, no journal entry.
-        s.set_rate(0, 1, 2.0);
-        assert_eq!(s.edge_epoch(), epoch0 + 1);
-        assert_eq!(s.journal_bounds(), (0, 0));
-        // Moving an existing edge's rate is journaled.
-        s.set_rate(0, 1, 3.0);
-        s.add_rate(0, 1, 0.5);
-        assert_eq!(s.edge_epoch(), epoch0 + 1);
-        let (base, end) = s.journal_bounds();
-        assert_eq!(end - base, 2);
-        assert_eq!(s.journal_since(base), &[(0, 1), (0, 1)]);
-        // Writing the identical value is not a change at all.
-        s.set_rate(0, 1, 3.5);
-        assert_eq!(s.journal_bounds(), (base, end));
-        // Removing the edge bumps the epoch and flushes the journal.
-        s.set_rate(0, 1, 0.0);
-        assert_eq!(s.edge_epoch(), epoch0 + 2);
-        let (base2, end2) = s.journal_bounds();
-        assert_eq!(base2, end2);
-        // Dust-to-dust writes are invisible to the journal.
-        s.set_rate(0, 2, RATE_EPS / 2.0);
-        assert_eq!(s.edge_epoch(), epoch0 + 2);
-        assert_eq!(s.journal_bounds(), (base2, end2));
-    }
-
-    #[test]
-    fn journal_compaction_keeps_absolute_cursors_monotone() {
-        let mut s = BroadcastScheme::new(figure1());
-        s.set_rate(0, 1, 1.0);
-        let capacity = (4 * s.instance().num_nodes()).max(256);
-        for k in 0..capacity {
-            s.set_rate(0, 1, 2.0 + k as f64);
-        }
-        let (_, end) = s.journal_bounds();
-        assert_eq!(end, capacity as u64);
-        // The next journaled write exceeds the capacity: the buffer compacts, the
-        // absolute end keeps growing, and a cursor inside the dropped range is rejected.
-        s.set_rate(0, 1, 1.5);
-        let (base, end) = s.journal_bounds();
-        assert_eq!(base, capacity as u64);
-        assert_eq!(end, capacity as u64 + 1);
-        assert_eq!(s.journal_since(base).len(), 1);
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.journal_since(base - 1)
-        }))
-        .is_err());
-    }
-
-    #[test]
-    fn clone_and_deserialization_reset_the_evaluation_identity() {
-        let mut s = figure1_optimal_scheme();
-        s.set_rate(0, 1, 0.3);
-        let clone = s.clone();
-        assert_eq!(clone, s);
-        assert_ne!(clone.eval_id(), s.eval_id());
-        assert_eq!(clone.edge_epoch(), 0);
-        assert_eq!(clone.journal_bounds(), (0, 0));
-        let back: BroadcastScheme =
-            serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
-        assert_eq!(back, s);
-        assert_ne!(back.eval_id(), s.eval_id());
-        assert_eq!(back.journal_bounds(), (0, 0));
-    }
-
-    #[test]
-    fn prune_dust_leaves_the_journal_untouched() {
-        let mut s = BroadcastScheme::new(figure1());
-        s.set_rate(0, 2, 2.0);
-        s.set_rate(0, 2, 2.5); // journaled
-        s.set_rate(0, 1, 1e-12); // dust, invisible
-        let epoch = s.edge_epoch();
-        let bounds = s.journal_bounds();
-        s.prune_dust();
-        assert_eq!(s.edge_epoch(), epoch);
-        assert_eq!(s.journal_bounds(), bounds);
-        assert_eq!(s.rate(0, 1), 0.0);
-    }
-
-    #[test]
-    fn throughput_auto_matches_sequential_evaluation() {
-        let s = figure1_optimal_scheme();
-        assert_eq!(s.throughput_auto(), s.throughput());
     }
 
     #[test]

@@ -9,12 +9,7 @@
 //! as telemetry ([`crate::solver::Telemetry::bisection_iters`]).
 //!
 //! The search is plain bisection: one probe per step, each probe a call of the caller's
-//! monotone predicate. It composes with warm residual reuse (`EvalCtx::set_incremental`
-//! / `bmp_flow::incremental`): the search itself only sees verdicts, but the flow-backed
-//! predicates it drives evaluate near-identical capacity vectors probe after probe, so
-//! each probe's max-flows can start from the previous probe's retained residual. The
-//! warm path is constructed so every verdict, bracket and final value stays
-//! bit-identical to cold evaluation.
+//! monotone predicate.
 
 /// Dichotomic search over a monotone feasibility predicate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +64,7 @@ impl DichotomicSearch {
 
     /// [`DichotomicSearch::maximize`] warm-started from a caller-supplied bracket hint:
     /// a value the caller believes to be feasible (e.g. the verified residual throughput
-    /// of an already-deployed overlay, in the incremental repair path).
+    /// of an already-deployed overlay, in the repair path).
     ///
     /// The hint is advisory, never trusted: when `0 < lower_hint < upper` it is probed
     /// once after the initial `upper` probe, and the bracket starts at `[hint, upper]`

@@ -10,43 +10,25 @@
 //! * [`EvalCtx`] — an *explicit* flow-evaluation workspace owning the
 //!   [`FlowArena`] and [`FlowSolver`]. It replaces the hidden thread-local in
 //!   [`crate::scheme`] as the primary evaluation path and retains the arena across
-//!   evaluations. Scheme evaluations are incremental end-to-end: the context consumes
-//!   the dirty-edge journal of [`BroadcastScheme`] (see the `scheme` module docs), so a
-//!   re-evaluation of a scheme whose edge *set* is unchanged skips the O(n + m) scan of
-//!   the scheme's rows entirely and patches only the journaled capacities into the cached arena
-//!   ([`FlowArena::patch_edge_capacities`], resolved through a CSR edge-index map the
-//!   context maintains). An edge-set change (epoch bump), a different scheme object, or
-//!   a stale journal cursor falls back to the scan-plus-rewrite path
-//!   ([`FlowArena::set_edge_capacities`]), and a changed edge list rebuilds the arena.
-//!   The journal fast path is observable as [`Telemetry::rescans_skipped`] /
-//!   [`Telemetry::edges_patched`] and can be disabled per context
-//!   ([`EvalCtx::set_journal_enabled`]) for A/B measurement — or process-wide by
-//!   exporting `BMP_DISABLE_JOURNAL=1` (read once per [`EvalCtx::new`]; the CI matrix
-//!   uses it to keep the scan path covered).
+//!   evaluations. Every scheme evaluation takes one path: scan the scheme's sparse rows
+//!   ([`BroadcastScheme::edges_into`], O(n + m)); rewrite the retained arena's
+//!   capacities in place when the edge set is unchanged
+//!   ([`FlowArena::set_edge_capacities`]), rebuild it otherwise; then run cold Dinic
+//!   over the receivers.
 //!
 //! # Parallel evaluation
 //!
 //! [`EvalCtx::set_parallelism`] switches `throughput` evaluations onto the process-wide
-//! persistent worker pool ([`bmp_flow::FlowPool::global`]): the journaled (or scanned)
-//! capacities are patched into the retained arena exactly as in the sequential path,
-//! then the per-receiver max-flows fan out across long-lived workers, the submitting
-//! thread working a share on the context's own solver. Values **and** the
-//! [`Telemetry`] counters (`flow_solves`, `rescans_skipped`, `edges_patched`) are
-//! bit-for-bit identical to sequential evaluation — the fan-out only changes wall time —
-//! which the conformance suite asserts for every registry solver. `0` selects the
-//! [`bmp_flow::suggested_flow_threads`] heuristic per evaluation; the default of `1`
-//! stays sequential, which is also the right setting inside already-parallel sweeps
-//! (the pool is shared and capped, but the outer fan-out owns the cores — see
+//! persistent worker pool ([`bmp_flow::FlowPool::global`]): the capacities are written
+//! into the retained arena exactly as in the sequential path, then the per-receiver
+//! max-flows fan out across long-lived workers, the submitting thread working a share on
+//! the context's own solver. Values **and** the [`Telemetry`] counters are bit-for-bit
+//! identical to sequential evaluation — the fan-out only changes wall time — which the
+//! conformance suite asserts for every registry solver. `0` (the default) selects the
+//! [`bmp_flow::suggested_flow_threads`] heuristic per evaluation; `1` stays sequential,
+//! which is the right setting inside already-parallel sweeps (the pool is shared and
+//! capped, but the outer fan-out owns the cores — see
 //! `bmp_experiments::parallel::eval_parallelism`).
-//!
-//! # Copy-on-probe
-//!
-//! The journal fast path keys on *object identity* ([`BroadcastScheme::eval_id`]): a
-//! search that clones the scheme per probe hands the context a fresh, journal-less
-//! object every time and silently pays the full rescan. Clone **one working
-//! copy** before the loop and mutate it in place per probe instead — see the
-//! "Copy-on-probe" section of the [`crate::scheme`] module docs for the doctest'd
-//! pattern (`churn::degradation_tolerance` is the in-tree exemplar).
 //!
 //! Every solver verifies its own output before returning: the constructed scheme is
 //! re-scored by max-flow through the context and a shortfall against the claimed
@@ -87,20 +69,6 @@ pub struct Telemetry {
     pub flow_solves: u64,
     /// Number of feasibility probes spent by dichotomic searches.
     pub bisection_iters: u64,
-    /// Number of scheme evaluations that skipped the full rescan of the scheme's rows by
-    /// consuming the scheme's dirty-edge journal instead.
-    pub rescans_skipped: u64,
-    /// Total edge capacities patched into the cached arena by journaled evaluations.
-    pub edges_patched: u64,
-    /// Per-sink solves that warm-started from a retained residual state instead of
-    /// `load_caps` + Dinic from scratch (zero unless incremental mode is enabled).
-    pub flows_warm_started: u64,
-    /// Warm-started solves answered by the retained flow value alone — no augmentation
-    /// at all (at most [`Telemetry::flows_warm_started`]).
-    pub augment_saved: u64,
-    /// Drain operations performed while applying capacity deltas to warm states
-    /// (committed flow pushed back along reverse residual paths).
-    pub excess_drained: u64,
     /// Wall-clock time of the solve, including verification.
     pub wall_time: Duration,
 }
@@ -126,14 +94,6 @@ pub struct Solution {
     pub telemetry: Telemetry,
 }
 
-/// Whether `BMP_DISABLE_JOURNAL` requests the scan-based evaluation path (any non-empty
-/// value other than `0`). Read once per context construction.
-fn journal_disabled_by_env() -> bool {
-    std::env::var("BMP_DISABLE_JOURNAL")
-        .map(|value| !value.is_empty() && value != "0")
-        .unwrap_or(false)
-}
-
 /// Speculation depth of the dichotomic searches: always `0`, since every search
 /// probes one midpoint at a time.
 #[must_use]
@@ -141,104 +101,111 @@ pub fn default_speculation() -> usize {
     0
 }
 
-/// Whether the `BMP_INCREMENTAL` environment variable requests warm residual reuse
-/// (read once): unset, empty, `0` or `off` mean cold
-/// evaluation; any other value enables incremental mode.
-fn incremental_from_env() -> bool {
-    match std::env::var("BMP_INCREMENTAL") {
-        Err(_) => false,
-        Ok(value) => {
-            let value = value.trim().to_ascii_lowercase();
-            !(value.is_empty() || value == "0" || value == "off")
+/// Whether contexts start with warm residual reuse: always `false`, since every
+/// evaluation runs cold Dinic. Kept because the benchmark harness records it among the
+/// program defaults.
+#[must_use]
+pub fn default_incremental() -> bool {
+    false
+}
+
+/// A retained flow arena plus the edge endpoints it was built over.
+#[derive(Debug, Clone, Default)]
+struct RetainedArena {
+    /// Behind an [`Arc`] so pooled evaluations can hand it to the persistent worker pool
+    /// without copying; workers drop their clones before an evaluation returns, so
+    /// [`Arc::make_mut`] rewrites it in place exactly like a plain field.
+    arena: Option<Arc<FlowArena>>,
+    nodes: usize,
+    /// Endpoints of the arena's edges, in edge order.
+    edges: Vec<(NodeId, NodeId)>,
+}
+
+impl RetainedArena {
+    /// Points the arena at `edges`: an in-place capacity rewrite when the edge set
+    /// (endpoints, in order) is unchanged, a CSR rebuild otherwise. Returns whether it
+    /// rebuilt. `caps` is scratch space for the rewrite.
+    fn prepare(
+        &mut self,
+        num_nodes: usize,
+        edges: &[(NodeId, NodeId, f64)],
+        caps: &mut Vec<f64>,
+    ) -> bool {
+        let same_edges = self.nodes == num_nodes
+            && self.edges.len() == edges.len()
+            && self
+                .edges
+                .iter()
+                .zip(edges)
+                .all(|(&(from, to), &(from2, to2, _))| from == from2 && to == to2);
+        match self.arena.as_mut() {
+            Some(arena) if same_edges => {
+                caps.clear();
+                caps.extend(edges.iter().map(|&(_, _, cap)| cap));
+                Arc::make_mut(arena).set_edge_capacities(caps);
+                false
+            }
+            _ => {
+                self.arena = Some(Arc::new(FlowArena::from_edges(num_nodes, edges)));
+                self.nodes = num_nodes;
+                self.edges.clear();
+                self.edges
+                    .extend(edges.iter().map(|&(from, to, _)| (from, to)));
+                true
+            }
         }
+    }
+
+    /// The arena [`RetainedArena::prepare`] last pointed at its edges.
+    fn prepared(&self) -> &Arc<FlowArena> {
+        self.arena.as_ref().expect("arena prepared first")
     }
 }
 
-/// The cell holding the process-wide default incremental-mode flag, initialised from
-/// `BMP_INCREMENTAL` on first use.
-fn default_incremental_cell() -> &'static std::sync::atomic::AtomicBool {
-    static CELL: std::sync::OnceLock<std::sync::atomic::AtomicBool> = std::sync::OnceLock::new();
-    CELL.get_or_init(|| std::sync::atomic::AtomicBool::new(incremental_from_env()))
-}
-
-/// The process-wide default incremental-evaluation flag new contexts start from: the
-/// `BMP_INCREMENTAL` environment override unless [`set_default_incremental`] replaced it.
-#[must_use]
-pub fn default_incremental() -> bool {
-    default_incremental_cell().load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Replaces the process-wide default incremental-evaluation flag (returning the
-/// previous one) — the programmatic counterpart of `BMP_INCREMENTAL` behind the CLI's
-/// `--incremental` flag. Affects contexts constructed *after* the call, which is how
-/// one flag reaches every internally-constructed context (repair controllers, sweep
-/// workers, fleet shards) without threading a parameter through each layer;
-/// already-built contexts keep their setting ([`EvalCtx::set_incremental`] adjusts
-/// those).
-pub fn set_default_incremental(enabled: bool) -> bool {
-    default_incremental_cell().swap(enabled, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Association between the cached arena and the scheme object it was last pointed at:
-/// the scheme's identity, its edge epoch, and how far into its dirty-edge journal the
-/// arena's capacities are current.
-#[derive(Debug, Clone, Copy)]
-struct JournalAssoc {
-    scheme_id: u64,
-    epoch: u64,
-    cursor: u64,
+/// `min_k maxflow(source → sinks_k)` on `arena`: pooled when the fan-out `parallelism`
+/// (`0` = [`suggested_flow_threads`]) asks for more than one lane, sequential on
+/// `solver` otherwise. Bit-identical either way.
+fn min_max_on(
+    solver: &mut FlowSolver,
+    arena: &Arc<FlowArena>,
+    source: NodeId,
+    sinks: &[NodeId],
+    parallelism: usize,
+) -> f64 {
+    let threads = match parallelism {
+        0 => suggested_flow_threads(arena.num_nodes(), sinks.len()),
+        explicit => explicit,
+    };
+    if threads > 1 {
+        FlowPool::global().min_max_flow_with(solver, arena, source, sinks, threads)
+    } else {
+        solver.min_max_flow(arena, source, sinks)
+    }
 }
 
 /// Explicit flow-evaluation workspace: owns the arena and the solver buffers, retains
 /// the arena across evaluations, and counts work for [`Telemetry`].
 ///
-/// In steady state (re-probing the same scheme object with an unchanged edge set — the
-/// access pattern of every dichotomic search loop) an evaluation performs no scan of
-/// the scheme's rows, no CSR construction and no allocation: the journaled capacities are
-/// patched into the cached arena and the reusable [`FlowSolver`] buffers are refilled.
+/// In steady state (re-probing schemes with an unchanged edge set — the access pattern
+/// of every dichotomic search loop) an evaluation performs no CSR construction and no
+/// allocation: one O(n + m) scan of the scheme's rows rewrites the retained arena's
+/// capacities, and the reusable [`FlowSolver`] buffers are refilled.
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
     solver: FlowSolver,
-    /// Retained arena. Behind an [`Arc`] so parallel evaluations can hand it to the
-    /// persistent worker pool without copying; in steady state the context is the sole
-    /// owner (workers drop their clones before an evaluation returns), so
-    /// [`Arc::make_mut`] patches it in place exactly like a plain field.
-    arena: Option<Arc<FlowArena>>,
-    arena_nodes: usize,
-    /// Endpoints of the cached arena's edges, in edge order.
-    arena_edges: Vec<(NodeId, NodeId)>,
-    /// `(from, to) → edge index` into the cached arena; rebuilt lazily after an arena
-    /// rebuild, valid as long as the edge set is unchanged.
-    edge_index: std::collections::HashMap<(NodeId, NodeId), u32>,
-    edge_index_valid: bool,
-    /// Which scheme object (and journal position) the cached arena is current for.
-    journal_assoc: Option<JournalAssoc>,
+    /// Retained arena of scheme evaluations.
+    scheme_arena: RetainedArena,
     /// Retained arena of *explicit-edge* evaluations ([`EvalCtx::min_max_flow`] — the
     /// churn residual path), kept separate from the scheme arena so interleaving the two
-    /// kinds of evaluation costs neither its cache: a residual probe between two
-    /// journaled scheme re-probes no longer severs the journal association, and a sweep
-    /// alternating the two reuses both arenas in place. Behind an [`Arc`] for the same
-    /// reason as `arena`: the worker pool borrows it for the call.
-    explicit_arena: Option<Arc<FlowArena>>,
-    explicit_nodes: usize,
-    /// Endpoints of the cached explicit arena's edges, in edge order.
-    explicit_edges: Vec<(NodeId, NodeId)>,
-    /// Chicken bit: `false` forces the PR-2 scan-based path (for A/B benchmarks).
-    journal_enabled: bool,
+    /// kinds of evaluation costs neither its cache: a sweep alternating residual and
+    /// scheme probes rewrites both arenas in place.
+    explicit_arena: RetainedArena,
     /// Fan-out of `throughput` evaluations: `0` the per-evaluation size heuristic
     /// (default), `1` sequential, `> 1` dispatch onto the shared worker pool.
     parallelism: usize,
-    /// Warm residual reuse across evaluations: `false` (cold) unless
-    /// `BMP_INCREMENTAL` / [`set_default_incremental`] raised the process default or
-    /// [`EvalCtx::set_incremental`] set it here. Values are bit-identical either way
-    /// (see `bmp_flow::incremental`); only wall time and the warm counters move.
-    incremental: bool,
-    /// Warm residual states for incremental evaluation, keyed by arena epoch.
-    warm_cache: bmp_flow::WarmFlowCache,
     scratch_edges: Vec<(NodeId, NodeId, f64)>,
     scratch_filtered: Vec<(NodeId, NodeId, f64)>,
     scratch_caps: Vec<f64>,
-    scratch_patches: Vec<(usize, f64)>,
     scratch_sinks: Vec<NodeId>,
     tolerance: f64,
     /// Installed fault-injection script; `None` (production) makes every interception
@@ -252,11 +219,6 @@ pub struct EvalCtx {
     bisection_iters: u64,
     arena_builds: u64,
     arena_updates: u64,
-    rescans_skipped: u64,
-    edges_patched: u64,
-    flows_warm_started: u64,
-    augment_saved: u64,
-    excess_drained: u64,
 }
 
 impl Default for EvalCtx {
@@ -278,33 +240,16 @@ impl EvalCtx {
     }
 
     /// Creates a context whose dichotomic searches use relative precision `tolerance`.
-    ///
-    /// The dirty-edge journal starts enabled unless the `BMP_DISABLE_JOURNAL`
-    /// environment variable is set to a non-empty value other than `0` — the
-    /// process-wide kill switch the CI matrix uses to keep the scan-based path covered.
-    /// [`EvalCtx::set_journal_enabled`] overrides either way. Solutions, throughputs
-    /// and probe counts are bit-identical in both journal modes — only wall time moves.
     #[must_use]
     pub fn with_tolerance(tolerance: f64) -> Self {
         EvalCtx {
             solver: FlowSolver::new(),
-            arena: None,
-            arena_nodes: 0,
-            arena_edges: Vec::new(),
-            edge_index: std::collections::HashMap::new(),
-            edge_index_valid: false,
-            journal_assoc: None,
-            explicit_arena: None,
-            explicit_nodes: 0,
-            explicit_edges: Vec::new(),
-            journal_enabled: !journal_disabled_by_env(),
+            scheme_arena: RetainedArena::default(),
+            explicit_arena: RetainedArena::default(),
             parallelism: 0,
-            incremental: default_incremental(),
-            warm_cache: bmp_flow::WarmFlowCache::new(),
             scratch_edges: Vec::new(),
             scratch_filtered: Vec::new(),
             scratch_caps: Vec::new(),
-            scratch_patches: Vec::new(),
             scratch_sinks: Vec::new(),
             tolerance,
             injected_faults: None,
@@ -313,11 +258,6 @@ impl EvalCtx {
             bisection_iters: 0,
             arena_builds: 0,
             arena_updates: 0,
-            rescans_skipped: 0,
-            edges_patched: 0,
-            flows_warm_started: 0,
-            augment_saved: 0,
-            excess_drained: 0,
         }
     }
 
@@ -378,54 +318,12 @@ impl EvalCtx {
         self.bisection_iters += probes;
     }
 
-    /// Enables or disables warm residual reuse (incremental max-flow) for this
-    /// context's evaluations. When enabled, per-sink solves retain their residual
-    /// capacities per `(arena epoch, source, sink)` and the next probe applies the
-    /// capacity delta in place instead of `load_caps` + Dinic from scratch (see
-    /// `bmp_flow::incremental`). Verdicts, brackets, probe counts and solutions are
-    /// bit-identical either way; only wall time and the
-    /// [`EvalCtx::flows_warm_started`] / [`EvalCtx::augment_saved`] /
-    /// [`EvalCtx::excess_drained`] counters move. Certification always re-evaluates
-    /// cold regardless of this setting.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.incremental = enabled;
-        if !enabled {
-            self.warm_cache.clear();
-        }
-    }
-
-    /// Whether warm residual reuse is enabled. On a fresh context this reflects the
-    /// process default (`BMP_INCREMENTAL` unless [`set_default_incremental`] replaced
-    /// it).
-    #[must_use]
-    pub fn incremental(&self) -> bool {
-        self.incremental
-    }
-
-    /// Per-sink solves that warm-started from a retained residual state.
+    /// Per-sink solves warm-started from retained residual state: always `0`, since every
+    /// solve runs cold Dinic. Kept because the benchmark harness reports it as the repair
+    /// controller's warm share.
     #[must_use]
     pub fn flows_warm_started(&self) -> u64 {
-        self.flows_warm_started
-    }
-
-    /// Warm-started solves answered by the retained value alone (no augmentation).
-    #[must_use]
-    pub fn augment_saved(&self) -> u64 {
-        self.augment_saved
-    }
-
-    /// Drain operations performed while applying capacity deltas to warm states.
-    #[must_use]
-    pub fn excess_drained(&self) -> u64 {
-        self.excess_drained
-    }
-
-    /// Folds the warm cache's per-evaluation counters into the context totals.
-    fn drain_warm_stats(&mut self) {
-        let stats = self.warm_cache.stats.take();
-        self.flows_warm_started += stats.flows_warm_started;
-        self.augment_saved += stats.augment_saved;
-        self.excess_drained += stats.excess_drained;
+        0
     }
 
     /// Total per-sink max-flow evaluations requested so far.
@@ -452,39 +350,12 @@ impl EvalCtx {
         self.arena_updates
     }
 
-    /// Number of scheme evaluations that skipped the full rescan of the scheme's rows via
-    /// the dirty-edge journal.
-    #[must_use]
-    pub fn rescans_skipped(&self) -> u64 {
-        self.rescans_skipped
-    }
-
-    /// Total edge capacities patched into the cached arena by journaled evaluations.
-    #[must_use]
-    pub fn edges_patched(&self) -> u64 {
-        self.edges_patched
-    }
-
-    /// Enables or disables the dirty-edge-journal fast path (enabled by default, unless
-    /// the `BMP_DISABLE_JOURNAL` environment variable turned it off at construction).
-    ///
-    /// With the journal disabled every scheme evaluation takes the scan-based path
-    /// (edge-list rescan plus in-place capacity rewrite or rebuild) — the PR-2 behaviour,
-    /// kept addressable so benchmarks can measure the journal's win and operators have a
-    /// kill switch. Results are identical either way.
-    pub fn set_journal_enabled(&mut self, enabled: bool) {
-        self.journal_enabled = enabled;
-        if !enabled {
-            self.journal_assoc = None;
-        }
-    }
-
-    /// Whether the dirty-edge-journal fast path is currently enabled. On a fresh
-    /// context this reflects the `BMP_DISABLE_JOURNAL` environment variable, so tests
-    /// and sweeps can consult it instead of re-parsing the variable themselves.
+    /// Whether scheme evaluations consume a dirty-edge journal: always `false`, since
+    /// every evaluation scans the scheme's rows. Kept because the benchmark harness
+    /// records it among the program defaults.
     #[must_use]
     pub fn journal_enabled(&self) -> bool {
-        self.journal_enabled
+        false
     }
 
     /// Sets the fan-out of [`EvalCtx::throughput`] evaluations (see the module docs):
@@ -514,93 +385,39 @@ impl EvalCtx {
     }
 
     /// Throughput of `scheme` (`min_k maxflow(source → C_k)`), evaluated through the
-    /// retained arena (journal-patched when possible, see the type docs) at the
-    /// configured parallelism ([`EvalCtx::set_parallelism`]; sequential by default).
+    /// retained arena (see the type docs) at the configured parallelism
+    /// ([`EvalCtx::set_parallelism`]).
     pub fn throughput(&mut self, scheme: &BroadcastScheme) -> f64 {
-        self.throughput_with_threads(scheme, self.parallelism)
-    }
-
-    /// [`EvalCtx::throughput`] at an explicit fan-out, overriding the configured
-    /// parallelism for this one evaluation (`0` = size heuristic, `1` = sequential).
-    /// Same journal fast path, same telemetry, bit-identical value.
-    pub fn throughput_parallel(&mut self, scheme: &BroadcastScheme, threads: usize) -> f64 {
-        self.throughput_with_threads(scheme, threads)
-    }
-
-    /// [`EvalCtx::throughput`] with warm residual reuse forced off for this one
-    /// evaluation — the certification path: a verified `Solution`'s throughput must
-    /// come from a from-scratch solve regardless of the context's incremental setting
-    /// (warm reuse is bit-identical anyway; this keeps the certificate independent of
-    /// the warm machinery by construction).
-    pub fn throughput_cold(&mut self, scheme: &BroadcastScheme) -> f64 {
-        let was_incremental = self.incremental;
-        self.incremental = false;
-        let value = self.throughput_with_threads(scheme, self.parallelism);
-        self.incremental = was_incremental;
-        value
-    }
-
-    fn throughput_with_threads(&mut self, scheme: &BroadcastScheme, threads: usize) -> f64 {
-        self.ensure_scheme_arena(scheme);
+        self.prepare_scheme_arena(scheme);
         let mut sinks = std::mem::take(&mut self.scratch_sinks);
         sinks.clear();
         sinks.extend(scheme.instance().receivers());
         self.flow_solves += sinks.len() as u64;
-        let arena = self.arena.as_ref().expect("arena prepared above");
-        let threads = match threads {
-            0 => suggested_flow_threads(arena.num_nodes(), sinks.len()),
-            explicit => explicit,
-        };
-        let value = if threads > 1 {
-            // The pool borrows the arena Arc for the call and the submitter share runs
-            // on this context's own solver; every worker clone is dropped before the
-            // call returns, so the retained arena stays uniquely owned (in-place
-            // journal patches keep working without a copy).
-            if self.incremental {
-                FlowPool::global().min_max_flow_warm_with(
-                    &mut self.solver,
-                    arena,
-                    0,
-                    &sinks,
-                    threads,
-                    &mut self.warm_cache,
-                )
-            } else {
-                FlowPool::global().min_max_flow_with(&mut self.solver, arena, 0, &sinks, threads)
-            }
-        } else if self.incremental {
-            self.solver
-                .min_max_flow_warm(arena, 0, &sinks, &mut self.warm_cache)
-        } else {
-            self.solver.min_max_flow(arena, 0, &sinks)
-        };
-        if self.incremental {
-            self.drain_warm_stats();
-        }
+        let arena = self.scheme_arena.prepared();
+        let value = min_max_on(&mut self.solver, arena, 0, &sinks, self.parallelism);
         self.scratch_sinks = sinks;
         value
     }
 
     /// Maximum flow from the source to `receiver` in `scheme`'s weighted digraph
-    /// (journal-patched when possible, like [`EvalCtx::throughput`]).
+    /// (through the retained arena, like [`EvalCtx::throughput`]).
     pub fn max_flow_to(&mut self, scheme: &BroadcastScheme, receiver: NodeId) -> f64 {
-        self.ensure_scheme_arena(scheme);
+        self.prepare_scheme_arena(scheme);
         self.flow_solves += 1;
-        let arena = self.arena.as_ref().expect("arena prepared above");
-        self.solver.max_flow(arena, 0, receiver)
+        self.solver
+            .max_flow(self.scheme_arena.prepared(), 0, receiver)
     }
 
     /// `min_k maxflow(source → sinks_k)` over an explicit edge list (the entry point for
     /// evaluations that are not a whole scheme, e.g. survivor overlays in the churn
     /// analysis). Returns `f64::INFINITY` when `sinks` is empty.
     ///
-    /// The evaluation runs on a *per-call* retained arena of its own (in-place capacity
-    /// rewrite when the explicit edge set is unchanged, rebuild otherwise), so it leaves
-    /// the scheme arena — and with it any dirty-edge-journal association — untouched,
-    /// and it honours the configured parallelism ([`EvalCtx::set_parallelism`]): at a
-    /// fan-out above 1 (or when the `0` auto heuristic triggers at fleet scale) the
-    /// per-sink max-flows dispatch onto the shared persistent worker pool, the value
-    /// staying bit-identical to the sequential pass.
+    /// The evaluation runs on a retained arena of its own (in-place capacity rewrite when
+    /// the explicit edge set is unchanged, rebuild otherwise), so it leaves the scheme
+    /// arena untouched, and it honours the configured parallelism
+    /// ([`EvalCtx::set_parallelism`]): at a fan-out above 1 (or when the `0` auto
+    /// heuristic triggers at fleet scale) the per-sink max-flows dispatch onto the shared
+    /// persistent worker pool, the value staying bit-identical to the sequential pass.
     pub fn min_max_flow(
         &mut self,
         num_nodes: usize,
@@ -608,53 +425,19 @@ impl EvalCtx {
         source: NodeId,
         sinks: &[NodeId],
     ) -> f64 {
-        self.prepare_explicit_arena(num_nodes, edges);
+        let rebuilt = self
+            .explicit_arena
+            .prepare(num_nodes, edges, &mut self.scratch_caps);
+        self.count_arena(rebuilt);
         self.flow_solves += sinks.len() as u64;
-        let arena = self.explicit_arena.as_ref().expect("arena prepared above");
-        let threads = match self.parallelism {
-            0 => suggested_flow_threads(num_nodes, sinks.len()),
-            explicit => explicit,
-        };
-        let value = if threads > 1 {
-            if self.incremental {
-                FlowPool::global().min_max_flow_warm_with(
-                    &mut self.solver,
-                    arena,
-                    source,
-                    sinks,
-                    threads,
-                    &mut self.warm_cache,
-                )
-            } else {
-                FlowPool::global().min_max_flow_with(
-                    &mut self.solver,
-                    arena,
-                    source,
-                    sinks,
-                    threads,
-                )
-            }
-        } else if self.incremental {
-            self.solver
-                .min_max_flow_warm(arena, source, sinks, &mut self.warm_cache)
-        } else {
-            self.solver.min_max_flow(arena, source, sinks)
-        };
-        if self.incremental {
-            self.drain_warm_stats();
-        }
-        value
+        let arena = self.explicit_arena.prepared();
+        min_max_on(&mut self.solver, arena, source, sinks, self.parallelism)
     }
 
     /// Like [`EvalCtx::min_max_flow`], but the edge list is produced by `fill` into a
     /// context-owned buffer, so repeat callers (the churn sweep filtering a scheme down
     /// to its survivors for thousands of departure sets) reuse one allocation instead of
     /// building a fresh `Vec` per evaluation.
-    ///
-    /// The dirty-edge journal does not apply here — a filtered edge list is a different
-    /// edge *set* than the scheme's, so the evaluation runs on the context's explicit
-    /// arena (in-place rewrite when the filtered set is unchanged, rebuild otherwise)
-    /// and any journal association of the scheme arena survives untouched.
     pub fn min_max_flow_with(
         &mut self,
         num_nodes: usize,
@@ -670,146 +453,25 @@ impl EvalCtx {
         value
     }
 
-    /// Points the cached arena at `scheme`'s current rates: a sparse journal patch when
-    /// the cached arena is current for this scheme object's edge set, the scan-based
-    /// [`EvalCtx::prepare_arena`] path otherwise.
-    fn ensure_scheme_arena(&mut self, scheme: &BroadcastScheme) {
-        if self.journal_enabled && self.try_patch_from_journal(scheme) {
-            return;
-        }
+    /// Points the retained scheme arena at `scheme`'s current rates.
+    fn prepare_scheme_arena(&mut self, scheme: &BroadcastScheme) {
         let mut edges = std::mem::take(&mut self.scratch_edges);
         scheme.edges_into(&mut edges);
-        self.prepare_arena(scheme.instance().num_nodes(), &edges);
+        let rebuilt = self.scheme_arena.prepare(
+            scheme.instance().num_nodes(),
+            &edges,
+            &mut self.scratch_caps,
+        );
+        self.count_arena(rebuilt);
         self.scratch_edges = edges;
-        if self.journal_enabled {
-            self.journal_assoc = Some(JournalAssoc {
-                scheme_id: scheme.eval_id(),
-                epoch: scheme.edge_epoch(),
-                cursor: scheme.journal_bounds().1,
-            });
-        }
     }
 
-    /// Attempts the journal fast path: applicable iff the cached arena belongs to this
-    /// very scheme object, the edge set is unchanged (same epoch), and no journal
-    /// compaction swallowed entries this context has not seen. On success only the
-    /// journaled capacities are patched; on any mismatch the caller falls back to the
-    /// full scan, so the fast path can never produce a different result.
-    fn try_patch_from_journal(&mut self, scheme: &BroadcastScheme) -> bool {
-        let Some(assoc) = self.journal_assoc else {
-            return false;
-        };
-        let (base, end) = scheme.journal_bounds();
-        if assoc.scheme_id != scheme.eval_id()
-            || assoc.epoch != scheme.edge_epoch()
-            || assoc.cursor < base
-            || assoc.cursor > end
-            || self.arena.is_none()
-        {
-            return false;
-        }
-        self.ensure_edge_index();
-        let mut patches = std::mem::take(&mut self.scratch_patches);
-        patches.clear();
-        for &(from, to) in scheme.journal_since(assoc.cursor) {
-            let Some(&edge) = self.edge_index.get(&(from, to)) else {
-                // Unreachable under the journal protocol (an unchanged epoch means every
-                // journaled pair is an edge of the cached set), but a fallback to the
-                // full scan is always safe.
-                self.scratch_patches = patches;
-                self.journal_assoc = None;
-                return false;
-            };
-            patches.push((edge as usize, scheme.rate(from, to)));
-        }
-        Arc::make_mut(self.arena.as_mut().expect("checked above")).patch_edge_capacities(&patches);
-        self.rescans_skipped += 1;
-        self.edges_patched += patches.len() as u64;
-        self.scratch_patches = patches;
-        self.journal_assoc = Some(JournalAssoc {
-            cursor: end,
-            ..assoc
-        });
-        true
-    }
-
-    /// Rebuilds the `(from, to) → edge index` map if the arena was rebuilt since it was
-    /// last valid.
-    fn ensure_edge_index(&mut self) {
-        if self.edge_index_valid {
-            return;
-        }
-        self.edge_index.clear();
-        self.edge_index.reserve(self.arena_edges.len());
-        for (k, &(from, to)) in self.arena_edges.iter().enumerate() {
-            self.edge_index.insert((from, to), k as u32);
-        }
-        self.edge_index_valid = true;
-    }
-
-    /// Points the cached *explicit-edge* arena at `edges`: an in-place capacity rewrite
-    /// when the edge set (endpoints, in order) is unchanged, a CSR rebuild otherwise.
-    /// Mirrors [`EvalCtx::prepare_arena`] on the explicit fields; the scheme arena and
-    /// its journal association are never touched.
-    fn prepare_explicit_arena(&mut self, num_nodes: usize, edges: &[(NodeId, NodeId, f64)]) {
-        let reusable = self.explicit_arena.is_some()
-            && self.explicit_nodes == num_nodes
-            && self.explicit_edges.len() == edges.len()
-            && self
-                .explicit_edges
-                .iter()
-                .zip(edges)
-                .all(|(&(from, to), &(from2, to2, _))| from == from2 && to == to2);
-        if reusable {
-            self.scratch_caps.clear();
-            self.scratch_caps
-                .extend(edges.iter().map(|&(_, _, cap)| cap));
-            Arc::make_mut(
-                self.explicit_arena
-                    .as_mut()
-                    .expect("reusable implies present"),
-            )
-            .set_edge_capacities(&self.scratch_caps);
-            self.arena_updates += 1;
-        } else {
-            self.explicit_arena = Some(Arc::new(FlowArena::from_edges(num_nodes, edges)));
-            self.explicit_nodes = num_nodes;
-            self.explicit_edges.clear();
-            self.explicit_edges
-                .extend(edges.iter().map(|&(from, to, _)| (from, to)));
+    /// Counts one arena preparation as a rebuild or an in-place update.
+    fn count_arena(&mut self, rebuilt: bool) {
+        if rebuilt {
             self.arena_builds += 1;
-        }
-    }
-
-    /// Points the cached arena at `edges`: an in-place capacity rewrite when the edge
-    /// set (endpoints, in order) is unchanged, a CSR rebuild otherwise. Severs any
-    /// journal association (the caller re-establishes it when `edges` came from a
-    /// scheme).
-    fn prepare_arena(&mut self, num_nodes: usize, edges: &[(NodeId, NodeId, f64)]) {
-        self.journal_assoc = None;
-        let reusable = self.arena.is_some()
-            && self.arena_nodes == num_nodes
-            && self.arena_edges.len() == edges.len()
-            && self
-                .arena_edges
-                .iter()
-                .zip(edges)
-                .all(|(&(from, to), &(from2, to2, _))| from == from2 && to == to2);
-        if reusable {
-            self.scratch_caps.clear();
-            self.scratch_caps
-                .extend(edges.iter().map(|&(_, _, cap)| cap));
-            Arc::make_mut(self.arena.as_mut().expect("reusable implies present"))
-                .set_edge_capacities(&self.scratch_caps);
-            self.arena_updates += 1;
         } else {
-            self.arena = Some(Arc::new(FlowArena::from_edges(num_nodes, edges)));
-            self.arena_nodes = num_nodes;
-            self.arena_edges.clear();
-            self.arena_edges
-                .extend(edges.iter().map(|&(from, to, _)| (from, to)));
-            self.edge_index_valid = false;
-            self.arena_builds += 1;
+            self.arena_updates += 1;
         }
     }
 }
@@ -823,7 +485,7 @@ impl EvalCtx {
 /// Panics when the scheme under-delivers beyond a `1e-6` relative tolerance: an
 /// under-delivering scheme is a solver bug, not a data point.
 pub fn certify_throughput(ctx: &mut EvalCtx, scheme: &BroadcastScheme, claimed: f64) -> f64 {
-    let achieved = ctx.throughput_cold(scheme);
+    let achieved = ctx.throughput(scheme);
     assert!(
         achieved + 1e-6 * claimed.max(1.0) >= claimed,
         "certification failed: scheme delivers {achieved} < claimed {claimed}"
@@ -863,11 +525,6 @@ pub struct SolveRecorder {
     started: Instant,
     flow_solves: u64,
     bisection_iters: u64,
-    rescans_skipped: u64,
-    edges_patched: u64,
-    flows_warm_started: u64,
-    augment_saved: u64,
-    excess_drained: u64,
 }
 
 impl SolveRecorder {
@@ -878,11 +535,6 @@ impl SolveRecorder {
             started: Instant::now(),
             flow_solves: ctx.flow_solves,
             bisection_iters: ctx.bisection_iters,
-            rescans_skipped: ctx.rescans_skipped,
-            edges_patched: ctx.edges_patched,
-            flows_warm_started: ctx.flows_warm_started,
-            augment_saved: ctx.augment_saved,
-            excess_drained: ctx.excess_drained,
         }
     }
 
@@ -895,11 +547,6 @@ impl SolveRecorder {
         Telemetry {
             flow_solves: ctx.flow_solves - self.flow_solves,
             bisection_iters: ctx.bisection_iters - self.bisection_iters,
-            rescans_skipped: ctx.rescans_skipped - self.rescans_skipped,
-            edges_patched: ctx.edges_patched - self.edges_patched,
-            flows_warm_started: ctx.flows_warm_started - self.flows_warm_started,
-            augment_saved: ctx.augment_saved - self.augment_saved,
-            excess_drained: ctx.excess_drained - self.excess_drained,
             wall_time: self.started.elapsed(),
         }
     }
@@ -926,9 +573,7 @@ impl SolveRecorder {
                 occurrence,
             });
         }
-        // Certification stays a from-scratch solve: the verified throughput never
-        // depends on warm residual state, whatever the context's incremental setting.
-        let achieved = ctx.throughput_cold(&scheme);
+        let achieved = ctx.throughput(&scheme);
         let verify_fault = ctx.intercept_fault(FaultSite::Verify).is_some();
         if verify_fault || achieved + VERIFY_TOL * throughput.max(1.0) < throughput {
             return Err(CoreError::VerificationFailed {
@@ -1212,90 +857,59 @@ mod tests {
     }
 
     #[test]
-    fn eval_ctx_patches_journaled_rates_without_rescans() {
+    fn eval_ctx_rewrites_rates_in_place_without_rebuilds() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        // Explicitly, not by default: the CI matrix runs the suite with
-        // BMP_DISABLE_JOURNAL=1, and this test asserts journal-on behaviour.
-        ctx.set_journal_enabled(true);
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;
-        // The solve's own verification built the arena for this scheme object; every
-        // following evaluation of the same object with an unchanged edge set — including
-        // one with perturbed rates — must consume the journal: no rebuild, no bulk
-        // rewrite, no rescan of the rows.
+        // The solve's own verification built the arena for this scheme; every following
+        // evaluation with an unchanged edge set — including one with perturbed rates —
+        // must rewrite the capacities in place instead of rebuilding.
         let builds_before = ctx.arena_builds();
         let updates_before = ctx.arena_updates();
-        let skips_before = ctx.rescans_skipped();
         let t1 = ctx.throughput(&scheme);
         let (from, to, rate) = scheme.edges()[0];
         scheme.set_rate(from, to, rate * 0.5);
         let t2 = ctx.throughput(&scheme);
         assert_eq!(ctx.arena_builds(), builds_before);
-        assert_eq!(ctx.arena_updates(), updates_before);
-        assert_eq!(ctx.rescans_skipped(), skips_before + 2);
-        assert_eq!(ctx.edges_patched(), 1);
+        assert_eq!(ctx.arena_updates(), updates_before + 2);
         assert!(t2 <= t1 + 1e-12);
-        // And the journaled result matches a from-scratch evaluation.
+        // And the retained result matches a from-scratch evaluation.
         assert_eq!(t2, EvalCtx::new().throughput(&scheme));
     }
 
     #[test]
-    fn disabled_journal_restores_the_scan_based_path() {
+    fn retained_arena_is_exact_across_diverging_scheme_objects() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(false);
-        let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
-        let mut scheme = solution.scheme;
-        let updates_before = ctx.arena_updates();
-        let (from, to, rate) = scheme.edges()[0];
-        scheme.set_rate(from, to, rate * 0.5);
-        let scanned = ctx.throughput(&scheme);
-        // Same edge set, journal disabled: the endpoint-comparison rewrite path runs.
-        assert_eq!(ctx.arena_updates(), updates_before + 1);
-        assert_eq!(ctx.rescans_skipped(), 0);
-        let mut journaled = EvalCtx::new();
-        let _ = journaled.throughput(&scheme);
-        assert_eq!(scanned, journaled.throughput(&scheme));
-    }
-
-    #[test]
-    fn journal_association_is_per_object_and_survives_divergence() {
-        let instance = figure1();
-        let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(true); // immune to the CI journal-off matrix
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut a = solution.scheme;
         let _ = ctx.throughput(&a);
-        // A clone is a new identity: evaluating it must not consume A's association...
+        let builds_before = ctx.arena_builds();
+        // A diverged clone with the same edge set reuses the arena, and evaluating the
+        // original afterwards must not see the clone's capacities.
         let mut b = a.clone();
         let (from, to, rate) = a.edges()[0];
         b.set_rate(from, to, rate * 0.25);
-        let skips_before = ctx.rescans_skipped();
-        let tb = ctx.throughput(&b);
-        assert_eq!(ctx.rescans_skipped(), skips_before);
-        assert_eq!(tb, EvalCtx::new().throughput(&b));
-        // ...and evaluating A afterwards must not reuse B's capacities either.
+        assert_eq!(ctx.throughput(&b), EvalCtx::new().throughput(&b));
         a.set_rate(from, to, rate * 0.75);
-        let ta = ctx.throughput(&a);
-        assert_eq!(ta, EvalCtx::new().throughput(&a));
-        // An edge-set change on A (edge removed) falls back to a rebuild, still exact.
+        assert_eq!(ctx.throughput(&a), EvalCtx::new().throughput(&a));
+        assert_eq!(ctx.arena_builds(), builds_before);
+        // An edge-set change on A (edge removed) rebuilds, still exact.
         a.set_rate(from, to, 0.0);
-        let ta2 = ctx.throughput(&a);
-        assert_eq!(ta2, EvalCtx::new().throughput(&a));
+        assert_eq!(ctx.throughput(&a), EvalCtx::new().throughput(&a));
+        assert_eq!(ctx.arena_builds(), builds_before + 1);
     }
 
     #[test]
     fn interleaved_explicit_edge_evaluations_keep_the_scheme_association() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(true); // immune to the CI journal-off matrix
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;
         let _ = ctx.throughput(&scheme);
         // Explicit-edge evaluations (the churn residual access pattern) run on their own
-        // retained arena: interleaving them must neither invalidate the scheme arena's
-        // journal association nor rebuild anything on repetition.
+        // retained arena: interleaving them with scheme re-probes must rebuild neither.
         let survivors: Vec<usize> = instance.receivers().collect();
         let filtered = |edges: &mut Vec<(usize, usize, f64)>, scheme: &BroadcastScheme| {
             edges.extend(scheme.edges().into_iter().take(3));
@@ -1304,22 +918,17 @@ mod tests {
             filtered(edges, &scheme)
         });
         let builds_after_first = ctx.arena_builds();
-        let skips_before = ctx.rescans_skipped();
         for round in 1..=3 {
-            // The scheme re-probe rides the journal even though a residual evaluation
-            // ran in between…
             let (from, to, rate) = scheme.edges()[0];
             scheme.set_rate(from, to, rate * (1.0 - 0.1 * round as f64));
-            let journaled = ctx.throughput(&scheme);
-            assert_eq!(journaled, EvalCtx::new().throughput(&scheme));
-            // …and the repeated residual evaluation reuses the explicit arena in place.
+            let rewritten = ctx.throughput(&scheme);
+            assert_eq!(rewritten, EvalCtx::new().throughput(&scheme));
             let residual = ctx.min_max_flow_with(instance.num_nodes(), 0, &survivors, |edges| {
                 filtered(edges, &scheme)
             });
             assert_eq!(residual, first);
         }
         assert_eq!(ctx.arena_builds(), builds_after_first);
-        assert_eq!(ctx.rescans_skipped(), skips_before + 3);
     }
 
     #[test]
@@ -1352,8 +961,9 @@ mod tests {
             .unwrap();
         let mut scheme = solution.scheme;
         // Two fresh contexts run the same evaluation sequence — nominal, then two
-        // journaled perturbations — one sequential, one through the worker pool.
+        // perturbations — one sequential, one through the worker pool.
         let mut seq = EvalCtx::new();
+        seq.set_parallelism(1);
         let mut par = EvalCtx::new();
         par.set_parallelism(4);
         assert_eq!(par.parallelism(), 4);
@@ -1366,33 +976,29 @@ mod tests {
         }
         // The fan-out changes wall time only: every counter matches bit-for-bit.
         assert_eq!(par.flow_solves(), seq.flow_solves());
-        assert_eq!(par.rescans_skipped(), seq.rescans_skipped());
-        assert_eq!(par.edges_patched(), seq.edges_patched());
         assert_eq!(par.arena_builds(), seq.arena_builds());
         assert_eq!(par.arena_updates(), seq.arena_updates());
-        // One-shot overrides agree too, including the auto heuristic (sequential at
-        // this size) and an explicit fan-out wider than the receiver count.
+        // Other fan-outs agree too, including the auto heuristic (sequential at this
+        // size) and a fan-out wider than the receiver count.
         let expected = seq.throughput(&scheme);
-        assert_eq!(par.throughput_parallel(&scheme, 0), expected);
-        assert_eq!(par.throughput_parallel(&scheme, 2), expected);
-        assert_eq!(par.throughput_parallel(&scheme, 64), expected);
-        assert_eq!(seq.throughput_parallel(&scheme, 3), expected);
+        for threads in [0, 2, 3, 64] {
+            par.set_parallelism(threads);
+            assert_eq!(par.throughput(&scheme), expected, "threads {threads}");
+        }
     }
 
     #[test]
     fn pooled_evaluation_keeps_the_retained_arena_patchable() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(true); // immune to the CI journal-off matrix
         ctx.set_parallelism(4);
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;
         let _ = ctx.throughput(&scheme);
         let builds_before = ctx.arena_builds();
-        let skips_before = ctx.rescans_skipped();
         // After a pooled evaluation every worker has dropped its arena reference, so
-        // the journal fast path keeps patching the retained arena in place: no rebuild
-        // even though the arena was shared with the pool moments ago.
+        // the retained arena is rewritten in place: no rebuild even though the arena was
+        // shared with the pool moments ago.
         for step in 1..=3 {
             let (from, to, rate) = scheme.edges()[0];
             scheme.set_rate(from, to, rate * (1.0 - 0.1 * f64::from(step)));
@@ -1400,7 +1006,6 @@ mod tests {
             assert_eq!(pooled, EvalCtx::new().throughput(&scheme));
         }
         assert_eq!(ctx.arena_builds(), builds_before);
-        assert_eq!(ctx.rescans_skipped(), skips_before + 3);
     }
 
     #[test]

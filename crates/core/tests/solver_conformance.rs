@@ -159,15 +159,12 @@ fn trait_impls_match_legacy_entry_points() {
 }
 
 /// Every registry solver's solution, re-probed by the dichotomic degradation search:
-/// the probes re-score near-identical schemes through the shared context, so every run
-/// must ride the dirty-edge journal — `rescans_skipped > 0` in its [`Telemetry`] — and
-/// agree exactly with a journal-free context.
+/// the probes re-score near-identical schemes through the shared context, so the
+/// retained arena must be rewritten in place (`arena_updates` grows) and the result
+/// must agree exactly with a fresh context.
 #[test]
-fn every_solver_dichotomic_reprobe_rides_the_journal() {
+fn every_solver_dichotomic_reprobe_reuses_the_arena() {
     let mut ctx = EvalCtx::new();
-    // Explicitly, not by default: the CI matrix runs this suite with
-    // BMP_DISABLE_JOURNAL=1, and this test asserts journal-on behaviour.
-    ctx.set_journal_enabled(true);
     for solver in registry() {
         let mut reprobed = 0usize;
         for instance in corpus() {
@@ -180,16 +177,12 @@ fn every_solver_dichotomic_reprobe_rides_the_journal() {
             // Degrade the source's upload: always present and always load-bearing.
             let floor = 0.9 * solution.throughput;
             let recorder = SolveRecorder::start(&ctx);
+            let updates_before = ctx.arena_updates();
             let tolerance = degradation_tolerance(&solution.scheme, 0, floor, &mut ctx);
             let telemetry = recorder.telemetry(&ctx);
             assert!(
-                telemetry.rescans_skipped > 0,
-                "{}: dichotomic re-probe never skipped a rescan ({telemetry:?})",
-                solver.name()
-            );
-            assert!(
-                telemetry.edges_patched > 0,
-                "{}: dichotomic re-probe never patched an edge ({telemetry:?})",
+                ctx.arena_updates() > updates_before,
+                "{}: dichotomic re-probe never rewrote the retained arena",
                 solver.name()
             );
             assert!(
@@ -197,14 +190,12 @@ fn every_solver_dichotomic_reprobe_rides_the_journal() {
                 "{}: no probes recorded",
                 solver.name()
             );
-            // The journaled probes must reproduce the journal-free result exactly.
-            let mut scan_ctx = EvalCtx::new();
-            scan_ctx.set_journal_enabled(false);
-            let scanned = degradation_tolerance(&solution.scheme, 0, floor, &mut scan_ctx);
+            // The retained-arena probes must reproduce a fresh context exactly.
+            let fresh = degradation_tolerance(&solution.scheme, 0, floor, &mut EvalCtx::new());
             assert_eq!(
                 tolerance,
-                scanned,
-                "{}: journaled and scan-based probes disagree",
+                fresh,
+                "{}: retained and fresh probes disagree",
                 solver.name()
             );
             reprobed += 1;
@@ -250,8 +241,6 @@ fn every_solver_matches_under_a_pooled_ctx() {
                     let (s, p) = (&sequential.telemetry, &parallel.telemetry);
                     assert_eq!(s.flow_solves, p.flow_solves, "{name}");
                     assert_eq!(s.bisection_iters, p.bisection_iters, "{name}");
-                    assert_eq!(s.rescans_skipped, p.rescans_skipped, "{name}");
-                    assert_eq!(s.edges_patched, p.edges_patched, "{name}");
                 }
                 (Err(_), Err(_)) => {} // class restrictions hit identically
                 (sequential, parallel) => panic!(
@@ -265,84 +254,8 @@ fn every_solver_matches_under_a_pooled_ctx() {
     }
 }
 
-/// Every registry solver must produce the *same* solution with warm residual reuse
-/// enabled as with it disabled, with the journal on and off: same algorithm label,
-/// bit-identical claimed and verified throughput, same word, same scheme, and
-/// bit-identical telemetry counters. The solved scheme is then
-/// re-probed by the dichotomic degradation search through the same contexts — the
-/// probe sequence whose repeated same-arena evaluations the warm path accelerates —
-/// and the tolerances must agree bit-for-bit while the warm context demonstrably
-/// reuses residual states. This is the in-repo half of the CI incremental matrix,
-/// which re-runs the whole suite under `BMP_INCREMENTAL` ∈ {0, 1}.
-#[test]
-fn every_solver_matches_under_incremental_reuse() {
-    let mut warmed_somewhere = 0u64;
-    for journal in [true, false] {
-        for solver in registry() {
-            for instance in corpus() {
-                let mut cold = EvalCtx::new();
-                cold.set_journal_enabled(journal);
-                cold.set_incremental(false);
-                let mut warm = EvalCtx::new();
-                warm.set_journal_enabled(journal);
-                warm.set_incremental(true);
-                let plain = solver.solve(&instance, &mut cold);
-                let reused = solver.solve(&instance, &mut warm);
-                match (plain, reused) {
-                    (Ok(plain), Ok(reused)) => {
-                        let name = solver.name();
-                        assert_eq!(plain.algorithm, reused.algorithm, "{name}");
-                        assert_eq!(
-                            plain.throughput.to_bits(),
-                            reused.throughput.to_bits(),
-                            "{name}: claimed throughput diverged (journal={journal})"
-                        );
-                        assert_eq!(
-                            plain.verified_throughput.to_bits(),
-                            reused.verified_throughput.to_bits(),
-                            "{name}: verified throughput diverged (journal={journal})"
-                        );
-                        assert_eq!(plain.word, reused.word, "{name}");
-                        assert_eq!(plain.scheme, reused.scheme, "{name}");
-                        let (c, w) = (&plain.telemetry, &reused.telemetry);
-                        assert_eq!(c.flow_solves, w.flow_solves, "{name}");
-                        assert_eq!(c.bisection_iters, w.bisection_iters, "{name}");
-                        assert_eq!(c.rescans_skipped, w.rescans_skipped, "{name}");
-                        assert_eq!(c.edges_patched, w.edges_patched, "{name}");
-                        assert_eq!(c.flows_warm_started, 0, "{name}: cold context warm-started");
-                        warmed_somewhere += w.flows_warm_started;
-                        if plain.throughput > 0.0 {
-                            // Re-probe the solution with the degradation search:
-                            // repeated same-arena evaluations, the warm path's
-                            // bread and butter. Verdict sequences diverging would
-                            // surface as a different tolerance.
-                            let floor = 0.9 * plain.throughput;
-                            let t_cold = degradation_tolerance(&plain.scheme, 0, floor, &mut cold);
-                            let t_warm = degradation_tolerance(&reused.scheme, 0, floor, &mut warm);
-                            assert_eq!(
-                                t_cold, t_warm,
-                                "{name}: degradation re-probe diverged (journal={journal})"
-                            );
-                            warmed_somewhere += warm.flows_warm_started();
-                        }
-                    }
-                    (Err(_), Err(_)) => {} // class restrictions hit identically
-                    (plain, reused) => panic!(
-                        "{}: cold {:?} vs incremental {:?} disagree on solvability",
-                        solver.name(),
-                        plain.map(|s| s.throughput),
-                        reused.map(|s| s.throughput)
-                    ),
-                }
-            }
-        }
-    }
-    // The comparison proves nothing if no evaluation ever actually warm-started.
-    assert!(warmed_somewhere > 0, "no flow solve was ever warm-started");
-}
-
 /// Random open-only instance and rate matrix; entries below 0.5 are zeroed so that the
-/// edge *set* survives the ±50% rate perturbations used by the incremental test.
+/// edge *set* survives the ±50% rate perturbations used by the retained-arena tests.
 fn random_scheme() -> impl Strategy<Value = (bmp_core::BroadcastScheme, Vec<f64>)> {
     (2..=7usize).prop_flat_map(|n| {
         let rates = proptest::collection::vec(0.0_f64..10.0, n * n);
@@ -367,19 +280,16 @@ fn random_scheme() -> impl Strategy<Value = (bmp_core::BroadcastScheme, Vec<f64>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The journaled fast path (retained arena, sparse capacity patches) must equal a
-    /// from-scratch rebuild for every evaluation of a perturbed scheme.
+    /// The retained arena, rewritten in place while the edge set is unchanged, must
+    /// equal a from-scratch rebuild for every evaluation of a perturbed scheme.
     #[test]
-    fn journaled_patches_equal_rebuild(case in random_scheme()) {
+    fn in_place_rewrites_equal_rebuild(case in random_scheme()) {
         let (mut scheme, factors) = case;
         let mut retained = EvalCtx::new();
-        // Explicitly, not by default: the CI matrix exports BMP_DISABLE_JOURNAL=1 and
-        // this test asserts journal-on behaviour.
-        retained.set_journal_enabled(true);
         let first = retained.throughput(&scheme);
         prop_assert_eq!(first, EvalCtx::new().throughput(&scheme));
         // Perturb every edge's rate without changing the edge set, twice: both rounds
-        // must ride the journal (no rescan, no rebuild) and agree with a fresh context.
+        // must rewrite the retained arena (no rebuild) and agree with a fresh context.
         for round in 0..2 {
             let n = scheme.instance().num_nodes();
             for (from, to, rate) in scheme.edges() {
@@ -387,23 +297,22 @@ proptest! {
                 scheme.set_rate(from, to, rate * factor);
             }
             let builds_before = retained.arena_builds();
-            let skips_before = retained.rescans_skipped();
-            let incremental = retained.throughput(&scheme);
+            let updates_before = retained.arena_updates();
+            let rewritten = retained.throughput(&scheme);
             let fresh = EvalCtx::new().throughput(&scheme);
-            prop_assert_eq!(incremental, fresh, "round {}", round);
+            prop_assert_eq!(rewritten, fresh, "round {}", round);
             prop_assert_eq!(retained.arena_builds(), builds_before,
                 "round {} rebuilt the arena", round);
-            prop_assert_eq!(retained.rescans_skipped(), skips_before + 1,
-                "round {} did not take the journal path", round);
+            prop_assert_eq!(retained.arena_updates(), updates_before + 1,
+                "round {} did not rewrite the arena in place", round);
         }
-        // Pruning dust is invisible to the journal: the next evaluation still patches
-        // and still agrees bit-for-bit.
+        // Pruning dust leaves the edge set alone: still no rebuild, still exact.
         scheme.prune_dust();
-        let skips_before = retained.rescans_skipped();
+        let builds_before = retained.arena_builds();
         prop_assert_eq!(retained.throughput(&scheme), EvalCtx::new().throughput(&scheme));
-        prop_assert_eq!(retained.rescans_skipped(), skips_before + 1);
-        // An edge-set-changing mutation (remove one edge, add another) must fall back
-        // to the scan/rebuild path — and stay exact.
+        prop_assert_eq!(retained.arena_builds(), builds_before);
+        // An edge-set-changing mutation (remove one edge, add another) must rebuild —
+        // and stay exact.
         let edges = scheme.edges();
         if let Some(&(from, to, _)) = edges.first() {
             scheme.set_rate(from, to, 0.0);
@@ -414,115 +323,48 @@ proptest! {
             let rate = scheme.rate(a, b);
             scheme.set_rate(a, b, rate + 1.0);
         }
-        let skips_before = retained.rescans_skipped();
+        let builds_before = retained.arena_builds();
         prop_assert_eq!(retained.throughput(&scheme), EvalCtx::new().throughput(&scheme));
-        prop_assert_eq!(retained.rescans_skipped(), skips_before,
-            "an edge-set change must not take the journal path");
+        if !edges.is_empty() {
+            prop_assert_eq!(retained.arena_builds(), builds_before + 1,
+                "an edge-set change must rebuild the arena");
+        }
     }
 
-    /// `EvalCtx::throughput_parallel` (the persistent-pool fan-out) must equal
-    /// sequential evaluation **bit-identically** — values and telemetry counters — on
-    /// random overlays, with the journal on and off, at every fan-out in {1, 2, 4}.
-    /// Runs the same probe sequence (nominal evaluation, then two rounds of journaled
-    /// perturbations) through one sequential and one parallel context per combination.
+    /// Pooled evaluation (`EvalCtx::set_parallelism`, the persistent-pool fan-out) must
+    /// equal sequential evaluation **bit-identically** — values and counters — on random
+    /// overlays at every fan-out in {1, 2, 4}. Runs the same probe sequence (nominal
+    /// evaluation, then two rounds of perturbations) through one sequential and one
+    /// pooled context per fan-out.
     #[test]
     fn parallel_throughput_is_bit_identical_to_sequential(case in random_scheme()) {
         let (mut scheme, factors) = case;
         let n = scheme.instance().num_nodes();
-        for journal in [true, false] {
-            for threads in [1usize, 2, 4] {
-                let mut seq = EvalCtx::new();
-                seq.set_journal_enabled(journal);
-                let mut par = EvalCtx::new();
-                par.set_journal_enabled(journal);
-                par.set_parallelism(threads);
-                let rec_seq = SolveRecorder::start(&seq);
-                let rec_par = SolveRecorder::start(&par);
+        for threads in [1usize, 2, 4] {
+            let mut seq = EvalCtx::new();
+            seq.set_parallelism(1);
+            let mut par = EvalCtx::new();
+            par.set_parallelism(threads);
+            let rec_seq = SolveRecorder::start(&seq);
+            let rec_par = SolveRecorder::start(&par);
+            prop_assert_eq!(par.throughput(&scheme), seq.throughput(&scheme),
+                "nominal (threads={})", threads);
+            for round in 0..2 {
+                for (from, to, rate) in scheme.edges() {
+                    let factor = factors[(from * n + to) % factors.len()];
+                    scheme.set_rate(from, to, rate * factor);
+                }
                 prop_assert_eq!(par.throughput(&scheme), seq.throughput(&scheme),
-                    "nominal (journal={}, threads={})", journal, threads);
-                for round in 0..2 {
-                    for (from, to, rate) in scheme.edges() {
-                        let factor = factors[(from * n + to) % factors.len()];
-                        scheme.set_rate(from, to, rate * factor);
-                    }
-                    prop_assert_eq!(par.throughput(&scheme), seq.throughput(&scheme),
-                        "round {} (journal={}, threads={})", round, journal, threads);
-                }
-                // Telemetry counters are bit-exact; wall_time is the only field the
-                // fan-out may change.
-                let t_seq = rec_seq.telemetry(&seq);
-                let t_par = rec_par.telemetry(&par);
-                prop_assert_eq!(t_par.flow_solves, t_seq.flow_solves);
-                prop_assert_eq!(t_par.bisection_iters, t_seq.bisection_iters);
-                prop_assert_eq!(t_par.rescans_skipped, t_seq.rescans_skipped);
-                prop_assert_eq!(t_par.edges_patched, t_seq.edges_patched);
-                if journal {
-                    // The probe sequence is journal-friendly: both contexts must have
-                    // actually ridden the fast path, or the comparison proves nothing.
-                    prop_assert!(t_seq.rescans_skipped >= 2,
-                        "sequential context never took the journal path");
-                }
+                    "round {} (threads={})", round, threads);
             }
+            // Counters are bit-exact; wall_time is the only field the fan-out may
+            // change.
+            let t_seq = rec_seq.telemetry(&seq);
+            let t_par = rec_par.telemetry(&par);
+            prop_assert_eq!(t_par.flow_solves, t_seq.flow_solves);
+            prop_assert_eq!(t_par.bisection_iters, t_seq.bisection_iters);
+            prop_assert_eq!(par.arena_builds(), seq.arena_builds());
+            prop_assert_eq!(par.arena_updates(), seq.arena_updates());
         }
     }
-}
-
-/// Random small guarded/open instance for the incremental equivalence property (the
-/// corpus shapes, randomized).
-fn random_instance() -> impl Strategy<Value = Instance> {
-    (
-        0.3_f64..10.0,
-        proptest::collection::vec(0.1_f64..10.0, 0..=5),
-        proptest::collection::vec(0.1_f64..10.0, 0..=5),
-    )
-        .prop_filter_map("need a receiver", |(b0, open, guarded)| {
-            Instance::new(b0, open, guarded).ok()
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Theorem 4.1's solver must return a bit-identical [`Solution`] — throughput,
-    /// verified throughput, word, scheme, and every telemetry counter — with warm
-    /// residual reuse on or off, with the journal on or off; and the
-    /// solution's dichotomic degradation re-probe (the warm path's target workload)
-    /// must produce the same tolerance through both contexts.
-    #[test]
-    fn incremental_solve_is_bit_identical_to_cold(
-        instance in random_instance(),
-        journal_bit in 0usize..=1,
-    ) {
-        let journal = journal_bit == 1;
-        use bmp_core::solver::{AcyclicGuardedAlgorithm, Solver as _};
-        let solver = AcyclicGuardedAlgorithm;
-        let mut cold = EvalCtx::new();
-        cold.set_journal_enabled(journal);
-        cold.set_incremental(false);
-        let mut warm = EvalCtx::new();
-        warm.set_journal_enabled(journal);
-        warm.set_incremental(true);
-        let plain = solver.solve(&instance, &mut cold).expect("guarded solver");
-        let reused = solver.solve(&instance, &mut warm).expect("guarded solver");
-        prop_assert_eq!(plain.throughput.to_bits(), reused.throughput.to_bits());
-        prop_assert_eq!(
-            plain.verified_throughput.to_bits(),
-            reused.verified_throughput.to_bits()
-        );
-        prop_assert_eq!(&plain.word, &reused.word);
-        prop_assert_eq!(&plain.scheme, &reused.scheme);
-        let (c, w) = (&plain.telemetry, &reused.telemetry);
-        prop_assert_eq!(c.flow_solves, w.flow_solves);
-        prop_assert_eq!(c.bisection_iters, w.bisection_iters);
-        prop_assert_eq!(c.rescans_skipped, w.rescans_skipped);
-        prop_assert_eq!(c.edges_patched, w.edges_patched);
-        prop_assert_eq!(c.flows_warm_started, 0);
-        if plain.throughput > 0.0 {
-            let floor = 0.9 * plain.throughput;
-            let t_cold = degradation_tolerance(&plain.scheme, 0, floor, &mut cold);
-            let t_warm = degradation_tolerance(&reused.scheme, 0, floor, &mut warm);
-            prop_assert_eq!(t_cold, t_warm, "degradation re-probe diverged");
-        }
-    }
-
 }

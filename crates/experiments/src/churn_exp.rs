@@ -178,8 +178,8 @@ fn run_trial(
         DepartureKind::RandomReceiver => rng.gen_range(1..instance.num_nodes()),
     };
     // Performance-variation half of the paper's remark: how far the victim's upload can
-    // degrade before the overlay misses 90% of the nominal rate. The probes ride the
-    // scheme's dirty-edge journal through the worker context.
+    // degrade before the overlay misses 90% of the nominal rate. The probes rewrite the
+    // worker context's retained arena in place.
     let degradation =
         degradation_tolerance(&solution.scheme, victim, 0.9 * solution.throughput, ctx);
     let residual = residual_throughput_with(&solution.scheme, &[victim], ctx);
@@ -265,19 +265,6 @@ mod tests {
             assert!(cell.degradation.max <= 1.0 + 1e-9, "{cell:?}");
             assert!(cell.telemetry.flow_solves > 0, "{cell:?}");
             assert!(cell.telemetry.bisection_iters > 0, "{cell:?}");
-        }
-        // The degradation probes re-score near-identical schemes: across the report the
-        // journal fast path must have fired — unless the operator kill switch disabled
-        // it process-wide (the CI matrix runs this suite with BMP_DISABLE_JOURNAL=1, and
-        // the sweep's per-worker contexts honour it by design). A fresh context reports
-        // the kill switch's verdict, so the env parsing stays in one place.
-        if EvalCtx::new().journal_enabled() {
-            let total: u64 = report
-                .cells
-                .iter()
-                .map(|c| c.telemetry.rescans_skipped)
-                .sum();
-            assert!(total > 0, "no journaled evaluation in the whole sweep");
         }
     }
 

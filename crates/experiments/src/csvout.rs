@@ -2,7 +2,7 @@
 //! column convention: every experiment that evaluates flows through a
 //! [`bmp_core::solver::EvalCtx`] appends [`TELEMETRY_COLUMNS`] to its header and renders
 //! the aggregated counters with [`telemetry_cells`], so the cost of a sweep (flow
-//! solves, dichotomic probes, journal fast-path hits, wall time) is visible next to its
+//! solves, dichotomic probes, wall time) is visible next to its
 //! results instead of only in ad-hoc logs.
 
 use bmp_core::solver::Telemetry;
@@ -11,13 +11,7 @@ use std::io;
 use std::path::Path;
 
 /// Column names shared by every experiment CSV that reports evaluation telemetry.
-pub const TELEMETRY_COLUMNS: [&str; 5] = [
-    "flow_solves",
-    "bisection_iters",
-    "rescans_skipped",
-    "flows_warm_started",
-    "wall_time_ms",
-];
+pub const TELEMETRY_COLUMNS: [&str; 3] = ["flow_solves", "bisection_iters", "wall_time_ms"];
 
 /// Renders `telemetry` as one cell per entry of [`TELEMETRY_COLUMNS`].
 #[must_use]
@@ -25,8 +19,6 @@ pub fn telemetry_cells(telemetry: &Telemetry) -> Vec<String> {
     vec![
         telemetry.flow_solves.to_string(),
         telemetry.bisection_iters.to_string(),
-        telemetry.rescans_skipped.to_string(),
-        telemetry.flows_warm_started.to_string(),
         format!("{:.3}", telemetry.wall_time.as_secs_f64() * 1e3),
     ]
 }
@@ -38,11 +30,6 @@ pub fn telemetry_sum<'a>(telemetries: impl IntoIterator<Item = &'a Telemetry>) -
     for t in telemetries {
         total.flow_solves += t.flow_solves;
         total.bisection_iters += t.bisection_iters;
-        total.rescans_skipped += t.rescans_skipped;
-        total.edges_patched += t.edges_patched;
-        total.flows_warm_started += t.flows_warm_started;
-        total.augment_saved += t.augment_saved;
-        total.excess_drained += t.excess_drained;
         total.wall_time += t.wall_time;
     }
     total
@@ -173,26 +160,16 @@ mod tests {
         let telemetry = Telemetry {
             flow_solves: 12,
             bisection_iters: 7,
-            rescans_skipped: 5,
-            edges_patched: 9,
-            flows_warm_started: 6,
-            augment_saved: 4,
-            excess_drained: 2,
             wall_time: std::time::Duration::from_millis(4),
         };
         let cells = telemetry_cells(&telemetry);
         assert_eq!(cells.len(), TELEMETRY_COLUMNS.len());
         assert_eq!(cells[0], "12");
         assert_eq!(cells[1], "7");
-        assert_eq!(cells[2], "5");
-        assert_eq!(cells[3], "6");
-        assert_eq!(cells[4], "4.000");
+        assert_eq!(cells[2], "4.000");
         let total = telemetry_sum([&telemetry, &telemetry]);
         assert_eq!(total.flow_solves, 24);
-        assert_eq!(total.edges_patched, 18);
-        assert_eq!(total.flows_warm_started, 12);
-        assert_eq!(total.augment_saved, 8);
-        assert_eq!(total.excess_drained, 4);
+        assert_eq!(total.bisection_iters, 14);
         assert_eq!(total.wall_time, std::time::Duration::from_millis(8));
         // A table built with the shared columns accepts the rendered cells.
         let mut table = CsvTable::new(
@@ -205,7 +182,7 @@ mod tests {
         let mut row = vec!["x".to_string()];
         row.extend(telemetry_cells(&total));
         table.push_row(row);
-        assert!(table.to_csv_string().contains("rescans_skipped"));
+        assert!(table.to_csv_string().contains("bisection_iters"));
     }
 
     #[test]

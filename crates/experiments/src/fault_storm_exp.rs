@@ -217,8 +217,6 @@ fn run_trial(
     let controller_ctx = controller.ctx();
     telemetry.flow_solves += controller_ctx.flow_solves();
     telemetry.bisection_iters += controller_ctx.bisection_iters();
-    telemetry.rescans_skipped += controller_ctx.rescans_skipped();
-    telemetry.edges_patched += controller_ctx.edges_patched();
     Some(FaultStormTrial {
         receivers,
         nominal,

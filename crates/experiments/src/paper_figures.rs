@@ -25,7 +25,7 @@ pub struct PaperFiguresReport {
     pub measured_throughput: f64,
     /// Empirical delivery rate of the slowest receiver in the chunk-level simulation.
     pub simulated_rate: f64,
-    /// Evaluation cost of the solve (flow solves, probes, journal hits, wall time).
+    /// Evaluation cost of the solve (flow solves, probes, wall time).
     pub telemetry: Telemetry,
 }
 
@@ -84,10 +84,9 @@ impl PaperFiguresReport {
             self.simulated_rate
         ));
         out.push_str(&format!(
-            "Telemetry: {} flow solves, {} bisection iters, {} rescans skipped, {:.3} ms\n",
+            "Telemetry: {} flow solves, {} bisection iters, {:.3} ms\n",
             self.telemetry.flow_solves,
             self.telemetry.bisection_iters,
-            self.telemetry.rescans_skipped,
             self.telemetry.wall_time.as_secs_f64() * 1e3
         ));
         for (from, to, rate) in self.acyclic_scheme.edges() {

@@ -6,12 +6,12 @@
 //! checks the prediction *dynamically*: for every trial it runs the chunk-level session
 //! engine twice under the **same seed and churn trace** — once with the static baseline
 //! ([`bmp_sim::StaticPolicy`], the paper's control plane) and once with the adaptive
-//! controller ([`bmp_sim::RepairController`], incremental re-solve + mid-broadcast
+//! controller ([`bmp_sim::RepairController`], re-solve + mid-broadcast
 //! hot-swap) — and compares *delivered* goodput against the nominal throughput, along
 //! with the post-churn recovery time of the repaired run.
 //!
-//! The controller's evaluation cost (degradation probes riding the dirty-edge journal,
-//! residual evaluations on the per-call explicit arena) is aggregated into the shared
+//! The controller's evaluation cost (degradation probes and residual evaluations on
+//! its retained arenas) is aggregated into the shared
 //! telemetry CSV columns next to the results.
 
 use crate::csvout::{telemetry_cells, telemetry_sum, CsvTable, TELEMETRY_COLUMNS};
@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Wraps a policy and measures the wall-clock latency of every `adapt` call — the
-/// end-to-end cost of one repair decision (degradation probe, incremental re-solve,
+/// end-to-end cost of one repair decision (degradation probe, re-solve,
 /// overlay extraction). The timings feed the `repair_ms_*` CSV columns only; they
 /// never enter a deterministic report or any simulated-time metric.
 struct TimedPolicy<'a, P: AdaptationPolicy> {
@@ -233,11 +233,6 @@ fn run_trial(
     let controller_ctx = controller.ctx();
     telemetry.flow_solves += controller_ctx.flow_solves();
     telemetry.bisection_iters += controller_ctx.bisection_iters();
-    telemetry.rescans_skipped += controller_ctx.rescans_skipped();
-    telemetry.edges_patched += controller_ctx.edges_patched();
-    telemetry.flows_warm_started += controller_ctx.flows_warm_started();
-    telemetry.augment_saved += controller_ctx.augment_saved();
-    telemetry.excess_drained += controller_ctx.excess_drained();
     Some(SimChurnTrial {
         receivers,
         nominal,
@@ -328,16 +323,6 @@ mod tests {
             // (wall-clock, strictly positive).
             let repair_ms = cell.repair_ms.as_ref().expect("repairs were timed");
             assert!(repair_ms.mean > 0.0, "{cell:?}");
-        }
-        // The controller's re-probes rode the dirty-edge journal (unless the CI matrix
-        // disabled it process-wide via BMP_DISABLE_JOURNAL).
-        if EvalCtx::new().journal_enabled() {
-            let skipped: u64 = report
-                .cells
-                .iter()
-                .map(|c| c.telemetry.rescans_skipped)
-                .sum();
-            assert!(skipped > 0, "controller probes never rode the journal");
         }
     }
 

@@ -23,20 +23,9 @@
 
 use crate::eps;
 use crate::graph::{FlowNetwork, FlowResult};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel for "no arc" in parent arrays.
-pub(crate) const NO_ARC: u32 = u32::MAX;
-
-/// Process-wide structure-epoch counter for [`FlowArena`].
-///
-/// Each [`FlowArena::from_edges`] call mints a fresh epoch, so two arenas share an epoch
-/// only if one was cloned from the other (same node count, same arc layout, same edge
-/// insertion order). In-place capacity mutation (`set_edge_capacities`,
-/// `patch_edge_capacities`) deliberately keeps the epoch: the *structure* is unchanged,
-/// and warm residual states (see [`crate::incremental`]) detect capacity drift by
-/// snapshot diffing, not by epoch.
-static ARENA_EPOCHS: AtomicU64 = AtomicU64::new(1);
+const NO_ARC: u32 = u32::MAX;
 
 /// Immutable CSR residual arena for one network.
 ///
@@ -44,52 +33,22 @@ static ARENA_EPOCHS: AtomicU64 = AtomicU64::new(1);
 /// (capacity 0); both live in the flat arrays below, grouped by tail node. The arena
 /// carries no mutable solver state — residual capacities live in [`FlowSolver`], so one
 /// arena can be shared by any number of solvers (including across threads).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowArena {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_edges: usize,
+    num_nodes: usize,
+    num_edges: usize,
     /// `start[v]..start[v + 1]` is the CSR arc range of node `v` (length `n + 1`).
-    pub(crate) start: Vec<u32>,
+    start: Vec<u32>,
     /// Head node of each arc (length `2m`).
-    pub(crate) to: Vec<u32>,
+    to: Vec<u32>,
     /// Position of each arc's reverse arc (length `2m`).
-    pub(crate) partner: Vec<u32>,
+    partner: Vec<u32>,
     /// Initial residual capacity of each arc: `c_k` forward, `0` backward (length `2m`).
-    pub(crate) base_cap: Vec<f64>,
+    base_cap: Vec<f64>,
     /// CSR position of the forward arc of input edge `k` (length `m`).
-    pub(crate) edge_pos: Vec<u32>,
-    /// Structure identity: minted by [`FlowArena::from_edges`], preserved by clones and
-    /// in-place capacity updates. Warm residual caches key on this (see
-    /// [`crate::incremental`]).
-    epoch: u64,
+    edge_pos: Vec<u32>,
     /// Total capacity entering each node (length `n`).
     in_cap: Vec<f64>,
-    /// `in_start[v]..in_start[v + 1]` indexes `in_edges` (length `n + 1`).
-    in_start: Vec<u32>,
-    /// Input-edge ids grouped by head node, ascending within each group (length `m`).
-    /// This is the summation order of [`FlowArena::from_edges`] restricted to one head,
-    /// which is what lets [`FlowArena::patch_edge_capacities`] recompute a patched node's
-    /// in-capacity bit-for-bit identically to a full rebuild.
-    in_edges: Vec<u32>,
-}
-
-/// Structural + capacity equality. The `epoch` is deliberately excluded: an arena
-/// rebuilt from scratch over the same edges compares equal to one updated in place even
-/// though their warm-cache identities differ (equality answers "same network?", the
-/// epoch answers "may residual state be reused without re-validation?").
-impl PartialEq for FlowArena {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_nodes == other.num_nodes
-            && self.num_edges == other.num_edges
-            && self.start == other.start
-            && self.to == other.to
-            && self.partner == other.partner
-            && self.base_cap == other.base_cap
-            && self.edge_pos == other.edge_pos
-            && self.in_cap == other.in_cap
-            && self.in_start == other.in_start
-            && self.in_edges == other.in_edges
-    }
 }
 
 impl FlowArena {
@@ -126,15 +85,6 @@ impl FlowArena {
         let mut base_cap = vec![0.0f64; 2 * num_edges];
         let mut edge_pos = vec![0u32; num_edges];
         let mut in_cap = vec![0.0f64; num_nodes];
-        let mut in_start = vec![0u32; num_nodes + 1];
-        for &(_, to, _) in edges {
-            in_start[to + 1] += 1;
-        }
-        for v in 0..num_nodes {
-            in_start[v + 1] += in_start[v];
-        }
-        let mut in_cursor: Vec<u32> = in_start[..num_nodes].to_vec();
-        let mut in_edges = vec![0u32; num_edges];
         for (k, &(from, to, capacity)) in edges.iter().enumerate() {
             let forward = cursor[from];
             cursor[from] += 1;
@@ -148,8 +98,6 @@ impl FlowArena {
             partner[backward as usize] = forward;
             edge_pos[k] = forward;
             in_cap[to] += capacity;
-            in_edges[in_cursor[to] as usize] = k as u32;
-            in_cursor[to] += 1;
         }
         FlowArena {
             num_nodes,
@@ -159,10 +107,7 @@ impl FlowArena {
             partner,
             base_cap,
             edge_pos,
-            epoch: ARENA_EPOCHS.fetch_add(1, Ordering::Relaxed),
             in_cap,
-            in_start,
-            in_edges,
         }
     }
 
@@ -181,18 +126,6 @@ impl FlowArena {
     #[must_use]
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Structure epoch: a process-unique id minted when the arena was built from edges.
-    ///
-    /// Clones and in-place capacity updates ([`FlowArena::set_edge_capacities`],
-    /// [`FlowArena::patch_edge_capacities`]) keep the epoch — the arc layout is
-    /// unchanged, and warm residual states track capacity drift themselves via snapshot
-    /// diffing. A rebuild through [`FlowArena::from_edges`] always mints a new epoch,
-    /// which is what invalidates warm states across edge-set changes.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of input edges (half the number of residual arcs).
@@ -234,7 +167,7 @@ impl FlowArena {
     /// Overwrites every input edge's capacity in place (`capacities[k]` is the new
     /// capacity of edge `k`).
     ///
-    /// This is the incremental-update path used by evaluation contexts that re-score
+    /// This is the in-place update path used by evaluation contexts that re-score
     /// near-identical networks (e.g. the dichotomic search probing a scheme whose edge
     /// *set* is fixed while the rates move): instead of rebuilding the arena — degree
     /// counting, prefix sums, and five array allocations — only the capacities and the
@@ -262,42 +195,6 @@ impl FlowArena {
             let forward = self.edge_pos[edge] as usize;
             self.base_cap[forward] = capacity;
             self.in_cap[self.to[forward] as usize] += capacity;
-        }
-    }
-
-    /// Overwrites the capacities of a *sparse* set of input edges in place
-    /// (`patches[i] = (edge_idx, new_capacity)`, insertion-order edge indices).
-    ///
-    /// This is the journaled-update path used by evaluation contexts whose caller knows
-    /// exactly which edges moved since the arena was last current (a dirty-edge journal on
-    /// the scheme being probed): instead of rewriting every capacity
-    /// ([`FlowArena::set_edge_capacities`]) — let alone rescanning the whole scheme to
-    /// find the changes — only the touched capacities are written and only the affected
-    /// heads' in-capacities are recomputed. Each affected head is resummed over its
-    /// incoming edges in insertion order, so the result is bit-for-bit the arena that
-    /// [`FlowArena::from_edges`] would build with the patched capacities. Duplicate edge
-    /// indices are allowed (the last write wins), and no allocation is performed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge index is `>= num_edges` or a capacity is negative or not finite.
-    pub fn patch_edge_capacities(&mut self, patches: &[(usize, f64)]) {
-        for &(edge, capacity) in patches {
-            assert!(edge < self.num_edges, "edge index {edge} out of range");
-            assert!(
-                capacity.is_finite() && capacity >= 0.0,
-                "capacity must be finite and non-negative, got {capacity}"
-            );
-            self.base_cap[self.edge_pos[edge] as usize] = capacity;
-        }
-        // Second pass so duplicate heads are resummed only over final capacities
-        // (resumming the same head more than once is redundant but harmless).
-        for &(edge, _) in patches {
-            let head = self.to[self.edge_pos[edge] as usize] as usize;
-            let incoming = self.in_start[head] as usize..self.in_start[head + 1] as usize;
-            self.in_cap[head] = incoming
-                .map(|slot| self.base_cap[self.edge_pos[self.in_edges[slot] as usize] as usize])
-                .sum();
         }
     }
 
@@ -341,15 +238,15 @@ impl FlowArena {
 #[derive(Debug, Default, Clone)]
 pub struct FlowSolver {
     /// Residual capacities, indexed like the arena's arc arrays.
-    pub(crate) cap: Vec<f64>,
+    cap: Vec<f64>,
     /// BFS level of each node (Dinic).
-    pub(crate) level: Vec<i32>,
+    level: Vec<i32>,
     /// Current-arc cursor of each node, an absolute CSR position (Dinic).
-    pub(crate) iter: Vec<u32>,
+    iter: Vec<u32>,
     /// BFS queue (Dinic, Edmonds–Karp) / FIFO ring buffer (push-relabel).
-    pub(crate) queue: Vec<u32>,
+    queue: Vec<u32>,
     /// Arc used to reach each node (Edmonds–Karp).
-    pub(crate) parent_arc: Vec<u32>,
+    parent_arc: Vec<u32>,
     /// Bottleneck capacity along the BFS tree path (Edmonds–Karp).
     bottleneck: Vec<f64>,
     /// Node heights (push-relabel).
@@ -359,7 +256,7 @@ pub struct FlowSolver {
     /// Whether a node is queued (push-relabel).
     in_queue: Vec<bool>,
     /// Sink ordering scratch for [`FlowSolver::min_max_flow`].
-    pub(crate) sinks: Vec<u32>,
+    sinks: Vec<u32>,
 }
 
 impl FlowSolver {
@@ -501,7 +398,7 @@ impl FlowSolver {
     // The CSR range indexes two parallel arrays (`to` and `cap`); an iterator over one of
     // them would hide that coupling.
     #[allow(clippy::needless_range_loop)]
-    pub(crate) fn bfs_levels(
+    fn bfs_levels(
         arena: &FlowArena,
         cap: &[f64],
         level: &mut [i32],
@@ -529,7 +426,7 @@ impl FlowSolver {
     }
 
     /// Depth-first search pushing flow along the level graph (current-arc variant).
-    pub(crate) fn dfs_augment(
+    fn dfs_augment(
         arena: &FlowArena,
         cap: &mut [f64],
         level: &[i32],
@@ -958,52 +855,6 @@ mod tests {
     fn negative_capacity_update_is_rejected() {
         let mut arena = diamond_arena();
         arena.set_edge_capacities(&[1.0, 2.0, -1.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn sparse_patch_matches_rebuild() {
-        let edges = [
-            (0usize, 1usize, 3.0),
-            (0, 2, 2.0),
-            (1, 3, 2.0),
-            (2, 3, 4.0),
-            (1, 2, 5.0),
-        ];
-        let mut patched = FlowArena::from_edges(4, &edges);
-        // Touch two edges, one of them twice (the last write must win).
-        patched.patch_edge_capacities(&[(3, 9.0), (0, 1.25), (3, 0.75)]);
-        let rebuilt = FlowArena::from_edges(
-            4,
-            &[
-                (0, 1, 1.25),
-                (0, 2, 2.0),
-                (1, 3, 2.0),
-                (2, 3, 0.75),
-                (1, 2, 5.0),
-            ],
-        );
-        // Bit-for-bit the rebuilt arena, including the resummed in-capacities.
-        assert_eq!(patched, rebuilt);
-        let mut solver = FlowSolver::new();
-        assert_eq!(
-            solver.max_flow(&patched, 0, 3),
-            solver.max_flow(&rebuilt, 0, 3)
-        );
-        // An empty patch is a no-op.
-        patched.patch_edge_capacities(&[]);
-        assert_eq!(patched, rebuilt);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn patch_rejects_bad_edge_index() {
-        diamond_arena().patch_edge_capacities(&[(5, 1.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn patch_rejects_negative_capacity() {
-        diamond_arena().patch_edge_capacities(&[(0, -2.0)]);
     }
 
     #[test]

@@ -16,10 +16,7 @@
 //!   instead of chasing `Vec<Vec<usize>>` pointers. When only the *capacities* of a fixed
 //!   edge set change (the dichotomic search re-scoring near-identical schemes),
 //!   [`csr::FlowArena::set_edge_capacities`] rewrites them in place — equivalent to a
-//!   from-scratch rebuild, without the CSR construction or its allocations. When the
-//!   caller knows exactly *which* edges moved (a dirty-edge journal on the probed
-//!   scheme), [`csr::FlowArena::patch_edge_capacities`] writes only those capacities and
-//!   resums only the affected in-capacities — still bit-for-bit equal to a rebuild.
+//!   from-scratch rebuild, without the CSR construction or its allocations.
 //! * [`csr::FlowSolver`] — a workspace owning every buffer the solvers mutate (residual
 //!   capacities, levels, current-arc cursors, queues, push-relabel state). Buffers are
 //!   reused across calls: in steady state a solve performs **zero heap allocation**.
@@ -41,42 +38,11 @@
 //! evaluation mode of `bmp-core`'s `EvalCtx`, so the machine-wide flow-thread count stays
 //! bounded no matter how many contexts request parallelism. Arenas travel to the workers
 //! as `Arc<FlowArena>` clones that are dropped before the submitter is released — a
-//! context that owns the only other reference keeps patching its retained arena in place.
+//! context that owns the only other reference keeps rewriting its retained arena in place.
 //!
 //! [`suggested_flow_threads`] decides when fan-out pays at all: sequential below 512
 //! nodes / 96 sinks, available parallelism capped at 8 above. The fan-out is bit-for-bit
 //! equal to the sequential batched evaluation.
-//!
-//! # Incremental reuse: warm residual states
-//!
-//! Consecutive dichotomic probes evaluate the *same* arc structure under rescaled
-//! capacities, so the previous probe's feasible flow is one capacity-delta away from a
-//! valid warm start. Module [`incremental`] retains that state per
-//! `(arena epoch, source, sink)` in a [`incremental::WarmFlowCache`]:
-//!
-//! * **State machine** — a warm solve diffs the state's capacity snapshot against the
-//!   arena (`O(m)`), widens forward residuals for increases, and for decreases that
-//!   undercut committed flow drains the severed units back along reverse residual
-//!   paths (excess to the source avoiding the sink, deficit from the sink avoiding the
-//!   source) before re-augmenting from the retained flow. If the retained value already
-//!   meets the caller's limit it is returned as a one-sided certificate with zero
-//!   augmentation; if augmentation converges *below* the limit, the exact value is
-//!   recomputed cold and the state reseeded — so every number that can steer brackets,
-//!   probe verdicts or the final solution is produced by the cold arithmetic, and warm
-//!   mode is bit-for-bit equivalent to cold mode end to end.
-//! * **Invalidation rules** — states key on [`csr::FlowArena::epoch`], a process-unique
-//!   id minted by `from_edges`. Rebuilding an arena (edge-*set* change, e.g. churn
-//!   survivors) mints a new epoch and orphans old states; in-place capacity updates
-//!   (`set_edge_capacities`, journal patches via `patch_edge_capacities`, including
-//!   through `Arc::make_mut`) keep the epoch and are absorbed by the snapshot diff. A
-//!   failed drain invalidates just that state and falls back to the always-correct cold
-//!   path.
-//! * **Plumbing** — `bmp-core`'s `EvalCtx` owns a cache for sequential evaluation and
-//!   each [`pool::FlowPool`] worker owns one for fanned-out evaluation (reset alongside
-//!   the solver on panic containment); the `BMP_INCREMENTAL` / `--incremental` /
-//!   `EvalCtx::set_incremental` knob gates the whole path, and the
-//!   `flows_warm_started` / `augment_saved` / `excess_drained` telemetry makes reuse
-//!   observable.
 //!
 //! # Entry points
 //!
@@ -101,7 +67,6 @@ pub mod dinic;
 pub mod edmonds_karp;
 pub mod eps;
 pub mod graph;
-pub mod incremental;
 pub mod mincut;
 pub mod pool;
 pub mod push_relabel;
@@ -110,7 +75,6 @@ pub use csr::{min_max_flow_parallel, suggested_flow_threads, FlowArena, FlowSolv
 pub use dinic::dinic_max_flow;
 pub use edmonds_karp::edmonds_karp_max_flow;
 pub use graph::{EdgeId, FlowNetwork, FlowResult};
-pub use incremental::{WarmFlowCache, WarmStats};
 pub use mincut::{min_cut, MinCut};
 pub use pool::{arm_worker_panics, disarm_worker_panics, FlowPool, WorkerPanicGuard};
 pub use push_relabel::push_relabel_max_flow;

@@ -37,7 +37,7 @@
 //! borrowed-for-the-call network to threads that outlive the call. Workers drop their
 //! clones *before* the submitter is released, so a caller that holds the only other
 //! reference (the evaluation context of `bmp-core`, say) regains unique ownership the
-//! moment the call returns and can keep patching its retained arena in place.
+//! moment the call returns and can keep rewriting its retained arena in place.
 //!
 //! Exactness is inherited from the capped batched evaluator: every sink's solve is
 //! capped at a running minimum that is never below the true minimum, a capped-out solve
@@ -45,7 +45,6 @@
 //! so the pooled result is bit-for-bit the sequential [`FlowSolver::min_max_flow`].
 
 use crate::csr::{FlowArena, FlowSolver};
-use crate::incremental::{WarmFlowCache, WarmStats};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -75,29 +74,11 @@ struct EvalShared {
     /// Raised when a worker panicked mid-ticket; the submitter discards the pooled
     /// result and recomputes the evaluation sequentially on its own thread.
     poisoned: AtomicBool,
-    /// Route per-sink solves through warm residual reuse (see [`crate::incremental`]).
-    /// The running-minimum cap makes the returned value safe either way: warm
-    /// certificates only resolve at-or-above the cap, which `fetch_min` discards, so
-    /// the pooled result stays bit-for-bit the sequential cold evaluation.
-    incremental: bool,
-    /// Warm-reuse counters contributed by worker lanes (the submitter keeps its own
-    /// cache and accumulates directly); folded into the caller's cache after the wait.
-    warm_started: AtomicU64,
-    augment_saved: AtomicU64,
-    excess_drained: AtomicU64,
 }
 
 impl EvalShared {
     /// Claims sinks until the order is exhausted or the running minimum hits zero.
-    ///
-    /// `warm` is each lane's private warm-state cache; it is consulted only when the
-    /// evaluation was submitted in incremental mode.
-    fn drain(
-        &self,
-        solver: &mut FlowSolver,
-        arena: &FlowArena,
-        mut warm: Option<&mut WarmFlowCache>,
-    ) {
+    fn drain(&self, solver: &mut FlowSolver, arena: &FlowArena) {
         loop {
             let index = self.next.fetch_add(1, Ordering::Relaxed);
             if index >= self.order.len() {
@@ -108,35 +89,8 @@ impl EvalShared {
                 return;
             }
             let sink = self.order[index] as usize;
-            let flow = match warm.as_deref_mut() {
-                Some(cache) if self.incremental => {
-                    solver.max_flow_limited_warm(arena, self.source as usize, sink, cap, cache)
-                }
-                _ => solver.max_flow_limited(arena, self.source as usize, sink, cap),
-            };
+            let flow = solver.max_flow_limited(arena, self.source as usize, sink, cap);
             self.min_bits.fetch_min(flow.to_bits(), Ordering::AcqRel);
-        }
-    }
-
-    /// Folds a worker lane's warm-reuse counters into the shared totals.
-    fn add_warm_stats(&self, stats: &WarmStats) {
-        if *stats == WarmStats::default() {
-            return;
-        }
-        self.warm_started
-            .fetch_add(stats.flows_warm_started, Ordering::Relaxed);
-        self.augment_saved
-            .fetch_add(stats.augment_saved, Ordering::Relaxed);
-        self.excess_drained
-            .fetch_add(stats.excess_drained, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the worker-contributed warm-reuse counters.
-    fn warm_stats(&self) -> WarmStats {
-        WarmStats {
-            flows_warm_started: self.warm_started.load(Ordering::Relaxed),
-            augment_saved: self.augment_saved.load(Ordering::Relaxed),
-            excess_drained: self.excess_drained.load(Ordering::Relaxed),
         }
     }
 
@@ -229,9 +183,6 @@ fn take_injected_panic() -> bool {
 /// evaluations — the entire point of keeping the workers persistent.
 fn worker_main(queue: Arc<Queue>) {
     let mut solver = FlowSolver::new();
-    // Per-worker warm residual cache: like the solver workspace it stays warm across
-    // evaluations, which is what lets incremental mode pay off on pooled probes.
-    let mut warm = WarmFlowCache::new();
     loop {
         let ticket = {
             let mut state = queue.state.lock().expect("pool queue poisoned");
@@ -254,19 +205,16 @@ fn worker_main(queue: Arc<Queue>) {
             if take_injected_panic() {
                 panic!("injected flow worker panic");
             }
-            shared.drain(&mut solver, &arena, Some(&mut warm))
+            shared.drain(&mut solver, &arena)
         }));
         // Release the network before the submitter can wake: once `pending` hits
         // zero, no worker holds an arena reference any more.
         drop(arena);
-        shared.add_warm_stats(&warm.stats.take());
         if outcome.is_err() {
             shared.poisoned.store(true, Ordering::Release);
             // The unwound solve may have left the workspace mid-mutation; a fresh
-            // solver (and warm cache — its residual states are equally suspect)
-            // restores the buffers' invariants for the next ticket.
+            // solver restores the buffers' invariants for the next ticket.
             solver = FlowSolver::new();
-            warm = WarmFlowCache::new();
         }
         shared.finish_ticket();
     }
@@ -417,42 +365,10 @@ impl FlowPool {
         sinks: &[usize],
         threads: usize,
     ) -> f64 {
-        self.min_max_flow_pooled(solver, arena, source, sinks, threads, None)
-    }
-
-    /// [`FlowPool::min_max_flow_with`] with warm residual reuse: the submitter's share
-    /// solves through `cache`, worker lanes use their own per-thread caches, and the
-    /// worker lanes' reuse counters are folded into `cache.stats` before returning.
-    /// The result is bit-for-bit the sequential cold evaluation (see
-    /// [`crate::incremental`] for why warm mode cannot perturb the running minimum).
-    pub fn min_max_flow_warm_with(
-        &self,
-        solver: &mut FlowSolver,
-        arena: &Arc<FlowArena>,
-        source: usize,
-        sinks: &[usize],
-        threads: usize,
-        cache: &mut WarmFlowCache,
-    ) -> f64 {
-        self.min_max_flow_pooled(solver, arena, source, sinks, threads, Some(cache))
-    }
-
-    fn min_max_flow_pooled(
-        &self,
-        solver: &mut FlowSolver,
-        arena: &Arc<FlowArena>,
-        source: usize,
-        sinks: &[usize],
-        threads: usize,
-        mut warm: Option<&mut WarmFlowCache>,
-    ) -> f64 {
         let lanes = threads.min(sinks.len());
         let helpers = lanes.saturating_sub(1).min(self.max_workers);
         if helpers == 0 {
-            return match warm {
-                Some(cache) => solver.min_max_flow_warm(arena, source, sinks, cache),
-                None => solver.min_max_flow(arena, source, sinks),
-            };
+            return solver.min_max_flow(arena, source, sinks);
         }
         assert!(source < arena.num_nodes(), "source out of range");
         let mut order = Vec::with_capacity(sinks.len());
@@ -466,10 +382,6 @@ impl FlowPool {
             pending: Mutex::new(helpers),
             done: Condvar::new(),
             poisoned: AtomicBool::new(false),
-            incremental: warm.is_some(),
-            warm_started: AtomicU64::new(0),
-            augment_saved: AtomicU64::new(0),
-            excess_drained: AtomicU64::new(0),
         });
         {
             let mut state = self.queue.state.lock().expect("pool queue poisoned");
@@ -482,7 +394,7 @@ impl FlowPool {
         }
         self.queue.available.notify_all();
         // The submitter works its own share: progress never depends on a free worker.
-        shared.drain(solver, arena, warm.as_deref_mut());
+        shared.drain(solver, arena);
         // Reclaim helper tickets no worker has picked up yet: the submitter already
         // drained the order, so their work is done, and leaving them queued would park
         // this evaluation behind whatever unrelated evaluations busy workers are still
@@ -517,18 +429,12 @@ impl FlowPool {
                 .expect("pool evaluation state poisoned");
         }
         drop(pending);
-        if let Some(cache) = warm.as_deref_mut() {
-            cache.stats.merge(&shared.warm_stats());
-        }
         if shared.poisoned.load(Ordering::Acquire) {
             // A worker panicked mid-drain: its claimed sink may have been abandoned
             // without lowering the running minimum, so the pooled value cannot be
             // trusted. Recompute sequentially — same result contract, one thread.
             self.panics_contained.fetch_add(1, Ordering::Relaxed);
-            return match warm {
-                Some(cache) => solver.min_max_flow_warm(arena, source, sinks, cache),
-                None => solver.min_max_flow(arena, source, sinks),
-            };
+            return solver.min_max_flow(arena, source, sinks);
         }
         f64::from_bits(shared.min_bits.load(Ordering::Acquire))
     }

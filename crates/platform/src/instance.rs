@@ -2,7 +2,7 @@
 
 use crate::error::PlatformError;
 use crate::node::{Node, NodeClass, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A problem instance of the bounded multi-port broadcast problem.
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// outgoing bandwidth (`b_1 ≥ … ≥ b_n` and `b_{n+1} ≥ … ≥ b_{n+m}`); every constructor
 /// enforces this normalisation, which all the algorithms of the paper assume
 /// ("increasing orders", Lemma 4.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Instance {
     /// Outgoing bandwidth of every node; index 0 is the source.
     bandwidths: Vec<f64>,
@@ -19,6 +19,34 @@ pub struct Instance {
     n: usize,
     /// Number of guarded nodes.
     m: usize,
+}
+
+impl serde::Deserialize for Instance {
+    /// Reads `{"bandwidths", "n", "m"}` through [`Instance::new_presorted`], so a document
+    /// gets the same validation as a constructed instance: a bandwidth count other than
+    /// `n + m + 1`, a negative or non-finite bandwidth, an unsorted class or an empty
+    /// instance is a typed error, never a panic later on.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::DeError::expected("map", "Instance"))?;
+        let read = |name| serde::field(obj, name, "Instance");
+        let bandwidths: Vec<f64> = serde::Deserialize::from_value(read("bandwidths")?)?;
+        let n: usize = serde::Deserialize::from_value(read("n")?)?;
+        let m: usize = serde::Deserialize::from_value(read("m")?)?;
+        if n.checked_add(m).and_then(|k| k.checked_add(1)) != Some(bandwidths.len()) {
+            return Err(serde::DeError::custom(format!(
+                "instance has {} bandwidths, expected n + m + 1 with n = {n}, m = {m}",
+                bandwidths.len()
+            )));
+        }
+        Instance::new_presorted(
+            bandwidths[0],
+            bandwidths[1..=n].to_vec(),
+            bandwidths[n + 1..].to_vec(),
+        )
+        .map_err(|error| serde::DeError::custom(format!("invalid instance: {error}")))
+    }
 }
 
 impl Instance {

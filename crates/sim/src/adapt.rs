@@ -14,8 +14,8 @@
 //!   │ ChurnSchedule ├────────────▶│ probe → residual → repair├───────────────┐
 //!   └──────┬───────┘              └─────────────────────────┘               ▼
 //!          │ set_alive                      ▲                        Session::hot_swap
-//!          ▼                                │ EvalCtx (journal +              │
-//!   ┌──────────────┐  step() / RoundStats   │ per-call arena, pool)           │
+//!          ▼                                │ EvalCtx (retained               │
+//!   ┌──────────────┐  step() / RoundStats   │ arenas, pool)                   │
 //!   │   Session    │◀───────────────────────┴─────────────────────────────────┘
 //!   └──────────────┘   possession, credit and RNG survive the swap
 //! ```
@@ -50,14 +50,14 @@
 //! Step by step:
 //!
 //! 1. it probes how sensitive the *currently deployed* overlay is to the newest victim
-//!    ([`bmp_core::churn::try_degradation_tolerance`] — the *copy-on-probe* exemplar, so
-//!    the bisection rides the scheme's dirty-edge journal:
-//!    [`bmp_core::solver::Telemetry::rescans_skipped`] grows); an injected probe timeout
-//!    is recorded and survived, the residual check below stays authoritative,
+//!    ([`bmp_core::churn::try_degradation_tolerance`] — one working copy whose rates
+//!    move in place, so the bisection rewrites the context's retained arena instead of
+//!    rebuilding it); an injected probe timeout is recorded and survived, the residual
+//!    check below stays authoritative,
 //! 2. evaluates the residual throughput of the *currently deployed* overlay (the
 //!    nominal one before any swap, the latest repaired one after) restricted to the
 //!    survivors — an [`EvalCtx::min_max_flow_with`] evaluation on the context's
-//!    per-call explicit arena that can fan out over the persistent flow pool. A rejoin
+//!    explicit-edge arena that can fan out over the persistent flow pool. A rejoin
 //!    is judged exactly like a departure: the returning node is merged into the
 //!    *deployed* overlay's survivor set, so an overlay that starves it fails this check
 //!    and triggers a fresh re-solve (which, on a full rejoin, reproduces the nominal
@@ -209,7 +209,7 @@ fn is_transient(error: &CoreError) -> bool {
     )
 }
 
-/// The reference adaptation policy: incremental re-solve of the surviving platform (see
+/// The reference adaptation policy: re-solve of the surviving platform (see
 /// the module docs for the probe → residual → re-solve → retry/backoff → fallback chain
 /// → degraded floor pipeline).
 #[derive(Debug)]
@@ -330,13 +330,6 @@ impl RepairController {
     /// ([`EvalCtx::set_warm_start_lower`] — advisory and probed, never trusted, so a
     /// cyclic residual above the acyclic optimum only narrows the bracket from above).
     /// The hint is one-shot, so it is re-armed before every attempt, retries included.
-    ///
-    /// When incremental mode is on (the process default via `BMP_INCREMENTAL` /
-    /// `set_default_incremental`, or [`RepairController::set_incremental`]), the warm
-    /// lower bracket composes with warm residual reuse: the bracket skips the probes
-    /// below the residual, and the remaining probes reuse each sink's retained
-    /// residual across the attempt loop — observable as `flows_warm_started` in the
-    /// controller's telemetry.
     fn attempt_repair(&mut self, departed: &[NodeId], residual: f64) -> RepairAttempt {
         let warm_start = (residual > 0.0).then_some(residual);
         let mut solvers = registry();
@@ -392,18 +385,8 @@ impl RepairController {
         self.ctx.set_parallelism(threads);
     }
 
-    /// Forwards to [`EvalCtx::set_incremental`]: repair re-solves and residual probes
-    /// reuse warm residual states across the attempt loop, composing with the warm
-    /// lower bracket the repair attempt loop arms (`attempt_repair`). Repaired overlays and
-    /// decisions are bit-identical either way; the reuse shows up as
-    /// `flows_warm_started` / `augment_saved` / `excess_drained` in the controller's
-    /// telemetry.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.ctx.set_incremental(enabled);
-    }
-
     /// The controller's evaluation context (telemetry: flow solves, bisection probes,
-    /// journal fast-path counters).
+    /// arena rebuilds and in-place updates).
     #[must_use]
     pub fn ctx(&self) -> &EvalCtx {
         &self.ctx
@@ -527,8 +510,8 @@ impl AdaptationPolicy for RepairController {
     fn adapt(&mut self, departed: &[NodeId], time: f64) -> Option<AdaptDecision> {
         // 1. Sensitivity probe of the newest victim (the node that departed since the
         //    previous call; an arbitrary departed node when only rejoins happened): a
-        //    dichotomic search whose re-evaluations ride the scheme's dirty-edge
-        //    journal (copy-on-probe). A pure rejoin has no victim to probe, and an
+        //    dichotomic search over one working copy of the deployed overlay. A pure
+        //    rejoin has no victim to probe, and an
         //    injected probe timeout is recorded and survived — the residual check
         //    below stays authoritative either way.
         let victim = departed
@@ -1091,8 +1074,7 @@ mod tests {
         );
         assert!(repaired.recovery_time().is_some());
         // The controller's decision pipeline ran: degradation probes (bisection) and
-        // residual evaluations through its one long-lived context — and the re-probes
-        // rode the dirty-edge journal (unless the CI kill switch disabled it).
+        // residual evaluations through its one long-lived context.
         let decision = &controller.decisions()[0];
         assert_eq!(decision.departed, vec![3]);
         assert!(decision.residual < 0.9 * nominal);
@@ -1102,52 +1084,6 @@ mod tests {
         assert!(!decision.degraded && !decision.probe_timed_out);
         assert!(controller.ctx().flow_solves() > 0);
         assert!(controller.ctx().bisection_iters() > 0);
-        if EvalCtx::new().journal_enabled() {
-            assert!(controller.ctx().rescans_skipped() > 0);
-        }
-    }
-
-    #[test]
-    fn incremental_repair_makes_identical_decisions_and_warm_starts_flows() {
-        // Satellite proof for warm residual reuse: the same two-departure scenario run
-        // with incremental mode on and off produces bit-identical decisions, swap
-        // timelines and delivery reports — and the incremental controller demonstrably
-        // warm-started flow solves instead of re-running Dinic from scratch.
-        let churn = ChurnSchedule::new(vec![
-            ChurnEvent {
-                time: 4.0,
-                node: 3,
-                action: ChurnAction::Depart,
-            },
-            ChurnEvent {
-                time: 12.0,
-                node: 1,
-                action: ChurnAction::Depart,
-            },
-        ]);
-        let run = |incremental: bool| {
-            let (instance, scheme, nominal, overlay) = solved_figure1();
-            let mut controller = RepairController::new(instance, scheme, nominal, 0.9);
-            controller.set_incremental(incremental);
-            let outcome = run_adaptive(overlay, config(), &churn, &mut controller, nominal);
-            (outcome, controller)
-        };
-        let (cold_outcome, cold) = run(false);
-        let (warm_outcome, warm) = run(true);
-        assert_eq!(cold.decisions(), warm.decisions());
-        assert_eq!(cold_outcome, warm_outcome);
-        assert!(warm_outcome.swaps.iter().any(|s| s.swapped));
-        assert_eq!(
-            cold.ctx().flow_solves(),
-            warm.ctx().flow_solves(),
-            "warm mode must not change which probes run"
-        );
-        assert_eq!(cold.ctx().bisection_iters(), warm.ctx().bisection_iters());
-        assert_eq!(cold.ctx().flows_warm_started(), 0);
-        assert!(
-            warm.ctx().flows_warm_started() > 0,
-            "repair re-probes must reuse warm residual states"
-        );
     }
 
     #[test]

@@ -112,12 +112,12 @@ fn main() {
     );
     let ctx = controller.ctx();
     println!(
-        "controller telemetry: {} flow solves, {} bisection iters, {} rescans skipped \
-         ({} edges patched) — the re-probes ride the dirty-edge journal",
+        "controller telemetry: {} flow solves, {} bisection iters, {} arena rebuilds \
+         ({} in-place updates)",
         ctx.flow_solves(),
         ctx.bisection_iters(),
-        ctx.rescans_skipped(),
-        ctx.edges_patched()
+        ctx.arena_builds(),
+        ctx.arena_updates()
     );
     assert!(
         repaired_run.goodput() > static_run.goodput(),
