@@ -1,44 +1,38 @@
-//! Max-flow substrate benchmarks: Dinic vs Edmonds-Karp vs push-relabel on layered networks.
+//! Max-flow kernel benchmark: Dinic (`FlowSolver::max_flow`) on layered networks.
 
-use bmp_flow::{dinic_max_flow, edmonds_karp_max_flow, push_relabel_max_flow, FlowNetwork};
+use bmp_flow::{FlowArena, FlowSolver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Layered random network with `layers` layers of `width` nodes.
-fn layered_network(layers: usize, width: usize, seed: u64) -> FlowNetwork {
+fn layered_network(layers: usize, width: usize, seed: u64) -> FlowArena {
     let mut rng = StdRng::seed_from_u64(seed);
     let num_nodes = 2 + layers * width;
-    let mut net = FlowNetwork::new(num_nodes);
+    let mut edges = Vec::new();
     let node = |layer: usize, index: usize| 2 + layer * width + index;
     for i in 0..width {
-        net.add_edge(0, node(0, i), rng.gen_range(1.0..10.0));
-        net.add_edge(node(layers - 1, i), 1, rng.gen_range(1.0..10.0));
+        edges.push((0, node(0, i), rng.gen_range(1.0..10.0)));
+        edges.push((node(layers - 1, i), 1, rng.gen_range(1.0..10.0)));
     }
     for layer in 0..layers - 1 {
         for i in 0..width {
             for j in 0..width {
                 if rng.gen::<f64>() < 0.5 {
-                    net.add_edge(node(layer, i), node(layer + 1, j), rng.gen_range(0.5..5.0));
+                    edges.push((node(layer, i), node(layer + 1, j), rng.gen_range(0.5..5.0)));
                 }
             }
         }
     }
-    net
+    FlowArena::from_edges(num_nodes, &edges)
 }
 
 fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("max_flow");
     for &width in &[4usize, 8, 16] {
-        let net = layered_network(6, width, 42);
-        group.bench_with_input(BenchmarkId::new("dinic", width), &net, |b, net| {
-            b.iter(|| dinic_max_flow(net, 0, 1).value)
-        });
-        group.bench_with_input(BenchmarkId::new("edmonds_karp", width), &net, |b, net| {
-            b.iter(|| edmonds_karp_max_flow(net, 0, 1).value)
-        });
-        group.bench_with_input(BenchmarkId::new("push_relabel", width), &net, |b, net| {
-            b.iter(|| push_relabel_max_flow(net, 0, 1).value)
+        let arena = layered_network(6, width, 42);
+        group.bench_with_input(BenchmarkId::new("dinic", width), &arena, |b, arena| {
+            b.iter(|| FlowSolver::new().max_flow(arena, 0, 1))
         });
     }
     group.finish();

@@ -1,17 +1,16 @@
-//! Multi-sink throughput evaluation: naive per-sink Dinic vs the batched CSR evaluator
-//! vs the pooled parallel fan-out, measured from n = 50 up to the fleet-scale
-//! n ∈ {2000, 5000} overlays called out by the ROADMAP.
+//! Multi-sink throughput evaluation: the batched CSR evaluator vs the pooled parallel
+//! fan-out, measured from n = 50 up to the fleet-scale n ∈ {2000, 5000} overlays called
+//! out by the ROADMAP.
 //!
 //! `BroadcastScheme::throughput` is `min_k maxflow(source → C_k)` over all receivers.
 //! The variants:
 //!
-//! * `naive`          — per-sink `dinic_max_flow` free-function calls (seed behaviour;
-//!   n ≤ 500 only, it is quadratically off the pace at scale),
-//! * `batched`        — arena build + `FlowSolver::min_max_flow` (cold workspace),
+//! * `batched`        — arena build + `FlowSolver::min_max_flow` (cold workspace;
+//!   n ≤ 500),
 //! * `batched_reuse`  — `min_max_flow` on a prebuilt arena with a warm solver (the
 //!   steady-state hot path of the experiment sweeps — the sequential baseline),
 //! * `parallel-auto`  — `min_max_flow_parallel` with the `suggested_flow_threads`
-//!   heuristic (sequential below 1000 nodes / 128 sinks, capped available parallelism
+//!   heuristic (sequential below 512 nodes / 96 sinks, capped available parallelism
 //!   above),
 //! * `parallel/T`     — fixed thread counts for the fan-out curve.
 //!
@@ -22,13 +21,14 @@
 //! * `pooled/4`       — `FlowPool::min_max_flow_with` on the persistent global pool
 //!   (long-lived workers, warm per-worker solvers, no per-call spawn).
 //!
+//! Before timing, the sizes up to 500 assert that the batched evaluator equals the
+//! minimum of one full `FlowSolver::max_flow` per sink, and every size asserts that the
+//! parallel fan-out equals the batched evaluator.
+//!
 //! Results are drained from the harness and written as `BENCH_throughput.json` at the
 //! repo root (machine-readable perf trajectory).
 
-use bmp_flow::{
-    dinic_max_flow, min_max_flow_parallel, suggested_flow_threads, FlowNetwork, FlowPool,
-    FlowSolver,
-};
+use bmp_flow::{min_max_flow_parallel, suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,31 +37,24 @@ use std::time::Duration;
 
 /// Random broadcast-like digraph: node 0 is the source, every node has out-degree ~8 with
 /// capacities in `[0.1, 5)`, plus a guaranteed source → k path structure so flows are
-/// non-trivial.
-fn random_overlay(n: usize, seed: u64) -> FlowNetwork {
+/// non-trivial. Returned as edge triples for [`FlowArena::from_edges`].
+fn random_overlay(n: usize, seed: u64) -> Vec<(usize, usize, f64)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = FlowNetwork::new(n);
+    let mut edges = Vec::new();
     for k in 1..n {
         // A sparse backbone keeps every node reachable.
         let parent = rng.gen_range(0..k);
-        net.add_edge(parent, k, rng.gen_range(0.5..5.0));
+        edges.push((parent, k, rng.gen_range(0.5..5.0)));
     }
     let extra_edges = n * 7;
     for _ in 0..extra_edges {
         let from = rng.gen_range(0..n);
         let to = rng.gen_range(0..n);
         if from != to {
-            net.add_edge(from, to, rng.gen_range(0.1..5.0));
+            edges.push((from, to, rng.gen_range(0.1..5.0)));
         }
     }
-    net
-}
-
-fn naive_throughput(net: &FlowNetwork, sinks: &[usize]) -> f64 {
-    sinks
-        .iter()
-        .map(|&sink| dinic_max_flow(net, 0, sink).value)
-        .fold(f64::INFINITY, f64::min)
+    edges
 }
 
 fn bench_throughput(c: &mut Criterion) {
@@ -71,25 +64,25 @@ fn bench_throughput(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
     for &n in &[50usize, 200, 500, 2000, 5000] {
-        let net = random_overlay(n, 0xBEA0 + n as u64);
+        let edges = random_overlay(n, 0xBEA0 + n as u64);
         let sinks: Vec<usize> = (1..n).collect();
-        let arena = net.arena();
+        let arena = FlowArena::from_edges(n, &edges);
         let mut warm = FlowSolver::new();
         let expected = warm.min_max_flow(&arena, 0, &sinks);
         if n <= 500 {
-            // The naive baseline is only affordable (and only interesting) at the
-            // PR-1 sizes; it anchors the batched evaluator's exactness.
+            // Exactness anchor, affordable at these sizes: the capped batched pass
+            // equals one full solve per sink.
+            let per_sink = sinks
+                .iter()
+                .map(|&sink| warm.max_flow(&arena, 0, sink))
+                .fold(f64::INFINITY, f64::min);
             assert_eq!(
-                naive_throughput(&net, &sinks),
-                expected,
-                "batched evaluator must agree with the naive baseline before being timed"
+                per_sink, expected,
+                "batched evaluator must agree with per-sink solves before being timed"
             );
-            group.bench_with_input(BenchmarkId::new("naive", n), &net, |b, net| {
-                b.iter(|| naive_throughput(net, &sinks))
-            });
-            group.bench_with_input(BenchmarkId::new("batched", n), &net, |b, net| {
+            group.bench_with_input(BenchmarkId::new("batched", n), &edges, |b, edges| {
                 b.iter(|| {
-                    let arena = net.arena();
+                    let arena = FlowArena::from_edges(n, edges);
                     FlowSolver::new().min_max_flow(&arena, 0, &sinks)
                 })
             });
@@ -129,9 +122,11 @@ fn bench_worker_pool(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     let pool = FlowPool::global();
     for &n in &[500usize, 2000] {
-        let net = random_overlay(n, 0xBEA0 + n as u64);
         let sinks: Vec<usize> = (1..n).collect();
-        let arena = Arc::new(net.arena());
+        let arena = Arc::new(FlowArena::from_edges(
+            n,
+            &random_overlay(n, 0xBEA0 + n as u64),
+        ));
         let mut warm = FlowSolver::new();
         let expected = warm.min_max_flow(&arena, 0, &sinks);
         // Both strategies are exact — assert it before timing them.

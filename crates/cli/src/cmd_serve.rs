@@ -468,7 +468,7 @@ fn render_summary<W: Write>(report: &FleetReport, out: &mut W) -> Result<(), Cli
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::files::testutil::temp_path;
+    use crate::files::testutil::{at, edit_json, temp_path};
 
     fn run_args(args: Vec<String>) -> Result<String, CliError> {
         let list = ArgList::parse(&args)?;
@@ -562,6 +562,38 @@ mod tests {
             full, back,
             "a halted-and-resumed fleet must reproduce the uninterrupted report"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_corrupted_fleet_checkpoint_is_refused_before_any_wave() {
+        let dir = temp_path("serve-corrupt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let checkpoint = dir.join("fleet.ckpt").to_str().unwrap().to_string();
+        run_args(vec![
+            "--sessions".into(),
+            "4".into(),
+            "--chunks".into(),
+            "24".into(),
+            "--checkpoint".into(),
+            checkpoint.clone(),
+            "--halt-after".into(),
+            "10".into(),
+        ])
+        .unwrap();
+        edit_json(&checkpoint, |fleet| {
+            *at(fleet, &["pending", "0", "state", "run", "next_event"]) = serde::Value::I64(99);
+        });
+        match run_args(vec!["--resume".into(), checkpoint]) {
+            Err(CliError::InvalidCheckpoint(message)) => {
+                assert!(message.starts_with("pending session "), "{message}");
+                assert!(
+                    message.contains("past the end of the schedule"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected an invalid-checkpoint error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -379,7 +379,7 @@ fn run_resumed<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     let checkpointing = parse_checkpointing(args, true)?;
     let path = args.get("--resume").expect("caller checked");
     let checkpoint = files::read_checkpoint(path)?;
-    let (mut run, controller) = AdaptiveRun::resume(checkpoint);
+    let (mut run, controller) = AdaptiveRun::resume(checkpoint)?;
     let mut kind = match controller {
         Some(controller) => PolicyKind::Repair(Box::new(controller)),
         None => PolicyKind::Static(StaticPolicy),
@@ -644,9 +644,10 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::files::testutil::temp_path;
+    use crate::files::testutil::{at, edit_json, temp_path};
     use bmp_core::AcyclicGuardedSolver;
     use bmp_platform::paper::figure1;
+    use serde::Value::{Array, F64, I64};
 
     fn scheme_path() -> String {
         let solution = AcyclicGuardedSolver::default().solve(&figure1());
@@ -1031,6 +1032,73 @@ mod tests {
         for file in [&path, &checkpoint, &report_full, &report_resumed] {
             std::fs::remove_file(file).ok();
         }
+    }
+
+    /// Halts a repair run after 20 rounds, applies `change` to its checkpoint, and
+    /// requires `--resume` to refuse the file with a [`CliError::InvalidCheckpoint`]
+    /// whose message contains `expected`.
+    fn corrupted_checkpoint_is_refused(change: impl FnOnce(&mut serde::Value), expected: &str) {
+        let scheme = scheme_path();
+        let checkpoint = temp_path("sim-corrupt.json").to_str().unwrap().to_string();
+        run_args(vec![
+            "--scheme".into(),
+            scheme.clone(),
+            "--churn".into(),
+            "5:3;12:+3".into(),
+            "--repair".into(),
+            "--checkpoint".into(),
+            checkpoint.clone(),
+            "--halt-after".into(),
+            "20".into(),
+        ])
+        .unwrap();
+        edit_json(&checkpoint, change);
+        match run_args(vec!["--resume".into(), checkpoint.clone()]) {
+            Err(CliError::InvalidCheckpoint(message)) => {
+                assert!(message.contains(expected), "{message}");
+            }
+            other => panic!("expected an invalid-checkpoint error, got {other:?}"),
+        }
+        std::fs::remove_file(scheme).ok();
+        std::fs::remove_file(checkpoint).ok();
+    }
+
+    /// One test per corruption that overwrites the value at a checkpoint path.
+    macro_rules! overwrite_is_refused {
+        ($($name:ident: $path:expr => $value:expr, $expected:expr;)+) => {$(
+            #[test]
+            fn $name() {
+                corrupted_checkpoint_is_refused(|cp| *at(cp, &$path) = $value, $expected);
+            }
+        )+};
+    }
+
+    overwrite_is_refused! {
+        resume_refuses_an_event_cursor_past_the_schedule:
+            ["next_event"] => I64(99), "event cursor 99 is past the end";
+        resume_refuses_a_recovery_index_outside_the_timeline:
+            ["awaiting_recovery"] => Array(vec![I64(42)]), "recovery index 42";
+        resume_refuses_a_zero_chunk_config:
+            ["session", "config", "num_chunks"] => I64(0), "need at least one chunk";
+        resume_refuses_churn_on_an_unknown_node:
+            ["churn", "events", "0", "node"] => I64(500), "targets node 500";
+        resume_refuses_a_negative_controller_bandwidth:
+            ["controller", "open_bandwidths", "0"] => F64(-3.0), "invalid platform instance";
+        resume_refuses_a_deployed_edge_outside_the_instance:
+            ["controller", "deployed_edges", "0", "1"] => I64(999), "edge 0 -> 999 outside";
+    }
+
+    #[test]
+    fn resume_refuses_a_truncated_chunk_count() {
+        corrupted_checkpoint_is_refused(
+            |cp| {
+                let Array(count) = at(cp, &["session", "count"]) else {
+                    panic!("count is an array");
+                };
+                count.pop();
+            },
+            "`count` does not cover every node",
+        );
     }
 
     #[test]

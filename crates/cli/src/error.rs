@@ -15,6 +15,9 @@ pub enum CliError {
     Algorithm(String),
     /// A well-formed scheme document violates its feasibility constraints.
     InvalidScheme(String),
+    /// A well-formed checkpoint document cannot be resumed (it violates an invariant of
+    /// the run, session or controller state it describes).
+    InvalidCheckpoint(String),
 }
 
 impl fmt::Display for CliError {
@@ -25,6 +28,7 @@ impl fmt::Display for CliError {
             CliError::Json(msg) => write!(f, "JSON error: {msg}"),
             CliError::Algorithm(msg) => write!(f, "algorithm error: {msg}"),
             CliError::InvalidScheme(msg) => write!(f, "invalid scheme: {msg}"),
+            CliError::InvalidCheckpoint(msg) => write!(f, "invalid checkpoint: {msg}"),
         }
     }
 }
@@ -46,6 +50,12 @@ impl From<serde_json::Error> for CliError {
 impl From<bmp_core::CoreError> for CliError {
     fn from(e: bmp_core::CoreError) -> Self {
         CliError::Algorithm(e.to_string())
+    }
+}
+
+impl From<bmp_sim::CheckpointError> for CliError {
+    fn from(e: bmp_sim::CheckpointError) -> Self {
+        CliError::InvalidCheckpoint(e.to_string())
     }
 }
 
@@ -76,6 +86,9 @@ mod tests {
         assert!(CliError::InvalidScheme("x".into())
             .to_string()
             .starts_with("invalid scheme"));
+        assert!(CliError::InvalidCheckpoint("x".into())
+            .to_string()
+            .starts_with("invalid checkpoint"));
     }
 
     #[test]
@@ -90,5 +103,10 @@ mod tests {
         assert!(matches!(CliError::from(platform), CliError::Algorithm(_)));
         let trees = bmp_trees::TreesError::NotAcyclic;
         assert!(matches!(CliError::from(trees), CliError::Algorithm(_)));
+        let checkpoint = bmp_sim::CheckpointError("bad".into());
+        assert!(matches!(
+            CliError::from(checkpoint),
+            CliError::InvalidCheckpoint(_)
+        ));
     }
 }

@@ -81,13 +81,17 @@ pub fn write_checkpoint(path: &str, checkpoint: &RunCheckpoint) -> Result<(), Cl
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Io`] when the file cannot be read and [`CliError::Json`] when it
-/// does not contain a valid fleet checkpoint (config/admission consistency is enforced
-/// when the fleet is resumed).
+/// Returns [`CliError::Io`] when the file cannot be read, [`CliError::Json`] when it
+/// does not contain a fleet checkpoint document, and [`CliError::InvalidCheckpoint`]
+/// when a pending session's saved state cannot be resumed
+/// ([`FleetCheckpoint::validate`]). Config/admission consistency is enforced when the
+/// fleet is resumed.
 pub fn read_fleet_checkpoint(path: &str) -> Result<FleetCheckpoint, CliError> {
     let text = fs::read_to_string(path)
         .map_err(|e| CliError::Io(format!("cannot read fleet checkpoint file {path}: {e}")))?;
-    FleetCheckpoint::from_json(&text).map_err(CliError::Json)
+    let checkpoint = FleetCheckpoint::from_json(&text).map_err(CliError::Json)?;
+    checkpoint.validate()?;
+    Ok(checkpoint)
 }
 
 /// Writes a fleet checkpoint as pretty-printed JSON (deterministic encoding, like all
@@ -117,8 +121,9 @@ pub fn write_text(path: &str, text: &str) -> Result<(), CliError> {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    //! Helpers for the CLI unit tests: unique temporary paths.
+    //! Helpers for the CLI unit tests: unique temporary paths and in-place JSON edits.
 
+    use serde::Value;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -128,6 +133,30 @@ pub(crate) mod testutil {
     pub fn temp_path(tag: &str) -> PathBuf {
         let id = COUNTER.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("bmp-cli-test-{}-{id}-{tag}", std::process::id()))
+    }
+
+    /// The value at `path` inside `value`: object keys, or array indices written as
+    /// numbers.
+    pub fn at<'a>(value: &'a mut Value, path: &[&str]) -> &'a mut Value {
+        path.iter().fold(value, |value, key| match value {
+            Value::Object(fields) => {
+                &mut fields
+                    .iter_mut()
+                    .find(|(name, _)| name == key)
+                    .unwrap_or_else(|| panic!("no field {key}"))
+                    .1
+            }
+            Value::Array(items) => &mut items[key.parse::<usize>().expect("array index")],
+            other => panic!("cannot index {other:?} with {key}"),
+        })
+    }
+
+    /// Rewrites the JSON document at `path` through `change`.
+    pub fn edit_json(path: &str, change: impl FnOnce(&mut Value)) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut value: Value = serde_json::from_str(&text).unwrap();
+        change(&mut value);
+        std::fs::write(path, serde_json::to_string(&value).unwrap()).unwrap();
     }
 }
 

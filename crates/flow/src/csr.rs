@@ -1,31 +1,11 @@
-//! CSR flow kernel: a flat arc arena plus a reusable solver workspace.
-//!
-//! Every algorithm in the workspace scores schemes through `min_k maxflow(source → C_k)`,
-//! so the flow substrate is the hottest layer of the codebase. This module replaces the
-//! former pointer-chasing `Vec<Vec<usize>>` residual representation with:
-//!
-//! * [`FlowArena`] — an immutable compressed-sparse-row (CSR) arc arena built once per
-//!   network: flat `start`/`to`/`partner`/`base_cap` arrays, residual arcs of a node stored
-//!   contiguously for cache-friendly scans, plus a precomputed per-node in-capacity.
-//! * [`FlowSolver`] — a reusable workspace owning every mutable buffer the solvers need
-//!   (residual capacities, BFS levels, current-arc cursors, queues, push-relabel state).
-//!   After warm-up, repeated solves perform **no heap allocation**: buffers are cleared and
-//!   refilled in place (this is asserted by a counting-allocator test).
-//! * [`FlowSolver::min_max_flow`] — the batched multi-sink evaluator behind
-//!   `BroadcastScheme::throughput`: sinks are visited in ascending in-capacity order so a
-//!   tight minimum is found early, and each subsequent max-flow is capped at the running
-//!   minimum (a sink whose flow reaches the cap cannot lower the minimum, so its solve
-//!   terminates early). The result is exactly equal to evaluating every sink in full.
-//! * [`min_max_flow_parallel`] — the same evaluation fanned out over the persistent
-//!   worker pool ([`crate::pool::FlowPool`]) for large instances, one long-lived solver
-//!   workspace per worker, sharing the running minimum through an atomic so late sinks
-//!   still benefit from early-exit caps.
+//! CSR flow kernel: the flat arc arena ([`FlowArena`]), the reusable Dinic workspace
+//! ([`FlowSolver`]) with its batched multi-sink evaluator ([`FlowSolver::min_max_flow`])
+//! and min-cut certificate ([`FlowSolver::min_cut`]), and the pooled fan-out of the
+//! multi-sink evaluation ([`min_max_flow_parallel`]). The crate docs describe how they fit
+//! together; the counting-allocator test in `tests/no_alloc.rs` pins the kernel's
+//! zero-allocation steady state.
 
 use crate::eps;
-use crate::graph::{FlowNetwork, FlowResult};
-
-/// Sentinel for "no arc" in parent arrays.
-const NO_ARC: u32 = u32::MAX;
 
 /// Immutable CSR residual arena for one network.
 ///
@@ -109,17 +89,6 @@ impl FlowArena {
             edge_pos,
             in_cap,
         }
-    }
-
-    /// Builds the arena from a [`FlowNetwork`] (same arc order as edge insertion order).
-    #[must_use]
-    pub fn from_network(network: &FlowNetwork) -> Self {
-        let edges: Vec<(usize, usize, f64)> = network
-            .edges()
-            .iter()
-            .map(|e| (e.from, e.to, e.capacity))
-            .collect();
-        FlowArena::from_edges(network.num_nodes(), &edges)
     }
 
     /// Number of nodes.
@@ -229,7 +198,24 @@ impl FlowArena {
     }
 }
 
-/// Reusable max-flow workspace.
+/// A minimum `s`–`t` cut, the optimality certificate of a maximum flow (see
+/// [`FlowSolver::min_cut`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MinCut {
+    /// Value of the cut (equal to the maximum flow value up to tolerance).
+    pub value: f64,
+    /// Nodes on the source side of the cut, ascending.
+    pub source_side: Vec<usize>,
+    /// Input edges crossing the cut from the source side to the sink side, as indices in
+    /// [`FlowArena::from_edges`] order, ascending.
+    pub cut_edges: Vec<usize>,
+}
+
+/// Reusable max-flow workspace (Dinic's blocking-flow algorithm).
+///
+/// Dinic runs in `O(V² E)` independently of the capacity values, which makes it safe for
+/// the real-valued capacities used throughout this workspace; residual capacities below
+/// the workspace tolerance ([`eps::is_positive`]) are treated as zero.
 ///
 /// All buffers are owned by the solver and resized lazily to the arena's dimensions, so a
 /// solver can be reused across networks of different sizes; in steady state (same-or-smaller
@@ -239,22 +225,12 @@ impl FlowArena {
 pub struct FlowSolver {
     /// Residual capacities, indexed like the arena's arc arrays.
     cap: Vec<f64>,
-    /// BFS level of each node (Dinic).
+    /// BFS level of each node.
     level: Vec<i32>,
-    /// Current-arc cursor of each node, an absolute CSR position (Dinic).
+    /// Current-arc cursor of each node, an absolute CSR position.
     iter: Vec<u32>,
-    /// BFS queue (Dinic, Edmonds–Karp) / FIFO ring buffer (push-relabel).
+    /// BFS queue.
     queue: Vec<u32>,
-    /// Arc used to reach each node (Edmonds–Karp).
-    parent_arc: Vec<u32>,
-    /// Bottleneck capacity along the BFS tree path (Edmonds–Karp).
-    bottleneck: Vec<f64>,
-    /// Node heights (push-relabel).
-    height: Vec<u32>,
-    /// Node excesses (push-relabel).
-    excess: Vec<f64>,
-    /// Whether a node is queued (push-relabel).
-    in_queue: Vec<bool>,
     /// Sink ordering scratch for [`FlowSolver::min_max_flow`].
     sinks: Vec<u32>,
 }
@@ -266,21 +242,14 @@ impl FlowSolver {
         FlowSolver::default()
     }
 
-    /// Creates a solver with buffers pre-sized for `num_nodes` / `num_edges`.
-    #[must_use]
-    pub fn with_capacity(num_nodes: usize, num_edges: usize) -> Self {
-        let mut solver = FlowSolver::default();
-        solver.cap.reserve(2 * num_edges);
-        solver.level.reserve(num_nodes);
-        solver.iter.reserve(num_nodes);
-        solver.queue.reserve(num_nodes + 1);
-        solver
-    }
-
-    /// Resets residual capacities to the arena's base capacities.
-    fn load_caps(&mut self, arena: &FlowArena) {
+    /// Resets residual capacities to the arena's base capacities and sizes the per-node
+    /// buffers.
+    fn reset(&mut self, arena: &FlowArena) {
         self.cap.clear();
         self.cap.extend_from_slice(&arena.base_cap);
+        self.level.resize(arena.num_nodes, -1);
+        self.iter.resize(arena.num_nodes, 0);
+        self.queue.resize(arena.num_nodes + 1, 0);
     }
 
     /// Maximum-flow value from `source` to `sink` (Dinic). Buffers are reused.
@@ -307,13 +276,10 @@ impl FlowSolver {
     ) -> f64 {
         assert!(source < arena.num_nodes, "source out of range");
         assert!(sink < arena.num_nodes, "sink out of range");
+        self.reset(arena);
         if source == sink || limit <= 0.0 {
             return 0.0;
         }
-        self.load_caps(arena);
-        self.level.resize(arena.num_nodes, -1);
-        self.iter.resize(arena.num_nodes, 0);
-        self.queue.resize(arena.num_nodes + 1, 0);
         let mut total = 0.0;
         while total < limit
             && Self::bfs_levels(
@@ -350,48 +316,53 @@ impl FlowSolver {
         total
     }
 
-    /// Maximum flow with per-edge flow extraction (Dinic).
-    pub fn max_flow_result(&mut self, arena: &FlowArena, source: usize, sink: usize) -> FlowResult {
-        let mut edge_flows = Vec::new();
-        let value = self.max_flow_result_into(arena, source, sink, &mut edge_flows);
-        FlowResult { value, edge_flows }
-    }
-
-    /// Like [`FlowSolver::max_flow_result`], but writes the per-edge flows into a
-    /// caller-owned buffer instead of allocating a fresh `Vec` per call.
-    ///
-    /// `edge_flows` is cleared and refilled (one entry per input edge, insertion order);
-    /// in steady state — a buffer that has already reached `num_edges` capacity — the
-    /// call performs no heap allocation, which is what the repair / simulation loops
-    /// that extract flows every tick rely on. Returns the flow value.
-    pub fn max_flow_result_into(
-        &mut self,
-        arena: &FlowArena,
-        source: usize,
-        sink: usize,
-        edge_flows: &mut Vec<f64>,
-    ) -> f64 {
-        assert!(source < arena.num_nodes, "source out of range");
-        assert!(sink < arena.num_nodes, "sink out of range");
-        if source == sink {
-            // `max_flow` skips the solve (and the capacity load) for this case, so there
-            // is no residual state to extract flows from.
-            edge_flows.clear();
-            edge_flows.resize(arena.num_edges, 0.0);
-            return 0.0;
-        }
-        let value = self.max_flow(arena, source, sink);
-        self.extract_edge_flows_into(arena, edge_flows);
-        value
-    }
-
-    /// Per-edge flows of the last solve, reusing `edge_flows`' allocation: original
-    /// capacity minus remaining forward residual, clamped to `[0, ∞)`.
+    /// Per-edge flows of the last solve on `arena`, reusing `edge_flows`' allocation (one
+    /// entry per input edge, [`FlowArena::from_edges`] order): original capacity minus
+    /// remaining forward residual, clamped to `[0, ∞)`. A solve with `source == sink`
+    /// leaves every flow at zero.
     pub fn extract_edge_flows_into(&self, arena: &FlowArena, edge_flows: &mut Vec<f64>) {
         edge_flows.clear();
         edge_flows.extend(arena.edge_pos.iter().map(|&pos| {
             eps::clamp_nonnegative(arena.base_cap[pos as usize] - self.cap[pos as usize]).max(0.0)
         }));
+    }
+
+    /// Solves `source → sink` and returns the minimum cut certifying the solve: the
+    /// source side is the set of nodes reachable from `source` in the final residual
+    /// network (one BFS over this solver's residual capacities, `O(n + m)` on top of the
+    /// solve), and the cut edges are the input edges of positive capacity leaving it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` or `sink` is out of range.
+    pub fn min_cut(&mut self, arena: &FlowArena, source: usize, sink: usize) -> MinCut {
+        self.max_flow(arena, source, sink);
+        Self::bfs_levels(
+            arena,
+            &self.cap,
+            &mut self.level,
+            &mut self.queue,
+            source,
+            sink,
+        );
+        let source_side = (0..arena.num_nodes)
+            .filter(|&node| self.level[node] >= 0)
+            .collect();
+        let mut cut_edges = Vec::new();
+        let mut value = 0.0;
+        for edge in 0..arena.num_edges {
+            let (tail, head) = arena.edge_endpoints(edge);
+            let capacity = arena.edge_capacity(edge);
+            if self.level[tail] >= 0 && self.level[head] < 0 && eps::is_positive(capacity) {
+                cut_edges.push(edge);
+                value += capacity;
+            }
+        }
+        MinCut {
+            value,
+            source_side,
+            cut_edges,
+        }
     }
 
     /// Breadth-first search building the Dinic level graph; `true` iff the sink is reachable.
@@ -455,170 +426,6 @@ impl FlowSolver {
             iter[node_idx] += 1;
         }
         0.0
-    }
-
-    /// Maximum flow via shortest augmenting paths (Edmonds–Karp), with edge flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` or `sink` is out of range.
-    pub fn edmonds_karp(&mut self, arena: &FlowArena, source: usize, sink: usize) -> FlowResult {
-        assert!(source < arena.num_nodes, "source out of range");
-        assert!(sink < arena.num_nodes, "sink out of range");
-        if source == sink {
-            return FlowResult {
-                value: 0.0,
-                edge_flows: vec![0.0; arena.num_edges],
-            };
-        }
-        self.load_caps(arena);
-        self.parent_arc.resize(arena.num_nodes, NO_ARC);
-        self.bottleneck.resize(arena.num_nodes, 0.0);
-        self.queue.resize(arena.num_nodes + 1, 0);
-        let mut total = 0.0;
-        loop {
-            self.parent_arc.fill(NO_ARC);
-            self.bottleneck[source] = f64::INFINITY;
-            self.queue[0] = source as u32;
-            let (mut head, mut tail) = (0usize, 1usize);
-            let mut found = 0.0;
-            'bfs: while head < tail {
-                let node = self.queue[head] as usize;
-                head += 1;
-                for arc in arena.start[node] as usize..arena.start[node + 1] as usize {
-                    let to = arena.to[arc] as usize;
-                    if to != source
-                        && self.parent_arc[to] == NO_ARC
-                        && eps::is_positive(self.cap[arc])
-                    {
-                        self.parent_arc[to] = arc as u32;
-                        self.bottleneck[to] = self.bottleneck[node].min(self.cap[arc]);
-                        if to == sink {
-                            found = self.bottleneck[sink];
-                            break 'bfs;
-                        }
-                        self.queue[tail] = to as u32;
-                        tail += 1;
-                    }
-                }
-            }
-            if !eps::is_positive(found) {
-                break;
-            }
-            total += found;
-            let mut node = sink;
-            while node != source {
-                let arc = self.parent_arc[node] as usize;
-                self.cap[arc] -= found;
-                let partner = arena.partner[arc] as usize;
-                self.cap[partner] += found;
-                node = arena.to[partner] as usize;
-            }
-        }
-        let mut edge_flows = Vec::new();
-        self.extract_edge_flows_into(arena, &mut edge_flows);
-        FlowResult {
-            value: total,
-            edge_flows,
-        }
-    }
-
-    /// Maximum flow via FIFO push-relabel, with edge flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` or `sink` is out of range.
-    pub fn push_relabel(&mut self, arena: &FlowArena, source: usize, sink: usize) -> FlowResult {
-        assert!(source < arena.num_nodes, "source out of range");
-        assert!(sink < arena.num_nodes, "sink out of range");
-        if source == sink {
-            return FlowResult {
-                value: 0.0,
-                edge_flows: vec![0.0; arena.num_edges],
-            };
-        }
-        self.load_caps(arena);
-        let n = arena.num_nodes;
-        self.height.resize(n, 0);
-        self.height.fill(0);
-        self.excess.resize(n, 0.0);
-        self.excess.fill(0.0);
-        self.in_queue.resize(n, false);
-        self.in_queue.fill(false);
-        // FIFO ring buffer: `in_queue` guarantees at most one entry per node, so `n + 1`
-        // slots can never overflow.
-        self.queue.resize(n + 1, 0);
-        let ring = n + 1;
-        let (mut head, mut tail) = (0usize, 0usize);
-        self.height[source] = n as u32;
-
-        // Saturate every arc leaving the source.
-        for arc in arena.start[source] as usize..arena.start[source + 1] as usize {
-            let capacity = self.cap[arc];
-            if !eps::is_positive(capacity) {
-                continue;
-            }
-            let to = arena.to[arc] as usize;
-            self.cap[arc] = 0.0;
-            self.cap[arena.partner[arc] as usize] += capacity;
-            self.excess[to] += capacity;
-            self.excess[source] -= capacity;
-            if to != sink && to != source && !self.in_queue[to] {
-                self.in_queue[to] = true;
-                self.queue[tail] = to as u32;
-                tail = (tail + 1) % ring;
-            }
-        }
-
-        while head != tail {
-            let node = self.queue[head] as usize;
-            head = (head + 1) % ring;
-            self.in_queue[node] = false;
-            // Discharge `node`.
-            while eps::is_positive(self.excess[node]) {
-                let mut pushed_any = false;
-                for arc in arena.start[node] as usize..arena.start[node + 1] as usize {
-                    if !eps::is_positive(self.excess[node]) {
-                        break;
-                    }
-                    let to = arena.to[arc] as usize;
-                    if eps::is_positive(self.cap[arc]) && self.height[node] == self.height[to] + 1 {
-                        let delta = self.excess[node].min(self.cap[arc]);
-                        self.cap[arc] -= delta;
-                        self.cap[arena.partner[arc] as usize] += delta;
-                        self.excess[node] -= delta;
-                        self.excess[to] += delta;
-                        pushed_any = true;
-                        if to != source && to != sink && !self.in_queue[to] {
-                            self.in_queue[to] = true;
-                            self.queue[tail] = to as u32;
-                            tail = (tail + 1) % ring;
-                        }
-                    }
-                }
-                if eps::is_positive(self.excess[node]) && !pushed_any {
-                    // Relabel just above the lowest admissible neighbour.
-                    let mut min_height = u32::MAX;
-                    for arc in arena.start[node] as usize..arena.start[node + 1] as usize {
-                        if eps::is_positive(self.cap[arc]) {
-                            min_height = min_height.min(self.height[arena.to[arc] as usize]);
-                        }
-                    }
-                    if min_height == u32::MAX || min_height as usize + 1 > 2 * n {
-                        // The remaining excess cannot reach the sink.
-                        break;
-                    }
-                    self.height[node] = min_height + 1;
-                }
-            }
-        }
-
-        let mut edge_flows = Vec::new();
-        self.extract_edge_flows_into(arena, &mut edge_flows);
-        FlowResult {
-            value: self.excess[sink].max(0.0),
-            edge_flows,
-        }
     }
 
     /// Minimum over `sinks` of the maximum flow from `source` — the batched evaluator
@@ -799,19 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn edmonds_karp_and_push_relabel_agree_on_arena() {
-        let arena = diamond_arena();
-        let mut solver = FlowSolver::new();
-        let dinic = solver.max_flow(&arena, 0, 3);
-        let ek = solver.edmonds_karp(&arena, 0, 3);
-        let pr = solver.push_relabel(&arena, 0, 3);
-        assert!((ek.value - dinic).abs() < 1e-9);
-        assert!((pr.value - dinic).abs() < 1e-9);
-        assert_eq!(ek.edge_flows.len(), arena.num_edges());
-        assert_eq!(pr.edge_flows.len(), arena.num_edges());
-    }
-
-    #[test]
     fn edge_accessors_follow_insertion_order() {
         let arena = diamond_arena();
         assert_eq!(arena.edge_endpoints(0), (0, 1));
@@ -885,5 +679,139 @@ mod tests {
         let sequential = FlowSolver::new().min_max_flow(&arena, 0, &sinks);
         assert_eq!(sequential, 0.5);
         assert_eq!(min_max_flow_parallel(&arena, 0, &sinks, 8), 0.5);
+    }
+
+    /// Solves `source → sink` on a fresh arena and checks the extracted edge flows:
+    /// every flow within `[0, capacity]`, conservation at every inner node, and the
+    /// solve's value arriving at the sink. Returns the value.
+    fn solve_checked(num_nodes: usize, edges: &[(usize, usize, f64)], s: usize, t: usize) -> f64 {
+        let arena = FlowArena::from_edges(num_nodes, edges);
+        let mut solver = FlowSolver::new();
+        let value = solver.max_flow(&arena, s, t);
+        let mut flows = Vec::new();
+        solver.extract_edge_flows_into(&arena, &mut flows);
+        assert_eq!(flows.len(), edges.len());
+        let mut balance = vec![0.0; num_nodes];
+        for (&(from, to, capacity), &flow) in edges.iter().zip(&flows) {
+            assert!(
+                (0.0..=capacity + 1e-9).contains(&flow),
+                "flow {flow} on {from}->{to}"
+            );
+            balance[from] -= flow;
+            balance[to] += flow;
+        }
+        for (node, &net) in balance.iter().enumerate() {
+            if node != s && node != t {
+                assert!(net.abs() < 1e-9, "node {node} is unbalanced by {net}");
+            }
+        }
+        if s != t {
+            assert!((balance[t] - value).abs() < 1e-9);
+        }
+        value
+    }
+
+    #[test]
+    fn simple_path() {
+        let value = solve_checked(3, &[(0, 1, 2.0), (1, 2, 1.5)], 0, 2);
+        assert!((value - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn diamond_max_flow() {
+        let edges = [
+            (0, 1, 3.0),
+            (0, 2, 2.0),
+            (1, 3, 2.0),
+            (2, 3, 4.0),
+            (1, 2, 5.0),
+        ];
+        assert!((solve_checked(4, &edges, 0, 3) - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn disconnected_sink() {
+        assert_eq!(solve_checked(4, &[(0, 1, 2.0), (2, 3, 2.0)], 0, 3), 0.0);
+    }
+
+    #[test]
+    fn source_equals_sink() {
+        let arena = diamond_arena();
+        let mut solver = FlowSolver::new();
+        assert!(solver.max_flow(&arena, 0, 3) > 0.0);
+        // Nothing is solved, and no flow of the previous solve lingers.
+        assert_eq!(solver.max_flow(&arena, 1, 1), 0.0);
+        let mut flows = Vec::new();
+        solver.extract_edge_flows_into(&arena, &mut flows);
+        assert_eq!(flows, vec![0.0; arena.num_edges()]);
+    }
+
+    #[test]
+    fn respects_fractional_capacities() {
+        let edges = [(0, 1, 0.3), (0, 2, 0.7), (1, 3, 1.0), (2, 3, 0.25)];
+        assert!((solve_checked(4, &edges, 0, 3) - 0.55).abs() < 1e-9);
+    }
+
+    #[test]
+    fn parallel_edges_accumulate() {
+        assert!((solve_checked(2, &[(0, 1, 1.0), (0, 1, 2.5)], 0, 1) - 3.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn back_edges_are_used() {
+        // Classic example where the augmenting path must undo flow on the cross edge.
+        let edges = [
+            (0, 1, 1.0),
+            (0, 2, 1.0),
+            (1, 2, 1.0),
+            (1, 3, 1.0),
+            (2, 3, 1.0),
+        ];
+        assert!((solve_checked(4, &edges, 0, 3) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "source out of range")]
+    fn source_out_of_range() {
+        let _ = FlowSolver::new().max_flow(&diamond_arena(), 9, 3);
+    }
+
+    #[test]
+    fn cut_value_equals_flow_value() {
+        let arena = diamond_arena();
+        let mut solver = FlowSolver::new();
+        let flow = solver.max_flow(&arena, 0, 3);
+        let cut = solver.min_cut(&arena, 0, 3);
+        assert!((cut.value - flow).abs() < 1e-9);
+        assert!((cut.value - 5.0).abs() < 1e-9);
+        assert!(cut.source_side.contains(&0));
+        assert!(!cut.source_side.contains(&3));
+    }
+
+    #[test]
+    fn bottleneck_edge_identified() {
+        // Edge 0 is wide, edge 1 narrow: only the narrow one is cut.
+        let arena = FlowArena::from_edges(3, &[(0, 1, 10.0), (1, 2, 1.0)]);
+        let cut = FlowSolver::new().min_cut(&arena, 0, 2);
+        assert_eq!(cut.cut_edges, vec![1]);
+        assert!((cut.value - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn disconnected_sink_gives_zero_cut() {
+        let arena = FlowArena::from_edges(3, &[(0, 1, 2.0)]);
+        let cut = FlowSolver::new().min_cut(&arena, 0, 2);
+        assert_eq!(cut.value, 0.0);
+        assert!(cut.cut_edges.is_empty());
+        assert_eq!(cut.source_side, vec![0, 1]);
+    }
+
+    #[test]
+    fn source_side_contains_all_reachable_when_cut_downstream() {
+        let arena = FlowArena::from_edges(5, &[(0, 1, 5.0), (1, 2, 5.0), (2, 3, 0.5), (3, 4, 5.0)]);
+        let cut = FlowSolver::new().min_cut(&arena, 0, 4);
+        assert_eq!(cut.source_side, vec![0, 1, 2]);
+        assert_eq!(cut.cut_edges, vec![2]);
+        assert!((cut.value - 0.5).abs() < 1e-9);
     }
 }

@@ -5,26 +5,33 @@
 //! transfer rates. Every algorithm, oracle and benchmark in the workspace is scored through
 //! that definition, which makes this crate the hottest layer of the codebase.
 //!
-//! # Architecture: CSR arena + reusable solver workspace
+//! # One kernel: CSR arena + reusable Dinic workspace
 //!
 //! The kernel (module [`csr`]) separates the *immutable* description of a network from the
 //! *mutable* state of a solve:
 //!
-//! * [`csr::FlowArena`] — a flat compressed-sparse-row arc arena (`start`/`to`/`partner`/
-//!   `base_cap` arrays plus precomputed per-node in-capacities), built once per network.
-//!   Residual arcs of a node are contiguous, so the hot BFS/DFS loops scan linear memory
-//!   instead of chasing `Vec<Vec<usize>>` pointers. When only the *capacities* of a fixed
-//!   edge set change (the dichotomic search re-scoring near-identical schemes),
-//!   [`csr::FlowArena::set_edge_capacities`] rewrites them in place — equivalent to a
-//!   from-scratch rebuild, without the CSR construction or its allocations.
-//! * [`csr::FlowSolver`] — a workspace owning every buffer the solvers mutate (residual
-//!   capacities, levels, current-arc cursors, queues, push-relabel state). Buffers are
-//!   reused across calls: in steady state a solve performs **zero heap allocation**.
+//! * [`csr::FlowArena`] — the one way to build a network: a flat compressed-sparse-row arc
+//!   arena (`start`/`to`/`partner`/`base_cap` arrays plus precomputed per-node
+//!   in-capacities) built by [`csr::FlowArena::from_edges`] from `(from, to, capacity)`
+//!   triples. Residual arcs of a node are contiguous, so the hot BFS/DFS loops scan linear
+//!   memory. When only the *capacities* of a fixed edge set change (the dichotomic search
+//!   re-scoring near-identical schemes), [`csr::FlowArena::set_edge_capacities`] rewrites
+//!   them in place — equivalent to a from-scratch rebuild, without the CSR construction or
+//!   its allocations.
+//! * [`csr::FlowSolver`] — the one solver: Dinic's blocking-flow algorithm on a workspace
+//!   owning every buffer a solve mutates (residual capacities, levels, current-arc
+//!   cursors, the BFS queue). Buffers are reused across calls: in steady state a solve
+//!   performs **zero heap allocation**. [`csr::FlowSolver::min_cut`] returns the minimum
+//!   cut certifying a solve, and [`csr::FlowSolver::extract_edge_flows_into`] its per-edge
+//!   flows.
 //! * [`csr::FlowSolver::min_max_flow`] — batched multi-sink evaluation of
 //!   `min_k maxflow(source → k)`: sinks are visited in ascending in-capacity order and each
 //!   solve is capped at the running minimum, terminating early once the cap is reached (a
 //!   sink whose flow reaches the running minimum cannot lower it). The result is exactly
 //!   the minimum of the individually computed flows.
+//!
+//! The crate's property tests compare Dinic against an independent adjacency-list
+//! Edmonds–Karp that shares no code with the kernel.
 //!
 //! # The worker-pool layer
 //!
@@ -44,61 +51,15 @@
 //! nodes / 96 sinks, available parallelism capped at 8 above. The fan-out is bit-for-bit
 //! equal to the sequential batched evaluation.
 //!
-//! # Entry points
-//!
-//! * [`graph::FlowNetwork`] — edge-list builder API with `O(1)` in-capacity queries,
-//! * [`dinic`] — Dinic's blocking-flow algorithm (the default solver),
-//! * [`edmonds_karp`] — the shortest-augmenting-path algorithm (used as a cross-check),
-//! * [`push_relabel`] — a FIFO push-relabel implementation (second cross-check),
-//! * [`mincut`] — minimum-cut extraction from a maximum flow,
-//! * [`eps`] — tolerant floating-point comparisons shared by the whole workspace.
-//!
-//! The free functions build a one-shot arena per call and remain the convenient API for
-//! single solves; hot paths (scheme throughput, churn analysis, benchmarks) hold a
-//! [`csr::FlowArena`] and reuse a [`csr::FlowSolver`].
-//!
-//! All algorithms operate on `f64` capacities; comparisons use the tolerances of [`eps`].
+//! All capacities are `f64`; comparisons use the tolerances of [`eps`], which the whole
+//! workspace shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csr;
-pub mod dinic;
-pub mod edmonds_karp;
 pub mod eps;
-pub mod graph;
-pub mod mincut;
 pub mod pool;
-pub mod push_relabel;
 
-pub use csr::{min_max_flow_parallel, suggested_flow_threads, FlowArena, FlowSolver};
-pub use dinic::dinic_max_flow;
-pub use edmonds_karp::edmonds_karp_max_flow;
-pub use graph::{EdgeId, FlowNetwork, FlowResult};
-pub use mincut::{min_cut, MinCut};
+pub use csr::{min_max_flow_parallel, suggested_flow_threads, FlowArena, FlowSolver, MinCut};
 pub use pool::{arm_worker_panics, disarm_worker_panics, FlowPool, WorkerPanicGuard};
-pub use push_relabel::push_relabel_max_flow;
-
-/// Maximum-flow value from `source` to `sink` computed with the default solver (Dinic).
-#[must_use]
-pub fn max_flow_value(network: &FlowNetwork, source: usize, sink: usize) -> f64 {
-    FlowSolver::with_capacity(network.num_nodes(), network.num_edges()).max_flow(
-        &network.arena(),
-        source,
-        sink,
-    )
-}
-
-/// Minimum over `sinks` of the maximum flow from `source` (batched evaluation).
-///
-/// Convenience wrapper over [`csr::FlowSolver::min_max_flow`] for one-shot callers; hot
-/// paths should build the arena once and reuse a solver. Returns `f64::INFINITY` when
-/// `sinks` is empty.
-#[must_use]
-pub fn min_max_flow(network: &FlowNetwork, source: usize, sinks: &[usize]) -> f64 {
-    FlowSolver::with_capacity(network.num_nodes(), network.num_edges()).min_max_flow(
-        &network.arena(),
-        source,
-        sinks,
-    )
-}

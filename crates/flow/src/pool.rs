@@ -1,10 +1,9 @@
 //! Persistent worker pool for multi-sink flow evaluation.
 //!
-//! [`min_max_flow_parallel`](crate::min_max_flow_parallel) used to spawn scoped threads
-//! on every call; at fleet scale — thousands of evaluations per sweep, each fanning out
-//! and joining — the per-call spawn cost is pure overhead. [`FlowPool`] keeps a set of
-//! long-lived workers alive instead, each owning a reusable [`FlowSolver`] workspace
-//! that stays warm across evaluations:
+//! At fleet scale — thousands of evaluations per sweep, each fanning out and joining — a
+//! per-call thread spawn is pure overhead, so [`FlowPool`] keeps a set of long-lived
+//! workers alive, each owning a reusable [`FlowSolver`] workspace that stays warm across
+//! evaluations:
 //!
 //! * work is fed through a channel (a `Mutex<VecDeque>` + `Condvar` queue — no external
 //!   dependency, no unsafe code);
@@ -110,10 +109,24 @@ struct Ticket {
     shared: Arc<EvalShared>,
 }
 
-/// The channel feeding tickets to the workers.
+/// The channel feeding tickets to the workers, plus the pool's injected-panic tokens.
 struct Queue {
     state: Mutex<QueueState>,
     available: Condvar,
+    /// Outstanding injected worker panics (the `FaultPlan` hook of `bmp-sim`): each armed
+    /// token makes one ticket picked up by a worker of *this* pool panic at the start of
+    /// its drain. Zero in production — the only cost of the disabled hook is one load per
+    /// ticket (the update fails without a store when no token is armed).
+    injected_panics: AtomicU64,
+}
+
+impl Queue {
+    /// Consumes one armed panic token, if any are outstanding.
+    fn take_injected_panic(&self) -> bool {
+        self.injected_panics
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+    }
 }
 
 struct QueueState {
@@ -121,32 +134,24 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// Outstanding injected worker panics (the `FaultPlan` hook of `bmp-sim`): each armed
-/// panic makes one worker ticket panic at the start of its drain. Zero in production —
-/// the only cost of the disabled hook is one relaxed load per ticket.
-static INJECTED_WORKER_PANICS: AtomicU64 = AtomicU64::new(0);
-
-/// Arms `count` injected worker panics: the next `count` pool tickets picked up by
-/// worker threads panic instead of draining their share. The submitting thread is never
-/// the victim, so every poisoned evaluation still completes (sequentially) — this is
-/// the fault-injection entry point the crash-resilience tests use to prove panic
-/// containment and worker survival.
+/// Arms `count` injected worker panics on [`FlowPool::global`] (see
+/// [`FlowPool::arm_worker_panics`]).
 pub fn arm_worker_panics(count: u64) {
-    INJECTED_WORKER_PANICS.fetch_add(count, Ordering::SeqCst);
+    FlowPool::global().arm_worker_panics(count);
 }
 
-/// Clears any outstanding injected worker panics, returning how many were pending.
-/// Fault-plan teardown calls this so one test's leftover tokens cannot leak into the
-/// next run's evaluations.
+/// Clears any outstanding injected worker panics of [`FlowPool::global`], returning how
+/// many were pending. Fault-plan teardown calls this so one run's leftover tokens cannot
+/// leak into the next run's evaluations.
 pub fn disarm_worker_panics() -> u64 {
-    INJECTED_WORKER_PANICS.swap(0, Ordering::SeqCst)
+    FlowPool::global().disarm_worker_panics()
 }
 
-/// RAII wrapper around the worker-panic tokens: arms `count` tokens on construction
-/// and disarms whatever is left on drop. Fleet-level fault injection holds one of
-/// these for the duration of a run so that *any* exit path — normal completion, an
-/// early return, or an unwinding panic — clears leftover tokens instead of leaking
-/// them into the next run's evaluations.
+/// RAII wrapper around the worker-panic tokens of [`FlowPool::global`]: arms `count`
+/// tokens on construction and disarms whatever is left on drop. Fleet-level fault
+/// injection holds one of these for the duration of a run so that *any* exit path —
+/// normal completion, an early return, or an unwinding panic — clears leftover tokens
+/// instead of leaking them into the next run's evaluations.
 #[derive(Debug)]
 pub struct WorkerPanicGuard {
     _private: (),
@@ -166,16 +171,6 @@ impl Drop for WorkerPanicGuard {
     fn drop(&mut self) {
         disarm_worker_panics();
     }
-}
-
-/// Consumes one armed panic token, if any are outstanding.
-fn take_injected_panic() -> bool {
-    if INJECTED_WORKER_PANICS.load(Ordering::Relaxed) == 0 {
-        return false;
-    }
-    INJECTED_WORKER_PANICS
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-        .is_ok()
 }
 
 /// Worker main loop: pull tickets until the queue is drained *and* shut down. The
@@ -202,7 +197,7 @@ fn worker_main(queue: Arc<Queue>) {
         // loop — a panic never shrinks the pool's parallelism.
         let Ticket { arena, shared } = ticket;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if take_injected_panic() {
+            if queue.take_injected_panic() {
                 panic!("injected flow worker panic");
             }
             shared.drain(&mut solver, &arena)
@@ -259,6 +254,7 @@ impl FlowPool {
                     shutdown: false,
                 }),
                 available: Condvar::new(),
+                injected_panics: AtomicU64::new(0),
             }),
             max_workers,
             workers: Mutex::new(Vec::new()),
@@ -276,6 +272,24 @@ impl FlowPool {
     pub fn global() -> &'static FlowPool {
         static GLOBAL: OnceLock<FlowPool> = OnceLock::new();
         GLOBAL.get_or_init(|| FlowPool::new(GLOBAL_POOL_CAP))
+    }
+
+    /// Arms `count` injected worker panics on this pool: the next `count` tickets picked
+    /// up by its worker threads panic instead of draining their share. The submitting
+    /// thread is never the victim, so every poisoned evaluation still completes
+    /// (sequentially) — this is the fault-injection entry point the crash-resilience
+    /// tests use to prove panic containment and worker survival. Tokens belong to the
+    /// pool: arming one pool never reaches another pool's workers.
+    pub fn arm_worker_panics(&self, count: u64) {
+        self.queue
+            .injected_panics
+            .fetch_add(count, Ordering::SeqCst);
+    }
+
+    /// Clears this pool's outstanding injected worker panics, returning how many were
+    /// pending.
+    pub fn disarm_worker_panics(&self) -> u64 {
+        self.queue.injected_panics.swap(0, Ordering::SeqCst)
     }
 
     /// Maximum number of helper threads this pool may spawn.
@@ -586,19 +600,18 @@ mod tests {
         // Warm the pool so both workers exist before the fault is armed.
         assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 3), expected);
         assert_eq!(pool.spawned_workers(), 2);
-        // Panic tokens are process-global: a concurrently running test's worker may
-        // consume one (its evaluation falls back sequentially and stays correct), and
-        // ticket pickup races the submitter's own drain, so arm-and-evaluate until a
-        // panic lands on this pool.
+        // The tokens belong to this pool, but ticket pickup races the submitter's own
+        // drain (a reclaimed ticket never meets a token), so arm-and-evaluate until a
+        // panic lands.
         let mut attempts = 0;
         while pool.panics_contained() == 0 {
             attempts += 1;
             assert!(attempts <= 500, "no injected panic ever reached this pool");
-            arm_worker_panics(1);
+            pool.arm_worker_panics(1);
             // Even the poisoned evaluation returns the exact sequential result.
             assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 3), expected);
         }
-        disarm_worker_panics();
+        pool.disarm_worker_panics();
         // Containment: no worker died and none was respawned — later evaluations keep
         // the full fan-out and exact results.
         assert_eq!(pool.spawned_workers(), 2);
@@ -621,10 +634,19 @@ mod tests {
             panic!("unwinding while holding the guard");
         });
         assert!(result.is_err());
-        // Tokens are process-global and a concurrently running test may arm a few of
-        // its own, so assert our block was cleared rather than demanding exactly zero.
+        // No other test of this crate arms the global pool, so nothing may be left.
         let leftover = disarm_worker_panics();
-        assert!(leftover < armed, "guard leaked {leftover} tokens");
+        assert_eq!(leftover, 0, "guard leaked {leftover} tokens");
+    }
+
+    #[test]
+    fn panic_tokens_belong_to_their_pool() {
+        let armed = FlowPool::new(1);
+        let other = FlowPool::new(1);
+        armed.arm_worker_panics(5);
+        assert_eq!(other.disarm_worker_panics(), 0);
+        assert_eq!(armed.disarm_worker_panics(), 5);
+        assert_eq!(armed.disarm_worker_panics(), 0);
     }
 
     #[test]

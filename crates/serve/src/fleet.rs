@@ -212,7 +212,8 @@ fn build_live(config: &FleetConfig, task: &SessionTask, feed: &ChurnFeed) -> Liv
             (run, controller, 0, false, saved)
         }
         Some(saved) => {
-            let (run, controller) = AdaptiveRun::resume(saved.run.clone());
+            let (run, controller) = AdaptiveRun::resume(saved.run.clone())
+                .expect("saved session states are validated before they are resumed");
             let mut controller = controller.expect("fleet sessions are controller-driven");
             if let Some(plan) = &config.fault_plan {
                 if let Some(mut script) = plan.injected_faults() {
@@ -575,9 +576,9 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
 ///
 /// # Panics
 ///
-/// As [`run_fleet`]; additionally if a resume checkpoint disagrees with `config` in
-/// anything but the shard count, or its admission log does not match the one
-/// recomputed from the config.
+/// As [`run_fleet`]; additionally if a resume checkpoint fails
+/// [`FleetCheckpoint::validate`], disagrees with `config` in anything but the shard
+/// count, or its admission log does not match the one recomputed from the config.
 #[must_use]
 pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetRun {
     assert!(config.shards >= 1, "a fleet needs at least one shard");
@@ -614,6 +615,9 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
 
     let (mut wave, mut completed, mut quarantined, mut pending) = match resume {
         Some(checkpoint) => {
+            if let Err(error) = checkpoint.validate() {
+                panic!("resume: {error}");
+            }
             let FleetCheckpoint {
                 config: saved,
                 admissions: saved_admissions,

@@ -30,7 +30,7 @@
 use crate::admission::AdmissionDecision;
 use crate::fleet::FleetConfig;
 use crate::metrics::SessionStats;
-use bmp_sim::RunCheckpoint;
+use bmp_sim::{AdaptiveRun, CheckpointError, RunCheckpoint};
 use serde::{Deserialize, Serialize};
 
 /// Watchdog, retry and checkpoint-cadence parameters of a supervised fleet.
@@ -298,6 +298,25 @@ impl FleetCheckpoint {
     #[must_use]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("fleet checkpoint serializes")
+    }
+
+    /// Checks that every pending session's saved state resumes
+    /// ([`AdaptiveRun::resume`]) into a controller-driven run, so a malformed checkpoint
+    /// is rejected when it loads instead of panicking a shard mid-wave.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first pending session's [`CheckpointError`], prefixed with its id.
+    pub fn validate(&self) -> Result<(), CheckpointError> {
+        for entry in &self.pending {
+            let Some(state) = &entry.state else { continue };
+            let invalid =
+                |error| CheckpointError(format!("pending session {}: {error}", entry.session));
+            let (_, controller) = AdaptiveRun::resume(state.run.clone())
+                .map_err(|error| invalid(error.to_string()))?;
+            controller.ok_or_else(|| invalid("the saved run has no repair controller".into()))?;
+        }
+        Ok(())
     }
 
     /// Parses a checkpoint back from [`FleetCheckpoint::to_json`] output.

@@ -92,7 +92,7 @@ use crate::engine::SimConfig;
 use crate::events::{ChurnAction, ChurnSchedule};
 use crate::metrics::SimReport;
 use crate::overlay::Overlay;
-use crate::session::{Session, SessionSnapshot};
+use crate::session::{ensure, CheckpointError, Session, SessionSnapshot};
 use bmp_core::churn::{repair_with, try_degradation_tolerance, RepairPlan};
 use bmp_core::scheme::BroadcastScheme;
 use bmp_core::solver::{registry, EvalCtx};
@@ -445,24 +445,23 @@ impl RepairController {
 
     /// Rehydrates a controller from a [`ControllerSnapshot`], validating it first.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot's bandwidths do not form a valid platform instance, its
-    /// floor/nominal are inconsistent, its deployed edges or departed set reference
-    /// nodes outside the instance, or its degradation flags disagree.
-    #[must_use]
-    pub fn resume(snapshot: &ControllerSnapshot) -> Self {
-        assert!(
+    /// Returns a [`CheckpointError`] if the snapshot's bandwidths do not form a valid
+    /// platform instance, its floor/nominal are inconsistent, its deployed edges or
+    /// departed set reference nodes outside the instance, or its degradation flags
+    /// disagree.
+    pub fn resume(snapshot: &ControllerSnapshot) -> Result<Self, CheckpointError> {
+        ensure!(
             snapshot.nominal > 0.0,
             "controller snapshot: nominal throughput must be positive"
         );
-        assert!(
+        ensure!(
             snapshot.floor > 0.0 && snapshot.floor <= snapshot.nominal,
             "controller snapshot: floor must lie in (0, nominal]"
         );
-        assert_eq!(
-            snapshot.degraded,
-            snapshot.degraded_floor.is_some(),
+        ensure!(
+            snapshot.degraded == snapshot.degraded_floor.is_some(),
             "controller snapshot: degradation flag and floor disagree"
         );
         let instance = Instance::new_presorted(
@@ -470,23 +469,31 @@ impl RepairController {
             snapshot.open_bandwidths.clone(),
             snapshot.guarded_bandwidths.clone(),
         )
-        .expect("controller snapshot holds an invalid platform instance");
+        .map_err(|error| {
+            CheckpointError(format!(
+                "controller snapshot holds an invalid platform instance: {error}"
+            ))
+        })?;
         let n = instance.num_nodes();
         for &node in &snapshot.previous_departed {
-            assert!(
+            ensure!(
                 node != 0 && node < n,
                 "controller snapshot departs node {node} outside the {n}-node instance"
             );
         }
         let mut deployed = BroadcastScheme::new(instance.clone());
         for &(from, to, rate) in &snapshot.deployed_edges {
-            assert!(
-                from < n && to < n,
-                "controller snapshot deploys an edge outside the instance"
+            ensure!(
+                from < n && to < n && from != to,
+                "controller snapshot deploys an edge {from} -> {to} outside the {n}-node instance"
+            );
+            ensure!(
+                rate.is_finite() && rate >= 0.0,
+                "controller snapshot deploys the edge {from} -> {to} at rate {rate}"
             );
             deployed.set_rate(from, to, rate);
         }
-        RepairController {
+        Ok(RepairController {
             instance,
             nominal: snapshot.nominal,
             floor: snapshot.floor,
@@ -498,7 +505,7 @@ impl RepairController {
             degraded: snapshot.degraded,
             degraded_floor: snapshot.degraded_floor,
             preferred_solver: snapshot.preferred_solver.clone(),
-        }
+        })
     }
 }
 
@@ -775,7 +782,6 @@ impl AdaptiveRun {
         if self.is_finished() {
             return true;
         }
-        let n = self.session.overlay().num_nodes();
         let time_start = self.session.time();
         let mut membership_changed = false;
         while self.next_event < self.churn.events().len()
@@ -788,21 +794,7 @@ impl AdaptiveRun {
             self.next_event += 1;
         }
         if membership_changed {
-            let departed: Vec<NodeId> = (1..n).filter(|&v| !self.session.is_alive(v)).collect();
-            let decision = policy.adapt(&departed, time_start);
-            let mut record = SwapEvent {
-                time: time_start,
-                swapped: false,
-                repaired_nominal: None,
-                recovered_at: None,
-            };
-            if let Some(decision) = decision {
-                record.swapped = true;
-                record.repaired_nominal = Some(decision.repaired_nominal);
-                self.session.hot_swap(decision.overlay);
-            }
-            self.swaps.push(record);
-            self.awaiting_recovery.push(self.swaps.len() - 1);
+            self.consult(policy);
         }
         let stats = self.session.step();
         self.last_round_progressed = stats.all_active_progressed;
@@ -836,27 +828,28 @@ impl AdaptiveRun {
     /// grants one forced repair attempt before quarantining. A no-op on a finished
     /// run.
     pub fn force_repair(&mut self, policy: &mut dyn AdaptationPolicy) -> bool {
-        if self.is_finished() {
-            return false;
-        }
+        !self.is_finished() && self.consult(policy)
+    }
+
+    /// Consults `policy` on the current departed set at the current simulated time,
+    /// hot-swaps a returned replacement, and records the decision in the timeline
+    /// (awaiting recovery). Returns whether a replacement was swapped in.
+    fn consult(&mut self, policy: &mut dyn AdaptationPolicy) -> bool {
         let n = self.session.overlay().num_nodes();
         let time = self.session.time();
         let departed: Vec<NodeId> = (1..n).filter(|&v| !self.session.is_alive(v)).collect();
-        let decision = policy.adapt(&departed, time);
-        let mut record = SwapEvent {
-            time,
-            swapped: false,
-            repaired_nominal: None,
-            recovered_at: None,
-        };
-        if let Some(decision) = decision {
-            record.swapped = true;
-            record.repaired_nominal = Some(decision.repaired_nominal);
+        let repaired_nominal = policy.adapt(&departed, time).map(|decision| {
             self.session.hot_swap(decision.overlay);
-        }
-        self.swaps.push(record);
+            decision.repaired_nominal
+        });
+        self.swaps.push(SwapEvent {
+            time,
+            swapped: repaired_nominal.is_some(),
+            repaired_nominal,
+            recovered_at: None,
+        });
         self.awaiting_recovery.push(self.swaps.len() - 1);
-        record.swapped
+        repaired_nominal.is_some()
     }
 
     /// Replaces the running overlay directly, bypassing every policy and recording
@@ -912,12 +905,14 @@ impl AdaptiveRun {
     /// [`RunCheckpoint`], validating every layer. Stepping the resumed run under the
     /// same policy replays the uninterrupted run bit for bit.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the checkpoint is internally inconsistent (cursor past the schedule,
-    /// recovery indices outside the timeline, session/controller validation failures).
-    #[must_use]
-    pub fn resume(checkpoint: RunCheckpoint) -> (Self, Option<RepairController>) {
+    /// Returns a [`CheckpointError`] if the checkpoint is internally inconsistent
+    /// (churn events outside the overlay, cursor past the schedule, recovery indices
+    /// outside the timeline, session/controller validation failures).
+    pub fn resume(
+        checkpoint: RunCheckpoint,
+    ) -> Result<(Self, Option<RepairController>), CheckpointError> {
         let RunCheckpoint {
             session,
             churn,
@@ -927,27 +922,30 @@ impl AdaptiveRun {
             nominal,
             controller,
         } = checkpoint;
-        let session = Session::resume(session);
+        let session = Session::resume(session)?;
         let n = session.overlay().num_nodes();
         for event in churn.events() {
-            assert!(
+            ensure!(
                 event.node < n,
                 "checkpointed churn event targets node {} but the overlay has {n} nodes",
                 event.node
             );
         }
-        assert!(
+        ensure!(
             next_event <= churn.events().len(),
-            "checkpoint event cursor is past the end of the schedule"
+            "checkpoint event cursor {next_event} is past the end of the schedule"
         );
         for &index in &awaiting_recovery {
-            assert!(
+            ensure!(
                 index < swaps.len(),
                 "checkpoint recovery index {index} is outside the swap timeline"
             );
         }
-        let controller = controller.as_ref().map(RepairController::resume);
-        (
+        let controller = controller
+            .as_ref()
+            .map(RepairController::resume)
+            .transpose()?;
+        Ok((
             AdaptiveRun {
                 session,
                 churn,
@@ -958,7 +956,7 @@ impl AdaptiveRun {
                 last_round_progressed: false,
             },
             controller,
-        )
+        ))
     }
 }
 
@@ -1364,7 +1362,7 @@ mod tests {
         drop(front_ctl);
         let checkpoint: RunCheckpoint = serde_json::from_str(&json).unwrap();
         assert!(checkpoint.has_controller());
-        let (mut resumed, resumed_ctl) = AdaptiveRun::resume(checkpoint);
+        let (mut resumed, resumed_ctl) = AdaptiveRun::resume(checkpoint).unwrap();
         let mut resumed_ctl = resumed_ctl.expect("controller-driven checkpoint");
         assert_eq!(resumed.session().rounds_run(), 30);
         while !resumed.step(&mut resumed_ctl) {}
@@ -1392,7 +1390,7 @@ mod tests {
         let roundtripped: RunCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(roundtripped, checkpoint);
         assert!(!roundtripped.has_controller());
-        let (mut resumed, none_ctl) = AdaptiveRun::resume(roundtripped);
+        let (mut resumed, none_ctl) = AdaptiveRun::resume(roundtripped).unwrap();
         assert!(none_ctl.is_none());
         while !resumed.step(&mut policy) {}
         assert_eq!(resumed.outcome(&policy), reference_outcome);

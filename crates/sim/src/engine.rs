@@ -6,12 +6,14 @@
 //! broadcast and live streaming sources, bandwidth jitter, scheduled churn events and optional
 //! per-round progress tracing.
 //!
-//! [`Simulator`] is the one-shot convenience wrapper: it drives a [`crate::session::Session`]
-//! (the stepped data plane) from round 0 to completion over a frozen overlay, applying the
-//! attached churn schedule as it goes. Closed-loop runs that *react* to churn (re-solve and
-//! hot-swap the overlay mid-broadcast) use the session and [`crate::adapt`] directly.
+//! [`Simulator`] is the one-shot frozen-overlay front end: it drives an
+//! [`AdaptiveRun`] under [`StaticPolicy`] — the one churn loop of the crate — from round
+//! 0 to completion, applying the attached churn schedule as it goes. Closed-loop runs
+//! that *react* to churn (re-solve and hot-swap the overlay mid-broadcast) use
+//! [`crate::adapt`] with another policy.
 
-use crate::events::{ChurnAction, ChurnSchedule};
+use crate::adapt::{AdaptiveRun, StaticPolicy};
+use crate::events::ChurnSchedule;
 use crate::metrics::SimReport;
 use crate::overlay::Overlay;
 use crate::policy::ChunkPolicy;
@@ -80,6 +82,27 @@ impl SimConfig {
         self
     }
 
+    /// Checks that the configuration is usable: at least one chunk, a positive chunk size
+    /// and round duration, and jitter in `[0, 1)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated condition.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        [
+            (self.num_chunks > 0, "need at least one chunk"),
+            (self.chunk_size > 0.0, "chunk size must be positive"),
+            (self.round_duration > 0.0, "round duration must be positive"),
+            (
+                (0.0..1.0).contains(&self.jitter),
+                "jitter must lie in [0, 1)",
+            ),
+        ]
+        .into_iter()
+        .find_map(|(ok, message)| (!ok).then_some(message))
+        .map_or(Ok(()), Err)
+    }
+
     /// Returns the configuration with a different chunk-selection policy.
     #[must_use]
     pub fn with_policy(mut self, policy: ChunkPolicy) -> Self {
@@ -105,16 +128,9 @@ impl Simulator {
     /// duration).
     #[must_use]
     pub fn new(overlay: Overlay, config: SimConfig) -> Self {
-        assert!(config.num_chunks > 0, "need at least one chunk");
-        assert!(config.chunk_size > 0.0, "chunk size must be positive");
-        assert!(
-            config.round_duration > 0.0,
-            "round duration must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&config.jitter),
-            "jitter must lie in [0, 1)"
-        );
+        if let Err(message) = config.validate() {
+            panic!("{message}");
+        }
         Simulator {
             overlay,
             config,
@@ -148,25 +164,14 @@ impl Simulator {
         &self.overlay
     }
 
-    /// The simulation configuration.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// The attached churn schedule (empty by default).
-    #[must_use]
-    pub fn churn(&self) -> &ChurnSchedule {
-        &self.churn
-    }
-
     /// Runs the simulation and returns the per-node delivery report.
     #[must_use]
     pub fn run(&self) -> SimReport {
-        self.run_internal(None).0
+        self.drive(|_| {}).report()
     }
 
-    /// Runs the simulation while sampling a progress trace every `sample_every` rounds.
+    /// Runs the simulation while sampling a progress trace every `sample_every` rounds
+    /// (and once more after the last round when it is not on the sampling grid).
     ///
     /// # Panics
     ///
@@ -174,93 +179,67 @@ impl Simulator {
     #[must_use]
     pub fn run_traced(&self, sample_every: usize) -> (SimReport, ProgressTrace) {
         assert!(sample_every > 0, "sample_every must be positive");
-        let (report, trace) = self.run_internal(Some(sample_every));
-        (report, trace.expect("tracing was requested"))
+        let mut trace = ProgressTrace::new(
+            self.config.num_chunks,
+            self.overlay.num_nodes().saturating_sub(1),
+        );
+        let session = self.drive(|session| {
+            if session.rounds_run().is_multiple_of(sample_every) {
+                trace.samples.push(sample(session));
+            }
+        });
+        if trace
+            .samples
+            .last()
+            .is_none_or(|s| s.round + 1 != session.rounds_run())
+        {
+            trace.samples.push(sample(&session));
+        }
+        (session.report(), trace)
     }
 
-    fn run_internal(&self, sample_every: Option<usize>) -> (SimReport, Option<ProgressTrace>) {
-        let cfg = &self.config;
-        let n = self.overlay.num_nodes();
-        let num_chunks = cfg.num_chunks;
-        let mut session = Session::new(self.overlay.clone(), self.config);
-        let mut next_event = 0usize;
-        let mut trace = sample_every.map(|_| ProgressTrace::new(num_chunks, n.saturating_sub(1)));
-
-        for round in 0..cfg.max_rounds {
-            let time_start = round as f64 * cfg.round_duration;
-
-            // Apply churn events that become effective at or before the start of this round.
-            while next_event < self.churn.events().len()
-                && self.churn.events()[next_event].time <= time_start
-            {
-                let event = self.churn.events()[next_event];
-                session.set_alive(event.node, matches!(event.action, ChurnAction::Rejoin));
-                next_event += 1;
-            }
-
+    /// Steps an [`AdaptiveRun`] under [`StaticPolicy`] until the broadcast completes or
+    /// the round budget runs out, calling `after_round` after every round, and returns
+    /// the final session.
+    fn drive(&self, mut after_round: impl FnMut(&Session)) -> Session {
+        let mut run = AdaptiveRun::new(self.overlay.clone(), self.config, self.churn.clone(), 0.0);
+        if run.session().is_complete() && self.config.max_rounds > 0 {
+            // A session complete before round 0 (a source-only overlay) is finished for
+            // `AdaptiveRun`, which never steps it; the one-shot simulator has always
+            // reported one round for it.
+            let mut session = run.session().clone();
             session.step();
-
-            if let (Some(trace), Some(every)) = (trace.as_mut(), sample_every) {
-                if session.rounds_run().is_multiple_of(every) {
-                    trace.samples.push(sample(
-                        round,
-                        session.time(),
-                        session.counts(),
-                        session.completions(),
-                        num_chunks,
-                    ));
-                }
-            }
-
-            // Stop once every currently alive node has completed; departed nodes cannot make
-            // progress anyway.
-            if session.is_complete() {
-                break;
-            }
+            after_round(&session);
+            return session;
         }
-
-        let rounds_run = session.rounds_run();
-        if let Some(trace) = trace.as_mut() {
-            if trace
-                .samples
-                .last()
-                .is_none_or(|s| s.round + 1 != rounds_run)
-            {
-                trace.samples.push(sample(
-                    rounds_run.saturating_sub(1),
-                    session.time(),
-                    session.counts(),
-                    session.completions(),
-                    num_chunks,
-                ));
-            }
+        while !run.is_finished() {
+            run.step(&mut StaticPolicy);
+            after_round(run.session());
         }
-
-        (session.report(), trace)
+        run.session().clone()
     }
 }
 
-fn sample(
-    round: usize,
-    time: f64,
-    count: &[usize],
-    completion: &[Option<f64>],
-    num_chunks: usize,
-) -> TraceSample {
-    let receivers = count.len().saturating_sub(1).max(1);
+/// Progress sample of `session` after its latest round.
+fn sample(session: &Session) -> TraceSample {
+    let (count, completion) = (&session.counts()[1..], &session.completions()[1..]);
     TraceSample {
-        round,
-        time,
-        min_chunks: count[1..].iter().copied().min().unwrap_or(num_chunks),
-        mean_chunks: count[1..].iter().sum::<usize>() as f64 / receivers as f64,
-        completed_receivers: completion[1..].iter().filter(|c| c.is_some()).count(),
+        round: session.rounds_run().saturating_sub(1),
+        time: session.time(),
+        min_chunks: count
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(session.config().num_chunks),
+        mean_chunks: count.iter().sum::<usize>() as f64 / count.len().max(1) as f64,
+        completed_receivers: completion.iter().filter(|c| c.is_some()).count(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{ChurnEvent, ChurnSchedule};
+    use crate::events::{ChurnAction, ChurnEvent, ChurnSchedule};
     use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
     use bmp_core::cyclic_open::cyclic_open_optimal_scheme;
     use bmp_platform::paper::{figure1, figure14};
@@ -586,6 +565,26 @@ mod tests {
     #[should_panic(expected = "sample_every")]
     fn zero_sampling_interval_is_rejected() {
         let _ = Simulator::new(line_overlay(), SimConfig::default()).run_traced(0);
+    }
+
+    #[test]
+    fn source_only_overlay_reports_one_round() {
+        // The session is complete before round 0; the one-shot simulator still runs (and
+        // reports) exactly one round, with and without tracing.
+        let config = SimConfig {
+            num_chunks: 10,
+            ..SimConfig::default()
+        };
+        let simulator = Simulator::new(Overlay::new(1, Vec::new()), config);
+        let report = simulator.run();
+        assert_eq!(report.rounds_run, 1);
+        assert_eq!(report.completion_time, vec![Some(0.0)]);
+        assert_eq!(report.chunks_received, vec![10]);
+        let (traced, trace) = simulator.run_traced(4);
+        assert_eq!(traced, report);
+        assert_eq!(trace.samples.len(), 1);
+        assert_eq!(trace.samples[0].round, 0);
+        assert!((trace.samples[0].time - config.round_duration).abs() < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! [`engine::Simulator`] validates an overlay end to end: a scheme of nominal throughput
 //! `T` should deliver the whole message to every node at a rate close to `T`. It supports
 //! chunk-policy ablation, bandwidth jitter, live-stream sources, scheduled churn and
-//! progress tracing — but the overlay it simulates is frozen for the whole run.
+//! progress tracing — but the overlay it simulates is frozen for the whole run. It is a
+//! frozen-overlay front end over the session engine below: it drives an
+//! [`adapt::AdaptiveRun`] under [`adapt::StaticPolicy`], so the crate has one churn loop.
 //!
 //! # The session engine (closed-loop adaptive simulation)
 //!
@@ -43,14 +45,15 @@
 //! timeouts, flow-worker panics, seeded churn storms) into a controller's evaluation
 //! context, and [`adapt::AdaptiveRun`] makes the closed loop crash-safe — its
 //! [`adapt::RunCheckpoint`] captures session, schedule and controller state so a
-//! resumed run replays bit-identically.
+//! resumed run replays bit-identically. A corrupted checkpoint is refused with a
+//! [`session::CheckpointError`] naming the violated invariant, never a panic.
 //!
 //! Module map: [`overlay`] (static weighted digraphs extracted from a
 //! [`bmp_core::scheme::BroadcastScheme`]), [`bitset`] (packed possession sets),
-//! [`session`] (stepped data plane), [`engine`] (one-shot wrapper), [`adapt`] (control
-//! loop, checkpoint/resume), [`faults`] (deterministic fault injection), [`policy`]
-//! (chunk selection), [`events`] (churn schedules), [`trace`] (progress time series),
-//! [`metrics`] (delivery reports).
+//! [`session`] (stepped data plane), [`engine`] (one-shot frozen-overlay front end),
+//! [`adapt`] (control loop, checkpoint/resume), [`faults`] (deterministic fault
+//! injection), [`policy`] (chunk selection), [`events`] (churn schedules), [`trace`]
+//! (progress time series), [`metrics`] (delivery reports).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,5 +80,5 @@ pub use faults::{merge_schedules, FaultPlan, DEFAULT_STORM_SEED, FAULT_PLAN_ENV}
 pub use metrics::SimReport;
 pub use overlay::Overlay;
 pub use policy::ChunkPolicy;
-pub use session::{RoundStats, Session, SessionSnapshot};
+pub use session::{CheckpointError, RoundStats, Session, SessionSnapshot};
 pub use trace::{ProgressTrace, TraceSample};

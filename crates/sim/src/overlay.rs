@@ -30,23 +30,40 @@ impl Overlay {
     /// non-positive rate.
     #[must_use]
     pub fn new(num_nodes: usize, edge_list: Vec<(usize, usize, f64)>) -> Self {
+        Overlay::try_new(num_nodes, edge_list).unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// Fallible [`Overlay::new`], for edge lists read from untrusted input.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first edge that references a node outside
+    /// `0..num_nodes`, is a self-loop, or has a non-positive or non-finite rate.
+    pub fn try_new(num_nodes: usize, edge_list: Vec<(usize, usize, f64)>) -> Result<Self, String> {
         let mut edges = Vec::with_capacity(edge_list.len());
         let mut outgoing = vec![Vec::new(); num_nodes];
         for (from, to, rate) in edge_list {
-            assert!(
-                from < num_nodes && to < num_nodes,
-                "edge endpoint out of range"
-            );
-            assert_ne!(from, to, "self-loops are not allowed");
-            assert!(rate > 0.0 && rate.is_finite(), "edge rate must be positive");
+            if from >= num_nodes || to >= num_nodes {
+                return Err(format!(
+                    "edge endpoint out of range: {from} -> {to} in a {num_nodes}-node overlay"
+                ));
+            }
+            if from == to {
+                return Err(format!("self-loops are not allowed: {from} -> {to}"));
+            }
+            if !(rate > 0.0 && rate.is_finite()) {
+                return Err(format!(
+                    "edge rate must be positive and finite: {from} -> {to} at {rate}"
+                ));
+            }
             outgoing[from].push(edges.len());
             edges.push(OverlayEdge { from, to, rate });
         }
-        Overlay {
+        Ok(Overlay {
             num_nodes,
             edges,
             outgoing,
-        }
+        })
     }
 
     /// Extracts the overlay of a broadcast scheme (one edge per positive rate).

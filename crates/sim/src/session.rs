@@ -25,6 +25,32 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+
+/// Why a checkpoint could not be resumed: the first invariant a corrupted or hand-edited
+/// [`SessionSnapshot`], [`crate::adapt::RunCheckpoint`] or
+/// [`crate::adapt::ControllerSnapshot`] violates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointError(pub String);
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// Returns a [`CheckpointError`] built from the format arguments unless `$ok` holds.
+macro_rules! ensure {
+    ($ok:expr, $($message:tt)+) => {
+        let ok: bool = $ok;
+        if !ok {
+            return Err($crate::session::CheckpointError(format!($($message)+)));
+        }
+    };
+}
+pub(crate) use ensure;
 
 /// What one simulated round delivered (the controller's per-round observability).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,16 +126,9 @@ impl Session {
     /// round duration, jitter outside `[0, 1)`).
     #[must_use]
     pub fn new(overlay: Overlay, config: SimConfig) -> Self {
-        assert!(config.num_chunks > 0, "need at least one chunk");
-        assert!(config.chunk_size > 0.0, "chunk size must be positive");
-        assert!(
-            config.round_duration > 0.0,
-            "round duration must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&config.jitter),
-            "jitter must lie in [0, 1)"
-        );
+        if let Err(message) = config.validate() {
+            panic!("{message}");
+        }
         let n = overlay.num_nodes();
         let num_chunks = config.num_chunks;
         let mut session = Session {
@@ -375,13 +394,13 @@ impl Session {
     /// Rebuilds a session from a [`Session::checkpoint`] snapshot. The RNG continues the
     /// exact stream the checkpointed session would have produced.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot is internally inconsistent (mismatched vector lengths, a
-    /// malformed edge order, a degenerate configuration, or invalid overlay edges) — the
-    /// shapes a corrupted or hand-edited checkpoint file produces.
-    #[must_use]
-    pub fn resume(snapshot: SessionSnapshot) -> Self {
+    /// Returns a [`CheckpointError`] if the snapshot is internally inconsistent
+    /// (mismatched vector lengths, a malformed edge order, a degenerate configuration,
+    /// or invalid overlay edges) — the shapes a corrupted or hand-edited checkpoint file
+    /// produces.
+    pub fn resume(snapshot: SessionSnapshot) -> Result<Self, CheckpointError> {
         let SessionSnapshot {
             num_nodes,
             edges,
@@ -400,12 +419,13 @@ impl Session {
             swaps,
             prev_count,
         } = snapshot;
-        // `Session::new` re-checks the configuration; the overlay constructor re-checks
-        // the edges. Everything else is validated here before the fields are adopted.
-        let fresh = Session::new(Overlay::new(num_nodes, edges), config);
-        let n = fresh.overlay.num_nodes();
-        let num_edges = fresh.overlay.edges().len();
-        assert_eq!(rng_state.len(), 4, "snapshot RNG state must hold 4 words");
+        config
+            .validate()
+            .map_err(|message| CheckpointError(message.to_string()))?;
+        let overlay = Overlay::try_new(num_nodes, edges).map_err(CheckpointError)?;
+        let num_edges = overlay.edges().len();
+        ensure!(num_nodes > 0, "snapshot has no source node");
+        ensure!(rng_state.len() == 4, "snapshot RNG state must hold 4 words");
         for (label, len) in [
             ("has", has.len()),
             ("count", count.len()),
@@ -413,39 +433,42 @@ impl Session {
             ("alive", alive.len()),
             ("prev_count", prev_count.len()),
         ] {
-            assert_eq!(len, n, "snapshot field `{label}` does not cover every node");
+            ensure!(
+                len == num_nodes,
+                "snapshot field `{label}` does not cover every node"
+            );
         }
-        assert_eq!(
-            replication.len(),
-            config.num_chunks,
+        ensure!(
+            replication.len() == config.num_chunks,
             "snapshot replication does not cover every chunk"
         );
-        assert_eq!(
-            credit.len(),
-            num_edges,
+        ensure!(
+            credit.len() == num_edges,
             "snapshot credit does not cover every edge"
         );
         let mut order_check: Vec<usize> = edge_order.clone();
         order_check.sort_unstable();
-        assert!(
+        ensure!(
             order_check.into_iter().eq(0..num_edges),
             "snapshot edge order is not a permutation of the edges"
         );
-        assert!(alive[0], "the source cannot be departed");
-        let has: Vec<ChunkBitset> = has
-            .into_iter()
-            .map(|words| ChunkBitset::from_words(config.num_chunks, words))
-            .collect();
-        for (node, set) in has.iter().enumerate() {
-            assert_eq!(
-                set.count(),
-                count[node],
+        ensure!(alive[0], "the source cannot be departed");
+        let mut sets = Vec::with_capacity(num_nodes);
+        for (node, words) in has.into_iter().enumerate() {
+            ensure!(
+                words.len() == config.num_chunks.div_ceil(64),
+                "snapshot possession set of node {node} does not match the chunk count"
+            );
+            let set = ChunkBitset::from_words(config.num_chunks, words);
+            ensure!(
+                set.count() == count[node],
                 "snapshot chunk count of node {node} disagrees with its possession set"
             );
+            sets.push(set);
         }
-        Session {
+        Ok(Session {
             rng: StdRng::from_state([rng_state[0], rng_state[1], rng_state[2], rng_state[3]]),
-            has,
+            has: sets,
             count,
             completion,
             replication,
@@ -457,9 +480,9 @@ impl Session {
             rounds_run,
             swaps,
             prev_count,
-            overlay: fresh.overlay,
+            overlay,
             config,
-        }
+        })
     }
 
     /// The per-node delivery report of the session so far.
@@ -663,7 +686,7 @@ mod tests {
         let json = serde_json::to_string(&front.checkpoint()).unwrap();
         drop(front);
         let snapshot: SessionSnapshot = serde_json::from_str(&json).unwrap();
-        let mut resumed = Session::resume(snapshot);
+        let mut resumed = Session::resume(snapshot).unwrap();
         assert_eq!(resumed.rounds_run(), 37);
         loop {
             let a = uninterrupted.step();
@@ -687,7 +710,7 @@ mod tests {
         }
         session.hot_swap(Overlay::new(3, vec![(0, 2, 2.0)]));
         let snapshot = session.checkpoint();
-        let mut resumed = Session::resume(snapshot.clone());
+        let mut resumed = Session::resume(snapshot.clone()).unwrap();
         assert_eq!(resumed.checkpoint(), snapshot);
         assert!(!resumed.is_alive(1));
         assert_eq!(resumed.swaps(), 1);
@@ -710,7 +733,8 @@ mod tests {
         }
         let mut snapshot = session.checkpoint();
         snapshot.count[2] += 1;
-        let _ = Session::resume(snapshot);
+        // The typed error names the violated invariant.
+        Session::resume(snapshot).unwrap();
     }
 
     #[test]
@@ -719,7 +743,7 @@ mod tests {
         let session = Session::new(line_overlay(), config());
         let mut snapshot = session.checkpoint();
         snapshot.edge_order = vec![0, 0];
-        let _ = Session::resume(snapshot);
+        Session::resume(snapshot).unwrap();
     }
 
     #[test]
