@@ -1,4 +1,4 @@
-//! Multi-sink throughput evaluation: the batched CSR evaluator vs the pooled parallel
+//! Multi-sink throughput evaluation: the batched CSR evaluator vs the scoped parallel
 //! fan-out, measured from n = 50 up to the fleet-scale n ∈ {2000, 5000} overlays called
 //! out by the ROADMAP.
 //!
@@ -9,17 +9,11 @@
 //!   n ≤ 500),
 //! * `batched_reuse`  — `min_max_flow` on a prebuilt arena with a warm solver (the
 //!   steady-state hot path of the experiment sweeps — the sequential baseline),
-//! * `parallel-auto`  — `min_max_flow_parallel` with the `suggested_flow_threads`
+//! * `parallel-auto`  — `FlowPool::min_max_flow_with` with the `suggested_flow_threads`
 //!   heuristic (sequential below 512 nodes / 96 sinks, capped available parallelism
-//!   above),
-//! * `parallel/T`     — fixed thread counts for the fan-out curve.
-//!
-//! The `worker_pool` group compares the pool against the sequential evaluator at a
-//! fixed thread count:
-//!
-//! * `sequential`     — warm `FlowSolver::min_max_flow` (the no-fan-out floor),
-//! * `pooled/4`       — `FlowPool::min_max_flow_with` on the persistent global pool
-//!   (long-lived workers, warm per-worker solvers, no per-call spawn).
+//!   above) and a warm submitter solver,
+//! * `parallel/T`     — fixed thread counts for the fan-out curve (`T - 1` scoped
+//!   helpers spawned per evaluation).
 //!
 //! Before timing, the sizes up to 500 assert that the batched evaluator equals the
 //! minimum of one full `FlowSolver::max_flow` per sink, and every size asserts that the
@@ -28,11 +22,10 @@
 //! Results are drained from the harness and written as `BENCH_throughput.json` at the
 //! repo root (machine-readable perf trajectory).
 
-use bmp_flow::{min_max_flow_parallel, suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
+use bmp_flow::{suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Random broadcast-like digraph: node 0 is the source, every node has out-degree ~8 with
@@ -63,6 +56,7 @@ fn bench_throughput(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
+    let pool = FlowPool::global();
     for &n in &[50usize, 200, 500, 2000, 5000] {
         let edges = random_overlay(n, 0xBEA0 + n as u64);
         let sinks: Vec<usize> = (1..n).collect();
@@ -88,8 +82,9 @@ fn bench_throughput(c: &mut Criterion) {
             });
         }
         // The parallel fan-out shares the exactness argument at every size.
+        let mut submitter = FlowSolver::new();
         assert_eq!(
-            min_max_flow_parallel(&arena, 0, &sinks, 4),
+            pool.min_max_flow_with(&mut submitter, &arena, 0, &sinks, 4),
             expected,
             "parallel evaluator must agree with the sequential baseline before being timed"
         );
@@ -99,13 +94,15 @@ fn bench_throughput(c: &mut Criterion) {
         if n >= 500 {
             let auto_threads = suggested_flow_threads(n, sinks.len());
             group.bench_with_input(BenchmarkId::new("parallel-auto", n), &arena, |b, arena| {
-                b.iter(|| min_max_flow_parallel(arena, 0, &sinks, auto_threads))
+                b.iter(|| pool.min_max_flow_with(&mut submitter, arena, 0, &sinks, auto_threads))
             });
             for threads in [4usize, 8] {
                 group.bench_with_input(
                     BenchmarkId::new(format!("parallel/{threads}"), n),
                     &arena,
-                    |b, arena| b.iter(|| min_max_flow_parallel(arena, 0, &sinks, threads)),
+                    |b, arena| {
+                        b.iter(|| pool.min_max_flow_with(&mut submitter, arena, 0, &sinks, threads))
+                    },
                 );
             }
         }
@@ -113,36 +110,7 @@ fn bench_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pool-vs-sequential at a fixed fan-out of 4 lanes.
-fn bench_worker_pool(c: &mut Criterion) {
-    let mut group = c.benchmark_group("worker_pool");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    let pool = FlowPool::global();
-    for &n in &[500usize, 2000] {
-        let sinks: Vec<usize> = (1..n).collect();
-        let arena = Arc::new(FlowArena::from_edges(
-            n,
-            &random_overlay(n, 0xBEA0 + n as u64),
-        ));
-        let mut warm = FlowSolver::new();
-        let expected = warm.min_max_flow(&arena, 0, &sinks);
-        // Both strategies are exact — assert it before timing them.
-        assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 4), expected);
-        group.bench_with_input(BenchmarkId::new("sequential", n), &arena, |b, arena| {
-            b.iter(|| warm.min_max_flow(arena, 0, &sinks))
-        });
-        let mut submitter = FlowSolver::new();
-        group.bench_with_input(BenchmarkId::new("pooled/4", n), &arena, |b, arena| {
-            b.iter(|| pool.min_max_flow_with(&mut submitter, arena, 0, &sinks, 4))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_throughput, bench_worker_pool);
+criterion_group!(benches, bench_throughput);
 
 fn main() {
     benches();

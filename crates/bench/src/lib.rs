@@ -338,15 +338,12 @@ pub const DICHOTOMIC_REQUIRED_IDS: [&str; 4] = [
 ];
 
 /// The benchmark ids the `throughput` report must contain (sequential batched pass vs
-/// the parallel fan-out at fleet scale, plus the pool-vs-sequential comparison of the
-/// `worker_pool` group).
-pub const THROUGHPUT_REQUIRED_IDS: [&str; 6] = [
+/// the parallel fan-out at fleet scale).
+pub const THROUGHPUT_REQUIRED_IDS: [&str; 4] = [
     "throughput/batched_reuse/2000",
     "throughput/parallel-auto/2000",
     "throughput/batched_reuse/5000",
     "throughput/parallel-auto/5000",
-    "worker_pool/sequential/2000",
-    "worker_pool/pooled/4/2000",
 ];
 
 /// The benchmark ids the `sim` report must contain (the session engine's per-round hot

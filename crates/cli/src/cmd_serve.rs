@@ -259,7 +259,9 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
 ///
 /// Flags: `--sessions N` (default 8), `--shards K` (default 1), `--receivers R`
 /// (default 4), `--chunks C` (at least 1, default 60), `--seed S`, `--floor F` (default
-/// 0.9), `--threads T` (flow fan-out per controller), `--max-sessions N` /
+/// 0.9), `--threads T` (flow fan-out per controller: `1` sequential — the default —
+/// `T > 1` up to `min(T - 1, 8)` helper threads per evaluation, so `K` shards may run
+/// `K × min(T - 1, 8)` helpers at once; `0` auto), `--max-sessions N` /
 /// `--capacity L` / `--queue` (admission policy), `--repair-algorithm NAME`, `--churn
 /// START:SPACING:WAVES` (default `4:3:2`), `--fault-plan SPEC` (`storm`,
 /// `storm:SEED`, `off`; unset reads `BMP_FAULT_PLAN`), `--report FILE` (fleet report

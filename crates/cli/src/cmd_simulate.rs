@@ -452,9 +452,10 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 /// Runs the `simulate` subcommand.
 ///
 /// Flags: `--scheme FILE` *or* `--instance FILE` (solve first; `--algorithm NAME`
-/// selects the registry solver, `--threads N` its flow fan-out), `--chunks N` (at
-/// least 1, default 300), `--policy NAME` (default random), `--seed S`, `--jitter J`
-/// (in `[0, 1)`, default 0), `--live RATE`,
+/// selects the registry solver, `--threads N` its flow fan-out: `1` sequential — the
+/// default — `N > 1` up to `min(N - 1, 8)` helper threads per evaluation, `0` the
+/// instance-size heuristic), `--chunks N` (at least 1, default 300), `--policy NAME`
+/// (default random), `--seed S`, `--jitter J` (in `[0, 1)`, default 0), `--live RATE`,
 /// `--trace` (worst-receiver progress every 50 rounds; frozen-overlay runs only),
 /// `--churn SPEC` (scheduled departures/rejoins, e.g. `"5:busiest"` or `"5:3,7;12:+3"`),
 /// `--repair` (adapt by re-solve + hot-swap instead of the static baseline),

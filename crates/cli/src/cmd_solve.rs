@@ -101,10 +101,11 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
 /// Flags: `--instance FILE` (required), `--algorithm NAME` (registry dispatch; unknown
 /// names list the registered solvers), `--cyclic` (legacy alias for
 /// `--algorithm cyclic-open`), `--tolerance EPS` (dichotomic search precision, default
-/// `1e-9`), `--threads N` (flow-evaluation fan-out over the persistent worker pool:
-/// `1` sequential — the default — `N > 1` up to N concurrent lanes, `0` the
-/// instance-size heuristic; the reported throughput is bit-identical either way), `--out
-/// FILE` (write the scheme as JSON), `--dot FILE` (write a Graphviz rendering).
+/// `1e-9`), `--threads N` (flow-evaluation fan-out: `1` sequential — the default —
+/// `N > 1` up to N lanes per evaluation, i.e. at most `min(N - 1, 8)` helper threads
+/// spawned and joined within each evaluation, `0` the instance-size heuristic; the
+/// reported throughput is bit-identical either way), `--out FILE` (write the scheme as
+/// JSON), `--dot FILE` (write a Graphviz rendering).
 ///
 /// # Errors
 ///

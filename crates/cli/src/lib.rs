@@ -62,6 +62,10 @@ acyclic-open, cyclic-open, exhaustive, omega-word, auto, tree-decomposition);
 an unknown NAME lists the registry with one-line descriptions. Unrecognized
 flags are rejected with the subcommand's accepted flag list.
 
+`--threads N` (solve, simulate, serve) splits each flow evaluation over N lanes:
+1 (the default) is sequential, N > 1 spawns at most min(N - 1, 8) helper threads
+per evaluation and joins them before it returns, 0 picks by instance size.
+
 `simulate --churn \"5:busiest;12:+3\"` injects scheduled departures/rejoins and
 reports delivered goodput; adding `--repair` re-solves the surviving platform
 on every membership change and hot-swaps the repaired overlay mid-broadcast.

@@ -5,6 +5,11 @@
 //! at rate `T`. The resulting scheme is acyclic, reaches the optimal acyclic throughput
 //! `T* = min(b_0, S_{n−1}/n)` and every node has outdegree at most `⌈b_i/T⌉ + 1`
 //! (Section III-B of the paper).
+//!
+//! The construction lays both sides on one axis: receiver `C_t` needs the window
+//! `[(t−1)·T, t·T)` and sender `C_i` supplies `[S_{i−1}, S_i)`, and each transfer is
+//! the overlap of two windows. Every window end is computed directly, not by running
+//! subtractions, so rounding cannot accumulate along the sender order.
 
 use crate::bounds::acyclic_open_optimum;
 use crate::error::CoreError;
@@ -18,7 +23,10 @@ use bmp_platform::Instance;
 /// # Errors
 ///
 /// * [`CoreError::GuardedNodesNotSupported`] if the instance has guarded nodes,
-/// * [`CoreError::InfeasibleThroughput`] if `throughput` exceeds `min(b_0, S_{n−1}/n)`.
+/// * [`CoreError::InfeasibleThroughput`] if `throughput` exceeds `min(b_0, S_{n−1}/n)`,
+///   or if some receiver `C_t` would need a transfer from a node at or after it (the
+///   prefix-sum invariant `S_{t−1} ≥ t·T` failing by more than `1e-9·T`); `optimum` is
+///   then `S_{t−1}/t`.
 pub fn acyclic_open_scheme(
     instance: &Instance,
     throughput: f64,
@@ -44,33 +52,36 @@ pub fn acyclic_open_scheme(
         return Ok(scheme);
     }
 
-    // `remaining_need[t]` is how much receiver C_t still has to receive (r_t in the paper),
-    // `t` is the first receiver that is not yet fully served.
-    let mut remaining_need: Vec<f64> = vec![throughput; n + 1];
-    remaining_need[0] = 0.0; // the source receives nothing
+    // `t` is the first receiver whose window `[(t−1)·T, t·T)` is not yet covered, and
+    // `[supply_start, supply_end)` is the sender's window `[S_{i−1}, S_i)`.
     let mut t = 1usize;
-    let tol = 1e-12 * throughput.max(1.0);
-
+    let mut supply_start = 0.0;
     for sender in 0..=n {
-        let mut supply = instance.bandwidth(sender);
-        while supply > tol && t <= n {
-            // Acyclicity invariant (S_{i−1} ≥ i·T): the receiver pointer is always ahead of
-            // the sender.
-            debug_assert!(t > sender, "receiver pointer caught up with the sender");
-            let transfer = remaining_need[t].min(supply);
-            if transfer > tol {
+        let supply_end = supply_start + instance.bandwidth(sender);
+        while t <= n {
+            let need_end = t as f64 * throughput;
+            let transfer = supply_end.min(need_end) - supply_start.max((t - 1) as f64 * throughput);
+            if transfer > 0.0 && t <= sender {
+                // Acyclicity invariant (S_{t−1} ≥ t·T): receiver t is covered before its
+                // own turn as a sender, up to a rounding-level remainder it goes without.
+                if need_end - supply_start > eps::DEFAULT_EPS * throughput {
+                    return Err(CoreError::InfeasibleThroughput {
+                        requested: throughput,
+                        optimum: supply_start / t as f64,
+                    });
+                }
+                t += 1;
+                continue;
+            }
+            if transfer > 0.0 {
                 scheme.add_rate(sender, t, transfer);
             }
-            remaining_need[t] -= transfer;
-            supply -= transfer;
-            if remaining_need[t] <= tol {
-                remaining_need[t] = 0.0;
-                t += 1;
+            if need_end > supply_end {
+                break;
             }
+            t += 1;
         }
-        if t > n {
-            break;
-        }
+        supply_start = supply_end;
     }
     scheme.prune_dust();
     Ok(scheme)
@@ -93,7 +104,12 @@ pub fn acyclic_open_optimal_scheme(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{AcyclicOpenAlgorithm, EvalCtx, Solver};
+    use bmp_platform::distribution::NamedDistribution;
+    use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
     use bmp_platform::paper::figure1;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn check_scheme(instance: &Instance, throughput: f64) -> BroadcastScheme {
         let scheme = acyclic_open_scheme(instance, throughput).expect("feasible");
@@ -213,5 +229,71 @@ mod tests {
         let (scheme, t) = acyclic_open_optimal_scheme(&inst).unwrap();
         assert!((t - 3.0).abs() < 1e-12);
         assert!((scheme.rate(0, 1) - 3.0).abs() < 1e-9);
+    }
+
+    /// An open-only platform exactly as `bmp generate --open-prob 1` samples it.
+    fn open_only_platform(dist: NamedDistribution, receivers: usize, seed: u64) -> Instance {
+        let config = GeneratorConfig::new(receivers, 1.0).unwrap();
+        InstanceGenerator::new(config, dist.build()).generate(&mut StdRng::seed_from_u64(seed))
+    }
+
+    /// The Section III-B guarantees of an Algorithm 1 scheme at `t`, checked without
+    /// max-flow: feasible and acyclic (so its throughput is its smallest in-rate), every
+    /// receiver's in-rate at least `t·(1 − 1e-9)`, every outdegree at most `⌈bᵢ/T⌉ + 1`.
+    fn assert_algorithm1_guarantees(instance: &Instance, t: f64, label: &str) {
+        let scheme =
+            acyclic_open_scheme(instance, t).unwrap_or_else(|error| panic!("{label}: {error}"));
+        assert!(scheme.is_feasible(), "{label}: {:?}", scheme.validate());
+        assert!(scheme.is_acyclic(), "{label}: cyclic");
+        let mut in_rate = vec![0.0; instance.num_nodes()];
+        for (_, to, rate) in scheme.edges() {
+            in_rate[to] += rate;
+        }
+        for receiver in instance.receivers() {
+            assert!(
+                in_rate[receiver] >= t * (1.0 - 1e-9),
+                "{label}: receiver {receiver} gets {} < {t}",
+                in_rate[receiver]
+            );
+        }
+        for node in 0..instance.num_nodes() {
+            let excess = scheme.degree_excess(node, t);
+            assert!(
+                excess <= 1,
+                "{label}: node {node} has degree excess {excess}"
+            );
+        }
+    }
+
+    #[test]
+    fn receiver_pointer_never_catches_up_on_the_seed8_platform() {
+        // Regression: `bmp generate --receivers 2000 --open-prob 1 --seed 8`, then
+        // `solve --algorithm acyclic-open`, panicked with "a node cannot send to itself"
+        // once running subtractions left the last receiver unserved.
+        // The sweep below covers the construction on this platform; this runs the
+        // registry solver the CLI dispatches, max-flow verification included.
+        let instance = open_only_platform(NamedDistribution::Unif100, 2000, 8);
+        let solution = AcyclicOpenAlgorithm
+            .solve(&instance, &mut EvalCtx::new())
+            .unwrap();
+        assert_eq!(
+            solution.throughput,
+            acyclic_open_optimum(&instance).unwrap()
+        );
+        assert!(solution.scheme.is_acyclic());
+    }
+
+    #[test]
+    fn algorithm1_sweep_over_the_six_distributions() {
+        for dist in NamedDistribution::all() {
+            for receivers in [500, 1000, 2000] {
+                for seed in 0..40 {
+                    let instance = open_only_platform(dist, receivers, seed);
+                    let t = acyclic_open_optimum(&instance).unwrap();
+                    let label = format!("{}/{receivers}/seed {seed}", dist.label());
+                    assert_algorithm1_guarantees(&instance, t, &label);
+                }
+            }
+        }
     }
 }

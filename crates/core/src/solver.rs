@@ -18,17 +18,17 @@
 //!
 //! # Parallel evaluation
 //!
-//! [`EvalCtx::set_parallelism`] switches `throughput` evaluations onto the process-wide
-//! persistent worker pool ([`bmp_flow::FlowPool::global`]): the capacities are written
-//! into the retained arena exactly as in the sequential path, then the per-receiver
-//! max-flows fan out across long-lived workers, the submitting thread working a share on
-//! the context's own solver. Values **and** the [`Telemetry`] counters are bit-for-bit
-//! identical to sequential evaluation — the fan-out only changes wall time — which the
-//! conformance suite asserts for every registry solver. `0` (the default) selects the
+//! [`EvalCtx::set_parallelism`] fans `throughput` evaluations out through
+//! [`bmp_flow::FlowPool::global`]: the capacities are written into the retained arena
+//! exactly as in the sequential path, then the per-receiver max-flows are split between
+//! the context's own solver and scoped helper threads (at most 8) that live for that one
+//! evaluation. Values **and** the [`Telemetry`] counters are bit-for-bit identical to
+//! sequential evaluation — the fan-out only changes wall time — which the conformance
+//! suite asserts for every registry solver. `0` (the default) selects the
 //! [`bmp_flow::suggested_flow_threads`] heuristic per evaluation; `1` stays sequential,
-//! which is the right setting inside already-parallel sweeps (the pool is shared and
-//! capped, but the outer fan-out owns the cores — see
-//! `bmp_experiments::parallel::eval_parallelism`).
+//! which is the right setting inside already-parallel sweeps (the helper bound holds per
+//! evaluation, so concurrent contexts multiply it, and the outer fan-out owns the cores
+//! — see `bmp_experiments::parallel::eval_parallelism`).
 //!
 //! Every solver verifies its own output before returning: the constructed scheme is
 //! re-scored by max-flow through the context and a shortfall against the claimed
@@ -55,7 +55,6 @@ use crate::search::DichotomicSearch;
 use crate::word::{is_valid_word, CodingWord, Symbol};
 use bmp_flow::{suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
 use bmp_platform::{Instance, NodeId};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Relative tolerance of the post-solve max-flow verification.
@@ -112,10 +111,7 @@ pub fn default_incremental() -> bool {
 /// A retained flow arena plus the edge endpoints it was built over.
 #[derive(Debug, Clone, Default)]
 struct RetainedArena {
-    /// Behind an [`Arc`] so pooled evaluations can hand it to the persistent worker pool
-    /// without copying; workers drop their clones before an evaluation returns, so
-    /// [`Arc::make_mut`] rewrites it in place exactly like a plain field.
-    arena: Option<Arc<FlowArena>>,
+    arena: Option<FlowArena>,
     nodes: usize,
     /// Endpoints of the arena's edges, in edge order.
     edges: Vec<(NodeId, NodeId)>,
@@ -142,11 +138,11 @@ impl RetainedArena {
             Some(arena) if same_edges => {
                 caps.clear();
                 caps.extend(edges.iter().map(|&(_, _, cap)| cap));
-                Arc::make_mut(arena).set_edge_capacities(caps);
+                arena.set_edge_capacities(caps);
                 false
             }
             _ => {
-                self.arena = Some(Arc::new(FlowArena::from_edges(num_nodes, edges)));
+                self.arena = Some(FlowArena::from_edges(num_nodes, edges));
                 self.nodes = num_nodes;
                 self.edges.clear();
                 self.edges
@@ -157,17 +153,17 @@ impl RetainedArena {
     }
 
     /// The arena [`RetainedArena::prepare`] last pointed at its edges.
-    fn prepared(&self) -> &Arc<FlowArena> {
+    fn prepared(&self) -> &FlowArena {
         self.arena.as_ref().expect("arena prepared first")
     }
 }
 
-/// `min_k maxflow(source → sinks_k)` on `arena`: pooled when the fan-out `parallelism`
+/// `min_k maxflow(source → sinks_k)` on `arena`: fanned out when `parallelism`
 /// (`0` = [`suggested_flow_threads`]) asks for more than one lane, sequential on
 /// `solver` otherwise. Bit-identical either way.
 fn min_max_on(
     solver: &mut FlowSolver,
-    arena: &Arc<FlowArena>,
+    arena: &FlowArena,
     source: NodeId,
     sinks: &[NodeId],
     parallelism: usize,
@@ -176,11 +172,7 @@ fn min_max_on(
         0 => suggested_flow_threads(arena.num_nodes(), sinks.len()),
         explicit => explicit,
     };
-    if threads > 1 {
-        FlowPool::global().min_max_flow_with(solver, arena, source, sinks, threads)
-    } else {
-        solver.min_max_flow(arena, source, sinks)
-    }
+    FlowPool::global().min_max_flow_with(solver, arena, source, sinks, threads)
 }
 
 /// Explicit flow-evaluation workspace: owns the arena and the solver buffers, retains
@@ -201,7 +193,7 @@ pub struct EvalCtx {
     /// scheme probes rewrites both arenas in place.
     explicit_arena: RetainedArena,
     /// Fan-out of `throughput` evaluations: `0` the per-evaluation size heuristic
-    /// (default), `1` sequential, `> 1` dispatch onto the shared worker pool.
+    /// (default), `1` sequential, `> 1` that many lanes per evaluation.
     parallelism: usize,
     scratch_edges: Vec<(NodeId, NodeId, f64)>,
     scratch_filtered: Vec<(NodeId, NodeId, f64)>,
@@ -360,20 +352,20 @@ impl EvalCtx {
 
     /// Sets the fan-out of [`EvalCtx::throughput`] evaluations (see the module docs):
     /// `0` (the default) picks per evaluation via
-    /// [`bmp_flow::suggested_flow_threads`] (sequential for small instances, pooled at
-    /// fleet scale), `1` always evaluates sequentially on the calling thread, and
-    /// `threads > 1` dispatches the per-receiver max-flows onto the shared persistent
-    /// worker pool ([`FlowPool::global`]) with up to `threads` concurrent lanes.
+    /// [`bmp_flow::suggested_flow_threads`] (sequential for small instances, fanned out
+    /// at fleet scale), `1` always evaluates sequentially on the calling thread, and
+    /// `threads > 1` splits the per-receiver max-flows over up to `threads` lanes: the
+    /// calling thread plus at most `min(threads - 1, 8)` scoped helpers spawned for that
+    /// evaluation and joined before it returns ([`FlowPool::min_max_flow_with`]).
     ///
     /// Auto is the default because below the size thresholds — every conformance
     /// instance, and any machine without available parallelism — it resolves to the
-    /// same sequential path as `1`, and above them the pool wins, so it costs nothing
-    /// where fan-out cannot win.
+    /// same sequential path as `1`, so it costs nothing where fan-out cannot win.
     ///
     /// Values and telemetry counters are bit-for-bit independent of this setting; only
-    /// wall time changes. Contexts used *inside* an already-parallel sweep should be
-    /// set to `1` — the outer fan-out owns the cores
-    /// (`bmp_experiments::eval_parallelism` does exactly that).
+    /// wall time changes. The helper bound holds per evaluation, so contexts used
+    /// *inside* an already-parallel sweep should be set to `1` — the outer fan-out owns
+    /// the cores (`bmp_experiments::eval_parallelism` does exactly that).
     pub fn set_parallelism(&mut self, threads: usize) {
         self.parallelism = threads;
     }
@@ -416,8 +408,8 @@ impl EvalCtx {
     /// the explicit edge set is unchanged, rebuild otherwise), so it leaves the scheme
     /// arena untouched, and it honours the configured parallelism
     /// ([`EvalCtx::set_parallelism`]): at a fan-out above 1 (or when the `0` auto
-    /// heuristic triggers at fleet scale) the per-sink max-flows dispatch onto the shared
-    /// persistent worker pool, the value staying bit-identical to the sequential pass.
+    /// heuristic triggers at fleet scale) the per-sink max-flows are split over scoped
+    /// helper threads, the value staying bit-identical to the sequential pass.
     pub fn min_max_flow(
         &mut self,
         num_nodes: usize,
@@ -961,7 +953,7 @@ mod tests {
             .unwrap();
         let mut scheme = solution.scheme;
         // Two fresh contexts run the same evaluation sequence — nominal, then two
-        // perturbations — one sequential, one through the worker pool.
+        // perturbations — one sequential, one fanned out over four lanes.
         let mut seq = EvalCtx::new();
         seq.set_parallelism(1);
         let mut par = EvalCtx::new();
@@ -996,9 +988,8 @@ mod tests {
         let mut scheme = solution.scheme;
         let _ = ctx.throughput(&scheme);
         let builds_before = ctx.arena_builds();
-        // After a pooled evaluation every worker has dropped its arena reference, so
-        // the retained arena is rewritten in place: no rebuild even though the arena was
-        // shared with the pool moments ago.
+        // A fanned-out evaluation only borrows the retained arena, so the next one
+        // rewrites it in place: no rebuild.
         for step in 1..=3 {
             let (from, to, rate) = scheme.edges()[0];
             scheme.set_rate(from, to, rate * (1.0 - 0.1 * f64::from(step)));

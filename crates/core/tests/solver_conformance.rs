@@ -331,11 +331,11 @@ proptest! {
         }
     }
 
-    /// Pooled evaluation (`EvalCtx::set_parallelism`, the persistent-pool fan-out) must
-    /// equal sequential evaluation **bit-identically** — values and counters — on random
-    /// overlays at every fan-out in {1, 2, 4}. Runs the same probe sequence (nominal
-    /// evaluation, then two rounds of perturbations) through one sequential and one
-    /// pooled context per fan-out.
+    /// Fanned-out evaluation (`EvalCtx::set_parallelism`) must equal sequential
+    /// evaluation **bit-identically** — values and counters — on random overlays at every
+    /// fan-out in {1, 2, 4}. Runs the same probe sequence (nominal evaluation, then two
+    /// rounds of perturbations) through one sequential and one fanned-out context per
+    /// fan-out.
     #[test]
     fn parallel_throughput_is_bit_identical_to_sequential(case in random_scheme()) {
         let (mut scheme, factors) = case;

@@ -173,7 +173,7 @@ pub fn run(quick: bool, threads: usize) -> DepthReport {
             .collect();
         // One EvalCtx per worker (the churn_exp convention), reused across the chunk;
         // its flow fan-out is 1 inside a parallel sweep (the outer map owns the cores)
-        // and the pool-backed auto heuristic when the sweep runs sequentially.
+        // and the auto heuristic when the sweep runs sequentially.
         let worker_ctx = || {
             let mut ctx = EvalCtx::new();
             ctx.set_parallelism(crate::parallel::eval_parallelism(threads));

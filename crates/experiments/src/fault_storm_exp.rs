@@ -198,7 +198,7 @@ fn run_trial(
         nominal,
         FLOOR_FRACTION,
     );
-    // Pooled residual evaluation gives the armed worker panic a pool to land in;
+    // Fanned-out evaluation gives the armed worker panic a helper to land in;
     // containment recomputes the exact value, so the trial stays deterministic.
     controller.set_parallelism(2);
     plan.install(controller.ctx_mut());
@@ -276,7 +276,7 @@ pub fn run(quick: bool, threads: usize) -> FaultStormReport {
             });
         }
     }
-    // Storm plans arm one worker panic per trial; panics that never found a pooled
+    // Storm plans arm one worker panic per trial; panics that never found a fanned-out
     // evaluation to land in must not leak into whatever runs next in this process.
     bmp_flow::disarm_worker_panics();
     FaultStormReport { cells }

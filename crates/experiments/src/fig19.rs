@@ -220,7 +220,7 @@ pub fn run(config: &Fig19Config) -> Fig19Result {
                     .collect();
                 // One EvalCtx per worker (the churn_exp convention): certification flows
                 // go through explicit state, not the scheme.rs thread-local, and never
-                // stack the flow pool's fan-out on the sweep's own.
+                // stack the flow fan-out on the sweep's own.
                 let worker_ctx = || {
                     let mut ctx = EvalCtx::new();
                     ctx.set_parallelism(crate::parallel::eval_parallelism(config.threads));

@@ -68,12 +68,12 @@ where
 /// Flow-evaluation fan-out for the per-worker `bmp_core::solver::EvalCtx` of a sweep
 /// running `outer_threads` workers (the value to pass to `EvalCtx::set_parallelism`).
 ///
-/// A sweep that is itself parallel already owns the cores: stacking the flow pool's
-/// fan-out on top would oversubscribe the machine, so its workers evaluate
-/// sequentially (`1`). A sequential sweep has the whole machine to itself, so its one
-/// worker gets the auto setting (`0` — the `suggested_flow_threads` heuristic backed by
-/// the shared, capped `bmp_flow::FlowPool`), which stays sequential on the small
-/// instances the sweeps mostly score and fans out only at fleet scale.
+/// A sweep that is itself parallel already owns the cores: the flow fan-out's helper
+/// bound holds per evaluation (at most 8 scoped helpers each), so stacking it on top
+/// would oversubscribe the machine, and its workers evaluate sequentially (`1`). A
+/// sequential sweep has the whole machine to itself, so its one worker gets the auto
+/// setting (`0` — the `suggested_flow_threads` heuristic), which stays sequential on the
+/// small instances the sweeps mostly score and fans out only at fleet scale.
 #[must_use]
 pub fn eval_parallelism(outer_threads: usize) -> usize {
     if outer_threads > 1 {
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn eval_parallelism_never_stacks_fanouts() {
         // A parallel sweep pins its workers' flow evaluation to sequential; only a
-        // sequential sweep hands its one worker the pool-backed auto setting.
+        // sequential sweep hands its one worker the auto setting.
         assert_eq!(eval_parallelism(0), 0);
         assert_eq!(eval_parallelism(1), 0);
         for outer in 2..=16 {

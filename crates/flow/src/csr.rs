@@ -1,9 +1,9 @@
 //! CSR flow kernel: the flat arc arena ([`FlowArena`]), the reusable Dinic workspace
 //! ([`FlowSolver`]) with its batched multi-sink evaluator ([`FlowSolver::min_max_flow`])
-//! and min-cut certificate ([`FlowSolver::min_cut`]), and the pooled fan-out of the
-//! multi-sink evaluation ([`min_max_flow_parallel`]). The crate docs describe how they fit
-//! together; the counting-allocator test in `tests/no_alloc.rs` pins the kernel's
-//! zero-allocation steady state.
+//! and min-cut certificate ([`FlowSolver::min_cut`]), and the fan-out heuristic
+//! ([`suggested_flow_threads`]). The crate docs describe how they fit together; the
+//! counting-allocator test in `tests/no_alloc.rs` pins the kernel's zero-allocation
+//! steady state.
 
 use crate::eps;
 
@@ -177,8 +177,8 @@ impl FlowArena {
     /// Fills `order` with `sinks` sorted ascending by in-capacity (ties by node id).
     ///
     /// This is the evaluation order shared by [`FlowSolver::min_max_flow`] and
-    /// [`min_max_flow_parallel`]; the two must visit sinks identically, so the ordering
-    /// lives in one place. Reuses `order`'s allocation.
+    /// [`crate::FlowPool::min_max_flow_with`]; the two must visit sinks identically, so
+    /// the ordering lives in one place. Reuses `order`'s allocation.
     ///
     /// # Panics
     ///
@@ -459,16 +459,16 @@ impl FlowSolver {
     }
 }
 
-/// Worker-count heuristic for [`min_max_flow_parallel`]: how many threads are worth
-/// spawning for a multi-sink evaluation of `num_sinks` sinks on a `num_nodes`-node arena.
+/// Lane-count heuristic for [`crate::FlowPool::min_max_flow_with`]: how many threads
+/// are worth using for a multi-sink evaluation of `num_sinks` sinks on a
+/// `num_nodes`-node arena.
 ///
-/// Small evaluations are dominated by per-lane warm-up, so the heuristic stays
-/// sequential below 512 nodes or 96 sinks; the persistent [`crate::pool::FlowPool`]
-/// costs a queue push to already-warm workers per call, and the `worker_pool` group of
-/// `crates/bench/benches/throughput.rs` measures it against the sequential evaluator
-/// at these sizes. Above the thresholds it uses the machine's available parallelism, capped at 8 so evaluation
-/// fan-out stays polite inside already-parallel sweeps (on a single-core host it
-/// therefore always returns 1, and fan-out costs nothing where it cannot win).
+/// Small evaluations cannot repay the per-call helper spawn and the helpers' cold
+/// solver buffers, so the heuristic stays sequential below 512 nodes or 96 sinks. Above
+/// the thresholds it uses the machine's available parallelism, capped at 8 so
+/// evaluation fan-out stays polite inside already-parallel sweeps (on a single-core
+/// host it therefore always returns 1, and fan-out costs nothing where it cannot win).
+/// The bound holds per evaluation: concurrent evaluations each get their own lanes.
 #[must_use]
 pub fn suggested_flow_threads(num_nodes: usize, num_sinks: usize) -> usize {
     if num_nodes < 512 || num_sinks < 96 {
@@ -480,37 +480,16 @@ pub fn suggested_flow_threads(num_nodes: usize, num_sinks: usize) -> usize {
         .min(8)
 }
 
-/// [`FlowSolver::min_max_flow`] fanned out over the persistent worker pool
-/// ([`crate::pool::FlowPool::global`]).
-///
-/// This is a thin convenience wrapper for borrowed arenas: the pool hands work to
-/// long-lived threads, so the arena is cloned into an [`std::sync::Arc`] for the call
-/// (one memcpy of the CSR arrays — noise next to a multi-sink solve at the sizes where
-/// fan-out pays). Hot paths that evaluate repeatedly should hold an
-/// `Arc<FlowArena>` themselves and call [`crate::pool::FlowPool::min_max_flow_with`]
-/// directly, reusing their submitter workspace and skipping the clone; `bmp-core`'s
-/// evaluation context does exactly that.
-///
-/// `threads <= 1` falls back to the sequential evaluator. Returns `f64::INFINITY` for an
-/// empty `sinks`. The result is bit-for-bit the sequential evaluation either way.
-#[must_use]
-pub fn min_max_flow_parallel(
-    arena: &FlowArena,
-    source: usize,
-    sinks: &[usize],
-    threads: usize,
-) -> f64 {
-    let mut solver = FlowSolver::new();
-    if threads.min(sinks.len()) <= 1 {
-        return solver.min_max_flow(arena, source, sinks);
-    }
-    let arena = std::sync::Arc::new(arena.clone());
-    crate::pool::FlowPool::global().min_max_flow_with(&mut solver, &arena, source, sinks, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlowPool;
+
+    /// The multi-sink evaluation from node 0, fanned out over `threads` lanes on a
+    /// pool of this test's own.
+    fn fanned_out(arena: &FlowArena, sinks: &[usize], threads: usize) -> f64 {
+        FlowPool::new(8).min_max_flow_with(&mut FlowSolver::new(), arena, 0, sinks, threads)
+    }
 
     fn diamond_arena() -> FlowArena {
         FlowArena::from_edges(
@@ -573,7 +552,7 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         let batched = solver.min_max_flow(&arena, 0, &[1, 2, 3]);
         assert_eq!(batched, naive);
-        assert_eq!(min_max_flow_parallel(&arena, 0, &[1, 2, 3], 3), naive);
+        assert_eq!(fanned_out(&arena, &[1, 2, 3], 3), naive);
     }
 
     #[test]
@@ -583,7 +562,7 @@ mod tests {
             FlowSolver::new().min_max_flow(&arena, 0, &[]),
             f64::INFINITY
         );
-        assert_eq!(min_max_flow_parallel(&arena, 0, &[], 4), f64::INFINITY);
+        assert_eq!(fanned_out(&arena, &[], 4), f64::INFINITY);
     }
 
     #[test]
@@ -656,7 +635,7 @@ mod tests {
         assert_eq!(suggested_flow_threads(511, 499), 1);
         assert_eq!(suggested_flow_threads(5000, 64), 1);
         assert_eq!(suggested_flow_threads(500, 95), 1);
-        // At or above the pool-tuned thresholds the heuristic defers to available
+        // At or above the thresholds the heuristic defers to available
         // parallelism (so it still returns 1 on a single-core host).
         for eligible in [
             suggested_flow_threads(512, 96),
@@ -678,7 +657,7 @@ mod tests {
         let sinks: Vec<usize> = (1..n).collect();
         let sequential = FlowSolver::new().min_max_flow(&arena, 0, &sinks);
         assert_eq!(sequential, 0.5);
-        assert_eq!(min_max_flow_parallel(&arena, 0, &sinks, 8), 0.5);
+        assert_eq!(fanned_out(&arena, &sinks, 8), 0.5);
     }
 
     /// Solves `source → sink` on a fresh arena and checks the extracted edge flows:

@@ -33,23 +33,10 @@
 //! The crate's property tests compare Dinic against an independent adjacency-list
 //! Edmonds–Karp that shares no code with the kernel.
 //!
-//! # The worker-pool layer
-//!
-//! Large multi-sink evaluations fan out across [`pool::FlowPool`], a persistent pool of
-//! long-lived workers, each owning a reusable [`csr::FlowSolver`] that stays warm across
-//! evaluations. Workers are spawned lazily up to the pool cap and fed sink batches
-//! through a channel; every evaluation shares its running minimum through an atomic, and
-//! the submitting thread always works a share itself. [`pool::FlowPool::global`] is the
-//! process-wide instance (capped at 8 workers, the same ceiling as
-//! [`suggested_flow_threads`]) shared by [`min_max_flow_parallel`] and the parallel
-//! evaluation mode of `bmp-core`'s `EvalCtx`, so the machine-wide flow-thread count stays
-//! bounded no matter how many contexts request parallelism. Arenas travel to the workers
-//! as `Arc<FlowArena>` clones that are dropped before the submitter is released — a
-//! context that owns the only other reference keeps rewriting its retained arena in place.
-//!
-//! [`suggested_flow_threads`] decides when fan-out pays at all: sequential below 512
-//! nodes / 96 sinks, available parallelism capped at 8 above. The fan-out is bit-for-bit
-//! equal to the sequential batched evaluation.
+//! [`FlowPool::min_max_flow_with`] fans one multi-sink evaluation out over scoped helper
+//! threads that live for that call only, bit-for-bit equal to the sequential batched
+//! evaluation; [`suggested_flow_threads`] decides when the fan-out pays (sequential below
+//! 512 nodes / 96 sinks, available parallelism capped at 8 above).
 //!
 //! All capacities are `f64`; comparisons use the tolerances of [`eps`], which the whole
 //! workspace shares.
@@ -61,5 +48,5 @@ pub mod csr;
 pub mod eps;
 pub mod pool;
 
-pub use csr::{min_max_flow_parallel, suggested_flow_threads, FlowArena, FlowSolver, MinCut};
+pub use csr::{suggested_flow_threads, FlowArena, FlowSolver, MinCut};
 pub use pool::{arm_worker_panics, disarm_worker_panics, FlowPool, WorkerPanicGuard};

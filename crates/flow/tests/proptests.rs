@@ -7,7 +7,7 @@
 //! parallel fan-out) must agree exactly with naive per-sink evaluation, a reused solver
 //! workspace must behave like a fresh one, and the minimum cut must certify the flow.
 
-use bmp_flow::{min_max_flow_parallel, FlowArena, FlowSolver};
+use bmp_flow::{FlowArena, FlowPool, FlowSolver};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -177,7 +177,8 @@ proptest! {
         let batched = FlowSolver::new().min_max_flow(&arena, source, &sinks);
         prop_assert_eq!(batched, naive, "batched {} vs naive {}", batched, naive);
         // Parallel fan-out with a shared atomic minimum: same exactness argument.
-        let parallel = min_max_flow_parallel(&arena, source, &sinks, 4);
+        let parallel =
+            FlowPool::global().min_max_flow_with(&mut FlowSolver::new(), &arena, source, &sinks, 4);
         prop_assert_eq!(parallel, naive, "parallel {} vs naive {}", parallel, naive);
         // And the exact minimum agrees with the independent oracle.
         let oracle = sinks

@@ -56,7 +56,8 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Repair floor fraction of nominal, in `(0, 1]`.
     pub floor: f64,
-    /// Flow-evaluation fan-out per controller (`1` sequential, `> 1` routed through
+    /// Flow-evaluation fan-out per controller (`1` sequential, `T > 1` up to
+    /// `min(T - 1, 8)` helper threads per evaluation through
     /// [`bmp_flow::FlowPool::global`], `0` auto).
     pub flow_threads: usize,
     /// Pins the named solver to the front of every controller's repair chain.
@@ -659,8 +660,8 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
 
     // Worker panics are process-global: arm the whole run's budget once, behind a
     // drop-guard so no exit path — completion, halt, or an unwinding panic — leaks
-    // unconsumed tokens into whatever runs next in this process. (The pooled
-    // evaluator recomputes poisoned evaluations sequentially, so which evaluation a
+    // unconsumed tokens into whatever runs next in this process. (The fan-out
+    // recomputes poisoned evaluations sequentially, so which evaluation a
     // panic lands on never changes any result.)
     let _panic_guard = config.fault_plan.as_ref().and_then(|plan| {
         (plan.worker_panics() > 0).then(|| WorkerPanicGuard::arm(plan.worker_panics()))

@@ -5,10 +5,11 @@
 //! admitted (or rejected/queued) by a capacity policy, hashed across a fixed set of
 //! shard worker threads, stepped round-robin within each shard, and self-healed by a
 //! per-session [`bmp_sim::RepairController`] driven off a per-session churn schedule
-//! derived from one shared feed. All solver and repair flow work funnels through the
-//! process-wide [`bmp_flow::FlowPool::global`] — repair never spawns per-session
-//! threads, so the machine-wide flow-thread count stays bounded no matter how many
-//! sessions are live.
+//! derived from one shared feed. Solver and repair flow work runs on the shard thread
+//! that steps the session; with `flow_threads > 1` each evaluation also spawns up to
+//! `min(flow_threads - 1, 8)` scoped helpers through [`bmp_flow::FlowPool::global`] and
+//! joins them before returning. The bound is per evaluation, so `K` shards may run up
+//! to `K × min(flow_threads - 1, 8)` helpers at once, and none at the default of `1`.
 //!
 //! # Architecture
 //!
@@ -29,8 +30,8 @@
 //!              │              │              │         time across the shard's list
 //!              └──────────────┼──────────────┘
 //!                             ▼
-//!                  FlowPool::global()  (≤ 8 workers, fair FIFO tickets,
-//!                                       submitter drains its own share)
+//!                  FlowPool::global()  (per evaluation: ≤ 8 scoped helpers,
+//!                                       the shard thread drains its own share)
 //!                             │
 //!                             ▼
 //!               ┌─────────────────────────────┐
@@ -50,8 +51,8 @@
 //!   thread exists;
 //! * sessions never interact: each has its own instance, overlay, controller and
 //!   evaluation context, so stepping order across sessions is irrelevant;
-//! * the shared flow pool is bit-for-bit equal to sequential evaluation (and a
-//!   contained worker panic falls back to the sequential path), so pool scheduling
+//! * the flow fan-out is bit-for-bit equal to sequential evaluation (and a
+//!   contained helper panic falls back to the sequential path), so helper scheduling
 //!   races cannot perturb results;
 //! * [`FleetReport`] is assembled in session-id order and records no shard ids, so
 //!   the serialized report for seed S is byte-identical across 1, 2 or 4 shards.

@@ -15,7 +15,7 @@
 //!   └──────┬───────┘              └─────────────────────────┘               ▼
 //!          │ set_alive                      ▲                        Session::hot_swap
 //!          ▼                                │ EvalCtx (retained               │
-//!   ┌──────────────┐  step() / RoundStats   │ arenas, pool)                   │
+//!   ┌──────────────┐  step() / RoundStats   │ arenas, fan-out)                │
 //!   │   Session    │◀───────────────────────┴─────────────────────────────────┘
 //!   └──────────────┘   possession, credit and RNG survive the swap
 //! ```
@@ -57,7 +57,7 @@
 //! 2. evaluates the residual throughput of the *currently deployed* overlay (the
 //!    nominal one before any swap, the latest repaired one after) restricted to the
 //!    survivors — an [`EvalCtx::min_max_flow_with`] evaluation on the context's
-//!    explicit-edge arena that can fan out over the persistent flow pool. A rejoin
+//!    explicit-edge arena that can fan out over scoped flow helpers. A rejoin
 //!    is judged exactly like a departure: the returning node is merged into the
 //!    *deployed* overlay's survivor set, so an overlay that starves it fails this check
 //!    and triggers a fresh re-solve (which, on a full rejoin, reproduces the nominal
@@ -69,7 +69,7 @@
 //!
 //! The controller owns one long-lived [`EvalCtx`] for all of this, so arenas and flow
 //! workspaces stay warm across churn events; its [`RepairController::set_parallelism`]
-//! forwards to the context for pooled evaluation of large survivor overlays, and
+//! forwards to the context for fanned-out evaluation of large survivor overlays, and
 //! [`RepairController::ctx_mut`] is the installation point for a
 //! [`crate::faults::FaultPlan`] fault script.
 //!
@@ -93,7 +93,9 @@ use crate::events::{ChurnAction, ChurnSchedule};
 use crate::metrics::SimReport;
 use crate::overlay::Overlay;
 use crate::session::{ensure, CheckpointError, Session, SessionSnapshot};
-use bmp_core::churn::{repair_with, try_degradation_tolerance, RepairPlan};
+use bmp_core::churn::{
+    repair_with, residual_throughput_with, try_degradation_tolerance, RepairPlan,
+};
 use bmp_core::scheme::BroadcastScheme;
 use bmp_core::solver::{registry, EvalCtx};
 use bmp_core::CoreError;
@@ -292,34 +294,6 @@ impl RepairController {
         self.preferred_solver.as_deref()
     }
 
-    /// Residual throughput of the *currently deployed* overlay restricted to the
-    /// survivors of `departed` (per-call explicit arena, pooled at the configured
-    /// parallelism).
-    fn deployed_residual(&mut self, departed: &[NodeId]) -> f64 {
-        let n = self.instance.num_nodes();
-        let mut alive = vec![true; n];
-        for &node in departed {
-            if node < n {
-                alive[node] = false;
-            }
-        }
-        let survivors: Vec<NodeId> = (1..n).filter(|&node| alive[node]).collect();
-        let deployed = &self.deployed;
-        let residual = self.ctx.min_max_flow_with(n, 0, &survivors, |edges| {
-            edges.extend(
-                deployed
-                    .edges()
-                    .into_iter()
-                    .filter(|&(from, to, _)| alive[from] && alive[to]),
-            );
-        });
-        if residual.is_finite() {
-            residual
-        } else {
-            0.0
-        }
-    }
-
     /// One budgeted walk of the fallback chain: every [`registry`] solver in order
     /// (with the pinned [`RepairController::set_repair_algorithm`] solver, if any,
     /// moved to the front), up to [`RETRIES_PER_SOLVER`] transient-failure retries
@@ -380,7 +354,8 @@ impl RepairController {
     }
 
     /// Forwards to [`EvalCtx::set_parallelism`]: residual probes of large survivor
-    /// overlays fan out over the persistent flow worker pool (`0` = auto heuristic).
+    /// overlays fan out over scoped helper threads, at most `min(threads - 1, 8)` per
+    /// evaluation (`0` = auto heuristic).
     pub fn set_parallelism(&mut self, threads: usize) {
         self.ctx.set_parallelism(threads);
     }
@@ -541,7 +516,7 @@ impl AdaptationPolicy for RepairController {
         //    of the survivor set, so an overlay that starves a returning node fails
         //    this check and is re-solved — the rejoin merges into the deployed state
         //    instead of blindly restoring a remembered overlay.
-        let residual = self.deployed_residual(departed);
+        let residual = residual_throughput_with(&self.deployed, departed, &mut self.ctx);
         let (decision, attempts, solver, degraded_now) = if residual + 1e-12 >= self.floor {
             // The deployed overlay serves everyone present at the floor: no swap, and
             // any earlier degradation is over.
@@ -1488,61 +1463,36 @@ mod tests {
             &mut StaticPolicy,
             nominal,
         );
-        let mut controller = RepairController::new(instance, scheme, nominal, 0.9);
-        // Pooled evaluation so the armed worker panic actually lands in a pool worker.
-        controller.set_parallelism(2);
-        let plan = FaultPlan::disabled()
+        // Reference: the same run with every fault except the worker panic.
+        let faults = FaultPlan::disabled()
             .with_solve_failures(vec![0, 1, 2])
-            .with_probe_timeouts(vec![0])
-            .with_worker_panics(1);
-        let contained_before = bmp_flow::FlowPool::global().panics_contained();
-        plan.install(controller.ctx_mut());
+            .with_probe_timeouts(vec![0]);
+        let mut reference = RepairController::new(instance.clone(), scheme.clone(), nominal, 0.9);
+        reference.set_parallelism(2);
+        faults.install(reference.ctx_mut());
+        let expected = run_adaptive(overlay.clone(), config(), &churn, &mut reference, nominal);
+        let mut controller = RepairController::new(instance, scheme, nominal, 0.9);
+        // Fanned-out evaluation: the first evaluation after installation spawns a
+        // helper, which takes the armed token and panics.
+        controller.set_parallelism(2);
+        let pool = bmp_flow::FlowPool::global();
+        let contained_before = pool.panics_contained();
+        faults.with_worker_panics(1).install(controller.ctx_mut());
         let repaired = run_adaptive(overlay, config(), &churn, &mut controller, nominal);
         // Every scheduled solver/probe fault actually fired.
         assert_eq!(controller.ctx().injected_faults().unwrap().fired(), 4);
-        // The armed worker panic may not have landed during the run: ticket pickup
-        // races the submitting thread, which drains shares too and never panics, and
-        // on the tiny residual graph the submitter usually wins. Drive pooled
-        // evaluations over a deliberately wide star — draining its sink order takes
-        // far longer than a worker wake-up — until a worker claims the token, then
-        // prove containment: the poisoned evaluation is recomputed sequentially, so
-        // the value stays exact.
-        let wide_sinks: Vec<usize> = (1..1024).collect();
-        let star = |edges: &mut Vec<(usize, usize, f64)>| {
-            edges.extend((1..1024).map(|to| (0, to, 1.0)));
-        };
-        let wide_expected = EvalCtx::new().min_max_flow_with(1024, 0, &wide_sinks, star);
-        let mut attempts = 0;
-        while bmp_flow::FlowPool::global().panics_contained() == contained_before {
-            attempts += 1;
-            assert!(attempts <= 500, "the armed worker panic never landed");
-            let pooled = controller
-                .ctx_mut()
-                .min_max_flow_with(1024, 0, &wide_sinks, star);
-            assert_eq!(pooled, wide_expected, "containment must stay bit-identical");
-        }
-        // The residual the repair pipeline actually evaluates stays exact too.
-        let pooled = controller.deployed_residual(&[3]);
-        let expected = EvalCtx::new().min_max_flow_with(
-            controller.instance.num_nodes(),
-            0,
-            &[1, 2, 4, 5],
-            |edges| {
-                edges.extend(
-                    controller
-                        .deployed
-                        .edges()
-                        .into_iter()
-                        .filter(|&(from, to, _)| from != 3 && to != 3),
-                );
-            },
-        );
-        assert_eq!(pooled, expected, "residual must stay bit-identical");
+        // No other test of this crate arms the global pool, so the one contained panic
+        // is this test's token, whichever evaluation spawned the helper that took it.
+        assert_eq!(pool.panics_contained() - contained_before, 1);
         assert_eq!(
             bmp_flow::disarm_worker_panics(),
             0,
             "the landed panic consumed its token"
         );
+        // Containment recomputed the poisoned evaluation exactly: the run is
+        // bit-identical to the one that never panicked.
+        assert_eq!(repaired, expected);
+        assert_eq!(controller.decisions(), reference.decisions());
         assert!(!controller.is_degraded());
         assert!(repaired.swaps[0].swapped);
         assert!(

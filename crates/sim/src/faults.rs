@@ -5,14 +5,14 @@
 //! composes those into a session-level [`FaultPlan`]: one seeded object that describes
 //! *everything* that goes wrong during a run — which solve attempts fail, which
 //! verifications are forced to lie, which degradation probes time out, how many flow
-//! pool workers are made to panic, and what churn storm rages while all of that
+//! helper threads are made to panic, and what churn storm rages while all of that
 //! happens. The plan is deterministic: the same seed replays the same storm, which is
 //! what lets the hardening tests assert exact retry, fallback and degradation
 //! sequences, and lets the crash-recovery smoke reproduce a faulted run bit for bit.
 //!
 //! Production paths pay nothing: a plan is only consulted when explicitly installed on
 //! an [`EvalCtx`] (a single-branch `Option` check per site) and explicitly armed on the
-//! flow pool. Nothing in this module reads process state except
+//! global flow pool. Nothing in this module reads process state except
 //! [`FaultPlan::from_env`], which the fault-matrix CI job drives through the
 //! `BMP_FAULT_PLAN` environment variable.
 
