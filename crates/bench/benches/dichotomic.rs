@@ -1,13 +1,13 @@
 //! Dichotomic search benches: cost of the optimal-throughput search as a function of the
 //! tolerance (shared `DichotomicSearch` driver, Theorem 4.1) and the cost of re-scoring
-//! near-identical schemes — per-iteration `to_flow_arena` rebuilds versus the retained
-//! arena of `EvalCtx`, whose capacities are rewritten in place. The results are drained
-//! from the harness and written as `BENCH_dichotomic.json` at the repo root
+//! near-identical schemes — per-iteration `FlowArena::from_edges` rebuilds versus the
+//! retained arena of `EvalCtx`, whose capacities are rewritten in place. The results are
+//! drained from the harness and written as `BENCH_dichotomic.json` at the repo root
 //! (machine-readable perf trajectory).
 
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_core::solver::{AcyclicGuardedAlgorithm, EvalCtx, Solver};
-use bmp_flow::FlowSolver;
+use bmp_flow::{FlowArena, FlowSolver};
 use bmp_platform::distribution::UniformBandwidth;
 use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
 use bmp_platform::Instance;
@@ -39,8 +39,9 @@ fn bench_dichotomic(c: &mut Criterion) {
 /// scheme whose edge set is fixed while the rates move. Three variants, identical flow
 /// solves, different arena handling:
 ///
-/// * `rebuild` — what the pre-registry code paid per probe: `to_flow_arena` (rate
-///   scan + full CSR construction with its allocations) then the batched evaluator;
+/// * `rebuild` — what the pre-registry code paid per probe: `FlowArena::from_edges`
+///   over `scheme.edges()` (rate scan + full CSR construction with its allocations)
+///   then the batched evaluator;
 /// * `incremental` — `EvalCtx::throughput`: same rate scan, but the retained arena's
 ///   capacities are rewritten in place instead of rebuilding the CSR layout;
 /// * `incremental-edges` — `EvalCtx::min_max_flow` over a caller-maintained edge list
@@ -68,7 +69,7 @@ fn bench_reevaluation(c: &mut Criterion) {
                     let scale = if k.is_multiple_of(2) { 0.999 } else { 1.0 };
                     k += 1;
                     scheme.set_rate(from, to, rate * scale);
-                    let arena = scheme.to_flow_arena();
+                    let arena = FlowArena::from_edges(inst.num_nodes(), &scheme.edges());
                     solver.min_max_flow(&arena, 0, &receivers)
                 })
             },
@@ -124,7 +125,7 @@ fn bench_reevaluation(c: &mut Criterion) {
                     let scale = if k.is_multiple_of(2) { 0.999 } else { 1.0 };
                     k += 1;
                     scheme.set_rate(from, to, rate * scale);
-                    let arena = scheme.to_flow_arena();
+                    let arena = FlowArena::from_edges(inst.num_nodes(), &scheme.edges());
                     solver.max_flow(&arena, 0, probe_sink)
                 })
             },

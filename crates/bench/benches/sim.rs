@@ -16,7 +16,7 @@
 //! `repair` ids are pinned by the CI perf gate (`validate_bench`).
 
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
-use bmp_core::churn::repair_with;
+use bmp_core::churn::{repair_with, residual_throughput};
 use bmp_core::{registry, EvalCtx};
 use bmp_platform::distribution::UniformBandwidth;
 use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
@@ -198,24 +198,14 @@ fn bench_repair_warm_vs_cold(c: &mut Criterion) {
     let receivers = 50usize;
     let instance = generated_instance(receivers, 17);
     let solution = AcyclicGuardedSolver::default().solve(&instance);
-    let deployed = Overlay::from_scheme(&solution.scheme);
-    let num_nodes = instance.num_nodes();
-    let victim = (1..num_nodes)
-        .find(|&node| deployed.edges().iter().all(|edge| edge.from != node))
+    let victim = instance
+        .receivers()
+        .find(|&node| solution.scheme.out_edges(node).next().is_none())
         .expect("an acyclic overlay always has a leaf receiver");
-    let survivors: Vec<usize> = (1..num_nodes).filter(|&node| node != victim).collect();
     // The residual throughput of the deployed overlay on the survivors, computed
     // exactly as the controller's residual probe does: this is the verified feasible
     // lower bracket a real repair warm-starts from.
-    let residual = EvalCtx::new().min_max_flow_with(num_nodes, 0, &survivors, |edges| {
-        edges.extend(
-            deployed
-                .edges()
-                .iter()
-                .filter(|edge| edge.from != victim && edge.to != victim)
-                .map(|edge| (edge.from, edge.to, edge.rate)),
-        );
-    });
+    let residual = residual_throughput(&solution.scheme, &[victim], &mut EvalCtx::new());
     assert!(
         residual.is_finite() && residual > 0.0,
         "the deployed overlay must retain residual throughput after one departure"

@@ -145,6 +145,23 @@ impl ArgList {
         raw.parse()
             .map_err(|_| CliError::Usage(format!("flag {flag} has an invalid value {raw:?}")))
     }
+
+    /// Parses `flag` as a finite, positive number, falling back to `default` (unchecked)
+    /// when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Usage`] when the value does not parse or is zero, negative,
+    /// infinite or NaN.
+    pub fn get_positive(&self, flag: &str, default: f64) -> Result<f64, CliError> {
+        let value = self.get_parsed(flag, default)?;
+        if self.get(flag).is_some() && !(value.is_finite() && value > 0.0) {
+            return Err(CliError::Usage(format!(
+                "flag {flag} must be a finite positive number, got {value}"
+            )));
+        }
+        Ok(value)
+    }
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@ pub const FLAGS: FlagSpec = FlagSpec {
 /// Runs the `export` subcommand.
 ///
 /// Flags: `--scheme FILE` (required), `--format dot|edges|degrees` (default dot),
-/// `--throughput T` (used by the `degrees` format; defaults to the scheme's max-flow
-/// throughput), `--out FILE` (write to a file instead of printing).
+/// `--throughput T` (finite and positive, used by the `degrees` format; defaults to the
+/// scheme's max-flow throughput), `--out FILE` (write to a file instead of printing).
 ///
 /// # Errors
 ///
@@ -30,7 +30,7 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         "dot" => scheme_to_dot(&scheme),
         "edges" | "csv" => scheme_to_csv(&scheme),
         "degrees" => {
-            let throughput: f64 = args.get_parsed("--throughput", scheme.throughput())?;
+            let throughput = args.get_positive("--throughput", scheme.throughput())?;
             degrees_to_csv(&scheme, throughput)
         }
         other => {

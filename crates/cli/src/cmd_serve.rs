@@ -151,7 +151,7 @@ fn parse_session_fault(
     Ok((session, round, once))
 }
 
-/// Parses an optional non-negative integer flag.
+/// Parses an optional flag.
 fn get_optional<T: std::str::FromStr>(args: &ArgList, flag: &str) -> Result<Option<T>, CliError> {
     args.get(flag)
         .map(|raw| {
@@ -163,23 +163,6 @@ fn get_optional<T: std::str::FromStr>(args: &ArgList, flag: &str) -> Result<Opti
 
 /// Builds the fleet configuration from scratch (the non-`--resume` path).
 fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
-    let sessions: usize = args.get_parsed("--sessions", 8)?;
-    let shards: usize = args.get_parsed("--shards", 1)?;
-    if sessions == 0 || shards == 0 {
-        return Err(CliError::Usage(
-            "--sessions and --shards must both be at least 1".into(),
-        ));
-    }
-    let chunks: usize = args.get_parsed("--chunks", 60)?;
-    if chunks == 0 {
-        return Err(CliError::Usage("--chunks must be at least 1".into()));
-    }
-    let floor: f64 = args.get_parsed("--floor", 0.9)?;
-    if !(floor > 0.0 && floor <= 1.0) {
-        return Err(CliError::Usage(format!(
-            "--floor {floor} must lie in (0, 1]"
-        )));
-    }
     let repair_algorithm = args.get("--repair-algorithm");
     if let Some(name) = repair_algorithm {
         if bmp_core::solver::find(name).is_none() {
@@ -193,20 +176,6 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
             )));
         }
     }
-    let capacity = args
-        .get("--capacity")
-        .map(|raw| {
-            raw.parse::<f64>()
-                .map_err(|_| CliError::Usage(format!("invalid capacity {raw:?}")))
-        })
-        .transpose()?;
-    let max_sessions = args
-        .get("--max-sessions")
-        .map(|raw| {
-            raw.parse::<usize>()
-                .map_err(|_| CliError::Usage(format!("invalid session cap {raw:?}")))
-        })
-        .transpose()?;
     let churn = match args.get("--churn") {
         Some(raw) => parse_churn(raw)?,
         None => ChurnConfig::default(),
@@ -234,34 +203,39 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         let (session, round, _) = parse_session_fault(raw, "--wedge-session", false)?;
         session_faults.wedges.push(SessionWedge { session, round });
     }
-    Ok(FleetConfig {
-        sessions,
-        shards,
+    let config = FleetConfig {
+        sessions: args.get_parsed("--sessions", 8)?,
+        shards: args.get_parsed("--shards", 1)?,
         receivers: args.get_parsed("--receivers", 4)?,
-        chunks,
+        chunks: args.get_parsed("--chunks", 60)?,
         seed: args.get_parsed("--seed", 0x5EED)?,
-        floor,
+        floor: args.get_parsed("--floor", 0.9)?,
         flow_threads: args.get_parsed("--threads", 1)?,
         repair_algorithm: repair_algorithm.map(str::to_string),
         admission: AdmissionPolicy {
-            max_sessions,
-            capacity,
+            max_sessions: get_optional(args, "--max-sessions")?,
+            capacity: get_optional(args, "--capacity")?,
             queue: args.has("--queue"),
         },
         churn,
         fault_plan,
         supervision,
         session_faults,
-    })
+    };
+    config
+        .validate()
+        .map_err(|message| CliError::Usage(format!("invalid fleet flags: {message}")))?;
+    Ok(config)
 }
 
 /// Runs the `serve` subcommand.
 ///
-/// Flags: `--sessions N` (default 8), `--shards K` (default 1), `--receivers R`
-/// (default 4), `--chunks C` (at least 1, default 60), `--seed S`, `--floor F` (default
-/// 0.9), `--threads T` (flow fan-out per controller: `1` sequential — the default —
-/// `T > 1` up to `min(T - 1, 8)` helper threads per evaluation, so `K` shards may run
-/// `K × min(T - 1, 8)` helpers at once; `0` auto), `--max-sessions N` /
+/// Flags: `--sessions N` (default 8), `--shards K` (default 1), `--receivers R` (at
+/// least 2, default 4), `--chunks C` (at least 1, default 60), `--seed S`, `--floor F`
+/// (in `(0, 1]`, default 0.9), `--threads T` (flow fan-out per controller: `1`
+/// sequential — the default — `T > 1` up to `min(T - 1, 8)` helper threads per
+/// evaluation, so `K` shards may run `K × min(T - 1, 8)` helpers at once; `0` auto),
+/// `--max-sessions N` /
 /// `--capacity L` / `--queue` (admission policy), `--repair-algorithm NAME`, `--churn
 /// START:SPACING:WAVES` (default `4:3:2`), `--fault-plan SPEC` (`storm`,
 /// `storm:SEED`, `off`; unset reads `BMP_FAULT_PLAN`), `--report FILE` (fleet report
@@ -583,18 +557,41 @@ mod tests {
             "10".into(),
         ])
         .unwrap();
-        edit_json(&checkpoint, |fleet| {
-            *at(fleet, &["pending", "0", "state", "run", "next_event"]) = serde::Value::I64(99);
-        });
-        match run_args(vec!["--resume".into(), checkpoint]) {
-            Err(CliError::InvalidCheckpoint(message)) => {
-                assert!(message.starts_with("pending session "), "{message}");
-                assert!(
-                    message.contains("past the end of the schedule"),
-                    "{message}"
-                );
+        let original = std::fs::read_to_string(&checkpoint).unwrap();
+        // A pending session that cannot resume, and embedded configs the fleet cannot
+        // run: each is refused with the reason, never a panic.
+        for (field, value, prefix, reason) in [
+            (
+                &["pending", "0", "state", "run", "next_event"][..],
+                99,
+                "pending session ",
+                "past the end of the schedule",
+            ),
+            (
+                &["config", "receivers"],
+                1,
+                "fleet config: ",
+                "two receivers",
+            ),
+            (&["config", "sessions"], 0, "fleet config: ", "one session"),
+            (
+                &["config", "supervision", "checkpoint_rounds"],
+                0,
+                "fleet config: ",
+                "checkpoint cadence",
+            ),
+        ] {
+            std::fs::write(&checkpoint, &original).unwrap();
+            edit_json(&checkpoint, |fleet| {
+                *at(fleet, field) = serde::Value::I64(value)
+            });
+            match run_args(vec!["--resume".into(), checkpoint.clone()]) {
+                Err(CliError::InvalidCheckpoint(message)) => {
+                    assert!(message.starts_with(prefix), "{field:?}: {message}");
+                    assert!(message.contains(reason), "{field:?}: {message}");
+                }
+                other => panic!("{field:?}: expected an invalid checkpoint, got {other:?}"),
             }
-            other => panic!("expected an invalid-checkpoint error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -627,6 +624,9 @@ mod tests {
             vec!["--shards".to_string(), "0".into()],
             vec!["--chunks".to_string(), "0".into()],
             vec!["--floor".to_string(), "1.5".into()],
+            vec!["--floor".to_string(), "nan".into()],
+            vec!["--receivers".to_string(), "0".into()],
+            vec!["--receivers".to_string(), "1".into()],
             vec!["--churn".to_string(), "4:3".into()],
             vec!["--churn".to_string(), "4:-1:2".into()],
             vec!["--repair-algorithm".to_string(), "frobnicate".into()],

@@ -455,9 +455,10 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 /// selects the registry solver, `--threads N` its flow fan-out: `1` sequential — the
 /// default — `N > 1` up to `min(N - 1, 8)` helper threads per evaluation, `0` the
 /// instance-size heuristic), `--chunks N` (at least 1, default 300), `--policy NAME`
-/// (default random), `--seed S`, `--jitter J` (in `[0, 1)`, default 0), `--live RATE`,
-/// `--trace` (worst-receiver progress every 50 rounds; frozen-overlay runs only),
-/// `--churn SPEC` (scheduled departures/rejoins, e.g. `"5:busiest"` or `"5:3,7;12:+3"`),
+/// (default random), `--seed S`, `--jitter J` (in `[0, 1)`, default 0), `--live RATE`
+/// (finite and positive), `--trace` (worst-receiver progress every 50 rounds;
+/// frozen-overlay runs only), `--churn SPEC` (scheduled departures/rejoins, e.g.
+/// `"5:busiest"` or `"5:3,7;12:+3"`),
 /// `--repair` (adapt by re-solve + hot-swap instead of the static baseline),
 /// `--repair-algorithm NAME` (pin the named registry solver to the front of the repair
 /// fallback chain; unset keeps the registry order), `--floor F` (repair when the
@@ -505,10 +506,8 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         ..SimConfig::default()
     };
     config.seed = args.get_parsed("--seed", config.seed)?;
-    if let Some(rate) = args.get("--live") {
-        let rate: f64 = rate
-            .parse()
-            .map_err(|_| CliError::Usage(format!("invalid live rate {rate:?}")))?;
+    if args.get("--live").is_some() {
+        let rate = args.get_positive("--live", 0.0)?;
         config.source_mode = SourceMode::Live { rate };
     }
     let config = config.scaled_to(nominal, 2.0);
@@ -760,7 +759,15 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         // Values the simulator would reject with a panic are usage errors instead.
-        for (flag, value) in [("--chunks", "0"), ("--jitter", "1.5"), ("--jitter", "nan")] {
+        for (flag, value) in [
+            ("--chunks", "0"),
+            ("--jitter", "1.5"),
+            ("--jitter", "nan"),
+            ("--live", "0"),
+            ("--live", "-1"),
+            ("--live", "nan"),
+            ("--live", "inf"),
+        ] {
             assert!(
                 matches!(
                     run_args(vec![

@@ -100,12 +100,12 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
 ///
 /// Flags: `--instance FILE` (required), `--algorithm NAME` (registry dispatch; unknown
 /// names list the registered solvers), `--cyclic` (legacy alias for
-/// `--algorithm cyclic-open`), `--tolerance EPS` (dichotomic search precision, default
-/// `1e-9`), `--threads N` (flow-evaluation fan-out: `1` sequential — the default —
-/// `N > 1` up to N lanes per evaluation, i.e. at most `min(N - 1, 8)` helper threads
-/// spawned and joined within each evaluation, `0` the instance-size heuristic; the
-/// reported throughput is bit-identical either way), `--out FILE` (write the scheme as
-/// JSON), `--dot FILE` (write a Graphviz rendering).
+/// `--algorithm cyclic-open`), `--tolerance EPS` (dichotomic search precision in
+/// `(0, 1)`, default `1e-9`), `--threads N` (flow-evaluation fan-out: `1` sequential —
+/// the default — `N > 1` up to N lanes per evaluation, i.e. at most `min(N - 1, 8)`
+/// helper threads spawned and joined within each evaluation, `0` the instance-size
+/// heuristic; the reported throughput is bit-identical either way), `--out FILE` (write
+/// the scheme as JSON), `--dot FILE` (write a Graphviz rendering).
 ///
 /// # Errors
 ///
@@ -116,6 +116,11 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     let solver = pick_solver(args)?;
     let instance = files::read_instance(args.require("--instance")?)?;
     let tolerance: f64 = args.get_parsed("--tolerance", 1e-9)?;
+    if !(tolerance > 0.0 && tolerance < 1.0) {
+        return Err(CliError::Usage(format!(
+            "--tolerance {tolerance} must lie in (0, 1)"
+        )));
+    }
     let threads: usize = args.get_parsed("--threads", 1)?;
 
     let mut ctx = EvalCtx::with_tolerance(tolerance);

@@ -14,8 +14,8 @@ pub const FLAGS: FlagSpec = FlagSpec {
 
 /// Runs the `verify` subcommand.
 ///
-/// Flags: `--scheme FILE` (required), `--throughput T` (target throughput; defaults to the
-/// max-flow throughput of the scheme itself).
+/// Flags: `--scheme FILE` (required), `--throughput T` (finite, positive target
+/// throughput; defaults to the max-flow throughput of the scheme itself).
 ///
 /// Prints the feasibility violations (bandwidth, firewall, malformed rates), the max-flow
 /// throughput, whether the scheme is acyclic, and the per-node degree excess with respect to
@@ -29,7 +29,7 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     let scheme = files::read_scheme(args.require("--scheme")?)?;
     let violations = scheme.validate();
     let measured = scheme.throughput();
-    let target: f64 = args.get_parsed("--throughput", measured)?;
+    let target = args.get_positive("--throughput", measured)?;
 
     if violations.is_empty() {
         writeln!(out, "constraints : satisfied")?;

@@ -213,6 +213,56 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Every strict prefix of a document the readers accept — a file cut short by a
+    /// crash or a full disk — is refused with a JSON error, never a panic or a partial
+    /// read.
+    #[test]
+    fn truncated_documents_are_json_errors() {
+        let dir = temp_path("truncated");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let scheme = AcyclicGuardedSolver::default().solve(&figure1()).scheme;
+        write_instance(&path("instance.json"), &figure1()).unwrap();
+        write_scheme(&path("scheme.json"), &scheme).unwrap();
+        // Paths go in as whole arguments: the temporary directory may contain spaces.
+        let cli = |flags: &str, files: &[(&str, &str)]| {
+            let mut args: Vec<String> = flags.split_whitespace().map(str::to_string).collect();
+            for (flag, file) in files {
+                args.extend([flag.to_string(), path(file)]);
+            }
+            crate::run(&args, &mut Vec::new()).unwrap();
+        };
+        cli(
+            "simulate --chunks 60 --churn 5:3;12:+3 --repair --halt-after 10",
+            &[("--scheme", "scheme.json"), ("--checkpoint", "run.ckpt")],
+        );
+        cli(
+            "serve --sessions 1 --receivers 2 --chunks 24 --halt-after 5",
+            &[("--checkpoint", "fleet.ckpt")],
+        );
+        type Reader = fn(&str) -> Result<(), CliError>;
+        let readers: [(&str, Reader); 4] = [
+            ("instance.json", |path| read_instance(path).map(drop)),
+            ("scheme.json", |path| read_scheme(path).map(drop)),
+            ("run.ckpt", |path| read_checkpoint(path).map(drop)),
+            ("fleet.ckpt", |path| read_fleet_checkpoint(path).map(drop)),
+        ];
+        let cut = path("cut.json");
+        for (name, read) in readers {
+            read(&path(name)).unwrap();
+            let text = std::fs::read_to_string(path(name)).unwrap();
+            let text = text.trim_end();
+            for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+                std::fs::write(&cut, &text[..end]).unwrap();
+                match read(&cut) {
+                    Err(CliError::Json(_)) => {}
+                    other => panic!("{name} cut to {end} of {} bytes: {other:?}", text.len()),
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Reads `text` as a scheme file.
     fn read_scheme_text(tag: &str, text: &str) -> Result<BroadcastScheme, CliError> {
         let path = temp_path(tag);

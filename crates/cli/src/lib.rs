@@ -129,6 +129,41 @@ mod tests {
     }
 
     #[test]
+    fn numeric_flags_outside_their_domain_are_usage_errors() {
+        let dir = std::env::temp_dir().join(format!("bmp-cli-numeric-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let instance = dir.join("instance.json").to_str().unwrap().to_string();
+        let scheme = dir.join("scheme.json").to_str().unwrap().to_string();
+        run_strings(&["generate", "--receivers", "6", "--out", &instance]).unwrap();
+        run_strings(&["solve", "--instance", &instance, "--out", &scheme]).unwrap();
+        let targets = ["-1", "0", "nan", "inf"];
+        let cases: [(&[&str], &str, &[&str]); 3] = [
+            (
+                &["solve", "--instance", &instance],
+                "--tolerance",
+                &["0", "-1", "nan", "1", "2", "inf"],
+            ),
+            (&["verify", "--scheme", &scheme], "--throughput", &targets),
+            (
+                &["export", "--scheme", &scheme, "--format", "degrees"],
+                "--throughput",
+                &targets,
+            ),
+        ];
+        for (command, flag, values) in cases {
+            for value in values {
+                let args = [command, &[flag, value]].concat();
+                let result = run_strings(&args);
+                assert!(
+                    matches!(result, Err(CliError::Usage(_))),
+                    "{args:?}: {result:?}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn full_pipeline_through_the_dispatcher() {
         let dir = std::env::temp_dir().join(format!("bmp-cli-pipeline-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -20,63 +20,50 @@
 use crate::acyclic_guarded::{AcyclicGuardedSolver, AcyclicSolution};
 use crate::error::CoreError;
 use crate::faults::FaultSite;
-use crate::scheme::{BroadcastScheme, RATE_EPS};
+use crate::scheme::BroadcastScheme;
 use crate::solver::{EvalCtx, Solver};
 use bmp_platform::{Instance, NodeId};
 
 /// Throughput of `scheme` restricted to the surviving nodes: departed nodes neither send nor
 /// receive nor relay, and departed receivers are not counted in the minimum.
 ///
-/// One-shot convenience over [`residual_throughput_with`]; sweeps evaluating many
-/// departures should hold an [`EvalCtx`] and call the `_with` variant so the flow
-/// workspace (and, for a fixed survivor set, the arena itself) is reused.
+/// The evaluation is the scheme's own, masked: every edge touching a departed node gets
+/// capacity 0 and only the surviving receivers are sinks. The edge set does not change,
+/// so `ctx` rewrites the arena it retained for this scheme (a degradation probe or a
+/// throughput evaluation of it) in place instead of rebuilding it.
 ///
 /// # Panics
 ///
 /// Panics if the source (node 0) is listed among the departed nodes.
 #[must_use]
-pub fn residual_throughput(scheme: &BroadcastScheme, departed: &[NodeId]) -> f64 {
-    residual_throughput_with(scheme, departed, &mut EvalCtx::new())
-}
-
-/// [`residual_throughput`] evaluated through an explicit context.
-///
-/// The survivor overlay is assembled into a context-owned buffer
-/// ([`EvalCtx::min_max_flow_with`]), so a sweep evaluating thousands of departure sets
-/// performs no per-call edge-list allocation.
-///
-/// # Panics
-///
-/// Panics if the source (node 0) is listed among the departed nodes.
-#[must_use]
-pub fn residual_throughput_with(
+pub fn residual_throughput(
     scheme: &BroadcastScheme,
     departed: &[NodeId],
     ctx: &mut EvalCtx,
 ) -> f64 {
-    let instance = scheme.instance();
-    let n = instance.num_nodes();
-    let mut alive = vec![true; n];
-    for &node in departed {
-        assert_ne!(node, 0, "the source cannot depart");
-        if node < n {
-            alive[node] = false;
-        }
-    }
-    let survivors: Vec<NodeId> = instance.receivers().filter(|&r| alive[r]).collect();
-    let throughput = ctx.min_max_flow_with(n, 0, &survivors, |edges| {
-        edges.extend(
-            scheme
-                .edges()
-                .into_iter()
-                .filter(|&(from, to, rate)| alive[from] && alive[to] && rate > RATE_EPS),
-        );
-    });
+    let alive = alive_mask(scheme.instance(), departed);
+    let throughput = ctx.masked_throughput(scheme, Some(&alive));
     if throughput.is_finite() {
         throughput
     } else {
         0.0
     }
+}
+
+/// `alive[v]` is `false` exactly for the departed nodes (ids out of range are ignored).
+///
+/// # Panics
+///
+/// Panics if the source is listed among the departed nodes.
+fn alive_mask(instance: &Instance, departed: &[NodeId]) -> Vec<bool> {
+    let mut alive = vec![true; instance.num_nodes()];
+    for &node in departed {
+        assert_ne!(node, 0, "the source cannot depart");
+        if let Some(slot) = alive.get_mut(node) {
+            *slot = false;
+        }
+    }
+    alive
 }
 
 /// Dichotomic degradation probe: the largest fraction `d ∈ [0, 1]` by which `node`'s
@@ -195,13 +182,7 @@ fn reduce_instance(
     instance: &Instance,
     departed: &[NodeId],
 ) -> Option<(Instance, Vec<(NodeId, NodeId)>)> {
-    let mut alive = vec![true; instance.num_nodes()];
-    for &node in departed {
-        assert_ne!(node, 0, "the source cannot depart");
-        if node < instance.num_nodes() {
-            alive[node] = false;
-        }
-    }
+    let alive = alive_mask(instance, departed);
     let open: Vec<(NodeId, f64)> = instance
         .open_indices()
         .filter(|&i| alive[i])
@@ -314,7 +295,7 @@ mod tests {
         let solver = AcyclicGuardedSolver::default();
         let solution = solver.solve(&figure1());
         let nominal = solution.throughput;
-        let residual = residual_throughput(&solution.scheme, &[3]);
+        let residual = residual_throughput(&solution.scheme, &[3], &mut EvalCtx::new());
         assert!(
             residual < 0.75 * nominal,
             "residual {residual} vs nominal {nominal}"
@@ -327,7 +308,7 @@ mod tests {
         let solution = solver.solve(&figure1());
         // C5 is the last guarded node: it relays little, so removing it barely matters for
         // the others.
-        let residual = residual_throughput(&solution.scheme, &[5]);
+        let residual = residual_throughput(&solution.scheme, &[5], &mut EvalCtx::new());
         assert!(residual + 1e-9 >= 0.9 * solution.throughput);
     }
 
@@ -335,22 +316,44 @@ mod tests {
     fn no_departure_keeps_the_nominal_throughput() {
         let solver = AcyclicGuardedSolver::default();
         let solution = solver.solve(&figure1());
-        let residual = residual_throughput(&solution.scheme, &[]);
+        let residual = residual_throughput(&solution.scheme, &[], &mut EvalCtx::new());
         assert!((residual - solution.scheme.throughput()).abs() < 1e-9);
     }
 
     #[test]
-    fn context_variant_matches_one_shot_across_departures() {
+    fn probe_residual_and_throughput_share_one_arena() {
+        // The repair controller's cycle on one deployed scheme: a degradation probe of
+        // the victim, the residual over the survivors, then the nominal throughput. The
+        // probe leaves the arena on the scheme's edge set, and the residual only masks
+        // capacities on that set, so neither later evaluation rebuilds it.
         let solver = AcyclicGuardedSolver::default();
         let solution = solver.solve(&figure1());
+        let scheme = &solution.scheme;
         let mut ctx = EvalCtx::new();
-        for departed in [&[][..], &[3][..], &[5][..], &[1, 4][..]] {
-            assert_eq!(
-                residual_throughput_with(&solution.scheme, departed, &mut ctx),
-                residual_throughput(&solution.scheme, departed)
+        for victim in [3, 1, 5] {
+            let floor = 0.9 * solution.throughput;
+            let tolerance = degradation_tolerance(scheme, victim, floor, &mut ctx);
+            assert!(
+                (0.0..=1.0).contains(&tolerance),
+                "victim {victim}: {tolerance}"
             );
+            let builds = ctx.arena_builds();
+            let updates = ctx.arena_updates();
+            let residual = residual_throughput(scheme, &[victim], &mut ctx);
+            let nominal = ctx.throughput(scheme);
+            assert_eq!(
+                ctx.arena_builds(),
+                builds,
+                "victim {victim} rebuilt the arena"
+            );
+            assert_eq!(ctx.arena_updates(), updates + 2);
+            assert_eq!(
+                residual,
+                residual_throughput(scheme, &[victim], &mut EvalCtx::new())
+            );
+            assert_eq!(nominal, scheme.throughput());
+            assert!(residual <= nominal);
         }
-        assert!(ctx.flow_solves() > 0);
     }
 
     #[test]
@@ -536,7 +539,7 @@ mod tests {
     fn source_departure_is_rejected() {
         let solver = AcyclicGuardedSolver::default();
         let solution = solver.solve(&figure1());
-        let _ = residual_throughput(&solution.scheme, &[0]);
+        let _ = residual_throughput(&solution.scheme, &[0], &mut EvalCtx::new());
         let _ = repair(&figure1(), &[0], &solver);
     }
 }

@@ -119,9 +119,9 @@ pub fn worst_ratio_over_delta(
 
 /// [`worst_ratio_over_delta`], additionally *certifying* the worst cell through an
 /// explicit evaluation context: the scheme realising the worst ratio is rebuilt from its
-/// coding word and re-scored by max-flow through `ctx` (no hidden thread-local), so the
-/// dichotomic value the figure reports is backed by an explicit overlay. This is the
-/// entry point the Figure 7 sweep threads its per-worker [`EvalCtx`] through.
+/// coding word and re-scored by max-flow through `ctx`, so the dichotomic value the
+/// figure reports is backed by an explicit overlay. This is the entry point the Figure 7
+/// sweep threads its per-worker [`EvalCtx`] through.
 ///
 /// # Panics
 ///

@@ -27,11 +27,12 @@
 //! * [`solver::Solution`] — the uniform result: scheme, claimed (and verified) throughput,
 //!   optional coding word, algorithm label, and [`solver::Telemetry`] (flow solves,
 //!   bisection probes, wall time).
-//! * [`solver::EvalCtx`] — the *explicit* evaluation context owning the flow arena and
-//!   solver workspace. It is the primary throughput-evaluation path (the thread-local in
-//!   [`scheme`] remains only as a convenience fallback for ad-hoc calls). It retains
-//!   its arena across evaluations: re-scoring a scheme whose edge set is unchanged
-//!   rewrites the capacities in place instead of rebuilding the CSR arena.
+//! * [`solver::EvalCtx`] — the evaluation context owning the flow arena and solver
+//!   workspace, and the only throughput-evaluation path: `BroadcastScheme::throughput`
+//!   is a convenience over a fresh context, and churn residuals are masked evaluations
+//!   on the same arena. It retains one arena across evaluations: re-scoring a scheme
+//!   whose edge set is unchanged rewrites the capacities in place instead of
+//!   rebuilding the CSR arena.
 //! * [`solver::registry`] — enumerates the built-in solvers (`acyclic-guarded`,
 //!   `acyclic-open`, `cyclic-open`, `exhaustive`, `omega-word`, `auto`); downstream
 //!   crates append their own implementations (`bmp-trees` ships a tree-decomposition

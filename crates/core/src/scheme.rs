@@ -46,8 +46,10 @@
 //!
 //! # Evaluation
 //!
-//! [`BroadcastScheme::throughput`] builds a one-shot flow arena per call. Loops that score
-//! many schemes over the same instance should go through a [`crate::solver::EvalCtx`],
+//! [`crate::solver::EvalCtx`] is the only code that turns a scheme into a flow network.
+//! [`BroadcastScheme::throughput`] and [`BroadcastScheme::max_flow_to`] are one-line
+//! conveniences over a fresh, sequential context, so each call builds its arena from
+//! scratch. Loops that score many schemes over the same instance should hold one context,
 //! which retains its arena and rewrites the capacities in place while the edge set stays
 //! the same:
 //!
@@ -71,22 +73,10 @@
 //! assert_eq!(ctx.arena_builds(), 1);
 //! ```
 
-use bmp_flow::{eps, FlowArena, FlowSolver};
+use crate::solver::EvalCtx;
+use bmp_flow::eps;
 use bmp_platform::node::degree_lower_bound;
 use bmp_platform::{Instance, NodeClass, NodeId};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Convenience fallback workspace for the inherent evaluation methods below.
-    ///
-    /// The *primary* evaluation path is an explicit [`crate::solver::EvalCtx`], which owns
-    /// its own arena + solver, retains the arena across near-identical evaluations, and
-    /// counts flow solves for telemetry; hot paths (the solver registry, experiment
-    /// sweeps, benchmarks) thread one through explicitly. The thread-local only keeps the
-    /// ad-hoc calls (`scheme.throughput()` in tests, examples and one-shot tooling)
-    /// allocation-free without forcing every caller to carry a context.
-    static FLOW_SOLVER: RefCell<FlowSolver> = RefCell::new(FlowSolver::new());
-}
 
 /// Rates below this threshold are treated as "no connection" when counting outdegrees and
 /// building flow networks; they only arise from floating-point dust.
@@ -425,32 +415,18 @@ impl BroadcastScheme {
             .filter(|&(from, to, rate)| rate > RATE_EPS && from != to)
     }
 
-    /// Converts the scheme into the flat CSR arena the flow solvers operate on (one pass
-    /// over the nonzero rates).
-    #[must_use]
-    pub fn to_flow_arena(&self) -> FlowArena {
-        let edges: Vec<(NodeId, NodeId, f64)> = self.nonzero_rates().collect();
-        FlowArena::from_edges(self.instance.num_nodes(), &edges)
-    }
-
-    /// Maximum flow from the source to `receiver` in the scheme's weighted digraph.
+    /// Maximum flow from the source to `receiver` in the scheme's weighted digraph
+    /// ([`EvalCtx::max_flow_to`] on a fresh sequential context).
     #[must_use]
     pub fn max_flow_to(&self, receiver: NodeId) -> f64 {
-        let arena = self.to_flow_arena();
-        FLOW_SOLVER.with(|solver| solver.borrow_mut().max_flow(&arena, 0, receiver))
+        sequential_ctx().max_flow_to(self, receiver)
     }
 
-    /// Throughput of the scheme: `min_k maxflow(C0 → Ck)` over all receivers (Section II-D).
-    ///
-    /// Evaluated with the batched CSR kernel: one arena build, then per-receiver max-flows
-    /// in ascending in-capacity order, each capped at the running minimum
-    /// ([`FlowSolver::min_max_flow`]). The result is exactly the minimum of the individual
-    /// max-flows.
+    /// Throughput of the scheme: `min_k maxflow(C0 → Ck)` over all receivers (Section II-D),
+    /// [`EvalCtx::throughput`] on a fresh sequential context.
     #[must_use]
     pub fn throughput(&self) -> f64 {
-        let arena = self.to_flow_arena();
-        let receivers: Vec<NodeId> = self.instance.receivers().collect();
-        FLOW_SOLVER.with(|solver| solver.borrow_mut().min_max_flow(&arena, 0, &receivers))
+        sequential_ctx().throughput(self)
     }
 
     /// Topological order of the scheme's digraph if it is acyclic, `None` otherwise.
@@ -515,12 +491,19 @@ impl BroadcastScheme {
     }
 
     /// Like [`BroadcastScheme::edges`], but writing into `buf` (cleared first) so repeat
-    /// callers — the retained arena of [`crate::solver::EvalCtx`] — reuse one allocation
-    /// across evaluations.
+    /// callers — the retained arena of [`EvalCtx`] — reuse one allocation across
+    /// evaluations.
     pub fn edges_into(&self, buf: &mut Vec<(NodeId, NodeId, f64)>) {
         buf.clear();
         buf.extend(self.nonzero_rates());
     }
+}
+
+/// A fresh evaluation context that never fans out, behind the one-shot conveniences.
+fn sequential_ctx() -> EvalCtx {
+    let mut ctx = EvalCtx::new();
+    ctx.set_parallelism(1);
+    ctx
 }
 
 #[cfg(test)]

@@ -7,14 +7,16 @@
 //! * [`Solver`] — `name()` / `describe()` / `solve(&Instance, &mut EvalCtx)`,
 //! * [`Solution`] — scheme + claimed throughput + optional coding word + algorithm label
 //!   \+ [`Telemetry`] (flow solves, bisection probes, wall time),
-//! * [`EvalCtx`] — an *explicit* flow-evaluation workspace owning the
-//!   [`FlowArena`] and [`FlowSolver`]. It replaces the hidden thread-local in
-//!   [`crate::scheme`] as the primary evaluation path and retains the arena across
-//!   evaluations. Every scheme evaluation takes one path: scan the scheme's sparse rows
-//!   ([`BroadcastScheme::edges_into`], O(n + m)); rewrite the retained arena's
-//!   capacities in place when the edge set is unchanged
-//!   ([`FlowArena::set_edge_capacities`]), rebuild it otherwise; then run cold Dinic
-//!   over the receivers.
+//! * [`EvalCtx`] — the flow-evaluation workspace owning the [`FlowArena`] and
+//!   [`FlowSolver`], and the only code that turns a scheme into a flow network
+//!   ([`BroadcastScheme::throughput`] is a one-line convenience over a fresh context). It
+//!   retains one arena across evaluations. Every scheme evaluation takes one path: scan
+//!   the scheme's sparse rows ([`BroadcastScheme::edges_into`], O(n + m)); rewrite the
+//!   retained arena's capacities in place when the edge set is unchanged
+//!   ([`FlowArena::set_edge_capacities`]), rebuild it otherwise; then run cold Dinic over
+//!   the receivers. A churn residual ([`crate::churn::residual_throughput`]) is the same
+//!   evaluation with the departed nodes' edges at capacity 0 and only the surviving
+//!   receivers as sinks, so it shares the arena with the scheme's other evaluations.
 //!
 //! # Parallel evaluation
 //!
@@ -108,13 +110,10 @@ pub fn default_incremental() -> bool {
     false
 }
 
-/// A retained flow arena plus the edge endpoints it was built over.
+/// A flow arena kept across evaluations.
 #[derive(Debug, Clone, Default)]
 struct RetainedArena {
     arena: Option<FlowArena>,
-    nodes: usize,
-    /// Endpoints of the arena's edges, in edge order.
-    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl RetainedArena {
@@ -127,15 +126,15 @@ impl RetainedArena {
         edges: &[(NodeId, NodeId, f64)],
         caps: &mut Vec<f64>,
     ) -> bool {
-        let same_edges = self.nodes == num_nodes
-            && self.edges.len() == edges.len()
-            && self
-                .edges
-                .iter()
-                .zip(edges)
-                .all(|(&(from, to), &(from2, to2, _))| from == from2 && to == to2);
         match self.arena.as_mut() {
-            Some(arena) if same_edges => {
+            Some(arena)
+                if arena.num_nodes() == num_nodes
+                    && arena.num_edges() == edges.len()
+                    && edges
+                        .iter()
+                        .enumerate()
+                        .all(|(k, &(from, to, _))| arena.edge_endpoints(k) == (from, to)) =>
+            {
                 caps.clear();
                 caps.extend(edges.iter().map(|&(_, _, cap)| cap));
                 arena.set_edge_capacities(caps);
@@ -143,10 +142,6 @@ impl RetainedArena {
             }
             _ => {
                 self.arena = Some(FlowArena::from_edges(num_nodes, edges));
-                self.nodes = num_nodes;
-                self.edges.clear();
-                self.edges
-                    .extend(edges.iter().map(|&(from, to, _)| (from, to)));
                 true
             }
         }
@@ -185,18 +180,12 @@ fn min_max_on(
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
     solver: FlowSolver,
-    /// Retained arena of scheme evaluations.
-    scheme_arena: RetainedArena,
-    /// Retained arena of *explicit-edge* evaluations ([`EvalCtx::min_max_flow`] — the
-    /// churn residual path), kept separate from the scheme arena so interleaving the two
-    /// kinds of evaluation costs neither its cache: a sweep alternating residual and
-    /// scheme probes rewrites both arenas in place.
-    explicit_arena: RetainedArena,
+    /// The retained arena every evaluation prepares.
+    arena: RetainedArena,
     /// Fan-out of `throughput` evaluations: `0` the per-evaluation size heuristic
     /// (default), `1` sequential, `> 1` that many lanes per evaluation.
     parallelism: usize,
     scratch_edges: Vec<(NodeId, NodeId, f64)>,
-    scratch_filtered: Vec<(NodeId, NodeId, f64)>,
     scratch_caps: Vec<f64>,
     scratch_sinks: Vec<NodeId>,
     tolerance: f64,
@@ -236,11 +225,9 @@ impl EvalCtx {
     pub fn with_tolerance(tolerance: f64) -> Self {
         EvalCtx {
             solver: FlowSolver::new(),
-            scheme_arena: RetainedArena::default(),
-            explicit_arena: RetainedArena::default(),
+            arena: RetainedArena::default(),
             parallelism: 0,
             scratch_edges: Vec::new(),
-            scratch_filtered: Vec::new(),
             scratch_caps: Vec::new(),
             scratch_sinks: Vec::new(),
             tolerance,
@@ -380,12 +367,31 @@ impl EvalCtx {
     /// retained arena (see the type docs) at the configured parallelism
     /// ([`EvalCtx::set_parallelism`]).
     pub fn throughput(&mut self, scheme: &BroadcastScheme) -> f64 {
-        self.prepare_scheme_arena(scheme);
+        self.masked_throughput(scheme, None)
+    }
+
+    /// [`EvalCtx::throughput`] of `scheme` with the nodes where `alive` is `false` cut
+    /// out: every edge touching one gets capacity 0, and only the live receivers are
+    /// sinks (`f64::INFINITY` when none is). The edge set is the scheme's own, so the
+    /// retained arena is rewritten in place exactly as for an unmasked evaluation. A
+    /// zero-capacity arc never carries flow and adds `+0.0` to its head's in-capacity,
+    /// so the value is bit-for-bit the evaluation of the edge list without those edges.
+    pub(crate) fn masked_throughput(
+        &mut self,
+        scheme: &BroadcastScheme,
+        alive: Option<&[bool]>,
+    ) -> f64 {
+        self.prepare_scheme_arena(scheme, alive);
         let mut sinks = std::mem::take(&mut self.scratch_sinks);
         sinks.clear();
-        sinks.extend(scheme.instance().receivers());
+        sinks.extend(
+            scheme
+                .instance()
+                .receivers()
+                .filter(|&node| alive.is_none_or(|alive| alive[node])),
+        );
         self.flow_solves += sinks.len() as u64;
-        let arena = self.scheme_arena.prepared();
+        let arena = self.arena.prepared();
         let value = min_max_on(&mut self.solver, arena, 0, &sinks, self.parallelism);
         self.scratch_sinks = sinks;
         value
@@ -394,22 +400,14 @@ impl EvalCtx {
     /// Maximum flow from the source to `receiver` in `scheme`'s weighted digraph
     /// (through the retained arena, like [`EvalCtx::throughput`]).
     pub fn max_flow_to(&mut self, scheme: &BroadcastScheme, receiver: NodeId) -> f64 {
-        self.prepare_scheme_arena(scheme);
+        self.prepare_scheme_arena(scheme, None);
         self.flow_solves += 1;
-        self.solver
-            .max_flow(self.scheme_arena.prepared(), 0, receiver)
+        self.solver.max_flow(self.arena.prepared(), 0, receiver)
     }
 
-    /// `min_k maxflow(source → sinks_k)` over an explicit edge list (the entry point for
-    /// evaluations that are not a whole scheme, e.g. survivor overlays in the churn
-    /// analysis). Returns `f64::INFINITY` when `sinks` is empty.
-    ///
-    /// The evaluation runs on a retained arena of its own (in-place capacity rewrite when
-    /// the explicit edge set is unchanged, rebuild otherwise), so it leaves the scheme
-    /// arena untouched, and it honours the configured parallelism
-    /// ([`EvalCtx::set_parallelism`]): at a fan-out above 1 (or when the `0` auto
-    /// heuristic triggers at fleet scale) the per-sink max-flows are split over scoped
-    /// helper threads, the value staying bit-identical to the sequential pass.
+    /// `min_k maxflow(source → sinks_k)` over an explicit edge list, on the retained
+    /// arena and at the configured parallelism. Returns `f64::INFINITY` when `sinks` is
+    /// empty.
     pub fn min_max_flow(
         &mut self,
         num_nodes: usize,
@@ -417,39 +415,31 @@ impl EvalCtx {
         source: NodeId,
         sinks: &[NodeId],
     ) -> f64 {
-        let rebuilt = self
-            .explicit_arena
-            .prepare(num_nodes, edges, &mut self.scratch_caps);
+        let rebuilt = self.arena.prepare(num_nodes, edges, &mut self.scratch_caps);
         self.count_arena(rebuilt);
         self.flow_solves += sinks.len() as u64;
-        let arena = self.explicit_arena.prepared();
-        min_max_on(&mut self.solver, arena, source, sinks, self.parallelism)
+        min_max_on(
+            &mut self.solver,
+            self.arena.prepared(),
+            source,
+            sinks,
+            self.parallelism,
+        )
     }
 
-    /// Like [`EvalCtx::min_max_flow`], but the edge list is produced by `fill` into a
-    /// context-owned buffer, so repeat callers (the churn sweep filtering a scheme down
-    /// to its survivors for thousands of departure sets) reuse one allocation instead of
-    /// building a fresh `Vec` per evaluation.
-    pub fn min_max_flow_with(
-        &mut self,
-        num_nodes: usize,
-        source: NodeId,
-        sinks: &[NodeId],
-        fill: impl FnOnce(&mut Vec<(NodeId, NodeId, f64)>),
-    ) -> f64 {
-        let mut edges = std::mem::take(&mut self.scratch_filtered);
-        edges.clear();
-        fill(&mut edges);
-        let value = self.min_max_flow(num_nodes, &edges, source, sinks);
-        self.scratch_filtered = edges;
-        value
-    }
-
-    /// Points the retained scheme arena at `scheme`'s current rates.
-    fn prepare_scheme_arena(&mut self, scheme: &BroadcastScheme) {
+    /// Points the retained arena at `scheme`'s current rates, masked by `alive` (see
+    /// [`EvalCtx::masked_throughput`]).
+    fn prepare_scheme_arena(&mut self, scheme: &BroadcastScheme, alive: Option<&[bool]>) {
         let mut edges = std::mem::take(&mut self.scratch_edges);
         scheme.edges_into(&mut edges);
-        let rebuilt = self.scheme_arena.prepare(
+        if let Some(alive) = alive {
+            for (from, to, capacity) in &mut edges {
+                if !(alive[*from] && alive[*to]) {
+                    *capacity = 0.0;
+                }
+            }
+        }
+        let rebuilt = self.arena.prepare(
             scheme.instance().num_nodes(),
             &edges,
             &mut self.scratch_caps,
@@ -891,36 +881,6 @@ mod tests {
         a.set_rate(from, to, 0.0);
         assert_eq!(ctx.throughput(&a), EvalCtx::new().throughput(&a));
         assert_eq!(ctx.arena_builds(), builds_before + 1);
-    }
-
-    #[test]
-    fn interleaved_explicit_edge_evaluations_keep_the_scheme_association() {
-        let instance = figure1();
-        let mut ctx = EvalCtx::new();
-        let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
-        let mut scheme = solution.scheme;
-        let _ = ctx.throughput(&scheme);
-        // Explicit-edge evaluations (the churn residual access pattern) run on their own
-        // retained arena: interleaving them with scheme re-probes must rebuild neither.
-        let survivors: Vec<usize> = instance.receivers().collect();
-        let filtered = |edges: &mut Vec<(usize, usize, f64)>, scheme: &BroadcastScheme| {
-            edges.extend(scheme.edges().into_iter().take(3));
-        };
-        let first = ctx.min_max_flow_with(instance.num_nodes(), 0, &survivors, |edges| {
-            filtered(edges, &scheme)
-        });
-        let builds_after_first = ctx.arena_builds();
-        for round in 1..=3 {
-            let (from, to, rate) = scheme.edges()[0];
-            scheme.set_rate(from, to, rate * (1.0 - 0.1 * round as f64));
-            let rewritten = ctx.throughput(&scheme);
-            assert_eq!(rewritten, EvalCtx::new().throughput(&scheme));
-            let residual = ctx.min_max_flow_with(instance.num_nodes(), 0, &survivors, |edges| {
-                filtered(edges, &scheme)
-            });
-            assert_eq!(residual, first);
-        }
-        assert_eq!(ctx.arena_builds(), builds_after_first);
     }
 
     #[test]

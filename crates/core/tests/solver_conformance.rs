@@ -5,15 +5,19 @@
 
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_core::acyclic_open::acyclic_open_optimal_scheme;
-use bmp_core::churn::degradation_tolerance;
+use bmp_core::churn::{degradation_tolerance, residual_throughput};
 use bmp_core::cyclic_open::cyclic_open_optimal_scheme;
 use bmp_core::exhaustive::optimal_acyclic_exhaustive;
 use bmp_core::omega::best_omega_throughput;
-use bmp_core::solver::{registry, EvalCtx, SolveRecorder};
+use bmp_core::solver::{find, registry, EvalCtx, SolveRecorder};
 use bmp_core::CoreError;
+use bmp_platform::distribution::UniformBandwidth;
+use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
 use bmp_platform::paper::{figure1, figure11, figure14};
 use bmp_platform::Instance;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Small open/guarded instances covering every solver's supported class.
 fn corpus() -> Vec<Instance> {
@@ -277,8 +281,57 @@ fn random_scheme() -> impl Strategy<Value = (bmp_core::BroadcastScheme, Vec<f64>
     })
 }
 
+/// A solved scheme with 10–60 receivers, acyclic (`acyclic-guarded` on a mixed platform)
+/// or cyclic (`cyclic-open` on an open-only one), plus 1–3 distinct departing receivers.
+fn churned_scheme() -> impl Strategy<Value = (bmp_core::BroadcastScheme, Vec<usize>)> {
+    let picks = proptest::collection::vec(1..10_000usize, 1..=3);
+    (10..=60usize, 0..1_000u64, 0..2usize, picks).prop_map(|(receivers, seed, kind, picks)| {
+        let (open_probability, algorithm) = [(0.6, "acyclic-guarded"), (1.0, "cyclic-open")][kind];
+        let config = GeneratorConfig::new(receivers, open_probability).expect("valid config");
+        let instance = InstanceGenerator::new(config, UniformBandwidth::unif100())
+            .generate(&mut StdRng::seed_from_u64(seed));
+        let solution = find(algorithm)
+            .expect("registered solver")
+            .solve(&instance, &mut EvalCtx::new())
+            .expect("solvable platform");
+        let mut departed: Vec<usize> = picks.iter().map(|pick| 1 + pick % receivers).collect();
+        departed.sort_unstable();
+        departed.dedup();
+        (solution.scheme, departed)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A churn residual is the scheme's own evaluation with the departed nodes' edges at
+    /// capacity 0: bit for bit the max-flow over the edge list without those edges, at
+    /// every fan-out, and an in-place rewrite of the arena the nominal evaluation built.
+    #[test]
+    fn masked_residual_equals_the_filtered_edge_list(case in churned_scheme()) {
+        let (scheme, departed) = case;
+        let n = scheme.instance().num_nodes();
+        let survivors: Vec<usize> =
+            scheme.instance().receivers().filter(|node| !departed.contains(node)).collect();
+        let filtered: Vec<(usize, usize, f64)> = scheme
+            .edges()
+            .into_iter()
+            .filter(|(from, to, _)| !departed.contains(from) && !departed.contains(to))
+            .collect();
+        let mut reference = EvalCtx::new();
+        reference.set_parallelism(1);
+        let expected = reference.min_max_flow(n, &filtered, 0, &survivors);
+        for threads in [1usize, 2] {
+            let mut ctx = EvalCtx::new();
+            ctx.set_parallelism(threads);
+            let _ = ctx.throughput(&scheme);
+            let builds = ctx.arena_builds();
+            let residual = residual_throughput(&scheme, &departed, &mut ctx);
+            prop_assert_eq!(residual.to_bits(), expected.to_bits(),
+                "threads {}: masked {} vs filtered {}", threads, residual, expected);
+            prop_assert_eq!(ctx.arena_builds(), builds, "threads {} rebuilt", threads);
+        }
+    }
 
     /// The retained arena, rewritten in place while the edge set is unchanged, must
     /// equal a from-scratch rebuild for every evaluation of a perturbed scheme.

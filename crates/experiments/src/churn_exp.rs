@@ -17,7 +17,7 @@ use crate::parallel::parallel_map_with;
 use crate::stats::Summary;
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_core::bounds::cyclic_upper_bound;
-use bmp_core::churn::{degradation_tolerance, repair, residual_throughput_with};
+use bmp_core::churn::{degradation_tolerance, repair, residual_throughput};
 use bmp_core::solver::{AcyclicGuardedAlgorithm, EvalCtx, SolveRecorder, Solver, Telemetry};
 use bmp_platform::distribution::NamedDistribution;
 use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
@@ -182,7 +182,7 @@ fn run_trial(
     // worker context's retained arena in place.
     let degradation =
         degradation_tolerance(&solution.scheme, victim, 0.9 * solution.throughput, ctx);
-    let residual = residual_throughput_with(&solution.scheme, &[victim], ctx);
+    let residual = residual_throughput(&solution.scheme, &[victim], ctx);
     let outcome = repair(&instance, &[victim], &AcyclicGuardedSolver::default())?;
     Some(ChurnTrial {
         receivers,
@@ -207,9 +207,9 @@ pub fn run(quick: bool, threads: usize) -> ChurnReport {
             let seeds: Vec<u64> = (0..trials)
                 .map(|t| t as u64 * 7919 + receivers as u64)
                 .collect();
-            // One EvalCtx per worker: the flow workspace is reused across that worker's
-            // whole chunk instead of leaning on the scheme.rs thread-local. Its flow
-            // fan-out never stacks on the sweep's own (`eval_parallelism`).
+            // One EvalCtx per worker: the flow workspace and its retained arena are reused
+            // across that worker's whole chunk. Its flow fan-out never stacks on the
+            // sweep's own (`eval_parallelism`).
             let worker_ctx = || {
                 let mut ctx = EvalCtx::new();
                 ctx.set_parallelism(crate::parallel::eval_parallelism(threads));

@@ -104,8 +104,8 @@ impl DepthReport {
 }
 
 /// Measures a scheme's depth profile, after certifying through the worker's context that
-/// it actually delivers its claimed throughput (no hidden thread-local: every flow
-/// evaluation of the sweep goes through the explicit per-worker [`EvalCtx`]).
+/// it actually delivers its claimed throughput (every flow evaluation of the sweep goes
+/// through the per-worker [`EvalCtx`]).
 fn measure(
     ctx: &mut EvalCtx,
     scheme: &bmp_core::scheme::BroadcastScheme,

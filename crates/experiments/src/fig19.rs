@@ -166,7 +166,7 @@ pub fn ratios_for_instance(
 ///
 /// On instances up to [`CERTIFY_MAX_NODES`] nodes the dichotomic acyclic optimum is
 /// additionally certified: the word's scheme is built and re-scored by max-flow through
-/// `ctx` (never the `scheme.rs` thread-local).
+/// `ctx`.
 ///
 /// # Panics
 ///
@@ -219,8 +219,8 @@ pub fn run(config: &Fig19Config) -> Fig19Result {
                     .map(|i| cell_seed.wrapping_add(i.wrapping_mul(0x517C_C1B7_2722_0A95)))
                     .collect();
                 // One EvalCtx per worker (the churn_exp convention): certification flows
-                // go through explicit state, not the scheme.rs thread-local, and never
-                // stack the flow fan-out on the sweep's own.
+                // reuse the worker's workspace and never stack the flow fan-out on the
+                // sweep's own.
                 let worker_ctx = || {
                     let mut ctx = EvalCtx::new();
                     ctx.set_parallelism(crate::parallel::eval_parallelism(config.threads));

@@ -123,8 +123,8 @@ pub fn run(config: Fig7Config) -> Fig7Result {
         }
     }
     // One EvalCtx per worker (the churn_exp convention): each cell's worst scheme is
-    // certified by max-flow through explicit per-worker state, never the scheme.rs
-    // thread-local — and never stacking the flow fan-out on the sweep's own.
+    // certified by max-flow through the worker's workspace, never stacking the flow
+    // fan-out on the sweep's own.
     let worker_ctx = || {
         let mut ctx = EvalCtx::new();
         ctx.set_parallelism(crate::parallel::eval_parallelism(config.threads));

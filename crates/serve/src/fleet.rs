@@ -97,6 +97,38 @@ impl Default for FleetConfig {
     }
 }
 
+impl FleetConfig {
+    /// Checks that the configuration can run: at least one session and one shard, at
+    /// least two receivers and one chunk per session, a floor in `(0, 1]` and a
+    /// per-session checkpoint cadence of at least one round.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated condition.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        [
+            (self.sessions >= 1, "a fleet needs at least one session"),
+            (self.shards >= 1, "a fleet needs at least one shard"),
+            (
+                self.receivers >= 2,
+                "a session platform needs at least two receivers",
+            ),
+            (self.chunks >= 1, "a session needs at least one chunk"),
+            (
+                self.floor > 0.0 && self.floor <= 1.0,
+                "the repair floor must lie in (0, 1]",
+            ),
+            (
+                self.supervision.checkpoint_rounds >= 1,
+                "the per-session checkpoint cadence must be at least one round",
+            ),
+        ]
+        .into_iter()
+        .find_map(|(ok, message)| (!ok).then_some(message))
+        .map_or(Ok(()), Err)
+    }
+}
+
 /// Seed stream tag of the retry backoff (decorrelates it from every other per-session
 /// stream derived from the fleet seed).
 const RETRY_STREAM: u64 = 0xB0FF;
@@ -559,9 +591,7 @@ impl FleetRun {
 ///
 /// # Panics
 ///
-/// Panics if `shards == 0`, `sessions == 0`, `receivers < 2`, `floor` is outside
-/// `(0, 1]` (the controller's own precondition), or the supervision checkpoint
-/// cadence is zero.
+/// Panics if `config` fails [`FleetConfig::validate`].
 #[must_use]
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     run_fleet_with(config, FleetOptions::default()).into_report()
@@ -582,16 +612,9 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
 /// count, or its admission log does not match the one recomputed from the config.
 #[must_use]
 pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetRun {
-    assert!(config.shards >= 1, "a fleet needs at least one shard");
-    assert!(config.sessions >= 1, "a fleet needs at least one session");
-    assert!(
-        config.receivers >= 2,
-        "a session platform needs at least two receivers"
-    );
-    assert!(
-        config.supervision.checkpoint_rounds >= 1,
-        "the per-session checkpoint cadence must be at least one round"
-    );
+    if let Err(message) = config.validate() {
+        panic!("invalid fleet configuration: {message}");
+    }
     let FleetOptions {
         resume,
         halt_after,

@@ -300,14 +300,19 @@ impl FleetCheckpoint {
         serde_json::to_string_pretty(self).expect("fleet checkpoint serializes")
     }
 
-    /// Checks that every pending session's saved state resumes
-    /// ([`AdaptiveRun::resume`]) into a controller-driven run, so a malformed checkpoint
-    /// is rejected when it loads instead of panicking a shard mid-wave.
+    /// Checks that the embedded config passes [`crate::FleetConfig::validate`] and that
+    /// every pending session's saved state resumes ([`AdaptiveRun::resume`]) into a
+    /// controller-driven run, so a malformed checkpoint is rejected when it loads instead
+    /// of panicking the coordinator or a shard mid-wave.
     ///
     /// # Errors
     ///
-    /// Returns the first pending session's [`CheckpointError`], prefixed with its id.
+    /// Returns a [`CheckpointError`] naming the config's first violated condition, or
+    /// the first pending session's error prefixed with its id.
     pub fn validate(&self) -> Result<(), CheckpointError> {
+        self.config
+            .validate()
+            .map_err(|message| CheckpointError(format!("fleet config: {message}")))?;
         for entry in &self.pending {
             let Some(state) = &entry.state else { continue };
             let invalid =

@@ -15,7 +15,7 @@
 //!   └──────┬───────┘              └─────────────────────────┘               ▼
 //!          │ set_alive                      ▲                        Session::hot_swap
 //!          ▼                                │ EvalCtx (retained               │
-//!   ┌──────────────┐  step() / RoundStats   │ arenas, fan-out)                │
+//!   ┌──────────────┐  step() / RoundStats   │ arena, fan-out)                 │
 //!   │   Session    │◀───────────────────────┴─────────────────────────────────┘
 //!   └──────────────┘   possession, credit and RNG survive the swap
 //! ```
@@ -56,8 +56,9 @@
 //!    check below stays authoritative,
 //! 2. evaluates the residual throughput of the *currently deployed* overlay (the
 //!    nominal one before any swap, the latest repaired one after) restricted to the
-//!    survivors — an [`EvalCtx::min_max_flow_with`] evaluation on the context's
-//!    explicit-edge arena that can fan out over scoped flow helpers. A rejoin
+//!    survivors ([`bmp_core::churn::residual_throughput`]): the deployed scheme's own
+//!    evaluation with the departed nodes' edges at capacity 0, so it rewrites the arena
+//!    the probe left in place and can fan out over scoped flow helpers. A rejoin
 //!    is judged exactly like a departure: the returning node is merged into the
 //!    *deployed* overlay's survivor set, so an overlay that starves it fails this check
 //!    and triggers a fresh re-solve (which, on a full rejoin, reproduces the nominal
@@ -93,9 +94,7 @@ use crate::events::{ChurnAction, ChurnSchedule};
 use crate::metrics::SimReport;
 use crate::overlay::Overlay;
 use crate::session::{ensure, CheckpointError, Session, SessionSnapshot};
-use bmp_core::churn::{
-    repair_with, residual_throughput_with, try_degradation_tolerance, RepairPlan,
-};
+use bmp_core::churn::{repair_with, residual_throughput, try_degradation_tolerance, RepairPlan};
 use bmp_core::scheme::BroadcastScheme;
 use bmp_core::solver::{registry, EvalCtx};
 use bmp_core::CoreError;
@@ -167,9 +166,10 @@ pub struct ControllerDecision {
     pub time: f64,
     /// The departed receivers at that time.
     pub departed: Vec<NodeId>,
-    /// Journal-riding degradation tolerance of the newest victim, probed on the overlay
-    /// that was deployed at decision time (1.0 when the departed set was empty — a pure
-    /// rejoin — or when the probe was timed out by an injected fault).
+    /// Degradation tolerance of the newest victim
+    /// ([`bmp_core::churn::try_degradation_tolerance`]), probed on the overlay that was
+    /// deployed at decision time (1.0 when the departed set was empty — a pure rejoin —
+    /// or when the probe was timed out by an injected fault).
     pub victim_tolerance: f64,
     /// Whether the victim probe was cut short by an injected timeout
     /// ([`bmp_core::CoreError::Timeout`]). The pipeline records and survives it: the
@@ -516,7 +516,7 @@ impl AdaptationPolicy for RepairController {
         //    of the survivor set, so an overlay that starves a returning node fails
         //    this check and is re-solved — the rejoin merges into the deployed state
         //    instead of blindly restoring a remembered overlay.
-        let residual = residual_throughput_with(&self.deployed, departed, &mut self.ctx);
+        let residual = residual_throughput(&self.deployed, departed, &mut self.ctx);
         let (decision, attempts, solver, degraded_now) = if residual + 1e-12 >= self.floor {
             // The deployed overlay serves everyone present at the floor: no swap, and
             // any earlier degradation is over.

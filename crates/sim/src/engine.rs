@@ -83,7 +83,7 @@ impl SimConfig {
     }
 
     /// Checks that the configuration is usable: at least one chunk, a positive chunk size
-    /// and round duration, and jitter in `[0, 1)`.
+    /// and round duration, jitter in `[0, 1)`, and a finite, positive rate in live mode.
     ///
     /// # Errors
     ///
@@ -96,6 +96,13 @@ impl SimConfig {
             (
                 (0.0..1.0).contains(&self.jitter),
                 "jitter must lie in [0, 1)",
+            ),
+            (
+                match self.source_mode {
+                    SourceMode::File => true,
+                    SourceMode::Live { rate } => rate.is_finite() && rate > 0.0,
+                },
+                "live rate must be finite and positive",
             ),
         ]
         .into_iter()

@@ -738,6 +738,17 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_a_live_rate_that_is_not_finite_and_positive() {
+        let snapshot = Session::new(line_overlay(), config()).checkpoint();
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut tampered = snapshot.clone();
+            tampered.config.source_mode = SourceMode::Live { rate };
+            let error = Session::resume(tampered).unwrap_err();
+            assert_eq!(error.to_string(), "live rate must be finite and positive");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "not a permutation")]
     fn resume_rejects_a_malformed_edge_order() {
         let session = Session::new(line_overlay(), config());

@@ -132,7 +132,7 @@ fn repaired_delivery_matches_the_static_prediction() {
 
     // Cross-check with the frozen-overlay prediction: the static residual explains why
     // the swap fired in the first place.
-    let residual = residual_throughput(&solution.scheme, &[victim]);
+    let residual = residual_throughput(&solution.scheme, &[victim], &mut EvalCtx::new());
     assert!(residual < 0.9 * nominal);
 }
 

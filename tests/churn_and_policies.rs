@@ -51,7 +51,7 @@ fn static_residual_analysis_predicts_simulated_starvation() {
     let victim = (1..instance.num_nodes())
         .max_by_key(|&node| solution.scheme.outdegree(node))
         .unwrap();
-    let residual = residual_throughput(&solution.scheme, &[victim]);
+    let residual = residual_throughput(&solution.scheme, &[victim], &mut EvalCtx::new());
     assert!(residual < solution.throughput + 1e-9);
 
     // Simulate the same departure from the very start of the broadcast.
