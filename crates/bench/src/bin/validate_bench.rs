@@ -13,25 +13,16 @@
 //! timings, so the gate abstains (and says so) rather than comparing zeros. The
 //! committed baselines themselves are validated against the pinned ids too: a baseline
 //! file missing a required id used to make the gate silently skip that id forever.
-//!
-//! With `--require-improvement ID:RATIO` (repeatable) it asserts a *relative win*
-//! rather than the absence of a regression: `ID`'s median must be at least `RATIO`×
-//! faster than its reference sibling (`ID` with the last path segment replaced by
-//! `cold` — e.g. `repair/warm-vs-cold/warm:1.2` requires the warm-started repair solve
-//! to beat `repair/warm-vs-cold/cold` by 1.2×). The assertion abstains, and says so,
-//! on smoke documents.
 
 use bmp_bench::{
-    perf_gate, read_bench_document, repo_root, require_improvement, resolve_reference_id,
-    validate_bench_json, DICHOTOMIC_REQUIRED_IDS, REGRESSION_TOLERANCE, SERVE_REQUIRED_IDS,
-    SIM_REQUIRED_IDS, THROUGHPUT_REQUIRED_IDS,
+    perf_gate, repo_root, validate_bench_json, DICHOTOMIC_REQUIRED_IDS, REGRESSION_TOLERANCE,
+    SERVE_REQUIRED_IDS, SIM_REQUIRED_IDS, THROUGHPUT_REQUIRED_IDS,
 };
 use std::path::PathBuf;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut baseline: Option<PathBuf> = None;
-    let mut improvements: Vec<(String, f64)> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--baseline" => {
@@ -41,29 +32,8 @@ fn main() {
                 });
                 baseline = Some(PathBuf::from(dir));
             }
-            "--require-improvement" => {
-                let spec = args.next().unwrap_or_else(|| {
-                    eprintln!("--require-improvement requires an ID:RATIO argument");
-                    std::process::exit(2);
-                });
-                let Some((id, ratio)) = spec.rsplit_once(':') else {
-                    eprintln!("--require-improvement {spec:?} must be ID:RATIO");
-                    std::process::exit(2);
-                };
-                let ratio: f64 = match ratio.parse() {
-                    Ok(ratio) if ratio > 0.0 => ratio,
-                    _ => {
-                        eprintln!("--require-improvement {spec:?}: invalid ratio {ratio:?}");
-                        std::process::exit(2);
-                    }
-                };
-                improvements.push((id.to_string(), ratio));
-            }
             other => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: validate_bench [--baseline DIR] \
-                     [--require-improvement ID:RATIO]..."
-                );
+                eprintln!("unknown argument {other:?}; usage: validate_bench [--baseline DIR]");
                 std::process::exit(2);
             }
         }
@@ -127,65 +97,7 @@ fn main() {
         }
     }
 
-    for (id, ratio) in &improvements {
-        match check_improvement(id, *ratio) {
-            Ok(Improvement::Achieved {
-                benchmark,
-                reference,
-                achieved,
-            }) => println!(
-                "improvement: {id}: {achieved:.2}x faster than {reference} \
-                 in BENCH_{benchmark}.json (required {ratio}x)"
-            ),
-            Ok(Improvement::Smoke) => {
-                println!("improvement: {id}: skipped (smoke-mode document has no timings)")
-            }
-            Err(error) => {
-                eprintln!("improvement assertion failed: {error}");
-                failed = true;
-            }
-        }
-    }
     if failed {
         std::process::exit(1);
     }
-}
-
-/// Outcome of one `--require-improvement` assertion.
-enum Improvement {
-    /// The assertion held, by `achieved`× against `reference`.
-    Achieved {
-        benchmark: String,
-        reference: String,
-        achieved: f64,
-    },
-    /// Abstained: the document is a smoke run with no timings.
-    Smoke,
-}
-
-/// Finds the document containing `id` among the four reports and asserts the
-/// improvement there.
-fn check_improvement(id: &str, ratio: f64) -> Result<Improvement, String> {
-    let root = repo_root();
-    for benchmark in ["dichotomic", "throughput", "sim", "serve"] {
-        let path = root.join(format!("BENCH_{benchmark}.json"));
-        let Ok(doc) = read_bench_document(&path, benchmark) else {
-            continue; // unreadable documents are reported by the id validation above
-        };
-        if doc.median_ns(id).is_none() {
-            continue;
-        }
-        if doc.is_measured() {
-            let reference = resolve_reference_id(&doc, id)?;
-            return require_improvement(&doc, id, ratio).map(|achieved| Improvement::Achieved {
-                benchmark: benchmark.to_string(),
-                reference,
-                achieved: achieved.expect("measured documents always compare"),
-            });
-        }
-        return Ok(Improvement::Smoke);
-    }
-    Err(format!(
-        "required id {id:?} not found in any BENCH_*.json document"
-    ))
 }

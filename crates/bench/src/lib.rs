@@ -157,70 +157,6 @@ pub fn perf_gate(
     })
 }
 
-/// Resolves the reference sibling a `--require-improvement` assertion for `id`
-/// compares against: the same benchmark path with its last segment replaced by `cold`
-/// (the warm-vs-cold convention of the repair benches — `repair/warm-vs-cold/warm` is
-/// measured against `repair/warm-vs-cold/cold`).
-///
-/// # Errors
-///
-/// Returns a description when the document carries no such sibling, or when `id` is
-/// its own `cold` sibling.
-pub fn resolve_reference_id(doc: &BenchDocument, id: &str) -> Result<String, String> {
-    let candidate = match id.rsplit_once('/') {
-        Some((prefix, _)) => format!("{prefix}/cold"),
-        None => "cold".to_string(),
-    };
-    if candidate != id && doc.median_ns(&candidate).is_some() {
-        return Ok(candidate);
-    }
-    Err(format!(
-        "no reference sibling {candidate:?} for {id:?} is present in the document"
-    ))
-}
-
-/// Asserts that `id` in `doc` is at least `ratio`× faster (smaller median) than its
-/// reference sibling ([`resolve_reference_id`], the `cold` sibling). Returns
-/// `Ok(None)` when `doc` is a smoke run — there are no timings to compare, so the
-/// assertion abstains; `Ok(Some(actual))` with the achieved speedup when the
-/// assertion holds.
-///
-/// # Errors
-///
-/// Returns a description when either id is missing, the measured median is not
-/// positive, or the achieved speedup falls short of `ratio`.
-pub fn require_improvement(
-    doc: &BenchDocument,
-    id: &str,
-    ratio: f64,
-) -> Result<Option<f64>, String> {
-    if !doc.is_measured() {
-        return Ok(None);
-    }
-    let reference_id = resolve_reference_id(doc, id)?;
-    let measured = doc
-        .median_ns(id)
-        .ok_or_else(|| format!("required id {id:?} is missing from the document"))?;
-    let reference = doc.median_ns(&reference_id).ok_or_else(|| {
-        format!("reference id {reference_id:?} (for {id:?}) is missing from the document")
-    })?;
-    if measured <= 0.0 || reference <= 0.0 {
-        return Err(format!(
-            "{id}: non-positive medians ({measured} ns vs {reference} ns) cannot be compared"
-        ));
-    }
-    let actual = reference / measured;
-    if actual < ratio {
-        return Err(format!(
-            "{id}: only {actual:.2}x faster than {reference_id} \
-             ({:.3} ms vs {:.3} ms), required {ratio}x",
-            measured / 1e6,
-            reference / 1e6
-        ));
-    }
-    Ok(Some(actual))
-}
-
 /// Validates an emitted `BENCH_*.json`: it parses, names `benchmark`, carries a known
 /// `mode`, and every id in `expected_ids` appears verbatim among the results (exact
 /// match — a substring match would let `.../500` be satisfied by `.../5000`, silently
@@ -460,116 +396,6 @@ mod tests {
         let path = dir.join(format!("BENCH_{name}.json"));
         std::fs::write(&path, bench_report_json("sample", &reports)).unwrap();
         path
-    }
-
-    #[test]
-    fn cold_reference_replaces_the_last_path_segment() {
-        let doc = BenchDocument {
-            mode: "measured".to_string(),
-            medians: vec![
-                ("repair/warm-vs-cold/cold".to_string(), 900.0),
-                ("repair/warm-vs-cold/warm".to_string(), 300.0),
-                ("a/cold".to_string(), 1.0),
-                ("cold".to_string(), 1.0),
-            ],
-        };
-        assert_eq!(
-            resolve_reference_id(&doc, "repair/warm-vs-cold/warm").unwrap(),
-            "repair/warm-vs-cold/cold"
-        );
-        assert_eq!(resolve_reference_id(&doc, "a/b").unwrap(), "a/cold");
-        assert_eq!(resolve_reference_id(&doc, "bare").unwrap(), "cold");
-        // A document without the sibling cannot resolve a reference…
-        assert!(resolve_reference_id(&doc, "other/group/warm").is_err());
-        // …and an id is never its own reference.
-        assert!(resolve_reference_id(&doc, "repair/warm-vs-cold/cold").is_err());
-    }
-
-    #[test]
-    fn require_improvement_compares_against_the_cold_reference() {
-        let reports = vec![
-            BenchReport {
-                id: "repair/warm-vs-cold/cold".to_string(),
-                median_ns: 1000.0,
-                best_ns: 900.0,
-                smoke: false,
-            },
-            BenchReport {
-                id: "repair/warm-vs-cold/warm".to_string(),
-                median_ns: 500.0,
-                best_ns: 450.0,
-                smoke: false,
-            },
-        ];
-        let dir = std::env::temp_dir().join(format!("bmp_bench_improve_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sample.json");
-        std::fs::write(&path, bench_report_json("sample", &reports)).unwrap();
-        let doc = read_bench_document(&path, "sample").unwrap();
-        // 2x measured: a 1.5x requirement passes with the achieved ratio reported…
-        let achieved = require_improvement(&doc, "repair/warm-vs-cold/warm", 1.5)
-            .unwrap()
-            .unwrap();
-        assert!((achieved - 2.0).abs() < 1e-9, "{achieved}");
-        // …a 2.5x requirement fails, naming both ids and the shortfall…
-        let err = require_improvement(&doc, "repair/warm-vs-cold/warm", 2.5).unwrap_err();
-        assert!(err.contains("warm"), "{err}");
-        assert!(err.contains("cold"), "{err}");
-        assert!(err.contains("2.00x"), "{err}");
-        // …and a missing id (either side) is a structural error, not a pass.
-        assert!(require_improvement(&doc, "repair/warm-vs-cold/hot", 1.0).is_err());
-        assert!(require_improvement(&doc, "other/group/fast", 1.0).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn require_improvement_falls_back_to_the_cold_sibling() {
-        let doc = BenchDocument {
-            mode: "measured".to_string(),
-            medians: vec![
-                ("repair/warm-vs-cold/cold".to_string(), 900.0),
-                ("repair/warm-vs-cold/warm".to_string(), 300.0),
-            ],
-        };
-        // The reference resolves to the `cold` sibling…
-        assert_eq!(
-            resolve_reference_id(&doc, "repair/warm-vs-cold/warm").unwrap(),
-            "repair/warm-vs-cold/cold"
-        );
-        let achieved = require_improvement(&doc, "repair/warm-vs-cold/warm", 1.5)
-            .unwrap()
-            .unwrap();
-        assert!((achieved - 3.0).abs() < 1e-9, "{achieved}");
-        // …a shortfall names the cold reference…
-        let err = require_improvement(&doc, "repair/warm-vs-cold/warm", 4.0).unwrap_err();
-        assert!(err.contains("cold"), "{err}");
-        // …and a `serial` sibling is no reference: `cold` wins when both exist, and a
-        // document with only `serial` has nothing to compare against.
-        let both = BenchDocument {
-            mode: "measured".to_string(),
-            medians: vec![
-                ("g/serial".to_string(), 1000.0),
-                ("g/cold".to_string(), 2000.0),
-                ("g/fast".to_string(), 500.0),
-                ("h/serial".to_string(), 1000.0),
-                ("h/fast".to_string(), 500.0),
-            ],
-        };
-        assert_eq!(resolve_reference_id(&both, "g/fast").unwrap(), "g/cold");
-        assert!(resolve_reference_id(&both, "h/fast").is_err());
-        assert!(require_improvement(&both, "h/fast", 1.0).is_err());
-    }
-
-    #[test]
-    fn require_improvement_abstains_on_smoke_documents() {
-        let doc = BenchDocument {
-            mode: "smoke".to_string(),
-            medians: vec![("repair/warm-vs-cold/warm".to_string(), 0.0)],
-        };
-        assert_eq!(
-            require_improvement(&doc, "repair/warm-vs-cold/warm", 1.5),
-            Ok(None)
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct ArgList {
 }
 
 /// Flags that take no value (presence/absence switches).
-const BOOLEAN_FLAGS: &[&str] = &["--cyclic", "--trace", "--repair", "--queue"];
+const BOOLEAN_FLAGS: &[&str] = &["--trace", "--repair", "--queue"];
 
 /// The accepted flags of one subcommand.
 ///
@@ -60,7 +60,7 @@ impl ArgList {
                 parsed.flags.insert(key, None);
             } else {
                 // Refuse to consume a following flag as the value: a typo'd boolean
-                // switch (`--cylic --instance x.json`) must fail on the typo itself
+                // switch (`--repiar --scheme x.json`) must fail on the typo itself
                 // instead of swallowing the next flag and failing somewhere else.
                 let value = iter
                     .next_if(|value| !value.starts_with("--"))
@@ -175,25 +175,25 @@ mod tests {
     #[test]
     fn parses_command_and_flags() {
         let args = ArgList::parse(&strings(&[
-            "solve",
-            "--instance",
-            "inst.json",
-            "--cyclic",
-            "--tolerance",
-            "1e-8",
+            "simulate",
+            "--scheme",
+            "scheme.json",
+            "--repair",
+            "--floor",
+            "0.8",
         ]))
         .unwrap();
-        assert_eq!(args.command, "solve");
-        assert_eq!(args.get("--instance"), Some("inst.json"));
-        assert!(args.has("--cyclic"));
-        assert_eq!(args.get_parsed("--tolerance", 0.0).unwrap(), 1e-8);
+        assert_eq!(args.command, "simulate");
+        assert_eq!(args.get("--scheme"), Some("scheme.json"));
+        assert!(args.has("--repair"));
+        assert_eq!(args.get_parsed("--floor", 0.0).unwrap(), 0.8);
     }
 
     #[test]
     fn empty_arguments_are_valid() {
         let args = ArgList::parse(&[]).unwrap();
         assert_eq!(args.command, "");
-        assert!(!args.has("--cyclic"));
+        assert!(!args.has("--repair"));
         assert_eq!(args.get("--instance"), None);
     }
 
@@ -208,9 +208,9 @@ mod tests {
         // A typo'd boolean switch must fail on the typo itself, not consume the next
         // flag as its value and fail with a misleading message further on.
         let err =
-            ArgList::parse(&strings(&["solve", "--cylic", "--instance", "x.json"])).unwrap_err();
+            ArgList::parse(&strings(&["simulate", "--repiar", "--scheme", "x.json"])).unwrap_err();
         let message = err.to_string();
-        assert!(message.contains("--cylic"));
+        assert!(message.contains("--repiar"));
         assert!(message.contains("expects a value"));
     }
 

@@ -14,9 +14,10 @@ pub const FLAGS: FlagSpec = FlagSpec {
 
 /// Runs the `decompose` subcommand.
 ///
-/// Flags: `--scheme FILE` (required), `--throughput T` (rate to decompose; defaults to the
-/// scheme's max-flow throughput), `--message M` (also print the stripe plan for a message of
-/// size `M`), `--out FILE` (write the decomposition as JSON).
+/// Flags: `--scheme FILE` (required), `--throughput T` (finite, positive rate to
+/// decompose; defaults to the scheme's max-flow throughput), `--message M` (also print
+/// the stripe plan for a message of finite, positive size `M`), `--out FILE` (write the
+/// decomposition as JSON).
 ///
 /// Acyclic schemes are decomposed exactly (interval decomposition); cyclic schemes fall back
 /// to the greedy arborescence-packing heuristic.
@@ -27,7 +28,7 @@ pub const FLAGS: FlagSpec = FlagSpec {
 pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     args.reject_unknown_flags(&FLAGS)?;
     let scheme = files::read_scheme(args.require("--scheme")?)?;
-    let throughput: f64 = args.get_parsed("--throughput", scheme.throughput())?;
+    let throughput = args.get_positive("--throughput", scheme.throughput())?;
 
     let decomposition = if scheme.is_acyclic() {
         writeln!(
@@ -59,10 +60,8 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         )?;
     }
 
-    if let Some(message) = args.get("--message") {
-        let message: f64 = message
-            .parse()
-            .map_err(|_| CliError::Usage(format!("invalid message size {message:?}")))?;
+    if args.get("--message").is_some() {
+        let message = args.get_positive("--message", 0.0)?;
         let plan = stripe_message(&decomposition, message)?;
         writeln!(out, "stripe plan for a message of size {message}:")?;
         for (index, stripe) in plan.stripes.iter().enumerate() {
@@ -132,14 +131,21 @@ mod tests {
         let solution = AcyclicGuardedSolver::default().solve(&figure1());
         let path = temp_path("dec-bad.json").to_str().unwrap().to_string();
         files::write_scheme(&path, &solution.scheme).unwrap();
-        let err = run_args(vec![
-            "--scheme".into(),
-            path.clone(),
-            "--message".into(),
-            "huge".into(),
-        ])
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
+        for flag in ["--throughput", "--message"] {
+            for value in ["huge", "0", "-1", "nan", "inf"] {
+                let err = run_args(vec![
+                    "--scheme".into(),
+                    path.clone(),
+                    flag.into(),
+                    value.into(),
+                ])
+                .unwrap_err();
+                match err {
+                    CliError::Usage(message) => assert!(message.contains(flag), "{message}"),
+                    other => panic!("{flag} {value}: expected a usage error, got {other:?}"),
+                }
+            }
+        }
         std::fs::remove_file(path).ok();
     }
 }

@@ -43,7 +43,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
         "--chunks",
         "--seed",
         "--floor",
-        "--threads",
         "--max-sessions",
         "--capacity",
         "--queue",
@@ -73,7 +72,6 @@ const RESUME_CONFLICTS: &[&str] = &[
     "--chunks",
     "--seed",
     "--floor",
-    "--threads",
     "--max-sessions",
     "--capacity",
     "--repair-algorithm",
@@ -181,8 +179,9 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         None => ChurnConfig::default(),
     };
     let fault_plan = match args.get("--fault-plan") {
-        Some(spec) => FaultPlan::parse(spec),
-        None => FaultPlan::from_env(),
+        Some(spec) => FaultPlan::try_parse(spec)
+            .map_err(|message| CliError::Usage(format!("--fault-plan: {message}")))?,
+        None => None,
     };
     let supervision = SupervisionConfig {
         max_rounds: get_optional(args, "--max-rounds")?,
@@ -210,7 +209,8 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         chunks: args.get_parsed("--chunks", 60)?,
         seed: args.get_parsed("--seed", 0x5EED)?,
         floor: args.get_parsed("--floor", 0.9)?,
-        flow_threads: args.get_parsed("--threads", 1)?,
+        // Sequential flow evaluations: the shard threads already own the cores.
+        flow_threads: FleetConfig::default().flow_threads,
         repair_algorithm: repair_algorithm.map(str::to_string),
         admission: AdmissionPolicy {
             max_sessions: get_optional(args, "--max-sessions")?,
@@ -232,14 +232,12 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
 ///
 /// Flags: `--sessions N` (default 8), `--shards K` (default 1), `--receivers R` (at
 /// least 2, default 4), `--chunks C` (at least 1, default 60), `--seed S`, `--floor F`
-/// (in `(0, 1]`, default 0.9), `--threads T` (flow fan-out per controller: `1`
-/// sequential — the default — `T > 1` up to `min(T - 1, 8)` helper threads per
-/// evaluation, so `K` shards may run `K × min(T - 1, 8)` helpers at once; `0` auto),
-/// `--max-sessions N` /
-/// `--capacity L` / `--queue` (admission policy), `--repair-algorithm NAME`, `--churn
-/// START:SPACING:WAVES` (default `4:3:2`), `--fault-plan SPEC` (`storm`,
-/// `storm:SEED`, `off`; unset reads `BMP_FAULT_PLAN`), `--report FILE` (fleet report
-/// JSON), `--csv FILE` (per-session rows).
+/// (in `(0, 1]`, default 0.9), `--max-sessions N` / `--capacity L` / `--queue`
+/// (admission policy), `--repair-algorithm NAME`, `--churn START:SPACING:WAVES`
+/// (default `4:3:2`), `--fault-plan SPEC` (`storm`, `storm:SEED`, a bare seed, or
+/// `off`; unset runs without faults), `--report FILE` (fleet report JSON), `--csv FILE`
+/// (per-session rows). Flow evaluations stay sequential: the `K` shard threads already
+/// own the cores.
 ///
 /// Supervision: `--max-rounds N` / `--no-progress N` override the derived watchdog
 /// budgets, `--retries R` bounds panic re-admissions, `--panic-session S:R[:once]` /
@@ -630,6 +628,10 @@ mod tests {
             vec!["--churn".to_string(), "4:3".into()],
             vec!["--churn".to_string(), "4:-1:2".into()],
             vec!["--repair-algorithm".to_string(), "frobnicate".into()],
+            vec!["--fault-plan".to_string(), "bogus".into()],
+            vec!["--fault-plan".to_string(), "storm:abc".into()],
+            vec!["--fault-plan".to_string(), "storm:".into()],
+            vec!["--fault-plan".to_string(), "18446744073709551616".into()],
             vec!["--panic-session".to_string(), "1".into()],
             vec!["--panic-session".to_string(), "1:2:often".into()],
             vec!["--wedge-session".to_string(), "1:2:once".into()],

@@ -9,9 +9,9 @@
 //!   re-solve-and-hot-swap controller with `--repair` — and reports *delivered* goodput
 //!   against the nominal throughput, plus the controller's decision log and telemetry.
 //!
-//! The command can also solve and simulate in one shot: `--instance FILE` (with
-//! `--algorithm NAME` and `--threads N`) runs a registry solver first and streams over
-//! the overlay it produces.
+//! The overlay comes from a `--scheme` file: `solve --out FILE` writes one. Repair
+//! probes take [`bmp_core::solver::EvalCtx`]'s automatic flow fan-out, which changes
+//! wall time only.
 //!
 //! Closed-loop runs are crash-safe: `--checkpoint FILE` periodically serializes the
 //! complete run state (`--checkpoint-every N` rounds), `--halt-after N` stops
@@ -20,11 +20,9 @@
 //! and trace (`--report FILE` writes it as JSON for byte-for-byte comparison).
 
 use crate::args::{ArgList, FlagSpec};
-use crate::cmd_solve::resolve_algorithm;
 use crate::error::CliError;
 use crate::files;
 use bmp_core::scheme::BroadcastScheme;
-use bmp_core::solver::EvalCtx;
 use bmp_sim::{
     AdaptiveRun, ChunkPolicy, ChurnAction, ChurnEvent, ChurnSchedule, Overlay, RepairController,
     SessionOutcome, SimConfig, Simulator, SourceMode, StaticPolicy,
@@ -48,9 +46,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
     command: "simulate",
     flags: &[
         "--scheme",
-        "--instance",
-        "--algorithm",
-        "--threads",
         "--chunks",
         "--policy",
         "--seed",
@@ -123,54 +118,19 @@ fn parse_churn(raw: &str, scheme: &BroadcastScheme) -> Result<ChurnSchedule, Cli
     Ok(ChurnSchedule::new(events))
 }
 
-/// Loads the scheme: from `--scheme FILE`, or by solving `--instance FILE` with the
-/// requested `--algorithm` (one-shot solve + simulate). A `--scheme` file that fails
-/// [`BroadcastScheme::validate`] is refused, naming its first violation.
-fn load_scheme<W: Write>(
-    args: &ArgList,
-    threads: usize,
-    out: &mut W,
-) -> Result<BroadcastScheme, CliError> {
-    match (args.get("--scheme"), args.get("--instance")) {
-        (Some(_), Some(_)) => Err(CliError::Usage(
-            "pass either --scheme FILE or --instance FILE, not both".into(),
-        )),
-        (Some(path), None) => {
-            if args.has("--algorithm") {
-                return Err(CliError::Usage(
-                    "--algorithm only applies when solving from --instance".into(),
-                ));
-            }
-            let scheme = files::read_scheme(path)?;
-            let violations = scheme.validate();
-            match violations.first() {
-                None => Ok(scheme),
-                Some(first) => Err(CliError::InvalidScheme(format!(
-                    "{path} violates its constraints: {first:?} (1 of {} violation(s); \
-                     `verify` lists them all)",
-                    violations.len()
-                ))),
-            }
-        }
-        (None, Some(path)) => {
-            let instance = files::read_instance(path)?;
-            let solver = resolve_algorithm(args.get("--algorithm").unwrap_or("acyclic-guarded"))?;
-            let mut ctx = EvalCtx::new();
-            ctx.set_parallelism(threads);
-            let solution = solver.solve(&instance, &mut ctx)?;
-            writeln!(
-                out,
-                "solved {} receivers with {} (throughput {:.4}, {} flow solves)",
-                instance.num_receivers(),
-                solution.algorithm,
-                solution.throughput,
-                solution.telemetry.flow_solves
-            )?;
-            Ok(solution.scheme)
-        }
-        (None, None) => Err(CliError::Usage(
-            "missing required flag --scheme (or --instance to solve first)".into(),
-        )),
+/// Loads the `--scheme FILE` overlay, refusing a scheme that fails
+/// [`BroadcastScheme::validate`] and naming its first violation.
+fn load_scheme(args: &ArgList) -> Result<BroadcastScheme, CliError> {
+    let path = args.require("--scheme")?;
+    let scheme = files::read_scheme(path)?;
+    let violations = scheme.validate();
+    match violations.first() {
+        None => Ok(scheme),
+        Some(first) => Err(CliError::InvalidScheme(format!(
+            "{path} violates its constraints: {first:?} (1 of {} violation(s); \
+             `verify` lists them all)",
+            violations.len()
+        ))),
     }
 }
 
@@ -356,9 +316,6 @@ fn finish_closed_loop<W: Write>(
 fn run_resumed<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     for flag in [
         "--scheme",
-        "--instance",
-        "--algorithm",
-        "--threads",
         "--chunks",
         "--policy",
         "--seed",
@@ -451,15 +408,12 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 
 /// Runs the `simulate` subcommand.
 ///
-/// Flags: `--scheme FILE` *or* `--instance FILE` (solve first; `--algorithm NAME`
-/// selects the registry solver, `--threads N` its flow fan-out: `1` sequential — the
-/// default — `N > 1` up to `min(N - 1, 8)` helper threads per evaluation, `0` the
-/// instance-size heuristic), `--chunks N` (at least 1, default 300), `--policy NAME`
-/// (default random), `--seed S`, `--jitter J` (in `[0, 1)`, default 0), `--live RATE`
-/// (finite and positive), `--trace` (worst-receiver progress every 50 rounds;
-/// frozen-overlay runs only), `--churn SPEC` (scheduled departures/rejoins, e.g.
-/// `"5:busiest"` or `"5:3,7;12:+3"`),
-/// `--repair` (adapt by re-solve + hot-swap instead of the static baseline),
+/// Flags: `--scheme FILE` (required unless resuming), `--chunks N` (at least 1,
+/// default 300), `--policy NAME` (default random), `--seed S`, `--jitter J` (in
+/// `[0, 1)`, default 0), `--live RATE` (finite and positive), `--trace`
+/// (worst-receiver progress every 50 rounds; frozen-overlay runs only), `--churn SPEC`
+/// (scheduled departures/rejoins, e.g. `"5:busiest"` or `"5:3,7;12:+3"`), `--repair`
+/// (adapt by re-solve + hot-swap instead of the static baseline),
 /// `--repair-algorithm NAME` (pin the named registry solver to the front of the repair
 /// fallback chain; unset keeps the registry order), `--floor F` (repair when the
 /// residual drops below `F ×` nominal, default 0.9).
@@ -472,20 +426,14 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] when the scheme/instance cannot be read, a `--scheme` file
-/// violates its constraints, or a flag is malformed.
+/// Returns a [`CliError`] when the scheme cannot be read or violates its constraints,
+/// or a flag is malformed.
 pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     args.reject_unknown_flags(&FLAGS)?;
     if args.get("--resume").is_some() {
         return run_resumed(args, out);
     }
-    let threads: usize = args.get_parsed("--threads", 1)?;
-    if args.has("--threads") && !(args.has("--repair") || args.get("--instance").is_some()) {
-        return Err(CliError::Usage(
-            "--threads only applies when solving (--instance) or repairing (--repair)".into(),
-        ));
-    }
-    let scheme = load_scheme(args, threads, out)?;
+    let scheme = load_scheme(args)?;
     let nominal = scheme.throughput();
     let overlay = Overlay::from_scheme(&scheme);
 
@@ -566,7 +514,6 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         let mut kind = if args.has("--repair") {
             let mut controller =
                 RepairController::new(scheme.instance().clone(), scheme.clone(), nominal, floor);
-            controller.set_parallelism(threads);
             controller.set_repair_algorithm(repair_algorithm.map(str::to_string));
             PolicyKind::Repair(Box::new(controller))
         } else {
@@ -647,7 +594,7 @@ mod tests {
     use crate::files::testutil::{at, edit_json, temp_path};
     use bmp_core::AcyclicGuardedSolver;
     use bmp_platform::paper::figure1;
-    use serde::Value::{Array, F64, I64};
+    use serde::Value::Array;
 
     fn scheme_path() -> String {
         let solution = AcyclicGuardedSolver::default().solve(&figure1());
@@ -866,15 +813,20 @@ mod tests {
     }
 
     #[test]
-    fn solves_and_simulates_in_one_shot() {
-        let path = instance_path();
+    fn a_solved_scheme_file_simulates_with_repair() {
+        let instance = instance_path();
+        let scheme = temp_path("sim-solved.json").to_str().unwrap().to_string();
+        let solve = ArgList::parse(&[
+            "--instance".to_string(),
+            instance.clone(),
+            "--out".into(),
+            scheme.clone(),
+        ])
+        .unwrap();
+        crate::cmd_solve::run(&solve, &mut Vec::new()).unwrap();
         let output = run_args(vec![
-            "--instance".into(),
-            path.clone(),
-            "--algorithm".into(),
-            "acyclic-guarded".into(),
-            "--threads".into(),
-            "2".into(),
+            "--scheme".into(),
+            scheme.clone(),
             "--chunks".into(),
             "120".into(),
             "--churn".into(),
@@ -882,9 +834,10 @@ mod tests {
             "--repair".into(),
         ])
         .unwrap();
-        assert!(output.contains("solved 5 receivers with acyclic-guarded"));
         assert!(output.contains("adaptation repair"));
-        std::fs::remove_file(path).ok();
+        assert!(output.contains("controller telemetry"));
+        std::fs::remove_file(instance).ok();
+        std::fs::remove_file(scheme).ok();
     }
 
     #[test]
@@ -902,21 +855,8 @@ mod tests {
     #[test]
     fn conflicting_and_incomplete_flag_combinations_are_rejected() {
         let scheme = scheme_path();
-        let instance = instance_path();
         for args in [
-            vec![
-                "--scheme".to_string(),
-                scheme.clone(),
-                "--instance".into(),
-                instance.clone(),
-            ],
             vec!["--scheme".to_string(), scheme.clone(), "--repair".into()],
-            vec![
-                "--scheme".to_string(),
-                scheme.clone(),
-                "--algorithm".into(),
-                "auto".into(),
-            ],
             vec![
                 "--scheme".to_string(),
                 scheme.clone(),
@@ -925,24 +865,12 @@ mod tests {
                 "--trace".into(),
             ],
             vec![
-                "--instance".to_string(),
-                instance.clone(),
-                "--algorithm".into(),
-                "frobnicate".into(),
-            ],
-            vec![
                 "--scheme".to_string(),
                 scheme.clone(),
                 "--churn".into(),
                 "5:3".into(),
                 "--floor".into(),
                 "2.0".into(),
-            ],
-            vec![
-                "--scheme".to_string(),
-                scheme.clone(),
-                "--threads".into(),
-                "4".into(),
             ],
             // --repair-algorithm without --repair, and an unknown solver name.
             vec![
@@ -969,7 +897,6 @@ mod tests {
             );
         }
         std::fs::remove_file(scheme).ok();
-        std::fs::remove_file(instance).ok();
     }
 
     #[test]
@@ -1042,10 +969,20 @@ mod tests {
         }
     }
 
-    /// Halts a repair run after 20 rounds, applies `change` to its checkpoint, and
+    /// Overwrites the value at `path` in the JSON `file` with the raw JSON text `raw`,
+    /// which may be a number the serializer cannot write (`1e400` reads as infinity).
+    fn overwrite_raw(file: &str, path: &[&str], raw: &str) {
+        edit_json(file, |value| {
+            *at(value, path) = serde::Value::Str("overwritten".into());
+        });
+        let text = std::fs::read_to_string(file).unwrap();
+        std::fs::write(file, text.replacen("\"overwritten\"", raw, 1)).unwrap();
+    }
+
+    /// Halts a repair run after 20 rounds, applies `change` to its checkpoint file, and
     /// requires `--resume` to refuse the file with a [`CliError::InvalidCheckpoint`]
     /// whose message contains `expected`.
-    fn corrupted_checkpoint_is_refused(change: impl FnOnce(&mut serde::Value), expected: &str) {
+    fn corrupted_checkpoint_is_refused(change: impl FnOnce(&str), expected: &str) {
         let scheme = scheme_path();
         let checkpoint = temp_path("sim-corrupt.json").to_str().unwrap().to_string();
         run_args(vec![
@@ -1060,7 +997,7 @@ mod tests {
             "20".into(),
         ])
         .unwrap();
-        edit_json(&checkpoint, change);
+        change(&checkpoint);
         match run_args(vec!["--resume".into(), checkpoint.clone()]) {
             Err(CliError::InvalidCheckpoint(message)) => {
                 assert!(message.contains(expected), "{message}");
@@ -1071,39 +1008,54 @@ mod tests {
         std::fs::remove_file(checkpoint).ok();
     }
 
-    /// One test per corruption that overwrites the value at a checkpoint path.
+    /// One test per corruption that overwrites the value at a checkpoint path with raw
+    /// JSON text.
     macro_rules! overwrite_is_refused {
-        ($($name:ident: $path:expr => $value:expr, $expected:expr;)+) => {$(
+        ($($name:ident: $path:expr => $raw:expr, $expected:expr;)+) => {$(
             #[test]
             fn $name() {
-                corrupted_checkpoint_is_refused(|cp| *at(cp, &$path) = $value, $expected);
+                corrupted_checkpoint_is_refused(|file| overwrite_raw(file, &$path, $raw), $expected);
             }
         )+};
     }
 
     overwrite_is_refused! {
         resume_refuses_an_event_cursor_past_the_schedule:
-            ["next_event"] => I64(99), "event cursor 99 is past the end";
+            ["next_event"] => "99", "event cursor 99 is past the end";
         resume_refuses_a_recovery_index_outside_the_timeline:
-            ["awaiting_recovery"] => Array(vec![I64(42)]), "recovery index 42";
+            ["awaiting_recovery"] => "[42]", "recovery index 42";
         resume_refuses_a_zero_chunk_config:
-            ["session", "config", "num_chunks"] => I64(0), "need at least one chunk";
+            ["session", "config", "num_chunks"] => "0", "need at least one chunk";
+        resume_refuses_an_infinite_chunk_size:
+            ["session", "config", "chunk_size"] => "1e400", "chunk size must be finite";
+        resume_refuses_an_infinite_round_duration:
+            ["session", "config", "round_duration"] => "1e400", "round duration must be finite";
+        resume_refuses_an_infinite_credit:
+            ["session", "credit", "0"] => "1e400", "`credit`";
+        resume_refuses_an_infinite_source_progress:
+            ["session", "source_progress"] => "1e400", "`source_progress`";
+        resume_refuses_an_infinite_nominal:
+            ["nominal"] => "1e400", "`nominal`";
+        resume_refuses_a_negative_nominal:
+            ["nominal"] => "-1", "`nominal`";
         resume_refuses_churn_on_an_unknown_node:
-            ["churn", "events", "0", "node"] => I64(500), "targets node 500";
+            ["churn", "events", "0", "node"] => "500", "targets node 500";
         resume_refuses_a_negative_controller_bandwidth:
-            ["controller", "open_bandwidths", "0"] => F64(-3.0), "invalid platform instance";
+            ["controller", "open_bandwidths", "0"] => "-3.0", "invalid platform instance";
         resume_refuses_a_deployed_edge_outside_the_instance:
-            ["controller", "deployed_edges", "0", "1"] => I64(999), "edge 0 -> 999 outside";
+            ["controller", "deployed_edges", "0", "1"] => "999", "edge 0 -> 999 outside";
     }
 
     #[test]
     fn resume_refuses_a_truncated_chunk_count() {
         corrupted_checkpoint_is_refused(
-            |cp| {
-                let Array(count) = at(cp, &["session", "count"]) else {
-                    panic!("count is an array");
-                };
-                count.pop();
+            |file| {
+                edit_json(file, |cp| {
+                    let Array(count) = at(cp, &["session", "count"]) else {
+                        panic!("count is an array");
+                    };
+                    count.pop();
+                });
             },
             "`count` does not cover every node",
         );

@@ -10,15 +10,7 @@ use std::io::Write;
 /// Flags accepted by `solve`.
 pub const FLAGS: FlagSpec = FlagSpec {
     command: "solve",
-    flags: &[
-        "--instance",
-        "--algorithm",
-        "--cyclic",
-        "--tolerance",
-        "--threads",
-        "--out",
-        "--dot",
-    ],
+    flags: &["--instance", "--algorithm", "--tolerance", "--out", "--dot"],
 };
 
 pub use bmp_trees::solver::full_registry;
@@ -32,10 +24,10 @@ fn registry_listing(solvers: &[Box<dyn Solver>]) -> String {
         .join("\n")
 }
 
-/// Resolves an algorithm name against the full registry, enumerating the registered
-/// solvers (with descriptions) on an unknown name. Shared by `solve` and the
-/// solve-then-simulate path of `simulate`.
-pub(crate) fn resolve_algorithm(requested: &str) -> Result<Box<dyn Solver>, CliError> {
+/// Resolves `--algorithm` (default `acyclic-guarded`) against the full registry,
+/// enumerating the registered solvers (with descriptions) on an unknown name.
+fn pick_solver(args: &ArgList) -> Result<Box<dyn Solver>, CliError> {
+    let requested = args.get("--algorithm").unwrap_or("acyclic-guarded");
     let mut solvers = full_registry();
     match solvers.iter().position(|s| s.name() == requested) {
         Some(index) => Ok(solvers.swap_remove(index)),
@@ -44,23 +36,6 @@ pub(crate) fn resolve_algorithm(requested: &str) -> Result<Box<dyn Solver>, CliE
             registry_listing(&solvers)
         ))),
     }
-}
-
-/// Resolves `--algorithm` (and the legacy `--cyclic` switch) against the registry.
-fn pick_solver(args: &ArgList) -> Result<Box<dyn Solver>, CliError> {
-    let requested = match (args.get("--algorithm"), args.has("--cyclic")) {
-        (Some(_), true) => {
-            return Err(CliError::Usage(
-                "pass either --algorithm NAME or the legacy --cyclic switch, not both".into(),
-            ))
-        }
-        (Some(name), false) => name,
-        // `--cyclic` predates the registry and remains an alias for the cyclic
-        // construction of Theorem 5.2.
-        (None, true) => "cyclic-open",
-        (None, false) => "acyclic-guarded",
-    };
-    resolve_algorithm(requested)
 }
 
 /// Renders the uniform report every algorithm shares, from its [`Solution`].
@@ -99,13 +74,13 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
 /// Runs the `solve` subcommand.
 ///
 /// Flags: `--instance FILE` (required), `--algorithm NAME` (registry dispatch; unknown
-/// names list the registered solvers), `--cyclic` (legacy alias for
-/// `--algorithm cyclic-open`), `--tolerance EPS` (dichotomic search precision in
-/// `(0, 1)`, default `1e-9`), `--threads N` (flow-evaluation fan-out: `1` sequential —
-/// the default — `N > 1` up to N lanes per evaluation, i.e. at most `min(N - 1, 8)`
-/// helper threads spawned and joined within each evaluation, `0` the instance-size
-/// heuristic; the reported throughput is bit-identical either way), `--out FILE` (write
-/// the scheme as JSON), `--dot FILE` (write a Graphviz rendering).
+/// names list the registered solvers), `--tolerance EPS` (dichotomic search precision
+/// in `(0, 1)`, default `1e-9`), `--out FILE` (write the scheme as JSON), `--dot FILE`
+/// (write a Graphviz rendering).
+///
+/// Flow evaluations take [`EvalCtx`]'s automatic fan-out: sequential below 512 nodes
+/// or 96 sinks, up to `min(cores, 8)` lanes above; the result is bit-identical to a
+/// sequential solve.
 ///
 /// # Errors
 ///
@@ -121,10 +96,8 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             "--tolerance {tolerance} must lie in (0, 1)"
         )));
     }
-    let threads: usize = args.get_parsed("--threads", 1)?;
 
     let mut ctx = EvalCtx::with_tolerance(tolerance);
-    ctx.set_parallelism(threads);
     let solution = solver.solve(&instance, &mut ctx)?;
     report(&solution, out)?;
 
@@ -228,64 +201,15 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_changes_nothing_but_wall_time() {
+    fn cyclic_solve_rejects_guarded_instances() {
         let path = write_figure1();
-        let sequential = run_args(&["--instance".into(), path.clone()]).unwrap();
-        for threads in ["0", "2", "8"] {
-            let pooled = run_args(&[
-                "--instance".into(),
-                path.clone(),
-                "--threads".into(),
-                threads.into(),
-            ])
-            .unwrap();
-            // Same algorithm, word, throughput, verification — the fan-out may only
-            // change the telemetry timing line.
-            let stable = |report: &str| {
-                report
-                    .lines()
-                    .filter(|line| !line.starts_with("telemetry"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(stable(&sequential), stable(&pooled), "--threads {threads}");
-        }
         let err = run_args(&[
-            "--instance".into(),
-            path.clone(),
-            "--threads".into(),
-            "many".into(),
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("--threads"), "{err}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn cyclic_switch_remains_an_alias() {
-        let path = write_open_instance("solve-open.json");
-        let output = run_args(&["--instance".into(), path.clone(), "--cyclic".into()]).unwrap();
-        assert!(output.contains("algorithm  : cyclic-open"));
-        assert!(output.contains("feasible   : true"));
-        let explicit = run_args(&[
             "--instance".into(),
             path.clone(),
             "--algorithm".into(),
             "cyclic-open".into(),
         ])
-        .unwrap();
-        // Same algorithm either way; only telemetry timing may differ.
-        assert_eq!(
-            output.lines().next().unwrap(),
-            explicit.lines().next().unwrap()
-        );
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn cyclic_solve_rejects_guarded_instances() {
-        let path = write_figure1();
-        let err = run_args(&["--instance".into(), path.clone(), "--cyclic".into()]).unwrap_err();
+        .unwrap_err();
         assert!(matches!(err, CliError::Algorithm(_)));
         std::fs::remove_file(path).ok();
     }
@@ -305,21 +229,6 @@ mod tests {
         for name in ["acyclic-guarded", "cyclic-open", "tree-decomposition"] {
             assert!(message.contains(name), "missing {name} in: {message}");
         }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn algorithm_and_cyclic_conflict() {
-        let path = write_figure1();
-        let err = run_args(&[
-            "--instance".into(),
-            path.clone(),
-            "--cyclic".into(),
-            "--algorithm".into(),
-            "auto".into(),
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("not both"));
         std::fs::remove_file(path).ok();
     }
 

@@ -44,16 +44,20 @@ USAGE: bmp-cli <command> [flags]
 COMMANDS:
   generate   sample a random platform instance          (--receivers, --open-prob, --dist, --seed, --source, --out)
   bounds     print closed-form and computed throughput bounds  (--instance)
-  solve      compute a low-degree broadcast overlay     (--instance, --algorithm, --cyclic, --tolerance, --out, --dot)
+  solve      compute a low-degree broadcast overlay     (--instance, --algorithm, --tolerance, --out, --dot)
   verify     check a scheme's constraints and degrees   (--scheme, --throughput)
   decompose  split a scheme into weighted broadcast trees  (--scheme, --throughput, --message, --out)
-  simulate   run the chunk-level streaming simulator    (--scheme | --instance [--algorithm, --threads], --chunks,
-             and the closed-loop session engine          --policy, --seed, --jitter, --live, --trace,
-                                                         --churn SPEC, --repair, --floor)
+  simulate   run the chunk-level streaming simulator    (--scheme, --chunks, --policy, --seed, --jitter, --live,
+             and the closed-loop session engine          --trace, --churn SPEC, --repair, --repair-algorithm,
+                                                         --floor, --checkpoint FILE, --checkpoint-every,
+                                                         --halt-after, --resume FILE, --report FILE)
   serve      run a sharded multi-session broadcast fleet  (--sessions, --shards, --receivers, --chunks, --seed,
-             with admission control and fleet metrics     --floor, --threads, --max-sessions, --capacity, --queue,
+             with admission control and fleet metrics     --floor, --max-sessions, --capacity, --queue,
                                                           --repair-algorithm, --churn START:SPACING:WAVES,
-                                                          --fault-plan, --report FILE, --csv FILE)
+                                                          --fault-plan, --report FILE, --csv FILE,
+                                                          --checkpoint FILE, --checkpoint-every, --halt-after,
+                                                          --resume FILE, --max-rounds, --no-progress,
+                                                          --retries, --panic-session, --wedge-session)
   export     render a scheme as DOT or CSV              (--scheme, --format, --throughput, --out)
   help       print this message
 
@@ -62,15 +66,16 @@ acyclic-open, cyclic-open, exhaustive, omega-word, auto, tree-decomposition);
 an unknown NAME lists the registry with one-line descriptions. Unrecognized
 flags are rejected with the subcommand's accepted flag list.
 
-`--threads N` (solve, simulate, serve) splits each flow evaluation over N lanes:
-1 (the default) is sequential, N > 1 spawns at most min(N - 1, 8) helper threads
-per evaluation and joins them before it returns, 0 picks by instance size.
+`solve` and `simulate` split each flow evaluation over up to min(cores, 8)
+lanes on platforms of at least 512 nodes and 96 sinks; results are identical
+to a sequential run.
 
 `simulate --churn \"5:busiest;12:+3\"` injects scheduled departures/rejoins and
 reports delivered goodput; adding `--repair` re-solves the surviving platform
 on every membership change and hot-swaps the repaired overlay mid-broadcast.
-With `--instance` the command solves and simulates in one shot. A `--scheme`
-file that violates its constraints is refused; `verify` lists the violations.
+Simulate a solved overlay with `solve --out FILE` then `simulate --scheme FILE`.
+A `--scheme` file that violates its constraints is refused; `verify` lists the
+violations.
 ";
 
 /// Parses `args` (excluding the binary name) and runs the corresponding subcommand, writing
@@ -126,6 +131,76 @@ mod tests {
     fn unknown_command_is_rejected() {
         let err = run_strings(&["frobnicate"]).unwrap_err();
         assert!(err.to_string().contains("unknown command"));
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags_of_every_command() {
+        let commands = USAGE
+            .split_once("COMMANDS:\n")
+            .and_then(|(_, rest)| rest.split("\n\n").next())
+            .unwrap();
+        for spec in [
+            cmd_generate::FLAGS,
+            cmd_bounds::FLAGS,
+            cmd_solve::FLAGS,
+            cmd_verify::FLAGS,
+            cmd_decompose::FLAGS,
+            cmd_simulate::FLAGS,
+            cmd_serve::FLAGS,
+            cmd_export::FLAGS,
+        ] {
+            // A command's entry is its own line plus the indented continuation lines.
+            let heading = format!("  {} ", spec.command);
+            let entry: Vec<&str> = commands
+                .lines()
+                .skip_while(|line| !line.starts_with(&heading))
+                .enumerate()
+                .take_while(|(index, line)| *index == 0 || line.starts_with("   "))
+                .map(|(_, line)| line)
+                .collect();
+            assert!(!entry.is_empty(), "no USAGE entry for {}", spec.command);
+            let listed: Vec<&str> = entry
+                .iter()
+                .flat_map(|line| line.split([' ', ',', '(', ')']))
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            for flag in spec.flags {
+                assert!(listed.contains(flag), "USAGE omits {} {flag}", spec.command);
+            }
+            for flag in &listed {
+                assert!(
+                    spec.flags.contains(flag),
+                    "USAGE lists {flag} but {} does not accept it",
+                    spec.command
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn retired_flags_are_usage_errors_naming_the_flag() {
+        for (args, flag) in [
+            (
+                &["solve", "--instance", "i.json", "--threads", "2"][..],
+                "--threads",
+            ),
+            (&["solve", "--instance", "i.json", "--cyclic"], "--cyclic"),
+            (
+                &["simulate", "--scheme", "s.json", "--threads", "2"],
+                "--threads",
+            ),
+            (&["simulate", "--instance", "i.json"], "--instance"),
+            (
+                &["simulate", "--scheme", "s.json", "--algorithm", "auto"],
+                "--algorithm",
+            ),
+            (&["serve", "--threads", "2"], "--threads"),
+        ] {
+            match run_strings(args) {
+                Err(CliError::Usage(message)) => assert!(message.contains(flag), "{message}"),
+                other => panic!("{args:?}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -258,6 +258,52 @@ fn every_solver_matches_under_a_pooled_ctx() {
     }
 }
 
+/// On a 600-receiver platform, above the auto fan-out threshold (512 nodes and 96
+/// sinks), the default context splits every evaluation over up to `min(cores, 8)`
+/// lanes. Its solutions must equal the sequential and the 8-lane ones (scheme, claimed
+/// throughput and counters), and a masked churn residual its sequential value.
+#[test]
+fn auto_fan_out_at_scale_matches_sequential() {
+    for (open_probability, algorithm) in [(0.6, "acyclic-guarded"), (1.0, "cyclic-open")] {
+        let config = GeneratorConfig::new(600, open_probability).expect("valid config");
+        let instance = InstanceGenerator::new(config, UniformBandwidth::unif100())
+            .generate(&mut StdRng::seed_from_u64(11));
+        assert_eq!(
+            bmp_flow::suggested_flow_threads(instance.num_nodes(), 600),
+            cores().min(8),
+            "the platform must lie above the auto threshold"
+        );
+        let solver = find(algorithm).expect("registered solver");
+        let solve = |ctx: &mut EvalCtx| solver.solve(&instance, ctx).expect("solvable platform");
+        let auto = solve(&mut EvalCtx::new());
+        for threads in [1, 8] {
+            let mut ctx = EvalCtx::new();
+            ctx.set_parallelism(threads);
+            let other = solve(&mut ctx);
+            assert_eq!(auto.scheme, other.scheme, "{algorithm} at {threads} lanes");
+            assert_eq!(auto.throughput.to_bits(), other.throughput.to_bits());
+            assert_eq!(auto.telemetry.flow_solves, other.telemetry.flow_solves);
+            assert_eq!(
+                auto.telemetry.bisection_iters,
+                other.telemetry.bisection_iters
+            );
+        }
+        let mut sequential = EvalCtx::new();
+        sequential.set_parallelism(1);
+        let departed = [300, 599];
+        assert_eq!(
+            residual_throughput(&auto.scheme, &departed, &mut EvalCtx::new()).to_bits(),
+            residual_throughput(&auto.scheme, &departed, &mut sequential).to_bits(),
+            "{algorithm}: masked residual"
+        );
+    }
+}
+
+/// The machine's available parallelism.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Random open-only instance and rate matrix; entries below 0.5 are zeroed so that the
 /// edge *set* survives the ±50% rate perturbations used by the retained-arena tests.
 fn random_scheme() -> impl Strategy<Value = (bmp_core::BroadcastScheme, Vec<f64>)> {

@@ -31,7 +31,7 @@ fn main() -> std::io::Result<()> {
          forced verification failure, a probe timeout, an armed flow-worker panic) on the \
          repair controller and merges seeded depart/rejoin waves into the churn trace; \
          `survived` counts repaired sessions that still delivered the full message to every \
-         survivor. Set BMP_FAULT_PLAN=storm[:seed] to override the per-trial plans."
+         survivor; a trial's storm is seeded by its trial seed, so a sweep replays exactly."
     );
     write_output(
         &options.output_path("fault_storm.csv"),

@@ -13,8 +13,8 @@
 //! repaired sessions delivered the full message to every survivor, how many ended in
 //! the degraded terminal state, how many faults actually fired, how many solve attempts
 //! the retry/fallback machinery consumed, and how fast the data plane recovered after
-//! each hot-swap. The fault-matrix CI job overrides the per-trial storm through
-//! `BMP_FAULT_PLAN` ([`bmp_sim::FaultPlan::from_env`]).
+//! each hot-swap. Each trial's storm is seeded by the trial seed, so a sweep replays
+//! exactly.
 
 use crate::csvout::{telemetry_cells, telemetry_sum, CsvTable, TELEMETRY_COLUMNS};
 use crate::parallel::parallel_map_with;
@@ -162,10 +162,9 @@ fn run_trial(
     let victim = solution.scheme.busiest_receiver()?;
     let overlay = Overlay::from_scheme(&solution.scheme);
 
-    // The storm: the CI matrix's BMP_FAULT_PLAN override when set, a per-trial seeded
-    // storm otherwise. The churn trace is the load-bearing departure of the clean sweep
-    // plus the plan's seeded depart/rejoin waves.
-    let plan = FaultPlan::from_env().unwrap_or_else(|| FaultPlan::storm(seed));
+    // The storm: seeded per trial. The churn trace is the load-bearing departure of the
+    // clean sweep plus the plan's seeded depart/rejoin waves.
+    let plan = FaultPlan::storm(seed);
     let sim_config = SimConfig {
         num_chunks,
         max_rounds: 40_000,

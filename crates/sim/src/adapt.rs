@@ -428,8 +428,8 @@ impl RepairController {
     /// disagree.
     pub fn resume(snapshot: &ControllerSnapshot) -> Result<Self, CheckpointError> {
         ensure!(
-            snapshot.nominal > 0.0,
-            "controller snapshot: nominal throughput must be positive"
+            snapshot.nominal.is_finite() && snapshot.nominal > 0.0,
+            "controller snapshot: nominal throughput must be finite and positive"
         );
         ensure!(
             snapshot.floor > 0.0 && snapshot.floor <= snapshot.nominal,
@@ -898,6 +898,10 @@ impl AdaptiveRun {
             controller,
         } = checkpoint;
         let session = Session::resume(session)?;
+        ensure!(
+            nominal.is_finite() && nominal >= 0.0,
+            "checkpoint field `nominal` must be finite and non-negative"
+        );
         let n = session.overlay().num_nodes();
         for event in churn.events() {
             ensure!(
@@ -1369,6 +1373,34 @@ mod tests {
         assert!(none_ctl.is_none());
         while !resumed.step(&mut policy) {}
         assert_eq!(resumed.outcome(&policy), reference_outcome);
+    }
+
+    #[test]
+    fn resume_rejects_a_nominal_that_is_not_finite_or_is_negative() {
+        let (instance, scheme, nominal, overlay) = solved_figure1();
+        let controller = RepairController::new(instance, scheme, nominal, 0.9);
+        let churn = ChurnSchedule::departures_at(5.0, &[3]);
+        let checkpoint =
+            AdaptiveRun::new(overlay, config(), churn, nominal).checkpoint(Some(&controller));
+        let error = |tamper: fn(&mut RunCheckpoint)| {
+            let mut tampered = checkpoint.clone();
+            tamper(&mut tampered);
+            AdaptiveRun::resume(tampered)
+                .map(|_| ())
+                .unwrap_err()
+                .to_string()
+        };
+        for (message, field) in [
+            (error(|c| c.nominal = f64::INFINITY), "`nominal`"),
+            (error(|c| c.nominal = f64::NAN), "`nominal`"),
+            (error(|c| c.nominal = -1.0), "`nominal`"),
+            (
+                error(|c| c.controller.as_mut().unwrap().nominal = f64::INFINITY),
+                "nominal throughput",
+            ),
+        ] {
+            assert!(message.contains(field), "{field}: {message}");
+        }
     }
 
     #[test]

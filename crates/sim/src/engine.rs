@@ -82,8 +82,9 @@ impl SimConfig {
         self
     }
 
-    /// Checks that the configuration is usable: at least one chunk, a positive chunk size
-    /// and round duration, jitter in `[0, 1)`, and a finite, positive rate in live mode.
+    /// Checks that the configuration is usable: at least one chunk, a finite, positive
+    /// chunk size and round duration, jitter in `[0, 1)`, and a finite, positive rate in
+    /// live mode.
     ///
     /// # Errors
     ///
@@ -91,8 +92,14 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), &'static str> {
         [
             (self.num_chunks > 0, "need at least one chunk"),
-            (self.chunk_size > 0.0, "chunk size must be positive"),
-            (self.round_duration > 0.0, "round duration must be positive"),
+            (
+                self.chunk_size.is_finite() && self.chunk_size > 0.0,
+                "chunk size must be finite and positive",
+            ),
+            (
+                self.round_duration.is_finite() && self.round_duration > 0.0,
+                "round duration must be finite and positive",
+            ),
             (
                 (0.0..1.0).contains(&self.jitter),
                 "jitter must lie in [0, 1)",
@@ -399,6 +406,66 @@ mod tests {
         assert!((config.chunk_size - 0.5).abs() < 1e-12);
         let unchanged = SimConfig::default().scaled_to(0.0, 2.0);
         assert_eq!(unchanged.chunk_size, SimConfig::default().chunk_size);
+    }
+
+    #[test]
+    fn validate_names_the_field_that_is_not_finite_and_positive() {
+        let base = SimConfig::default();
+        for (config, field) in [
+            (
+                SimConfig {
+                    chunk_size: f64::INFINITY,
+                    ..base
+                },
+                "chunk size",
+            ),
+            (
+                SimConfig {
+                    chunk_size: f64::NAN,
+                    ..base
+                },
+                "chunk size",
+            ),
+            (
+                SimConfig {
+                    chunk_size: 0.0,
+                    ..base
+                },
+                "chunk size",
+            ),
+            (
+                SimConfig {
+                    round_duration: f64::INFINITY,
+                    ..base
+                },
+                "round duration",
+            ),
+            (
+                SimConfig {
+                    round_duration: f64::NAN,
+                    ..base
+                },
+                "round duration",
+            ),
+            (
+                SimConfig {
+                    round_duration: -1.0,
+                    ..base
+                },
+                "round duration",
+            ),
+            (
+                SimConfig {
+                    jitter: 1.0,
+                    ..base
+                },
+                "jitter",
+            ),
+        ] {
+            let message = config.validate().unwrap_err();
+            assert!(message.contains(field), "{field}: {message}");
+        }
+        assert_eq!(SimConfig::default().validate(), Ok(()));
     }
 
     #[test]

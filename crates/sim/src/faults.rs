@@ -12,9 +12,8 @@
 //!
 //! Production paths pay nothing: a plan is only consulted when explicitly installed on
 //! an [`EvalCtx`] (a single-branch `Option` check per site) and explicitly armed on the
-//! global flow pool. Nothing in this module reads process state except
-//! [`FaultPlan::from_env`], which the fault-matrix CI job drives through the
-//! `BMP_FAULT_PLAN` environment variable.
+//! global flow pool. Nothing in this module reads process state: `serve --fault-plan`
+//! passes its specification to [`FaultPlan::try_parse`].
 
 use crate::events::{ChurnAction, ChurnEvent, ChurnSchedule};
 use bmp_core::solver::EvalCtx;
@@ -23,12 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Environment variable consulted by [`FaultPlan::from_env`] (`off`/`0`/empty disable,
-/// `storm` enables the default seeded storm, `storm:<seed>` or a bare integer pick the
-/// seed).
-pub const FAULT_PLAN_ENV: &str = "BMP_FAULT_PLAN";
-
-/// Default storm seed used by `BMP_FAULT_PLAN=storm`.
+/// Default storm seed of the `storm` specification ([`FaultPlan::try_parse`]).
 pub const DEFAULT_STORM_SEED: u64 = 0xFA17;
 
 /// A deterministic session-level fault script.
@@ -85,41 +79,40 @@ impl FaultPlan {
         }
     }
 
-    /// Parses a `BMP_FAULT_PLAN` specification: `off`, `0` or the empty string mean no
-    /// plan; `storm` means [`FaultPlan::storm`] with [`DEFAULT_STORM_SEED`];
-    /// `storm:<seed>` or a bare unsigned integer pick the storm seed.
+    /// Parses a fault-plan specification: `off`, `0` or the empty string mean no plan;
+    /// `storm` means [`FaultPlan::storm`] with [`DEFAULT_STORM_SEED`]; `storm:<seed>` or
+    /// a bare unsigned 64-bit integer pick the storm seed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a malformed specification — a typo in a CI matrix should fail the job
-    /// loudly, not silently run without faults.
-    #[must_use]
-    pub fn parse(spec: &str) -> Option<Self> {
+    /// Returns a description naming the specification when it is none of these forms
+    /// (a missing or non-numeric seed, or one that overflows `u64`).
+    pub fn try_parse(spec: &str) -> Result<Option<Self>, String> {
         let spec = spec.trim();
         match spec {
-            "" | "off" | "0" => None,
-            "storm" => Some(FaultPlan::storm(DEFAULT_STORM_SEED)),
-            _ => {
-                let seed = spec
-                    .strip_prefix("storm:")
-                    .unwrap_or(spec)
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| panic!("unrecognized {FAULT_PLAN_ENV} spec {spec:?}"));
-                Some(FaultPlan::storm(seed))
-            }
+            "" | "off" | "0" => Ok(None),
+            "storm" => Ok(Some(FaultPlan::storm(DEFAULT_STORM_SEED))),
+            _ => spec
+                .strip_prefix("storm:")
+                .unwrap_or(spec)
+                .parse::<u64>()
+                .map(|seed| Some(FaultPlan::storm(seed)))
+                .map_err(|_| {
+                    format!(
+                        "unrecognized fault plan {spec:?} (expected off, storm, storm:SEED or SEED)"
+                    )
+                }),
         }
     }
 
-    /// Reads the plan from the `BMP_FAULT_PLAN` environment variable (see
-    /// [`FaultPlan::parse`]). Returns `None` when the variable is unset or disables the
-    /// plan. Only fault-aware entry points (the storm experiment and the hardening
-    /// tests) consult this — the regular suite ignores the variable, so the CI
-    /// fault matrix can export it globally without perturbing unrelated tests.
+    /// [`FaultPlan::try_parse`] for specifications known to be well formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed specification.
     #[must_use]
-    pub fn from_env() -> Option<Self> {
-        std::env::var(FAULT_PLAN_ENV)
-            .ok()
-            .and_then(|spec| FaultPlan::parse(&spec))
+    pub fn parse(spec: &str) -> Option<Self> {
+        FaultPlan::try_parse(spec).unwrap_or_else(|message| panic!("{message}"))
     }
 
     /// Replaces the scheduled solve failures (builder style).
@@ -292,6 +285,18 @@ mod tests {
     #[should_panic(expected = "unrecognized")]
     fn parse_rejects_garbage() {
         let _ = FaultPlan::parse("storm:not-a-seed");
+    }
+
+    #[test]
+    fn try_parse_reports_malformed_specs_as_errors() {
+        for spec in ["bogus", "storm:abc", "storm:", "18446744073709551616"] {
+            let message = FaultPlan::try_parse(spec).unwrap_err();
+            assert!(message.contains(&format!("{spec:?}")), "{message}");
+        }
+        assert_eq!(
+            FaultPlan::try_parse(" storm:7 "),
+            Ok(Some(FaultPlan::storm(7)))
+        );
     }
 
     #[test]

@@ -27,6 +27,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+/// Credit an edge may lack and still push a chunk, absorbing the rounding of repeated
+/// `rate × round_duration` accruals.
+const DELIVERY_SLACK: f64 = 1e-12;
+
 /// Why a checkpoint could not be resumed: the first invariant a corrupted or hand-edited
 /// [`SessionSnapshot`], [`crate::adapt::RunCheckpoint`] or
 /// [`crate::adapt::ControllerSnapshot`] violates.
@@ -327,7 +331,7 @@ impl Session {
                 1.0
             };
             self.credit[edge_index] += edge.rate * cfg.round_duration * jitter_factor;
-            while self.credit[edge_index] + 1e-12 >= cfg.chunk_size {
+            while self.credit[edge_index] + DELIVERY_SLACK >= cfg.chunk_size {
                 let Some(chunk) = cfg.policy.pick(
                     &self.has[edge.from],
                     &self.has[edge.to],
@@ -445,6 +449,18 @@ impl Session {
         ensure!(
             credit.len() == num_edges,
             "snapshot credit does not cover every edge"
+        );
+        // A push may leave a credit up to the delivery slack, plus one rounding, below
+        // zero; nothing else drives it negative.
+        ensure!(
+            credit
+                .iter()
+                .all(|&credit| credit.is_finite() && credit >= -2.0 * DELIVERY_SLACK),
+            "snapshot field `credit` must be finite and non-negative"
+        );
+        ensure!(
+            source_progress.is_finite() && source_progress >= 0.0,
+            "snapshot field `source_progress` must be finite and non-negative"
         );
         let mut order_check: Vec<usize> = edge_order.clone();
         order_check.sort_unstable();
@@ -746,6 +762,52 @@ mod tests {
             let error = Session::resume(tampered).unwrap_err();
             assert_eq!(error.to_string(), "live rate must be finite and positive");
         }
+    }
+
+    #[test]
+    fn resume_rejects_numeric_fields_that_are_not_finite_or_are_negative() {
+        let snapshot = Session::new(line_overlay(), config()).checkpoint();
+        let error = |tamper: fn(&mut SessionSnapshot)| {
+            let mut tampered = snapshot.clone();
+            tamper(&mut tampered);
+            Session::resume(tampered).unwrap_err().to_string()
+        };
+        for (message, field) in [
+            (error(|s| s.config.chunk_size = f64::INFINITY), "chunk size"),
+            (error(|s| s.config.chunk_size = f64::NAN), "chunk size"),
+            (
+                error(|s| s.config.round_duration = f64::INFINITY),
+                "round duration",
+            ),
+            (error(|s| s.credit[0] = f64::INFINITY), "`credit`"),
+            (error(|s| s.credit[1] = f64::NAN), "`credit`"),
+            (error(|s| s.credit[0] = -1.0), "`credit`"),
+            (
+                error(|s| s.source_progress = f64::INFINITY),
+                "`source_progress`",
+            ),
+            (error(|s| s.source_progress = f64::NAN), "`source_progress`"),
+            (error(|s| s.source_progress = -1.0), "`source_progress`"),
+        ] {
+            assert!(message.contains(field), "{field}: {message}");
+        }
+    }
+
+    #[test]
+    fn a_credit_a_rounding_below_zero_still_resumes() {
+        // Ten accruals of 0.4 × 0.25 sum to 0.9999999999999999: within the delivery
+        // slack of the 1.0 chunk, so the push leaves the credit just below zero.
+        let config = SimConfig {
+            chunk_size: 1.0,
+            round_duration: 0.25,
+            ..config()
+        };
+        let mut session = Session::new(Overlay::new(2, vec![(0, 1, 0.4)]), config);
+        for _ in 0..10 {
+            session.step();
+        }
+        assert!(session.credit[0] < 0.0, "credit {}", session.credit[0]);
+        Session::resume(session.checkpoint()).unwrap();
     }
 
     #[test]
