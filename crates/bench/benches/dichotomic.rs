@@ -1,7 +1,7 @@
 //! Dichotomic search benches: cost of the optimal-throughput search as a function of the
 //! tolerance (shared `DichotomicSearch` driver, Theorem 4.1) and the cost of re-scoring
-//! near-identical schemes — per-iteration `FlowArena::from_edges` rebuilds versus the
-//! retained arena of `EvalCtx`, whose capacities are rewritten in place. The results are
+//! near-identical schemes — a freshly allocated `FlowArena::from_edges` per probe versus
+//! the arena `EvalCtx` keeps and rebuilds in its own buffers. The results are
 //! drained from the harness and written as `BENCH_dichotomic.json` at the repo root
 //! (machine-readable perf trajectory).
 
@@ -36,16 +36,15 @@ fn bench_dichotomic(c: &mut Criterion) {
 }
 
 /// Re-scoring near-identical schemes, the access pattern of a search loop probing a
-/// scheme whose edge set is fixed while the rates move. Three variants, identical flow
-/// solves, different arena handling:
+/// scheme whose edge set is fixed while the rates move. Two variants, identical CSR
+/// construction and flow solves, different buffer handling:
 ///
-/// * `rebuild` — what the pre-registry code paid per probe: `FlowArena::from_edges`
-///   over `scheme.edges()` (rate scan + full CSR construction with its allocations)
-///   then the batched evaluator;
-/// * `incremental` — `EvalCtx::throughput`: same rate scan, but the retained arena's
-///   capacities are rewritten in place instead of rebuilding the CSR layout;
-/// * `incremental-edges` — `EvalCtx::min_max_flow` over a caller-maintained edge list
-///   (the search loop mutates the probed rate directly), skipping the rate scan too.
+/// * `rebuild` — `FlowArena::from_edges` over `scheme.edges()` per probe (rate scan +
+///   CSR construction into freshly allocated buffers) then the batched evaluator;
+/// * `retained` — `EvalCtx::throughput`: same rate scan and construction, but into the
+///   buffers of the context's arena and edge list, which the previous probe sized.
+///
+/// The pair measures what the reused buffers save.
 fn bench_reevaluation(c: &mut Criterion) {
     let mut group = c.benchmark_group("dichotomic_reevaluation");
     group.sample_size(20);
@@ -76,7 +75,7 @@ fn bench_reevaluation(c: &mut Criterion) {
         );
 
         group.bench_with_input(
-            BenchmarkId::new("incremental", n),
+            BenchmarkId::new("retained", n),
             &solution.scheme,
             |b, scheme| {
                 let mut scheme = scheme.clone();
@@ -88,24 +87,6 @@ fn bench_reevaluation(c: &mut Criterion) {
                     k += 1;
                     scheme.set_rate(from, to, rate * scale);
                     ctx.throughput(&scheme)
-                })
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("incremental-edges", n),
-            &solution.scheme,
-            |b, scheme| {
-                let num_nodes = scheme.instance().num_nodes();
-                let mut edges = base_edges.clone();
-                let mut ctx = EvalCtx::new();
-                let mut k = 0usize;
-                b.iter(|| {
-                    let index = k % edges.len();
-                    let scale = if k.is_multiple_of(2) { 0.999 } else { 1.0 };
-                    k += 1;
-                    edges[index].2 = base_edges[index].2 * scale;
-                    ctx.min_max_flow(num_nodes, &edges, 0, &receivers)
                 })
             },
         );
@@ -131,20 +112,18 @@ fn bench_reevaluation(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("incremental-single-sink", n),
+            BenchmarkId::new("retained-single-sink", n),
             &solution.scheme,
             |b, scheme| {
-                let num_nodes = scheme.instance().num_nodes();
-                let mut edges = base_edges.clone();
+                let mut scheme = scheme.clone();
                 let mut ctx = EvalCtx::new();
-                let sinks = [probe_sink];
                 let mut k = 0usize;
                 b.iter(|| {
-                    let index = k % edges.len();
+                    let (from, to, rate) = base_edges[k % base_edges.len()];
                     let scale = if k.is_multiple_of(2) { 0.999 } else { 1.0 };
                     k += 1;
-                    edges[index].2 = base_edges[index].2 * scale;
-                    ctx.min_max_flow(num_nodes, &edges, 0, &sinks)
+                    scheme.set_rate(from, to, rate * scale);
+                    ctx.max_flow_to(&scheme, probe_sink)
                 })
             },
         );

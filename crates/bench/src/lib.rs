@@ -263,14 +263,15 @@ pub fn read_bench_document(path: &Path, benchmark: &str) -> Result<BenchDocument
     })
 }
 
-/// The benchmark ids the `dichotomic` report must contain (per-probe arena rebuilds
-/// versus the retained arena rewritten in place, multi-sink and single-sink, at
-/// n = 500, so a regenerated report can never silently drop the comparison).
+/// The benchmark ids the `dichotomic` report must contain (a freshly allocated arena
+/// per probe versus the `EvalCtx` arena rebuilt in its own buffers, multi-sink and
+/// single-sink, at n = 500, so a regenerated report can never silently drop the
+/// comparison).
 pub const DICHOTOMIC_REQUIRED_IDS: [&str; 4] = [
     "dichotomic_reevaluation/rebuild/500",
-    "dichotomic_reevaluation/incremental/500",
+    "dichotomic_reevaluation/retained/500",
     "dichotomic_reevaluation/rebuild-single-sink/500",
-    "dichotomic_reevaluation/incremental-single-sink/500",
+    "dichotomic_reevaluation/retained-single-sink/500",
 ];
 
 /// The benchmark ids the `throughput` report must contain (sequential batched pass vs

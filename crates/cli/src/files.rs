@@ -309,6 +309,21 @@ mod tests {
                 format!(r#"{{"format":2,"instance":{instance},"edges":[[0,1,"fast"]]}}"#),
             ),
             (
+                "infinite-rate",
+                format!(r#"{{"format":2,"instance":{instance},"edges":[[0,1,1e400]]}}"#),
+            ),
+            (
+                "negative-infinite-rate",
+                format!(r#"{{"format":2,"instance":{instance},"edges":[[0,1,-1e400]]}}"#),
+            ),
+            (
+                "dense-infinite-rate",
+                format!(
+                    r#"{{"instance":{instance},"rates":[0,1e400,{}]}}"#,
+                    vec!["0"; 34].join(",")
+                ),
+            ),
+            (
                 "format",
                 format!(r#"{{"format":3,"instance":{instance},"edges":[]}}"#),
             ),

@@ -30,9 +30,8 @@
 //! * [`solver::EvalCtx`] — the evaluation context owning the flow arena and solver
 //!   workspace, and the only throughput-evaluation path: `BroadcastScheme::throughput`
 //!   is a convenience over a fresh context, and churn residuals are masked evaluations
-//!   on the same arena. It retains one arena across evaluations: re-scoring a scheme
-//!   whose edge set is unchanged rewrites the capacities in place instead of
-//!   rebuilding the CSR arena.
+//!   on the same arena. It keeps one arena across evaluations and rebuilds it in its
+//!   own buffers on each one, so re-scoring schemes of one size allocates nothing.
 //! * [`solver::registry`] — enumerates the built-in solvers (`acyclic-guarded`,
 //!   `acyclic-open`, `cyclic-open`, `exhaustive`, `omega-word`, `auto`); downstream
 //!   crates append their own implementations (`bmp-trees` ships a tree-decomposition

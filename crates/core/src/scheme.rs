@@ -40,18 +40,18 @@
 //!
 //! A malformed document is a typed [`serde::DeError`], never a panic: a dense matrix whose
 //! length is not `n²`, an endpoint `≥ n`, a repeated `(from, to)` pair, an entry that is
-//! not a `[from, to, rate]` triple, or an unknown `format`. A stored self-rate `c_{i,i}`
-//! is read like any other hand-edited value: the setters forbid it, and
-//! [`BroadcastScheme::validate`] flags it and charges it to the sender's bandwidth.
+//! not a `[from, to, rate]` triple, a rate that is not finite (`1e400` overflows to
+//! infinity), or an unknown `format`. A stored self-rate `c_{i,i}` is read like any
+//! other hand-edited value: the setters forbid it, and [`BroadcastScheme::validate`]
+//! flags it and charges it to the sender's bandwidth.
 //!
 //! # Evaluation
 //!
 //! [`crate::solver::EvalCtx`] is the only code that turns a scheme into a flow network.
 //! [`BroadcastScheme::throughput`] and [`BroadcastScheme::max_flow_to`] are one-line
-//! conveniences over a fresh, sequential context, so each call builds its arena from
-//! scratch. Loops that score many schemes over the same instance should hold one context,
-//! which retains its arena and rewrites the capacities in place while the edge set stays
-//! the same:
+//! conveniences over a fresh, sequential context, so each call allocates its arena and
+//! solver buffers anew. Loops that score many schemes over the same instance should hold
+//! one context, which rebuilds its arena in the buffers of the previous evaluation:
 //!
 //! ```
 //! use bmp_core::scheme::BroadcastScheme;
@@ -67,10 +67,11 @@
 //!
 //! let mut ctx = EvalCtx::new();
 //! for step in 1..=4 {
-//!     scheme.set_rate(0, 1, 2.0 - 0.25 * f64::from(step)); // same edges, new rate
+//!     let rate = 2.0 - 0.25 * f64::from(step);
+//!     scheme.set_rate(0, 1, rate); // node 1 now receives less than node 2
+//!     assert_eq!(ctx.throughput(&scheme), rate);
 //!     assert_eq!(ctx.throughput(&scheme), scheme.throughput());
 //! }
-//! assert_eq!(ctx.arena_builds(), 1);
 //! ```
 
 use crate::solver::EvalCtx;
@@ -183,11 +184,24 @@ fn rows_from_dense(rates: &serde::Value, n: usize) -> Result<Vec<Row>, serde::De
     }
     let mut rows = vec![Row::new(); n];
     for (idx, rate) in rates.into_iter().enumerate() {
+        finite_rate(idx / n, idx % n, rate)?;
         if rate != 0.0 {
             rows[idx / n].push((idx % n, rate));
         }
     }
     Ok(rows)
+}
+
+/// `rate` if it is finite: JSON has no infinity, but an overflowing literal such as
+/// `1e400` reads as one, and no flow network or bandwidth check can take it.
+fn finite_rate(from: NodeId, to: NodeId, rate: f64) -> Result<f64, serde::DeError> {
+    if rate.is_finite() {
+        Ok(rate)
+    } else {
+        Err(serde::DeError::custom(format!(
+            "scheme edge ({from}, {to}) has a non-finite rate {rate}"
+        )))
+    }
 }
 
 /// Rows of a format-2 document: `[from, to, rate]` triples, each pair at most once.
@@ -212,7 +226,9 @@ fn rows_from_edges(edges: &serde::Value, n: usize) -> Result<Vec<Row>, serde::De
                 "scheme edge #{index} is not a [from, to, rate] triple"
             )));
         };
-        rows[node(from)?].push((node(to)?, serde::Deserialize::from_value(rate)?));
+        let (from, to) = (node(from)?, node(to)?);
+        let rate = finite_rate(from, to, serde::Deserialize::from_value(rate)?)?;
+        rows[from].push((to, rate));
     }
     for (from, row) in rows.iter_mut().enumerate() {
         row.sort_unstable_by_key(|&(to, _)| to);
@@ -382,7 +398,9 @@ impl BroadcastScheme {
                 }
             }
             let bandwidth = self.instance.bandwidth(from);
-            if !eps::approx_le(sent, bandwidth) {
+            // A row whose sum overflows sends more than any finite bandwidth, but the
+            // relative tolerance of `approx_le` grows with `sent` and would accept it.
+            if !sent.is_finite() || !eps::approx_le(sent, bandwidth) {
                 violations.push(SchemeViolation::BandwidthExceeded {
                     node: from,
                     sent,
@@ -491,8 +509,8 @@ impl BroadcastScheme {
     }
 
     /// Like [`BroadcastScheme::edges`], but writing into `buf` (cleared first) so repeat
-    /// callers — the retained arena of [`EvalCtx`] — reuse one allocation across
-    /// evaluations.
+    /// callers — [`EvalCtx`], which rebuilds its arena from this list on every
+    /// evaluation — reuse one allocation across evaluations.
     pub fn edges_into(&self, buf: &mut Vec<(NodeId, NodeId, f64)>) {
         buf.clear();
         buf.extend(self.nonzero_rates());
@@ -568,6 +586,26 @@ mod tests {
             .iter()
             .any(|v| matches!(v, SchemeViolation::BandwidthExceeded { node: 4, .. })));
         assert!(!s.is_feasible());
+    }
+
+    #[test]
+    fn validation_catches_bandwidth_excess_when_the_sum_overflows() {
+        let big = 1.5e308;
+        let instance = Instance::open_only(big, vec![big, big]).unwrap();
+        let mut s = BroadcastScheme::new(instance);
+        for (from, to) in [(0, 1), (0, 2), (1, 2), (2, 1)] {
+            s.set_rate(from, to, big);
+        }
+        // The source sends twice its bandwidth, and its row sum overflows to infinity.
+        let exceeded: Vec<NodeId> = s
+            .validate()
+            .iter()
+            .filter_map(|v| match v {
+                SchemeViolation::BandwidthExceeded { node, .. } => Some(*node),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(exceeded, vec![0]);
     }
 
     #[test]

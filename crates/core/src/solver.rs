@@ -10,23 +10,22 @@
 //! * [`EvalCtx`] — the flow-evaluation workspace owning the [`FlowArena`] and
 //!   [`FlowSolver`], and the only code that turns a scheme into a flow network
 //!   ([`BroadcastScheme::throughput`] is a one-line convenience over a fresh context). It
-//!   retains one arena across evaluations. Every scheme evaluation takes one path: scan
-//!   the scheme's sparse rows ([`BroadcastScheme::edges_into`], O(n + m)); rewrite the
-//!   retained arena's capacities in place when the edge set is unchanged
-//!   ([`FlowArena::set_edge_capacities`]), rebuild it otherwise; then run cold Dinic over
+//!   keeps one arena across evaluations. Every scheme evaluation takes one path: scan
+//!   the scheme's sparse rows ([`BroadcastScheme::edges_into`], O(n + m)); rebuild the
+//!   arena from them in its own buffers ([`FlowArena::rebuild`]); then run cold Dinic over
 //!   the receivers. A churn residual ([`crate::churn::residual_throughput`]) is the same
 //!   evaluation with the departed nodes' edges at capacity 0 and only the surviving
-//!   receivers as sinks, so it shares the arena with the scheme's other evaluations.
+//!   receivers as sinks.
 //!
 //! # Parallel evaluation
 //!
 //! [`EvalCtx::set_parallelism`] fans `throughput` evaluations out through
-//! [`bmp_flow::FlowPool::global`]: the capacities are written into the retained arena
-//! exactly as in the sequential path, then the per-receiver max-flows are split between
-//! the context's own solver and scoped helper threads (at most 8) that live for that one
-//! evaluation. Values **and** the [`Telemetry`] counters are bit-for-bit identical to
-//! sequential evaluation — the fan-out only changes wall time — which the conformance
-//! suite asserts for every registry solver. `0` (the default) selects the
+//! [`bmp_flow::FlowPool::global`]: the arena is rebuilt exactly as in the sequential
+//! path, then the per-receiver max-flows are split between the context's own solver and
+//! scoped helper threads (at most 8) that live for that one evaluation. Values **and**
+//! the [`Telemetry`] counters are bit-for-bit identical to sequential evaluation — the
+//! fan-out only changes wall time — which the conformance suite asserts for every
+//! registry solver. `0` (the default) selects the
 //! [`bmp_flow::suggested_flow_threads`] heuristic per evaluation; `1` stays sequential,
 //! which is the right setting inside already-parallel sweeps (the helper bound holds per
 //! evaluation, so concurrent contexts multiply it, and the outer fan-out owns the cores
@@ -110,49 +109,6 @@ pub fn default_incremental() -> bool {
     false
 }
 
-/// A flow arena kept across evaluations.
-#[derive(Debug, Clone, Default)]
-struct RetainedArena {
-    arena: Option<FlowArena>,
-}
-
-impl RetainedArena {
-    /// Points the arena at `edges`: an in-place capacity rewrite when the edge set
-    /// (endpoints, in order) is unchanged, a CSR rebuild otherwise. Returns whether it
-    /// rebuilt. `caps` is scratch space for the rewrite.
-    fn prepare(
-        &mut self,
-        num_nodes: usize,
-        edges: &[(NodeId, NodeId, f64)],
-        caps: &mut Vec<f64>,
-    ) -> bool {
-        match self.arena.as_mut() {
-            Some(arena)
-                if arena.num_nodes() == num_nodes
-                    && arena.num_edges() == edges.len()
-                    && edges
-                        .iter()
-                        .enumerate()
-                        .all(|(k, &(from, to, _))| arena.edge_endpoints(k) == (from, to)) =>
-            {
-                caps.clear();
-                caps.extend(edges.iter().map(|&(_, _, cap)| cap));
-                arena.set_edge_capacities(caps);
-                false
-            }
-            _ => {
-                self.arena = Some(FlowArena::from_edges(num_nodes, edges));
-                true
-            }
-        }
-    }
-
-    /// The arena [`RetainedArena::prepare`] last pointed at its edges.
-    fn prepared(&self) -> &FlowArena {
-        self.arena.as_ref().expect("arena prepared first")
-    }
-}
-
 /// `min_k maxflow(source → sinks_k)` on `arena`: fanned out when `parallelism`
 /// (`0` = [`suggested_flow_threads`]) asks for more than one lane, sequential on
 /// `solver` otherwise. Bit-identical either way.
@@ -170,23 +126,22 @@ fn min_max_on(
     FlowPool::global().min_max_flow_with(solver, arena, source, sinks, threads)
 }
 
-/// Explicit flow-evaluation workspace: owns the arena and the solver buffers, retains
-/// the arena across evaluations, and counts work for [`Telemetry`].
+/// Explicit flow-evaluation workspace: owns the arena and the solver buffers, keeps
+/// both across evaluations, and counts work for [`Telemetry`].
 ///
-/// In steady state (re-probing schemes with an unchanged edge set — the access pattern
-/// of every dichotomic search loop) an evaluation performs no CSR construction and no
-/// allocation: one O(n + m) scan of the scheme's rows rewrites the retained arena's
-/// capacities, and the reusable [`FlowSolver`] buffers are refilled.
+/// Every evaluation scans the scheme's rows and rebuilds the arena in place
+/// ([`FlowArena::rebuild`]). In steady state (re-probing schemes of the same size — the
+/// access pattern of every dichotomic search loop) the arena, edge and [`FlowSolver`]
+/// buffers are already large enough, so an evaluation allocates nothing.
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
     solver: FlowSolver,
-    /// The retained arena every evaluation prepares.
-    arena: RetainedArena,
+    /// The arena every evaluation rebuilds.
+    arena: FlowArena,
     /// Fan-out of `throughput` evaluations: `0` the per-evaluation size heuristic
     /// (default), `1` sequential, `> 1` that many lanes per evaluation.
     parallelism: usize,
     scratch_edges: Vec<(NodeId, NodeId, f64)>,
-    scratch_caps: Vec<f64>,
     scratch_sinks: Vec<NodeId>,
     tolerance: f64,
     /// Installed fault-injection script; `None` (production) makes every interception
@@ -198,8 +153,6 @@ pub struct EvalCtx {
     warm_start_lower: Option<f64>,
     flow_solves: u64,
     bisection_iters: u64,
-    arena_builds: u64,
-    arena_updates: u64,
 }
 
 impl Default for EvalCtx {
@@ -225,18 +178,15 @@ impl EvalCtx {
     pub fn with_tolerance(tolerance: f64) -> Self {
         EvalCtx {
             solver: FlowSolver::new(),
-            arena: RetainedArena::default(),
+            arena: FlowArena::from_edges(0, &[]),
             parallelism: 0,
             scratch_edges: Vec::new(),
-            scratch_caps: Vec::new(),
             scratch_sinks: Vec::new(),
             tolerance,
             injected_faults: None,
             warm_start_lower: None,
             flow_solves: 0,
             bisection_iters: 0,
-            arena_builds: 0,
-            arena_updates: 0,
         }
     }
 
@@ -317,18 +267,6 @@ impl EvalCtx {
         self.bisection_iters
     }
 
-    /// Number of from-scratch CSR arena constructions performed.
-    #[must_use]
-    pub fn arena_builds(&self) -> u64 {
-        self.arena_builds
-    }
-
-    /// Number of evaluations that reused the cached arena via in-place capacity updates.
-    #[must_use]
-    pub fn arena_updates(&self) -> u64 {
-        self.arena_updates
-    }
-
     /// Whether scheme evaluations consume a dirty-edge journal: always `false`, since
     /// every evaluation scans the scheme's rows. Kept because the benchmark harness
     /// records it among the program defaults.
@@ -363,8 +301,8 @@ impl EvalCtx {
         self.parallelism
     }
 
-    /// Throughput of `scheme` (`min_k maxflow(source → C_k)`), evaluated through the
-    /// retained arena (see the type docs) at the configured parallelism
+    /// Throughput of `scheme` (`min_k maxflow(source → C_k)`), evaluated on the
+    /// context's arena (see the type docs) at the configured parallelism
     /// ([`EvalCtx::set_parallelism`]).
     pub fn throughput(&mut self, scheme: &BroadcastScheme) -> f64 {
         self.masked_throughput(scheme, None)
@@ -372,17 +310,16 @@ impl EvalCtx {
 
     /// [`EvalCtx::throughput`] of `scheme` with the nodes where `alive` is `false` cut
     /// out: every edge touching one gets capacity 0, and only the live receivers are
-    /// sinks (`f64::INFINITY` when none is). The edge set is the scheme's own, so the
-    /// retained arena is rewritten in place exactly as for an unmasked evaluation. A
-    /// zero-capacity arc never carries flow and adds `+0.0` to its head's in-capacity,
-    /// so the value is bit-for-bit the evaluation of the edge list without those edges.
+    /// sinks (`f64::INFINITY` when none is). A zero-capacity arc never carries flow and
+    /// adds `+0.0` to its head's in-capacity, so the value is bit-for-bit the evaluation
+    /// of the edge list without those edges.
     pub(crate) fn masked_throughput(
         &mut self,
         scheme: &BroadcastScheme,
         alive: Option<&[bool]>,
     ) -> f64 {
-        self.prepare_scheme_arena(scheme, alive);
-        let mut sinks = std::mem::take(&mut self.scratch_sinks);
+        self.rebuild_arena(scheme, alive);
+        let sinks = &mut self.scratch_sinks;
         sinks.clear();
         sinks.extend(
             scheme
@@ -391,70 +328,30 @@ impl EvalCtx {
                 .filter(|&node| alive.is_none_or(|alive| alive[node])),
         );
         self.flow_solves += sinks.len() as u64;
-        let arena = self.arena.prepared();
-        let value = min_max_on(&mut self.solver, arena, 0, &sinks, self.parallelism);
-        self.scratch_sinks = sinks;
-        value
+        min_max_on(&mut self.solver, &self.arena, 0, sinks, self.parallelism)
     }
 
     /// Maximum flow from the source to `receiver` in `scheme`'s weighted digraph
-    /// (through the retained arena, like [`EvalCtx::throughput`]).
+    /// (on the context's arena, like [`EvalCtx::throughput`]).
     pub fn max_flow_to(&mut self, scheme: &BroadcastScheme, receiver: NodeId) -> f64 {
-        self.prepare_scheme_arena(scheme, None);
+        self.rebuild_arena(scheme, None);
         self.flow_solves += 1;
-        self.solver.max_flow(self.arena.prepared(), 0, receiver)
+        self.solver.max_flow(&self.arena, 0, receiver)
     }
 
-    /// `min_k maxflow(source → sinks_k)` over an explicit edge list, on the retained
-    /// arena and at the configured parallelism. Returns `f64::INFINITY` when `sinks` is
-    /// empty.
-    pub fn min_max_flow(
-        &mut self,
-        num_nodes: usize,
-        edges: &[(NodeId, NodeId, f64)],
-        source: NodeId,
-        sinks: &[NodeId],
-    ) -> f64 {
-        let rebuilt = self.arena.prepare(num_nodes, edges, &mut self.scratch_caps);
-        self.count_arena(rebuilt);
-        self.flow_solves += sinks.len() as u64;
-        min_max_on(
-            &mut self.solver,
-            self.arena.prepared(),
-            source,
-            sinks,
-            self.parallelism,
-        )
-    }
-
-    /// Points the retained arena at `scheme`'s current rates, masked by `alive` (see
+    /// Rebuilds the arena from `scheme`'s current rates, masked by `alive` (see
     /// [`EvalCtx::masked_throughput`]).
-    fn prepare_scheme_arena(&mut self, scheme: &BroadcastScheme, alive: Option<&[bool]>) {
-        let mut edges = std::mem::take(&mut self.scratch_edges);
-        scheme.edges_into(&mut edges);
+    fn rebuild_arena(&mut self, scheme: &BroadcastScheme, alive: Option<&[bool]>) {
+        scheme.edges_into(&mut self.scratch_edges);
         if let Some(alive) = alive {
-            for (from, to, capacity) in &mut edges {
+            for (from, to, capacity) in &mut self.scratch_edges {
                 if !(alive[*from] && alive[*to]) {
                     *capacity = 0.0;
                 }
             }
         }
-        let rebuilt = self.arena.prepare(
-            scheme.instance().num_nodes(),
-            &edges,
-            &mut self.scratch_caps,
-        );
-        self.count_arena(rebuilt);
-        self.scratch_edges = edges;
-    }
-
-    /// Counts one arena preparation as a rebuild or an in-place update.
-    fn count_arena(&mut self, rebuilt: bool) {
-        if rebuilt {
-            self.arena_builds += 1;
-        } else {
-            self.arena_updates += 1;
-        }
+        self.arena
+            .rebuild(scheme.instance().num_nodes(), &self.scratch_edges);
     }
 }
 
@@ -839,24 +736,20 @@ mod tests {
     }
 
     #[test]
-    fn eval_ctx_rewrites_rates_in_place_without_rebuilds() {
+    fn reused_eval_ctx_tracks_rate_changes_exactly() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;
-        // The solve's own verification built the arena for this scheme; every following
-        // evaluation with an unchanged edge set — including one with perturbed rates —
-        // must rewrite the capacities in place instead of rebuilding.
-        let builds_before = ctx.arena_builds();
-        let updates_before = ctx.arena_updates();
+        // The solve's own verification used the context's arena; every following
+        // evaluation — including one with a perturbed rate — rebuilds it in place and
+        // must match a from-scratch evaluation.
         let t1 = ctx.throughput(&scheme);
+        assert_eq!(t1, EvalCtx::new().throughput(&scheme));
         let (from, to, rate) = scheme.edges()[0];
         scheme.set_rate(from, to, rate * 0.5);
         let t2 = ctx.throughput(&scheme);
-        assert_eq!(ctx.arena_builds(), builds_before);
-        assert_eq!(ctx.arena_updates(), updates_before + 2);
         assert!(t2 <= t1 + 1e-12);
-        // And the retained result matches a from-scratch evaluation.
         assert_eq!(t2, EvalCtx::new().throughput(&scheme));
     }
 
@@ -867,42 +760,17 @@ mod tests {
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut a = solution.scheme;
         let _ = ctx.throughput(&a);
-        let builds_before = ctx.arena_builds();
-        // A diverged clone with the same edge set reuses the arena, and evaluating the
-        // original afterwards must not see the clone's capacities.
+        // Evaluating a diverged clone, then the original, must not leave either one's
+        // capacities behind for the other.
         let mut b = a.clone();
         let (from, to, rate) = a.edges()[0];
         b.set_rate(from, to, rate * 0.25);
         assert_eq!(ctx.throughput(&b), EvalCtx::new().throughput(&b));
         a.set_rate(from, to, rate * 0.75);
         assert_eq!(ctx.throughput(&a), EvalCtx::new().throughput(&a));
-        assert_eq!(ctx.arena_builds(), builds_before);
-        // An edge-set change on A (edge removed) rebuilds, still exact.
+        // An edge-set change on A (edge removed) is exact too.
         a.set_rate(from, to, 0.0);
         assert_eq!(ctx.throughput(&a), EvalCtx::new().throughput(&a));
-        assert_eq!(ctx.arena_builds(), builds_before + 1);
-    }
-
-    #[test]
-    fn explicit_edge_evaluation_is_pool_parallel_and_bit_identical() {
-        let instance = figure1();
-        let solution = AcyclicGuardedAlgorithm
-            .solve(&instance, &mut EvalCtx::new())
-            .unwrap();
-        let edges = solution.scheme.edges();
-        let sinks: Vec<usize> = instance.receivers().collect();
-        let mut seq = EvalCtx::new();
-        let expected = seq.min_max_flow(instance.num_nodes(), &edges, 0, &sinks);
-        for threads in [0usize, 2, 4, 64] {
-            let mut par = EvalCtx::new();
-            par.set_parallelism(threads);
-            assert_eq!(
-                par.min_max_flow(instance.num_nodes(), &edges, 0, &sinks),
-                expected,
-                "threads {threads}"
-            );
-            assert_eq!(par.flow_solves(), seq.flow_solves());
-        }
     }
 
     #[test]
@@ -926,10 +794,8 @@ mod tests {
             }
             assert_eq!(par.throughput(&scheme), seq.throughput(&scheme));
         }
-        // The fan-out changes wall time only: every counter matches bit-for-bit.
+        // The fan-out changes wall time only: the solve counter matches too.
         assert_eq!(par.flow_solves(), seq.flow_solves());
-        assert_eq!(par.arena_builds(), seq.arena_builds());
-        assert_eq!(par.arena_updates(), seq.arena_updates());
         // Other fan-outs agree too, including the auto heuristic (sequential at this
         // size) and a fan-out wider than the receiver count.
         let expected = seq.throughput(&scheme);
@@ -940,23 +806,21 @@ mod tests {
     }
 
     #[test]
-    fn pooled_evaluation_keeps_the_retained_arena_patchable() {
+    fn pooled_evaluation_keeps_the_retained_arena_exact() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
         ctx.set_parallelism(4);
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;
         let _ = ctx.throughput(&scheme);
-        let builds_before = ctx.arena_builds();
-        // A fanned-out evaluation only borrows the retained arena, so the next one
-        // rewrites it in place: no rebuild.
+        // A fanned-out evaluation only borrows the context's arena, so the next one
+        // rebuilds it from the new rates like a sequential evaluation would.
         for step in 1..=3 {
             let (from, to, rate) = scheme.edges()[0];
             scheme.set_rate(from, to, rate * (1.0 - 0.1 * f64::from(step)));
             let pooled = ctx.throughput(&scheme);
             assert_eq!(pooled, EvalCtx::new().throughput(&scheme));
         }
-        assert_eq!(ctx.arena_builds(), builds_before);
     }
 
     #[test]

@@ -178,8 +178,8 @@ fn run_trial(
         DepartureKind::RandomReceiver => rng.gen_range(1..instance.num_nodes()),
     };
     // Performance-variation half of the paper's remark: how far the victim's upload can
-    // degrade before the overlay misses 90% of the nominal rate. The probes rewrite the
-    // worker context's retained arena in place.
+    // degrade before the overlay misses 90% of the nominal rate. The probes rebuild the
+    // worker context's arena in its own buffers.
     let degradation =
         degradation_tolerance(&solution.scheme, victim, 0.9 * solution.throughput, ctx);
     let residual = residual_throughput(&solution.scheme, &[victim], ctx);
@@ -207,7 +207,7 @@ pub fn run(quick: bool, threads: usize) -> ChurnReport {
             let seeds: Vec<u64> = (0..trials)
                 .map(|t| t as u64 * 7919 + receivers as u64)
                 .collect();
-            // One EvalCtx per worker: the flow workspace and its retained arena are reused
+            // One EvalCtx per worker: the flow workspace and its arena buffers are reused
             // across that worker's whole chunk. Its flow fan-out never stacks on the
             // sweep's own (`eval_parallelism`).
             let worker_ctx = || {

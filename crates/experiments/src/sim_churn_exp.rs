@@ -11,7 +11,7 @@
 //! with the post-churn recovery time of the repaired run.
 //!
 //! The controller's evaluation cost (degradation probes and residual evaluations on
-//! its retained arenas) is aggregated into the shared
+//! its one reused arena) is aggregated into the shared
 //! telemetry CSV columns next to the results.
 
 use crate::csvout::{telemetry_cells, telemetry_sum, CsvTable, TELEMETRY_COLUMNS};

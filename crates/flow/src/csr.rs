@@ -1,4 +1,5 @@
-//! CSR flow kernel: the flat arc arena ([`FlowArena`]), the reusable Dinic workspace
+//! CSR flow kernel: the flat arc arena ([`FlowArena`], laid out by
+//! [`FlowArena::rebuild`] alone), the reusable Dinic workspace
 //! ([`FlowSolver`]) with its batched multi-sink evaluator ([`FlowSolver::min_max_flow`])
 //! and min-cut certificate ([`FlowSolver::min_cut`]), and the fan-out heuristic
 //! ([`suggested_flow_threads`]). The crate docs describe how they fit together; the
@@ -7,12 +8,13 @@
 
 use crate::eps;
 
-/// Immutable CSR residual arena for one network.
+/// CSR residual arena for one network.
 ///
 /// Input edge `k` contributes a forward arc (capacity `c_k`) and a backward arc
-/// (capacity 0); both live in the flat arrays below, grouped by tail node. The arena
-/// carries no mutable solver state — residual capacities live in [`FlowSolver`], so one
-/// arena can be shared by any number of solvers (including across threads).
+/// (capacity 0); both live in the flat arrays below, grouped by tail node. An arena
+/// changes only when [`FlowArena::rebuild`] points it at another network, and carries
+/// no mutable solver state — residual capacities live in [`FlowSolver`], so one arena
+/// can be shared by any number of solvers (including across threads).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowArena {
     num_nodes: usize,
@@ -32,19 +34,44 @@ pub struct FlowArena {
 }
 
 impl FlowArena {
-    /// Builds the arena from explicit edge triples.
+    /// Builds the arena from explicit edge triples: [`FlowArena::rebuild`] on an empty
+    /// arena.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range or a capacity is negative or not finite.
     #[must_use]
     pub fn from_edges(num_nodes: usize, edges: &[(usize, usize, f64)]) -> Self {
+        let mut arena = FlowArena {
+            num_nodes: 0,
+            num_edges: 0,
+            start: Vec::new(),
+            to: Vec::new(),
+            partner: Vec::new(),
+            base_cap: Vec::new(),
+            edge_pos: Vec::new(),
+            in_cap: Vec::new(),
+        };
+        arena.rebuild(num_nodes, edges);
+        arena
+    }
+
+    /// Makes this arena the network of `edges` over `num_nodes` nodes, refilling its
+    /// own buffers: bit-for-bit the arena [`FlowArena::from_edges`] returns, without
+    /// allocating when no buffer has to grow. This is the only code that lays out an
+    /// arena. Arcs are placed in input order, node by node, and in-capacities are summed
+    /// in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range or a capacity is negative or not finite;
+    /// the arena is left untouched then.
+    pub fn rebuild(&mut self, num_nodes: usize, edges: &[(usize, usize, f64)]) {
         let num_edges = edges.len();
         assert!(
             2 * num_edges < u32::MAX as usize && num_nodes < u32::MAX as usize,
             "network too large for u32 arc indices"
         );
-        let mut degree = vec![0u32; num_nodes + 1];
         for &(from, to, capacity) in edges {
             assert!(from < num_nodes, "edge tail {from} out of range");
             assert!(to < num_nodes, "edge head {to} out of range");
@@ -52,43 +79,40 @@ impl FlowArena {
                 capacity.is_finite() && capacity >= 0.0,
                 "capacity must be finite and non-negative, got {capacity}"
             );
-            degree[from] += 1;
-            degree[to] += 1;
         }
-        let mut start = vec![0u32; num_nodes + 1];
+        self.num_nodes = num_nodes;
+        self.num_edges = num_edges;
+        // `start[v + 1]` first counts the arcs of node `v`; the prefix sum turns `start[v]`
+        // into the first arc of `v`, which then serves as `v`'s fill cursor.
+        refill(&mut self.start, num_nodes + 1, 0);
+        for &(from, to, _) in edges {
+            self.start[from + 1] += 1;
+            self.start[to + 1] += 1;
+        }
         for v in 0..num_nodes {
-            start[v + 1] = start[v] + degree[v];
+            self.start[v + 1] += self.start[v];
         }
-        let mut cursor: Vec<u32> = start[..num_nodes].to_vec();
-        let mut to_arr = vec![0u32; 2 * num_edges];
-        let mut partner = vec![0u32; 2 * num_edges];
-        let mut base_cap = vec![0.0f64; 2 * num_edges];
-        let mut edge_pos = vec![0u32; num_edges];
-        let mut in_cap = vec![0.0f64; num_nodes];
+        refill(&mut self.to, 2 * num_edges, 0);
+        refill(&mut self.partner, 2 * num_edges, 0);
+        refill(&mut self.base_cap, 2 * num_edges, 0.0);
+        refill(&mut self.edge_pos, num_edges, 0);
+        refill(&mut self.in_cap, num_nodes, 0.0);
         for (k, &(from, to, capacity)) in edges.iter().enumerate() {
-            let forward = cursor[from];
-            cursor[from] += 1;
-            let backward = cursor[to];
-            cursor[to] += 1;
-            to_arr[forward as usize] = to as u32;
-            base_cap[forward as usize] = capacity;
-            to_arr[backward as usize] = from as u32;
-            base_cap[backward as usize] = 0.0;
-            partner[forward as usize] = backward;
-            partner[backward as usize] = forward;
-            edge_pos[k] = forward;
-            in_cap[to] += capacity;
+            let forward = self.start[from];
+            self.start[from] += 1;
+            let backward = self.start[to];
+            self.start[to] += 1;
+            self.to[forward as usize] = to as u32;
+            self.base_cap[forward as usize] = capacity;
+            self.to[backward as usize] = from as u32;
+            self.partner[forward as usize] = backward;
+            self.partner[backward as usize] = forward;
+            self.edge_pos[k] = forward;
+            self.in_cap[to] += capacity;
         }
-        FlowArena {
-            num_nodes,
-            num_edges,
-            start,
-            to: to_arr,
-            partner,
-            base_cap,
-            edge_pos,
-            in_cap,
-        }
+        // Each cursor now sits on the next node's first arc: shift them back into place.
+        self.start.copy_within(0..num_nodes, 1);
+        self.start[0] = 0;
     }
 
     /// Number of nodes.
@@ -109,8 +133,8 @@ impl FlowArena {
         self.in_cap[node]
     }
 
-    /// Endpoints `(tail, head)` of input edge `edge` (insertion order of
-    /// [`FlowArena::from_edges`]).
+    /// Endpoints `(tail, head)` of input edge `edge` (the order of the edge list the
+    /// arena was built from).
     ///
     /// # Panics
     ///
@@ -131,40 +155,6 @@ impl FlowArena {
     #[must_use]
     pub fn edge_capacity(&self, edge: usize) -> f64 {
         self.base_cap[self.edge_pos[edge] as usize]
-    }
-
-    /// Overwrites every input edge's capacity in place (`capacities[k]` is the new
-    /// capacity of edge `k`).
-    ///
-    /// This is the in-place update path used by evaluation contexts that re-score
-    /// near-identical networks (e.g. the dichotomic search probing a scheme whose edge
-    /// *set* is fixed while the rates move): instead of rebuilding the arena — degree
-    /// counting, prefix sums, and five array allocations — only the capacities and the
-    /// in-capacity sums are rewritten. The result is bit-for-bit the arena that
-    /// [`FlowArena::from_edges`] would build over the same edge set with the new
-    /// capacities — in-capacities are resummed in insertion order — without any
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities.len() != num_edges` or any capacity is negative or not
-    /// finite.
-    pub fn set_edge_capacities(&mut self, capacities: &[f64]) {
-        assert_eq!(
-            capacities.len(),
-            self.num_edges,
-            "expected one capacity per input edge"
-        );
-        self.in_cap.fill(0.0);
-        for (edge, &capacity) in capacities.iter().enumerate() {
-            assert!(
-                capacity.is_finite() && capacity >= 0.0,
-                "capacity must be finite and non-negative, got {capacity}"
-            );
-            let forward = self.edge_pos[edge] as usize;
-            self.base_cap[forward] = capacity;
-            self.in_cap[self.to[forward] as usize] += capacity;
-        }
     }
 
     /// Total capacity leaving `node` (`O(out-degree)`).
@@ -196,6 +186,12 @@ impl FlowArena {
                 .then(a.cmp(&b))
         });
     }
+}
+
+/// Sets `buf` to `len` copies of `value`, keeping its allocation.
+fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
 }
 
 /// A minimum `s`–`t` cut, the optimality certificate of a maximum flow (see
@@ -602,17 +598,15 @@ mod tests {
             (2, 3, 4.0),
             (1, 2, 5.0),
         ];
-        let mut updated = FlowArena::from_edges(4, &edges);
         let new_caps = [1.0, 7.0, 0.0, 2.5, 3.0];
-        updated.set_edge_capacities(&new_caps);
-        let rebuilt = FlowArena::from_edges(
-            4,
-            &edges
-                .iter()
-                .zip(new_caps)
-                .map(|(&(from, to, _), cap)| (from, to, cap))
-                .collect::<Vec<_>>(),
-        );
+        let new_edges: Vec<_> = edges
+            .iter()
+            .zip(new_caps)
+            .map(|(&(from, to, _), cap)| (from, to, cap))
+            .collect();
+        let mut updated = FlowArena::from_edges(4, &edges);
+        updated.rebuild(4, &new_edges);
+        let rebuilt = FlowArena::from_edges(4, &new_edges);
         // The updated arena must be bit-for-bit the rebuilt one (same CSR layout, same
         // capacities, same in-capacities), so every downstream solve agrees exactly.
         assert_eq!(updated, rebuilt);
@@ -627,7 +621,7 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_capacity_update_is_rejected() {
         let mut arena = diamond_arena();
-        arena.set_edge_capacities(&[1.0, 2.0, -1.0, 4.0, 5.0]);
+        arena.rebuild(4, &[(0, 1, 1.0), (1, 3, -1.0)]);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!   arena (`start`/`to`/`partner`/`base_cap` arrays plus precomputed per-node
 //!   in-capacities) built by [`csr::FlowArena::from_edges`] from `(from, to, capacity)`
 //!   triples. Residual arcs of a node are contiguous, so the hot BFS/DFS loops scan linear
-//!   memory. When only the *capacities* of a fixed edge set change (the dichotomic search
-//!   re-scoring near-identical schemes), [`csr::FlowArena::set_edge_capacities`] rewrites
-//!   them in place — equivalent to a from-scratch rebuild, without the CSR construction or
-//!   its allocations.
+//!   memory. [`csr::FlowArena::rebuild`] is the one construction body: it lays a new
+//!   network out in an existing arena's buffers, so a caller that re-scores many networks
+//!   (the evaluation context behind every dichotomic search) keeps one arena and
+//!   allocates only when a buffer has to grow; `from_edges` is `rebuild` on an empty
+//!   arena.
 //! * [`csr::FlowSolver`] — the one solver: Dinic's blocking-flow algorithm on a workspace
 //!   owning every buffer a solve mutates (residual capacities, levels, current-arc
 //!   cursors, the BFS queue). Buffers are reused across calls: in steady state a solve

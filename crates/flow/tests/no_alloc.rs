@@ -1,7 +1,8 @@
 //! Asserts the CSR kernel's zero-allocation contract: once a [`FlowSolver`]'s buffers are
 //! warm, repeated value-only solves (`max_flow`, `max_flow_limited`, `min_max_flow`) must
-//! not touch the heap. A counting global allocator makes any regression an immediate test
-//! failure instead of a silent performance cliff.
+//! not touch the heap, and neither may [`FlowArena::rebuild`] into buffers that are
+//! already large enough. A counting global allocator makes any regression an immediate
+//! test failure instead of a silent performance cliff.
 //!
 //! The count is per thread: the test harness runs tests on parallel threads, and an
 //! allocation made by a sibling test must not be charged to the solver under test.
@@ -49,8 +50,9 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A layered network large enough that a solve exercises BFS, DFS and multiple phases.
-fn layered_arena(layers: usize, width: usize) -> FlowArena {
+/// A layered network large enough that a solve exercises BFS, DFS and multiple phases,
+/// as `(num_nodes, edges)`.
+fn layered_edges(layers: usize, width: usize) -> (usize, Vec<(usize, usize, f64)>) {
     let node = |layer: usize, index: usize| 2 + layer * width + index;
     let mut edges = Vec::new();
     for i in 0..width {
@@ -70,7 +72,13 @@ fn layered_arena(layers: usize, width: usize) -> FlowArena {
             }
         }
     }
-    FlowArena::from_edges(2 + layers * width, &edges)
+    (2 + layers * width, edges)
+}
+
+/// [`layered_edges`] as an arena.
+fn layered_arena(layers: usize, width: usize) -> FlowArena {
+    let (num_nodes, edges) = layered_edges(layers, width);
+    FlowArena::from_edges(num_nodes, &edges)
 }
 
 #[test]
@@ -126,5 +134,31 @@ fn shrinking_to_a_smaller_arena_allocates_nothing_new() {
         after - before,
         0,
         "alternating between warm arenas must not reallocate buffers"
+    );
+}
+
+#[test]
+fn rebuilding_a_warm_arena_allocates_nothing() {
+    let (small_nodes, small) = layered_edges(2, 3);
+    let (big_nodes, big) = layered_edges(5, 8);
+    let mut arena = FlowArena::from_edges(big_nodes, &big);
+    let mut solver = FlowSolver::new();
+    let big_flow = solver.max_flow(&arena, 0, 1);
+    let small_flow = FlowSolver::new().max_flow(&FlowArena::from_edges(small_nodes, &small), 0, 1);
+
+    // Both edge lists fit the buffers the big network sized, in either order.
+    let before = allocation_count();
+    for _ in 0..20 {
+        arena.rebuild(small_nodes, &small);
+        assert_eq!(solver.max_flow(&arena, 0, 1), small_flow);
+        arena.rebuild(big_nodes, &big);
+        assert_eq!(solver.max_flow(&arena, 0, 1), big_flow);
+    }
+    let after = allocation_count();
+    assert_eq!(
+        after - before,
+        0,
+        "rebuilding into warm buffers allocated {} time(s)",
+        after - before
     );
 }

@@ -5,7 +5,8 @@
 //! arena-layout bug cannot pass both. The remaining properties pin the kernel's own
 //! equivalences: batched multi-sink evaluation (with early-exit caps, and with the
 //! parallel fan-out) must agree exactly with naive per-sink evaluation, a reused solver
-//! workspace must behave like a fresh one, and the minimum cut must certify the flow.
+//! workspace and a rebuilt arena must behave like fresh ones, and the minimum cut must
+//! certify the flow.
 
 use bmp_flow::{FlowArena, FlowPool, FlowSolver};
 use proptest::prelude::*;
@@ -222,29 +223,23 @@ proptest! {
     }
 
     #[test]
-    fn incremental_capacity_update_equals_rebuild(
-        net in random_network(8, 24),
-        new_caps in proptest::collection::vec(0.0_f64..20.0, 0..=24),
+    fn rebuild_from_another_edge_list_equals_from_edges(
+        net_a in random_network(9, 28),
+        net_b in random_network(9, 28),
     ) {
-        let (n, edges) = net;
-        // Overwriting capacities in place must be indistinguishable from rebuilding the
-        // arena from scratch over the same edge set with the new capacities.
-        let mut updated = FlowArena::from_edges(n, &edges);
-        let edges: Vec<(usize, usize, f64)> = (0..updated.num_edges())
-            .map(|k| {
-                let (from, to) = updated.edge_endpoints(k);
-                let cap = new_caps.get(k).copied().unwrap_or(updated.edge_capacity(k));
-                (from, to, cap)
-            })
-            .collect();
-        updated.set_edge_capacities(&edges.iter().map(|&(_, _, cap)| cap).collect::<Vec<_>>());
-        let rebuilt = FlowArena::from_edges(n, &edges);
-        prop_assert_eq!(&updated, &rebuilt);
-        let sinks: Vec<usize> = (1..n).collect();
+        let (n_a, edges_a) = net_a;
+        let (n_b, edges_b) = net_b;
+        // Rebuilding a used arena over another network — fewer or more nodes and edges —
+        // must leave nothing of the old one behind: the result is the fresh arena.
+        let mut rebuilt = FlowArena::from_edges(n_a, &edges_a);
+        rebuilt.rebuild(n_b, &edges_b);
+        let fresh = FlowArena::from_edges(n_b, &edges_b);
+        prop_assert_eq!(&rebuilt, &fresh);
+        let sinks: Vec<usize> = (1..n_b).collect();
         let mut solver = FlowSolver::new();
-        let in_place = solver.min_max_flow(&updated, 0, &sinks);
-        let fresh = solver.min_max_flow(&rebuilt, 0, &sinks);
-        prop_assert_eq!(in_place, fresh);
+        let reused = solver.min_max_flow(&rebuilt, 0, &sinks);
+        let from_scratch = solver.min_max_flow(&fresh, 0, &sinks);
+        prop_assert_eq!(reused.to_bits(), from_scratch.to_bits());
     }
 
     #[test]

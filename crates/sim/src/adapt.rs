@@ -14,7 +14,7 @@
 //!   │ ChurnSchedule ├────────────▶│ probe → residual → repair├───────────────┐
 //!   └──────┬───────┘              └─────────────────────────┘               ▼
 //!          │ set_alive                      ▲                        Session::hot_swap
-//!          ▼                                │ EvalCtx (retained               │
+//!          ▼                                │ EvalCtx (reused                 │
 //!   ┌──────────────┐  step() / RoundStats   │ arena, fan-out)                 │
 //!   │   Session    │◀───────────────────────┴─────────────────────────────────┘
 //!   └──────────────┘   possession, credit and RNG survive the swap
@@ -51,14 +51,14 @@
 //!
 //! 1. it probes how sensitive the *currently deployed* overlay is to the newest victim
 //!    ([`bmp_core::churn::try_degradation_tolerance`] — one working copy whose rates
-//!    move in place, so the bisection rewrites the context's retained arena instead of
-//!    rebuilding it); an injected probe timeout is recorded and survived, the residual
+//!    move in place, each bisection step rebuilding the context's arena in the buffers
+//!    of the last); an injected probe timeout is recorded and survived, the residual
 //!    check below stays authoritative,
 //! 2. evaluates the residual throughput of the *currently deployed* overlay (the
 //!    nominal one before any swap, the latest repaired one after) restricted to the
 //!    survivors ([`bmp_core::churn::residual_throughput`]): the deployed scheme's own
-//!    evaluation with the departed nodes' edges at capacity 0, so it rewrites the arena
-//!    the probe left in place and can fan out over scoped flow helpers. A rejoin
+//!    evaluation with the departed nodes' edges at capacity 0, on the same context
+//!    arena, and it can fan out over scoped flow helpers. A rejoin
 //!    is judged exactly like a departure: the returning node is merged into the
 //!    *deployed* overlay's survivor set, so an overlay that starves it fails this check
 //!    and triggers a fresh re-solve (which, on a full rejoin, reproduces the nominal
@@ -360,8 +360,8 @@ impl RepairController {
         self.ctx.set_parallelism(threads);
     }
 
-    /// The controller's evaluation context (telemetry: flow solves, bisection probes,
-    /// arena rebuilds and in-place updates).
+    /// The controller's evaluation context (telemetry: flow solves and bisection
+    /// probes).
     #[must_use]
     pub fn ctx(&self) -> &EvalCtx {
         &self.ctx

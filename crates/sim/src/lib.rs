@@ -32,8 +32,8 @@
 //!   module docs) and the [`adapt::AdaptationPolicy`] contract: on every membership
 //!   change the policy sees the full departed set and may return a replacement overlay.
 //!   [`adapt::RepairController`] is the reference implementation: it probes the victim's
-//!   degradation tolerance (one working copy whose rates move in place, re-evaluated on a
-//!   retained arena), measures the frozen overlay's residual throughput, and re-solves the
+//!   degradation tolerance (one working copy whose rates move in place, re-evaluated on
+//!   one reused arena), measures the frozen overlay's residual throughput, and re-solves the
 //!   surviving platform only when the residual misses its floor;
 //! * metrics for the closed loop: [`metrics::SimReport::delivered_goodput`] (defined
 //!   even when starved receivers never complete) and the per-swap recovery instants of

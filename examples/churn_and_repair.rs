@@ -112,12 +112,9 @@ fn main() {
     );
     let ctx = controller.ctx();
     println!(
-        "controller telemetry: {} flow solves, {} bisection iters, {} arena rebuilds \
-         ({} in-place updates)",
+        "controller telemetry: {} flow solves, {} bisection iters",
         ctx.flow_solves(),
-        ctx.bisection_iters(),
-        ctx.arena_builds(),
-        ctx.arena_updates()
+        ctx.bisection_iters()
     );
     assert!(
         repaired_run.goodput() > static_run.goodput(),
