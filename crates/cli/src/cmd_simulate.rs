@@ -469,6 +469,11 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             "--repair requires a --churn specification to react to".into(),
         ));
     }
+    if args.has("--repair") && nominal <= 0.0 {
+        return Err(CliError::Usage(format!(
+            "--repair needs a scheme that delivers a positive throughput (this one delivers {nominal})"
+        )));
+    }
     if args.has("--floor") && !args.has("--repair") {
         return Err(CliError::Usage(
             "--floor only applies with --repair (it is the repair controller's threshold)".into(),
@@ -636,6 +641,22 @@ mod tests {
                 assert!(message.contains("rate: -2.0"), "{message}");
             }
             other => panic!("expected an invalid-scheme error, got {other:?}"),
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn repair_of_a_zero_throughput_scheme_is_a_usage_error() {
+        // A feasible scheme without edges delivers nothing: there is no nominal rate
+        // for the repair controller's floor to be a fraction of.
+        let path = temp_path("sim-zero.json").to_str().unwrap().to_string();
+        files::write_scheme(&path, &BroadcastScheme::new(figure1())).unwrap();
+        let args = ["--scheme", &path, "--churn", "1:2", "--repair"];
+        match run_args(args.iter().map(ToString::to_string).collect()) {
+            Err(CliError::Usage(message)) => {
+                assert!(message.contains("positive throughput"), "{message}");
+            }
+            other => panic!("expected a usage error, got {other:?}"),
         }
         std::fs::remove_file(path).ok();
     }

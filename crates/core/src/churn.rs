@@ -7,17 +7,19 @@
 //! * [`residual_throughput`] measures how much of the nominal rate survives when a set of
 //!   nodes disappears while the overlay stays unchanged (typically: a large drop — the
 //!   static overlay is *not* churn-resilient);
-//! * [`repair`] removes the departed nodes from the instance, re-runs the acyclic solver and
-//!   reports the new optimum, i.e. the price of a recomputation (typically: small — the
-//!   algorithms are fast enough to be re-run on every membership change);
+//! * [`repair_with`] removes the departed nodes from the instance, re-solves it through
+//!   any registry [`Solver`] (which verifies its own output through
+//!   [`EvalCtx::verify`]) and returns the new overlay in the original node ids, i.e. the
+//!   price of a recomputation (typically: small — the algorithms are fast enough to be
+//!   re-run on every membership change);
 //! * [`degradation_tolerance`] quantifies the *other* half of the remark ("resilient to
 //!   small variations in the communication performance of nodes"): the dichotomic search
 //!   for the largest fraction by which one node's upload rates can degrade before the
 //!   delivered throughput drops below a floor. Its probes re-score one working copy of
 //!   the scheme with only that node's outgoing rates moving, each on the evaluation
-//!   context's arena, rebuilt in the buffers of the previous probe.
+//!   context's arena, rebuilt in the buffers of the previous probe. It is the fault
+//!   plane's [`FaultSite::Probe`] site.
 
-use crate::acyclic_guarded::{AcyclicGuardedSolver, AcyclicSolution};
 use crate::error::CoreError;
 use crate::faults::FaultSite;
 use crate::scheme::BroadcastScheme;
@@ -76,16 +78,27 @@ fn alive_mask(instance: &Instance, departed: &[NodeId]) -> Vec<bool> {
 /// copy up front and mutates only `node`'s outgoing rates per probe, so every probe
 /// rebuilds the context's arena in buffers that already fit.
 ///
+/// The probe is intercepted at [`FaultSite::Probe`] before any flow evaluation; without
+/// an installed fault script it always succeeds.
+///
+/// # Errors
+///
+/// [`CoreError::Timeout`] when the context's fault script fails this probe.
+///
 /// # Panics
 ///
 /// Panics if `node` is out of range for the scheme's instance.
-#[must_use]
 pub fn degradation_tolerance(
     scheme: &BroadcastScheme,
     node: NodeId,
     floor: f64,
     ctx: &mut EvalCtx,
-) -> f64 {
+) -> Result<f64, CoreError> {
+    if ctx.intercept_fault(FaultSite::Probe).is_some() {
+        return Err(CoreError::Timeout {
+            operation: format!("degradation probe of node {node}"),
+        });
+    }
     let instance = scheme.instance();
     assert!(node < instance.num_nodes(), "node {node} out of range");
     let out_edges: Vec<(NodeId, f64)> = scheme.out_edges(node).collect();
@@ -100,135 +113,64 @@ pub fn degradation_tolerance(
         ctx.throughput(&probe) + tol >= floor
     });
     ctx.add_bisection_iters(outcome.probes);
-    outcome.value
-}
-
-/// Fallible variant of [`degradation_tolerance`] for callers that participate in the
-/// fault-injection plane: the probe is intercepted at [`FaultSite::Probe`] before any
-/// flow evaluation, surfacing an injected timeout as [`CoreError::Timeout`]. Without an
-/// installed fault script this is exactly [`degradation_tolerance`].
-///
-/// # Errors
-///
-/// [`CoreError::Timeout`] when the context's fault script fails this probe.
-///
-/// # Panics
-///
-/// Panics if `node` is out of range for the scheme's instance.
-pub fn try_degradation_tolerance(
-    scheme: &BroadcastScheme,
-    node: NodeId,
-    floor: f64,
-    ctx: &mut EvalCtx,
-) -> Result<f64, CoreError> {
-    if ctx.intercept_fault(FaultSite::Probe).is_some() {
-        return Err(CoreError::Timeout {
-            operation: format!("degradation probe of node {node}"),
-        });
-    }
-    Ok(degradation_tolerance(scheme, node, floor, ctx))
-}
-
-/// Result of repairing an overlay after departures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepairOutcome {
-    /// The reduced instance (departed nodes removed).
-    pub instance: Instance,
-    /// The freshly computed acyclic solution on the reduced instance.
-    pub solution: AcyclicSolution,
-    /// Mapping from surviving original node ids to ids in the reduced instance.
-    pub id_map: Vec<(NodeId, NodeId)>,
-}
-
-impl RepairOutcome {
-    /// The repaired scheme's overlay edges translated back to the *original* node ids
-    /// (through [`RepairOutcome::id_map`]). This is the hot-swap entry point of the
-    /// adaptive session controller in `bmp-sim`: the running data plane still addresses
-    /// the full platform (departed nodes stay addressable in case they rejoin), so the
-    /// re-solved overlay must be expressed in the original id space before it can
-    /// replace the frozen one mid-broadcast.
-    #[must_use]
-    pub fn edges_in_original_ids(&self) -> Vec<(NodeId, NodeId, f64)> {
-        translate_edges(&self.solution.scheme, &self.id_map)
-    }
-}
-
-/// Translates a reduced-instance scheme's edges back to original node ids through an
-/// `(old, new)` id map.
-fn translate_edges(
-    scheme: &BroadcastScheme,
-    id_map: &[(NodeId, NodeId)],
-) -> Vec<(NodeId, NodeId, f64)> {
-    let slots = id_map.iter().map(|&(_, new)| new).max().unwrap_or(0) + 1;
-    let mut new_to_old = vec![0; slots];
-    for &(old, new) in id_map {
-        new_to_old[new] = old;
-    }
-    scheme
-        .edges()
-        .into_iter()
-        .map(|(from, to, rate)| (new_to_old[from], new_to_old[to], rate))
-        .collect()
+    Ok(outcome.value)
 }
 
 /// Rebuilds the instance without the departed nodes, returning the reduced instance and
-/// the `(old, new)` id map, or `None` when no receiver survives.
+/// the original id of every reduced node (indexed by reduced id), or `None` when no
+/// receiver survives.
 ///
 /// # Panics
 ///
 /// Panics if the source is listed among the departed nodes.
-fn reduce_instance(
-    instance: &Instance,
-    departed: &[NodeId],
-) -> Option<(Instance, Vec<(NodeId, NodeId)>)> {
+fn reduce_instance(instance: &Instance, departed: &[NodeId]) -> Option<(Instance, Vec<NodeId>)> {
     let alive = alive_mask(instance, departed);
-    let open: Vec<(NodeId, f64)> = instance
-        .open_indices()
-        .filter(|&i| alive[i])
-        .map(|i| (i, instance.bandwidth(i)))
-        .collect();
-    let guarded: Vec<(NodeId, f64)> = instance
-        .guarded_indices()
-        .filter(|&i| alive[i])
-        .map(|i| (i, instance.bandwidth(i)))
-        .collect();
-    if open.is_empty() && guarded.is_empty() {
-        return None;
-    }
     // The surviving nodes keep their relative (sorted) order within each class, so the
-    // reduced instance is already sorted and the id mapping is positional.
+    // reduced instance is already sorted and its ids are positions in `original`.
+    let mut original = vec![0];
+    original.extend(instance.open_indices().filter(|&i| alive[i]));
+    let open = original.len();
+    original.extend(instance.guarded_indices().filter(|&i| alive[i]));
+    let bandwidths = |ids: &[NodeId]| ids.iter().map(|&i| instance.bandwidth(i)).collect();
     let reduced = Instance::new_presorted(
         instance.source_bandwidth(),
-        open.iter().map(|&(_, b)| b).collect(),
-        guarded.iter().map(|&(_, b)| b).collect(),
+        bandwidths(&original[1..open]),
+        bandwidths(&original[open..]),
     )
-    .ok()?;
-    let mut id_map = vec![(0, 0)];
-    for (new_index, &(old_id, _)) in open.iter().enumerate() {
-        id_map.push((old_id, new_index + 1));
-    }
-    for (new_index, &(old_id, _)) in guarded.iter().enumerate() {
-        id_map.push((old_id, reduced.n() + new_index + 1));
-    }
-    Some((reduced, id_map))
+    .ok()?; // no survivor: `PlatformError::EmptyInstance`
+    Some((reduced, original))
 }
 
-/// A repaired overlay computed by an arbitrary registry solver, already translated back
-/// to the original id space — the solver-agnostic counterpart of [`RepairOutcome`] that
-/// the fallback-solver chain of the adaptive repair pipeline consumes.
+/// `scheme`'s edges with every endpoint mapped to its original id.
+fn translate_edges(scheme: &BroadcastScheme, original: &[NodeId]) -> Vec<(NodeId, NodeId, f64)> {
+    scheme
+        .edges()
+        .into_iter()
+        .map(|(from, to, rate)| (original[from], original[to], rate))
+        .collect()
+}
+
+/// A repaired overlay computed by a registry solver on the reduced instance, already
+/// translated back to the original id space — what the fallback-solver chain of the
+/// adaptive repair pipeline hot-swaps in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairPlan {
     /// Registry name of the solver that produced the plan.
     pub algorithm: &'static str,
     /// Verified throughput of the repaired overlay on the reduced instance.
     pub throughput: f64,
-    /// The repaired overlay's edges in *original* node ids (see
-    /// [`RepairOutcome::edges_in_original_ids`]).
+    /// The repaired overlay's edges in *original* node ids. The running data plane still
+    /// addresses the full platform (departed nodes stay addressable in case they
+    /// rejoin), so the re-solved overlay must be expressed in the original id space
+    /// before it can replace the frozen one mid-broadcast.
     pub edges: Vec<(NodeId, NodeId, f64)>,
+    /// The reduced instance the plan was solved on (departed nodes removed, survivors in
+    /// their original relative order).
+    pub instance: Instance,
 }
 
 /// Rebuilds the instance without the departed nodes and re-solves it through any
-/// [`Solver`] — the fallible, fallback-capable sibling of [`repair`].
+/// [`Solver`].
 ///
 /// Returns `Ok(None)` when no receiver survives (nothing to repair). Solver failures —
 /// real ([`CoreError::GuardedNodesNotSupported`], [`CoreError::Unsupported`],
@@ -248,43 +190,25 @@ pub fn repair_with(
     solver: &dyn Solver,
     ctx: &mut EvalCtx,
 ) -> Result<Option<RepairPlan>, CoreError> {
-    let Some((reduced, id_map)) = reduce_instance(instance, departed) else {
+    let Some((reduced, original)) = reduce_instance(instance, departed) else {
         return Ok(None);
     };
     let solution = solver.solve(&reduced, ctx)?;
-    let edges = translate_edges(&solution.scheme, &id_map);
+    let edges = translate_edges(&solution.scheme, &original);
     Ok(Some(RepairPlan {
         algorithm: solution.algorithm,
         throughput: solution.throughput,
         edges,
-    }))
-}
-
-/// Rebuilds an instance without the departed nodes and re-runs the acyclic solver.
-///
-/// Returns `None` when no receiver survives.
-///
-/// # Panics
-///
-/// Panics if the source is listed among the departed nodes.
-#[must_use]
-pub fn repair(
-    instance: &Instance,
-    departed: &[NodeId],
-    solver: &AcyclicGuardedSolver,
-) -> Option<RepairOutcome> {
-    let (reduced, id_map) = reduce_instance(instance, departed)?;
-    let solution = solver.solve(&reduced);
-    Some(RepairOutcome {
         instance: reduced,
-        solution,
-        id_map,
-    })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acyclic_guarded::AcyclicGuardedSolver;
+    use crate::faults::InjectedFaults;
+    use crate::solver::AcyclicGuardedAlgorithm;
     use bmp_flow::{FlowArena, FlowSolver};
     use bmp_platform::paper::figure1;
 
@@ -332,7 +256,7 @@ mod tests {
         let mut ctx = EvalCtx::new();
         for victim in [3, 1, 5] {
             let floor = 0.9 * solution.throughput;
-            let tolerance = degradation_tolerance(scheme, victim, floor, &mut ctx);
+            let tolerance = degradation_tolerance(scheme, victim, floor, &mut ctx).unwrap();
             assert!(
                 (0.0..=1.0).contains(&tolerance),
                 "victim {victim}: {tolerance}"
@@ -356,9 +280,9 @@ mod tests {
         let floor = 0.9 * solution.throughput;
         // The guarded relay C3 carries a large share of the rate: it cannot degrade far
         // before the floor breaks.
-        let relay = degradation_tolerance(&solution.scheme, 3, floor, &mut ctx);
+        let relay = degradation_tolerance(&solution.scheme, 3, floor, &mut ctx).unwrap();
         // The last guarded node relays little: it tolerates much more degradation.
-        let leaf = degradation_tolerance(&solution.scheme, 5, floor, &mut ctx);
+        let leaf = degradation_tolerance(&solution.scheme, 5, floor, &mut ctx).unwrap();
         assert!(
             relay < leaf,
             "relay tolerance {relay} should be below leaf tolerance {leaf}"
@@ -375,13 +299,13 @@ mod tests {
         let mut ctx = EvalCtx::new();
         // A zero floor survives losing the node entirely.
         assert_eq!(
-            degradation_tolerance(&solution.scheme, 3, 0.0, &mut ctx),
+            degradation_tolerance(&solution.scheme, 3, 0.0, &mut ctx).unwrap(),
             1.0
         );
         // A floor above the nominal throughput fails immediately.
         let t = solution.throughput;
         assert_eq!(
-            degradation_tolerance(&solution.scheme, 3, 2.0 * t, &mut ctx),
+            degradation_tolerance(&solution.scheme, 3, 2.0 * t, &mut ctx).unwrap(),
             0.0
         );
     }
@@ -392,7 +316,7 @@ mod tests {
         let solution = solver.solve(&figure1());
         let mut ctx = EvalCtx::new();
         let floor = 0.8 * solution.throughput;
-        let d = degradation_tolerance(&solution.scheme, 0, floor, &mut ctx);
+        let d = degradation_tolerance(&solution.scheme, 0, floor, &mut ctx).unwrap();
         // Re-scale by hand at the returned tolerance and just below the breaking point:
         // the floor must hold there and fail slightly above.
         let verify = |degradation: f64| {
@@ -410,30 +334,37 @@ mod tests {
         }
     }
 
+    /// The repair of Figure 1 after the guarded relay C3 departs.
+    fn repair_figure1_without_c3(ctx: &mut EvalCtx) -> RepairPlan {
+        repair_with(&figure1(), &[3], &AcyclicGuardedAlgorithm, ctx)
+            .unwrap()
+            .unwrap()
+    }
+
     #[test]
     fn repair_restores_a_feasible_low_degree_overlay() {
-        let solver = AcyclicGuardedSolver::default();
         let instance = figure1();
-        let outcome = repair(&instance, &[3], &solver).unwrap();
-        assert_eq!(outcome.instance.num_receivers(), 4);
-        assert_eq!(outcome.instance.m(), 2);
-        assert!(outcome.solution.scheme.is_feasible());
-        // The repaired throughput is the optimum of the reduced platform and is certified by
-        // max-flow.
-        assert!(outcome.solution.scheme.throughput() + 1e-6 >= outcome.solution.throughput);
-        // The id map covers the source and the four survivors.
-        assert_eq!(outcome.id_map.len(), 5);
-        assert!(outcome.id_map.iter().all(|&(old, _)| old != 3));
+        let mut ctx = EvalCtx::new();
+        let plan = repair_figure1_without_c3(&mut ctx);
+        assert_eq!(plan.instance.num_receivers(), 4);
+        assert_eq!(plan.instance.m(), 2);
+        // Deployed over the original platform, the plan is feasible and delivers its
+        // throughput to the survivors.
+        let mut deployed = BroadcastScheme::new(instance);
+        for &(from, to, rate) in &plan.edges {
+            deployed.set_rate(from, to, rate);
+        }
+        assert!(deployed.is_feasible());
+        assert!(residual_throughput(&deployed, &[3], &mut ctx) + 1e-6 >= plan.throughput);
     }
 
     #[test]
     fn repaired_edges_translate_back_to_original_ids() {
-        let solver = AcyclicGuardedSolver::default();
         let instance = figure1();
-        let outcome = repair(&instance, &[3], &solver).unwrap();
-        let edges = outcome.edges_in_original_ids();
-        assert_eq!(edges.len(), outcome.solution.scheme.edges().len());
-        for &(from, to, rate) in &edges {
+        let plan = repair_figure1_without_c3(&mut EvalCtx::new());
+        let reduced = AcyclicGuardedSolver::default().solve(&plan.instance);
+        assert_eq!(plan.edges.len(), reduced.scheme.edges().len());
+        for &(from, to, rate) in &plan.edges {
             assert_ne!(from, 3, "departed node reappeared as sender");
             assert_ne!(to, 3, "departed node reappeared as receiver");
             assert!(from < instance.num_nodes() && to < instance.num_nodes());
@@ -441,40 +372,31 @@ mod tests {
         }
         // The translated overlay delivers the repaired throughput to the survivors.
         let survivors: Vec<NodeId> = (1..instance.num_nodes()).filter(|&v| v != 3).collect();
-        let arena = FlowArena::from_edges(instance.num_nodes(), &edges);
+        let arena = FlowArena::from_edges(instance.num_nodes(), &plan.edges);
         let value = FlowSolver::new().min_max_flow(&arena, 0, &survivors);
         assert!(
-            (value - outcome.solution.throughput).abs() < 1e-6,
+            (value - plan.throughput).abs() < 1e-6,
             "translated overlay delivers {value} vs repaired {}",
-            outcome.solution.throughput
+            plan.throughput
         );
     }
 
     #[test]
-    fn repair_after_all_receivers_depart_is_none() {
-        let solver = AcyclicGuardedSolver::default();
-        let instance = figure1();
-        assert!(repair(&instance, &[1, 2, 3, 4, 5], &solver).is_none());
-    }
-
-    #[test]
     fn repair_with_matches_the_legacy_repair() {
-        use crate::solver::AcyclicGuardedAlgorithm;
-        let instance = figure1();
-        let legacy = repair(&instance, &[3], &AcyclicGuardedSolver::default()).unwrap();
-        let mut ctx = EvalCtx::new();
-        let plan = repair_with(&instance, &[3], &AcyclicGuardedAlgorithm, &mut ctx)
-            .unwrap()
-            .unwrap();
+        // The legacy entry point: the acyclic solver run directly on the reduced
+        // instance, its edges translated back to the original ids.
+        let (reduced, original) = reduce_instance(&figure1(), &[3]).unwrap();
+        assert_eq!(original, [0, 1, 2, 4, 5]);
+        let legacy = AcyclicGuardedSolver::default().solve(&reduced);
+        let plan = repair_figure1_without_c3(&mut EvalCtx::new());
         assert_eq!(plan.algorithm, "acyclic-guarded");
-        assert!((plan.throughput - legacy.solution.throughput).abs() < 1e-9);
-        assert_eq!(plan.edges, legacy.edges_in_original_ids());
+        assert_eq!(plan.instance, reduced);
+        assert!((plan.throughput - legacy.throughput).abs() < 1e-9);
+        assert_eq!(plan.edges, translate_edges(&legacy.scheme, &original));
     }
 
     #[test]
     fn repair_with_propagates_injected_solver_faults() {
-        use crate::faults::InjectedFaults;
-        use crate::solver::AcyclicGuardedAlgorithm;
         let instance = figure1();
         let mut ctx = EvalCtx::new();
         ctx.set_injected_faults(Some(InjectedFaults::new(vec![0], vec![], vec![])));
@@ -493,7 +415,6 @@ mod tests {
 
     #[test]
     fn repair_with_after_all_receivers_depart_is_none() {
-        use crate::solver::AcyclicGuardedAlgorithm;
         let mut ctx = EvalCtx::new();
         let plan = repair_with(
             &figure1(),
@@ -506,22 +427,32 @@ mod tests {
     }
 
     #[test]
-    fn try_degradation_tolerance_matches_and_times_out_on_schedule() {
-        use crate::faults::{FaultSite, InjectedFaults};
+    fn repair_after_all_receivers_depart_is_none() {
+        // The reduction underneath every repair: with no receiver left (in any departure
+        // order) there is no instance to re-solve.
+        assert!(reduce_instance(&figure1(), &[5, 4, 3, 2, 1]).is_none());
+        let (reduced, original) = reduce_instance(&figure1(), &[1, 2, 3, 4]).unwrap();
+        assert_eq!(reduced.num_receivers(), 1);
+        assert_eq!(original, [0, 5]);
+    }
+
+    #[test]
+    fn degradation_tolerance_times_out_on_schedule() {
         let solver = AcyclicGuardedSolver::default();
         let solution = solver.solve(&figure1());
         let floor = 0.9 * solution.throughput;
         let mut ctx = EvalCtx::new();
-        let plain = degradation_tolerance(&solution.scheme, 3, floor, &mut ctx);
-        let fallible = try_degradation_tolerance(&solution.scheme, 3, floor, &mut ctx).unwrap();
-        assert_eq!(plain, fallible);
+        let plain = degradation_tolerance(&solution.scheme, 3, floor, &mut ctx).unwrap();
         ctx.set_injected_faults(Some(
             InjectedFaults::default().and_fail(FaultSite::Probe, 1),
         ));
-        assert!(try_degradation_tolerance(&solution.scheme, 3, floor, &mut ctx).is_ok());
-        let err = try_degradation_tolerance(&solution.scheme, 3, floor, &mut ctx).unwrap_err();
+        let probe = |ctx: &mut EvalCtx| degradation_tolerance(&solution.scheme, 3, floor, ctx);
+        assert_eq!(probe(&mut ctx).unwrap(), plain);
+        let err = probe(&mut ctx).unwrap_err();
         assert!(matches!(err, CoreError::Timeout { .. }));
         assert!(err.to_string().contains("node 3"));
+        // The script is spent: the next probe measures the same value again.
+        assert_eq!(probe(&mut ctx).unwrap(), plain);
     }
 
     #[test]
@@ -530,6 +461,5 @@ mod tests {
         let solver = AcyclicGuardedSolver::default();
         let solution = solver.solve(&figure1());
         let _ = residual_throughput(&solution.scheme, &[0], &mut EvalCtx::new());
-        let _ = repair(&figure1(), &[0], &solver);
     }
 }

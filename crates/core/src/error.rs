@@ -31,13 +31,11 @@ pub enum CoreError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A solver produced a scheme whose max-flow verification fell short of the
-    /// throughput it claimed — an internal invariant violation surfaced instead of
-    /// silently returning an infeasible solution.
+    /// A scheme's max-flow verification ([`crate::solver::EvalCtx::verify`]) fell short
+    /// of the throughput claimed for it — an internal invariant violation surfaced
+    /// instead of silently returning an infeasible solution.
     VerificationFailed {
-        /// Name of the solver that was invoked.
-        algorithm: &'static str,
-        /// Throughput the solver claimed.
+        /// Throughput claimed for the scheme.
         claimed: f64,
         /// Throughput the scheme actually achieves by max-flow.
         achieved: f64,
@@ -79,13 +77,9 @@ impl fmt::Display for CoreError {
             CoreError::Unsupported { algorithm, reason } => {
                 write!(f, "{algorithm} does not support this instance: {reason}")
             }
-            CoreError::VerificationFailed {
-                algorithm,
-                claimed,
-                achieved,
-            } => write!(
+            CoreError::VerificationFailed { claimed, achieved } => write!(
                 f,
-                "{algorithm} claimed throughput {claimed} but its scheme only achieves {achieved}"
+                "claimed throughput {claimed} but the scheme only achieves {achieved}"
             ),
             CoreError::InjectedFault { site, occurrence } => {
                 write!(f, "injected fault at {site} (occurrence {occurrence})")
@@ -140,7 +134,6 @@ mod tests {
         assert!(e.to_string().contains("exhaustive"));
         assert!(e.to_string().contains("too large"));
         let e = CoreError::VerificationFailed {
-            algorithm: "acyclic-guarded",
             claimed: 4.0,
             achieved: 3.5,
         };

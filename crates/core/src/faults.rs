@@ -4,8 +4,9 @@
 //! that site should fail: "the 0th and 2nd solve verifications", "the 1st degradation
 //! probe". The script is installed on an [`EvalCtx`](crate::solver::EvalCtx) (an
 //! `Option` field that is `None` in production, so the disabled path costs a single
-//! branch) and consulted by [`SolveRecorder::finish`](crate::solver::SolveRecorder)
-//! and [`churn::try_degradation_tolerance`](crate::churn::try_degradation_tolerance).
+//! branch) and consulted by [`SolveRecorder::finish`](crate::solver::SolveRecorder),
+//! [`EvalCtx::verify`](crate::solver::EvalCtx::verify) and
+//! [`churn::degradation_tolerance`](crate::churn::degradation_tolerance).
 //! Because occurrences are counted — not timed — the same script replays identically
 //! run after run, which is what lets the repair-hardening tests assert exact retry
 //! and fallback sequences.
@@ -17,12 +18,12 @@ pub enum FaultSite {
     /// itself errors with [`CoreError::InjectedFault`](crate::CoreError::InjectedFault)
     /// before verification.
     Solve,
-    /// [`SolveRecorder::finish`](crate::solver::SolveRecorder::finish): the max-flow
-    /// verification is forced to report failure
+    /// [`EvalCtx::verify`](crate::solver::EvalCtx::verify), the claim check behind
+    /// every solve: the max-flow verification is forced to report failure
     /// ([`CoreError::VerificationFailed`](crate::CoreError::VerificationFailed)).
     Verify,
-    /// [`churn::try_degradation_tolerance`](crate::churn::try_degradation_tolerance):
-    /// the probe times out ([`CoreError::Timeout`](crate::CoreError::Timeout)).
+    /// [`churn::degradation_tolerance`](crate::churn::degradation_tolerance): the probe
+    /// times out ([`CoreError::Timeout`](crate::CoreError::Timeout)).
     Probe,
 }
 

@@ -142,7 +142,8 @@ pub fn worst_ratio_over_delta_with(
             let scheme = solver
                 .scheme_for_word(&instance, throughput, &word)
                 .expect("the dichotomic word is valid at its own throughput");
-            crate::solver::certify_throughput(ctx, &scheme, throughput);
+            ctx.verify(&scheme, throughput)
+                .expect("the worst cell's scheme delivers its dichotomic throughput");
         }
     }
     Some(cell)

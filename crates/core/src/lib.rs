@@ -32,6 +32,8 @@
 //!   is a convenience over a fresh context, and churn residuals are masked evaluations
 //!   on the same arena. It keeps one arena across evaluations and rebuilds it in its
 //!   own buffers on each one, so re-scoring schemes of one size allocates nothing.
+//!   [`solver::EvalCtx::verify`] is the one claim check: every solve's self-verification
+//!   and every experiment's certification of a claimed throughput go through it.
 //! * [`solver::registry`] — enumerates the built-in solvers (`acyclic-guarded`,
 //!   `acyclic-open`, `cyclic-open`, `exhaustive`, `omega-word`, `auto`); downstream
 //!   crates append their own implementations (`bmp-trees` ships a tree-decomposition

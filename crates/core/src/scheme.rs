@@ -48,9 +48,8 @@
 //! # Evaluation
 //!
 //! [`crate::solver::EvalCtx`] is the only code that turns a scheme into a flow network.
-//! [`BroadcastScheme::throughput`] and [`BroadcastScheme::max_flow_to`] are one-line
-//! conveniences over a fresh, sequential context, so each call allocates its arena and
-//! solver buffers anew. Loops that score many schemes over the same instance should hold
+//! [`BroadcastScheme::throughput`] is a one-line convenience over a fresh, sequential
+//! context, so each call allocates its arena and solver buffers anew. Loops that score many schemes over the same instance should hold
 //! one context, which rebuilds its arena in the buffers of the previous evaluation:
 //!
 //! ```
@@ -433,18 +432,13 @@ impl BroadcastScheme {
             .filter(|&(from, to, rate)| rate > RATE_EPS && from != to)
     }
 
-    /// Maximum flow from the source to `receiver` in the scheme's weighted digraph
-    /// ([`EvalCtx::max_flow_to`] on a fresh sequential context).
-    #[must_use]
-    pub fn max_flow_to(&self, receiver: NodeId) -> f64 {
-        sequential_ctx().max_flow_to(self, receiver)
-    }
-
     /// Throughput of the scheme: `min_k maxflow(C0 → Ck)` over all receivers (Section II-D),
     /// [`EvalCtx::throughput`] on a fresh sequential context.
     #[must_use]
     pub fn throughput(&self) -> f64 {
-        sequential_ctx().throughput(self)
+        let mut ctx = EvalCtx::new();
+        ctx.set_parallelism(1);
+        ctx.throughput(self)
     }
 
     /// Topological order of the scheme's digraph if it is acyclic, `None` otherwise.
@@ -515,13 +509,6 @@ impl BroadcastScheme {
         buf.clear();
         buf.extend(self.nonzero_rates());
     }
-}
-
-/// A fresh evaluation context that never fans out, behind the one-shot conveniences.
-fn sequential_ctx() -> EvalCtx {
-    let mut ctx = EvalCtx::new();
-    ctx.set_parallelism(1);
-    ctx
 }
 
 #[cfg(test)]
@@ -714,10 +701,11 @@ mod tests {
             s
         };
         for (scheme, expected) in [(figure1_optimal_scheme(), 4.4), (figure2_scheme, 4.0)] {
+            let mut ctx = EvalCtx::new();
             let naive = scheme
                 .instance()
                 .receivers()
-                .map(|k| scheme.max_flow_to(k))
+                .map(|k| ctx.max_flow_to(&scheme, k))
                 .fold(f64::INFINITY, f64::min);
             let batched = scheme.throughput();
             assert_eq!(batched, naive, "batched {batched} vs naive {naive}");
@@ -733,9 +721,10 @@ mod tests {
         let mut s = BroadcastScheme::new(figure1());
         s.set_rate(0, 1, 3.0);
         s.set_rate(1, 2, 2.0);
-        assert!((s.max_flow_to(1) - 3.0).abs() < 1e-9);
-        assert!((s.max_flow_to(2) - 2.0).abs() < 1e-9);
-        assert_eq!(s.max_flow_to(5), 0.0);
+        let mut ctx = EvalCtx::new();
+        assert!((ctx.max_flow_to(&s, 1) - 3.0).abs() < 1e-9);
+        assert!((ctx.max_flow_to(&s, 2) - 2.0).abs() < 1e-9);
+        assert_eq!(ctx.max_flow_to(&s, 5), 0.0);
     }
 
     /// The dense document `scheme` would have been written as before format 2.

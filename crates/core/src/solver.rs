@@ -31,10 +31,11 @@
 //! evaluation, so concurrent contexts multiply it, and the outer fan-out owns the cores
 //! — see `bmp_experiments::parallel::eval_parallelism`).
 //!
-//! Every solver verifies its own output before returning: the constructed scheme is
-//! re-scored by max-flow through the context and a shortfall against the claimed
-//! throughput surfaces as [`CoreError::VerificationFailed`] instead of a silently wrong
-//! `Solution`.
+//! Every solver verifies its own output before returning: [`SolveRecorder::finish`]
+//! re-scores the constructed scheme through [`EvalCtx::verify`], and a shortfall against
+//! the claimed throughput surfaces as [`CoreError::VerificationFailed`] instead of a
+//! silently wrong `Solution`. `verify` is the crate's one claim check: the experiment
+//! sweeps certify their spot-checked schemes through it too.
 //!
 //! The registry contains the core algorithms (`acyclic-guarded`, `acyclic-open`,
 //! `cyclic-open`, `exhaustive`, `omega-word`, `auto`). Downstream crates implement
@@ -58,7 +59,7 @@ use bmp_flow::{suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
 use bmp_platform::{Instance, NodeId};
 use std::time::{Duration, Instant};
 
-/// Relative tolerance of the post-solve max-flow verification.
+/// Relative tolerance of [`EvalCtx::verify`].
 const VERIFY_TOL: f64 = 1e-6;
 
 /// Cost counters and timing of one [`Solver::solve`] call.
@@ -331,6 +332,28 @@ impl EvalCtx {
         min_max_on(&mut self.solver, &self.arena, 0, sinks, self.parallelism)
     }
 
+    /// Checks that `scheme` delivers at least `claimed` and returns the measured
+    /// throughput ([`EvalCtx::throughput`]): the one claim check of the crate, behind
+    /// every [`SolveRecorder::finish`] and the experiment sweeps' certification stages.
+    /// The claim holds when the measured value is within a relative `1e-6` of it.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::VerificationFailed`] with the measured value when the scheme falls
+    /// short of the claim beyond the tolerance, or with `achieved` 0 when the context's
+    /// fault script fails this check ([`FaultSite::Verify`]).
+    pub fn verify(&mut self, scheme: &BroadcastScheme, claimed: f64) -> Result<f64, CoreError> {
+        let achieved = self.throughput(scheme);
+        let injected = self.intercept_fault(FaultSite::Verify).is_some();
+        if injected || achieved + VERIFY_TOL * claimed.max(1.0) < claimed {
+            return Err(CoreError::VerificationFailed {
+                claimed,
+                achieved: if injected { 0.0 } else { achieved },
+            });
+        }
+        Ok(achieved)
+    }
+
     /// Maximum flow from the source to `receiver` in `scheme`'s weighted digraph
     /// (on the context's arena, like [`EvalCtx::throughput`]).
     pub fn max_flow_to(&mut self, scheme: &BroadcastScheme, receiver: NodeId) -> f64 {
@@ -353,23 +376,6 @@ impl EvalCtx {
         self.arena
             .rebuild(scheme.instance().num_nodes(), &self.scratch_edges);
     }
-}
-
-/// Certifies that `scheme` delivers at least `claimed` by max-flow through `ctx` and
-/// returns the measured throughput — the shared flow-certification stage of the
-/// experiment sweeps (Figure 7 worst cells, Figure 19 spot checks, depth profiling).
-///
-/// # Panics
-///
-/// Panics when the scheme under-delivers beyond a `1e-6` relative tolerance: an
-/// under-delivering scheme is a solver bug, not a data point.
-pub fn certify_throughput(ctx: &mut EvalCtx, scheme: &BroadcastScheme, claimed: f64) -> f64 {
-    let achieved = ctx.throughput(scheme);
-    assert!(
-        achieved + 1e-6 * claimed.max(1.0) >= claimed,
-        "certification failed: scheme delivers {achieved} < claimed {claimed}"
-    );
-    achieved
 }
 
 /// A broadcast scheduling algorithm with a uniform entry point.
@@ -430,14 +436,14 @@ impl SolveRecorder {
         }
     }
 
-    /// Verifies the claimed throughput by max-flow through `ctx` and assembles the
+    /// Verifies the claimed throughput through [`EvalCtx::verify`] and assembles the
     /// [`Solution`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::VerificationFailed`] when the scheme's measured throughput
-    /// falls short of `throughput` beyond the shared verification tolerance, or
-    /// [`CoreError::InjectedFault`] when the context's fault script fails this solve.
+    /// Returns [`CoreError::VerificationFailed`] when [`EvalCtx::verify`] rejects the
+    /// claim, or [`CoreError::InjectedFault`] when the context's fault script fails this
+    /// solve.
     pub fn finish(
         self,
         algorithm: &'static str,
@@ -452,15 +458,7 @@ impl SolveRecorder {
                 occurrence,
             });
         }
-        let achieved = ctx.throughput(&scheme);
-        let verify_fault = ctx.intercept_fault(FaultSite::Verify).is_some();
-        if verify_fault || achieved + VERIFY_TOL * throughput.max(1.0) < throughput {
-            return Err(CoreError::VerificationFailed {
-                algorithm,
-                claimed: throughput,
-                achieved: if verify_fault { 0.0 } else { achieved },
-            });
-        }
+        let achieved = ctx.verify(&scheme, throughput)?;
         let telemetry = self.telemetry(ctx);
         Ok(Solution {
             algorithm,
@@ -824,17 +822,48 @@ mod tests {
     }
 
     #[test]
-    fn eval_ctx_max_flow_matches_scheme_method() {
+    fn eval_ctx_max_flow_matches_a_fresh_arena_solve() {
         let instance = figure1();
         let solution = AcyclicGuardedAlgorithm
             .solve(&instance, &mut EvalCtx::new())
             .unwrap();
+        let arena = FlowArena::from_edges(instance.num_nodes(), &solution.scheme.edges());
         let mut ctx = EvalCtx::new();
         for receiver in instance.receivers() {
             assert_eq!(
                 ctx.max_flow_to(&solution.scheme, receiver),
-                solution.scheme.max_flow_to(receiver)
+                FlowSolver::new().max_flow(&arena, 0, receiver)
             );
+        }
+    }
+
+    #[test]
+    fn verify_rejects_a_shortfall_beyond_the_tolerance_with_the_measured_value() {
+        // Every registry solver handles this open-only instance. Scaling every rate
+        // scales the throughput by the same factor.
+        let instance = Instance::open_only(10.0, vec![4.0, 4.0, 1.0]).unwrap();
+        let mut ctx = EvalCtx::new();
+        for solver in registry() {
+            let solution = solver.solve(&instance, &mut ctx).unwrap();
+            let claimed = solution.throughput;
+            for (shortfall, accepted) in [(0.1 * VERIFY_TOL, true), (10.0 * VERIFY_TOL, false)] {
+                let mut scaled = solution.scheme.clone();
+                for (from, to, rate) in solution.scheme.edges() {
+                    scaled.set_rate(from, to, rate * (1.0 - shortfall));
+                }
+                let measured = ctx.throughput(&scaled);
+                let result = ctx.verify(&scaled, claimed);
+                if accepted {
+                    assert_eq!(result.unwrap(), measured, "{}", solver.name());
+                } else {
+                    assert!(
+                        matches!(result, Err(CoreError::VerificationFailed { claimed: c, achieved })
+                            if c == claimed && achieved == measured),
+                        "{}: {result:?}",
+                        solver.name()
+                    );
+                }
+            }
         }
     }
 }

@@ -181,7 +181,7 @@ fn every_solver_dichotomic_reprobe_reuses_the_arena() {
             // Degrade the source's upload: always present and always load-bearing.
             let floor = 0.9 * solution.throughput;
             let recorder = SolveRecorder::start(&ctx);
-            let tolerance = degradation_tolerance(&solution.scheme, 0, floor, &mut ctx);
+            let tolerance = degradation_tolerance(&solution.scheme, 0, floor, &mut ctx).unwrap();
             let telemetry = recorder.telemetry(&ctx);
             assert!(
                 telemetry.bisection_iters > 0,
@@ -189,7 +189,8 @@ fn every_solver_dichotomic_reprobe_reuses_the_arena() {
                 solver.name()
             );
             // The retained-arena probes must reproduce a fresh context exactly.
-            let fresh = degradation_tolerance(&solution.scheme, 0, floor, &mut EvalCtx::new());
+            let fresh =
+                degradation_tolerance(&solution.scheme, 0, floor, &mut EvalCtx::new()).unwrap();
             assert_eq!(
                 tolerance,
                 fresh,

@@ -15,9 +15,8 @@
 use crate::csvout::{telemetry_cells, telemetry_sum, CsvTable, TELEMETRY_COLUMNS};
 use crate::parallel::parallel_map_with;
 use crate::stats::Summary;
-use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_core::bounds::cyclic_upper_bound;
-use bmp_core::churn::{degradation_tolerance, repair, residual_throughput};
+use bmp_core::churn::{degradation_tolerance, repair_with, residual_throughput};
 use bmp_core::solver::{AcyclicGuardedAlgorithm, EvalCtx, SolveRecorder, Solver, Telemetry};
 use bmp_platform::distribution::NamedDistribution;
 use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
@@ -64,7 +63,7 @@ pub struct ChurnTrial {
     /// nominal rate ([`degradation_tolerance`]).
     pub degradation: f64,
     /// Evaluation cost of this trial (solve + verification + degradation probes +
-    /// residual evaluation), as counted by the worker's [`EvalCtx`].
+    /// residual evaluation + repair solve), as counted by the worker's [`EvalCtx`].
     pub telemetry: Telemetry,
 }
 
@@ -181,16 +180,18 @@ fn run_trial(
     // degrade before the overlay misses 90% of the nominal rate. The probes rebuild the
     // worker context's arena in its own buffers.
     let degradation =
-        degradation_tolerance(&solution.scheme, victim, 0.9 * solution.throughput, ctx);
+        degradation_tolerance(&solution.scheme, victim, 0.9 * solution.throughput, ctx).ok()?;
     let residual = residual_throughput(&solution.scheme, &[victim], ctx);
-    let outcome = repair(&instance, &[victim], &AcyclicGuardedSolver::default())?;
+    let plan = repair_with(&instance, &[victim], &AcyclicGuardedAlgorithm, ctx)
+        .ok()
+        .flatten()?;
     Some(ChurnTrial {
         receivers,
         kind,
         nominal: solution.throughput,
         residual,
-        repaired: outcome.solution.throughput,
-        reduced_optimum: cyclic_upper_bound(&outcome.instance),
+        repaired: plan.throughput,
+        reduced_optimum: cyclic_upper_bound(&plan.instance),
         degradation,
         telemetry: recorder.telemetry(ctx),
     })

@@ -111,7 +111,8 @@ fn measure(
     scheme: &bmp_core::scheme::BroadcastScheme,
     throughput: f64,
 ) -> Option<DepthMeasurement> {
-    bmp_core::solver::certify_throughput(ctx, scheme, throughput);
+    ctx.verify(scheme, throughput)
+        .expect("a solved scheme delivers its claimed throughput");
     let profile = depth_profile(scheme);
     Some(DepthMeasurement {
         throughput,

@@ -190,7 +190,8 @@ pub fn ratios_for_instance_with(
         let scheme = solver
             .scheme_for_word(instance, acyclic, &word)
             .expect("the dichotomic word is valid at its own throughput");
-        bmp_core::solver::certify_throughput(ctx, &scheme, acyclic);
+        ctx.verify(&scheme, acyclic)
+            .expect("the optimal acyclic scheme delivers its dichotomic throughput");
     }
     let (omega, _) = best_omega_throughput(instance, solver.tolerance);
     let theorem = theorem_word_throughput(instance, solver.tolerance);

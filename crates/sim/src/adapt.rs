@@ -27,7 +27,7 @@
 //! machine:
 //!
 //! ```text
-//!  probe: try_degradation_tolerance(victim)
+//!  probe: degradation_tolerance(victim)
 //!     │            └─ injected timeout ⇒ recorded (probe_timed_out), pipeline continues
 //!     ▼
 //!  residual of the DEPLOYED overlay over the survivors
@@ -50,7 +50,7 @@
 //! Step by step:
 //!
 //! 1. it probes how sensitive the *currently deployed* overlay is to the newest victim
-//!    ([`bmp_core::churn::try_degradation_tolerance`] — one working copy whose rates
+//!    ([`bmp_core::churn::degradation_tolerance`] — one working copy whose rates
 //!    move in place, each bisection step rebuilding the context's arena in the buffers
 //!    of the last); an injected probe timeout is recorded and survived, the residual
 //!    check below stays authoritative,
@@ -66,7 +66,8 @@
 //! 3. and only when the residual misses the configured floor re-solves the surviving
 //!    platform through the fallible, fallback-capable [`bmp_core::churn::repair_with`]
 //!    entry point, walking [`bmp_core::solver::registry`] with the retry/backoff budget
-//!    shown above.
+//!    shown above; every attempt's overlay is certified by
+//!    [`bmp_core::solver::EvalCtx::verify`] before it can be swapped in.
 //!
 //! The controller owns one long-lived [`EvalCtx`] for all of this, so arenas and flow
 //! workspaces stay warm across churn events; its [`RepairController::set_parallelism`]
@@ -94,7 +95,7 @@ use crate::events::{ChurnAction, ChurnSchedule};
 use crate::metrics::SimReport;
 use crate::overlay::Overlay;
 use crate::session::{ensure, CheckpointError, Session, SessionSnapshot};
-use bmp_core::churn::{repair_with, residual_throughput, try_degradation_tolerance, RepairPlan};
+use bmp_core::churn::{degradation_tolerance, repair_with, residual_throughput, RepairPlan};
 use bmp_core::scheme::BroadcastScheme;
 use bmp_core::solver::{registry, EvalCtx};
 use bmp_core::CoreError;
@@ -167,7 +168,7 @@ pub struct ControllerDecision {
     /// The departed receivers at that time.
     pub departed: Vec<NodeId>,
     /// Degradation tolerance of the newest victim
-    /// ([`bmp_core::churn::try_degradation_tolerance`]), probed on the overlay that was
+    /// ([`bmp_core::churn::degradation_tolerance`]), probed on the overlay that was
     /// deployed at decision time (1.0 when the departed set was empty — a pure rejoin —
     /// or when the probe was timed out by an injected fault).
     pub victim_tolerance: f64,
@@ -505,7 +506,7 @@ impl AdaptationPolicy for RepairController {
         let (victim_tolerance, probe_timed_out) = match victim {
             None => (1.0, false),
             Some(victim) => {
-                match try_degradation_tolerance(&self.deployed, victim, self.floor, &mut self.ctx) {
+                match degradation_tolerance(&self.deployed, victim, self.floor, &mut self.ctx) {
                     Ok(tolerance) => (tolerance, false),
                     Err(_) => (1.0, true),
                 }

@@ -58,29 +58,27 @@ impl GreedyPacking {
 /// would indicate a bug rather than a property of the input).
 pub fn greedy_packing(scheme: &BroadcastScheme) -> Result<GreedyPacking, TreesError> {
     let n = scheme.instance().num_nodes();
-    let mut residual = vec![0.0_f64; n * n];
-    for (u, v, rate) in scheme.edges() {
-        residual[u * n + v] = rate;
-    }
+    // One residual capacity per scheme edge, in the order of the scheme's sorted rows.
+    let edges = scheme.edges();
+    let mut residual: Vec<f64> = edges.iter().map(|&(_, _, rate)| rate).collect();
 
     let mut trees: Vec<Arborescence> = Vec::new();
     let mut total = 0.0_f64;
-    while let Some(parent) = bfs_arborescence(&residual, n) {
+    while let Some(tree) = bfs_arborescence(&edges, &residual, n) {
         // Bottleneck of this tree in the residual capacities.
-        let bottleneck = parent
+        let bottleneck = tree
             .iter()
-            .enumerate()
-            .filter_map(|(v, p)| p.map(|u| residual[u * n + v]))
+            .flatten()
+            .map(|&(_, edge)| residual[edge])
             .fold(f64::INFINITY, f64::min);
         if !bottleneck.is_finite() || bottleneck <= RATE_EPS {
             break;
         }
-        for (v, p) in parent.iter().enumerate() {
-            if let Some(u) = p {
-                residual[u * n + v] -= bottleneck;
-            }
+        for &(_, edge) in tree.iter().flatten() {
+            residual[edge] -= bottleneck;
         }
         total += bottleneck;
+        let parent = tree.iter().map(|link| link.map(|(u, _)| u)).collect();
         trees.push(Arborescence::new(parent, bottleneck)?);
     }
 
@@ -91,27 +89,32 @@ pub fn greedy_packing(scheme: &BroadcastScheme) -> Result<GreedyPacking, TreesEr
     })
 }
 
-/// Breadth-first spanning arborescence over the residual edges, or `None` when some receiver
-/// is unreachable from the source.
-fn bfs_arborescence(residual: &[f64], n: usize) -> Option<Vec<Option<NodeId>>> {
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+/// Breadth-first spanning arborescence over the residual edges, as each node's
+/// `(parent, edge index)` (`None` at the source), or `None` when some receiver is
+/// unreachable from the source.
+fn bfs_arborescence(
+    edges: &[(NodeId, NodeId, f64)],
+    residual: &[f64],
+    n: usize,
+) -> Option<Vec<Option<(NodeId, usize)>>> {
+    let mut parent: Vec<Option<(NodeId, usize)>> = vec![None; n];
     let mut visited = vec![false; n];
     visited[0] = true;
     let mut queue = VecDeque::from([0usize]);
     while let Some(u) = queue.pop_front() {
-        for v in 0..n {
-            if !visited[v] && residual[u * n + v] > RATE_EPS {
+        // `edges` is row-major: `u`'s edges are one run, in ascending receiver order.
+        let first = edges.partition_point(|&(from, _, _)| from < u);
+        let end = edges.partition_point(|&(from, _, _)| from <= u);
+        for edge in first..end {
+            let v = edges[edge].1;
+            if !visited[v] && residual[edge] > RATE_EPS {
                 visited[v] = true;
-                parent[v] = Some(u);
+                parent[v] = Some((u, edge));
                 queue.push_back(v);
             }
         }
     }
-    if visited.iter().all(|&v| v) {
-        Some(parent)
-    } else {
-        None
-    }
+    visited.iter().all(|&v| v).then_some(parent)
 }
 
 #[cfg(test)]

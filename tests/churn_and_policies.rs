@@ -2,7 +2,8 @@
 //! the static residual-throughput analysis of `bmp-core` agrees with the dynamic behaviour of
 //! `bmp-sim` under injected departures, and every push policy sustains the overlay's rate.
 
-use bmp::core::churn::{repair, residual_throughput};
+use bmp::core::churn::{repair_with, residual_throughput};
+use bmp::core::solver::AcyclicGuardedAlgorithm;
 use bmp::platform::distribution::NamedDistribution;
 use bmp::platform::generator::{GeneratorConfig, InstanceGenerator};
 use bmp::prelude::*;
@@ -94,23 +95,38 @@ fn repair_restores_the_optimum_of_the_surviving_platform() {
         .max_by_key(|&node| solution.scheme.outdegree(node))
         .unwrap();
 
-    let outcome = repair(&instance, &[victim], &solver).unwrap();
-    assert!(outcome.solution.scheme.is_feasible());
+    let plan = repair_with(
+        &instance,
+        &[victim],
+        &AcyclicGuardedAlgorithm,
+        &mut EvalCtx::new(),
+    )
+    .unwrap()
+    .unwrap();
+    let mut deployed = BroadcastScheme::new(instance.clone());
+    for &(from, to, rate) in &plan.edges {
+        deployed.set_rate(from, to, rate);
+    }
+    assert!(deployed.is_feasible());
     // The repaired overlay is the solver's optimum on the reduced platform, hence at least
     // 5/7 of the reduced cyclic optimum.
-    let reduced_cyclic = bmp::core::bounds::cyclic_upper_bound(&outcome.instance);
-    assert!(
-        outcome.solution.throughput >= bmp::core::bounds::five_sevenths() * reduced_cyclic - 1e-6
-    );
+    let reduced_cyclic = bmp::core::bounds::cyclic_upper_bound(&plan.instance);
+    assert!(plan.throughput >= bmp::core::bounds::five_sevenths() * reduced_cyclic - 1e-6);
 
-    // And it streams: the simulator delivers on the repaired overlay.
+    // And it streams: the simulator delivers on the repaired overlay, which still
+    // addresses the full platform, to every survivor of the departure.
     let config = SimConfig {
         num_chunks: 200,
         ..SimConfig::default()
     }
-    .scaled_to(outcome.solution.throughput, 2.0);
-    let report = Simulator::new(Overlay::from_scheme(&outcome.solution.scheme), config).run();
-    assert!(report.all_completed());
+    .scaled_to(plan.throughput, 2.0);
+    let churn = ChurnSchedule::departures_at(0.0, &[victim]);
+    let report = Simulator::new(Overlay::new(instance.num_nodes(), plan.edges), config)
+        .with_churn(churn.clone())
+        .run();
+    for node in churn.surviving_receivers(instance.num_nodes()) {
+        assert!(report.completion_time[node].is_some(), "survivor {node}");
+    }
 }
 
 #[test]
