@@ -22,8 +22,8 @@ use bmp_platform::distribution::UniformBandwidth;
 use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
 use bmp_platform::Instance;
 use bmp_sim::{
-    AdaptationPolicy, ChunkBitset, FaultPlan, Overlay, RepairController, Session, SimConfig,
-    Simulator,
+    run_adaptive, AdaptationPolicy, ChunkBitset, ChurnSchedule, FaultPlan, Overlay,
+    RepairController, Session, SimConfig, StaticPolicy,
 };
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -55,9 +55,15 @@ fn bench_simulation(c: &mut Criterion) {
             &(overlay, sim_config),
             |b, (overlay, sim_config)| {
                 b.iter(|| {
-                    Simulator::new(overlay.clone(), *sim_config)
-                        .run()
-                        .worst_progress()
+                    run_adaptive(
+                        overlay.clone(),
+                        *sim_config,
+                        &ChurnSchedule::empty(),
+                        &mut StaticPolicy,
+                        throughput,
+                    )
+                    .report
+                    .worst_progress()
                 })
             },
         );

@@ -1,15 +1,22 @@
 //! Chunk-policy ablation: delivery time of the same overlay under the four push policies
 //! (random-useful — the one analysed by Massoulié et al. —, sequential, latest-useful and
-//! rarest-first), plus the overhead of churn handling and progress tracing in the engine.
+//! rarest-first), plus the overhead of churn handling in the one session driver.
 
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_platform::distribution::UniformBandwidth;
 use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
-use bmp_sim::{ChunkPolicy, ChurnSchedule, Overlay, SimConfig, Simulator};
+use bmp_sim::{run_adaptive, ChunkPolicy, ChurnSchedule, Overlay, SimConfig, StaticPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
+
+/// Rounds a whole frozen-overlay broadcast under `churn` takes.
+fn rounds(overlay: &Overlay, config: SimConfig, churn: &ChurnSchedule) -> usize {
+    run_adaptive(overlay.clone(), config, churn, &mut StaticPolicy, 0.0)
+        .report
+        .rounds_run
+}
 
 fn overlay_and_config() -> (Overlay, SimConfig, f64) {
     let config = GeneratorConfig::new(30, 0.7).unwrap();
@@ -41,7 +48,7 @@ fn bench_policies(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(policy.label()),
             &config,
-            |b, config| b.iter(|| Simulator::new(overlay.clone(), *config).run().rounds_run),
+            |b, config| b.iter(|| rounds(&overlay, *config, &ChurnSchedule::empty())),
         );
     }
     group.finish();
@@ -54,25 +61,12 @@ fn bench_engine_features(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     let (overlay, config, throughput) = overlay_and_config();
     group.bench_function("plain_run", |b| {
-        b.iter(|| Simulator::new(overlay.clone(), config).run().rounds_run)
-    });
-    group.bench_function("traced_run", |b| {
-        b.iter(|| {
-            Simulator::new(overlay.clone(), config)
-                .run_traced(10)
-                .1
-                .len()
-        })
+        b.iter(|| rounds(&overlay, config, &ChurnSchedule::empty()))
     });
     let horizon = 200.0 * config.chunk_size / throughput;
     let churn = ChurnSchedule::departures_at(0.5 * horizon, &[overlay.num_nodes() - 1]);
     group.bench_function("run_with_churn", |b| {
-        b.iter(|| {
-            Simulator::new(overlay.clone(), config)
-                .with_churn(churn.clone())
-                .run()
-                .rounds_run
-        })
+        b.iter(|| rounds(&overlay, config, &churn))
     });
     group.finish();
 }

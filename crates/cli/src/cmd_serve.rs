@@ -84,7 +84,8 @@ const RESUME_CONFLICTS: &[&str] = &[
     "--wedge-session",
 ];
 
-/// Parses a `START:SPACING:WAVES` churn feed specification.
+/// Parses a `START:SPACING:WAVES` churn feed specification; the ranges are
+/// [`FleetConfig::validate`]'s to check, shared with resumed checkpoints.
 fn parse_churn(raw: &str) -> Result<ChurnConfig, CliError> {
     let parts: Vec<&str> = raw.split(':').collect();
     if parts.len() != 3 {
@@ -104,11 +105,6 @@ fn parse_churn(raw: &str) -> Result<ChurnConfig, CliError> {
         .trim()
         .parse()
         .map_err(|_| CliError::Usage(format!("invalid churn wave count {:?}", parts[2])))?;
-    if !start.is_finite() || start < 0.0 || spacing <= 0.0 || !spacing.is_finite() {
-        return Err(CliError::Usage(format!(
-            "churn spec {raw:?}: start must be non-negative and spacing positive"
-        )));
-    }
     Ok(ChurnConfig {
         start,
         spacing,
@@ -578,6 +574,24 @@ mod tests {
                 "fleet config: ",
                 "checkpoint cadence",
             ),
+            (
+                &["config", "churn", "spacing"],
+                0,
+                "fleet config: ",
+                "churn spacing",
+            ),
+            (
+                &["config", "admission", "capacity"],
+                -5,
+                "fleet config: ",
+                "admission capacity",
+            ),
+            (
+                &["config", "admission", "max_sessions"],
+                1,
+                "admission log: ",
+                "recomputed from the fleet config",
+            ),
         ] {
             std::fs::write(&checkpoint, &original).unwrap();
             edit_json(&checkpoint, |fleet| {
@@ -627,6 +641,11 @@ mod tests {
             vec!["--receivers".to_string(), "1".into()],
             vec!["--churn".to_string(), "4:3".into()],
             vec!["--churn".to_string(), "4:-1:2".into()],
+            vec!["--churn".to_string(), "4:0:2".into()],
+            vec!["--churn".to_string(), "-1:3:2".into()],
+            vec!["--churn".to_string(), "1:1:99999999999".into()],
+            vec!["--capacity".to_string(), "nan".into()],
+            vec!["--capacity".to_string(), "-1".into()],
             vec!["--repair-algorithm".to_string(), "frobnicate".into()],
             vec!["--fault-plan".to_string(), "bogus".into()],
             vec!["--fault-plan".to_string(), "storm:abc".into()],

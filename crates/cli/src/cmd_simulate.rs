@@ -1,13 +1,15 @@
 //! `simulate` — run the chunk-level streaming simulator on a broadcast scheme.
 //!
-//! Two modes share the flag surface:
+//! Every run steps one driver, [`bmp_sim::AdaptiveRun`], under an adaptation policy;
+//! the flags choose what it sees:
 //!
-//! * **frozen overlay** (no `--churn`): the classic one-shot validation run, with
-//!   optional progress tracing;
-//! * **closed loop** (`--churn SPEC`): the session engine applies the churn trace and an
-//!   adaptation policy — the static baseline by default, the
-//!   re-solve-and-hot-swap controller with `--repair` — and reports *delivered* goodput
-//!   against the nominal throughput, plus the controller's decision log and telemetry.
+//! * **frozen overlay** (no `--churn`): an empty churn schedule under the static policy
+//!   — the one-shot validation run, with optional progress tracing (`--trace` samples
+//!   the worst receiver every 50 rounds and after the final round);
+//! * **closed loop** (`--churn SPEC`): the driver applies the churn trace — the static
+//!   baseline by default, the re-solve-and-hot-swap controller with `--repair` — and
+//!   reports *delivered* goodput against the nominal throughput, plus the controller's
+//!   decision log and telemetry.
 //!
 //! The overlay comes from a `--scheme` file: `solve --out FILE` writes one. Repair
 //! probes take [`bmp_core::solver::EvalCtx`]'s automatic flow fan-out, which changes
@@ -25,9 +27,24 @@ use crate::files;
 use bmp_core::scheme::BroadcastScheme;
 use bmp_sim::{
     AdaptiveRun, ChunkPolicy, ChurnAction, ChurnEvent, ChurnSchedule, Overlay, RepairController,
-    SessionOutcome, SimConfig, Simulator, SourceMode, StaticPolicy,
+    Session, SessionOutcome, SimConfig, SourceMode, StaticPolicy,
 };
 use std::io::Write;
+
+/// Rounds between two `--trace` samples of the worst receiver's progress.
+const TRACE_EVERY: usize = 50;
+
+/// The `--trace` sample of `session` after its latest round: the simulated time and
+/// the slowest receiver's share of the message.
+fn worst_progress(session: &Session) -> (f64, f64) {
+    let num_chunks = session.config().num_chunks;
+    let min_chunks = session.counts()[1..]
+        .iter()
+        .copied()
+        .min()
+        .unwrap_or(num_chunks);
+    (session.time(), min_chunks as f64 / num_chunks as f64)
+}
 
 pub(crate) fn parse_policy(raw: &str) -> Result<ChunkPolicy, CliError> {
     match raw.to_ascii_lowercase().as_str() {
@@ -228,17 +245,20 @@ fn parse_checkpointing<'a>(
     })
 }
 
-/// Steps the closed loop to completion — or to the `--halt-after` crash point — writing
-/// checkpoints on the configured cadence (and always at the halt point, so a crash
-/// never loses more than the final partial round). Returns whether the run finished.
+/// Steps the run to completion — or to the `--halt-after` crash point — calling
+/// `after_round` on the session after every round and writing checkpoints on the
+/// configured cadence (and always at the halt point, so a crash never loses more than
+/// the final partial round). Returns whether the run finished.
 fn drive(
     run: &mut AdaptiveRun,
     kind: &mut PolicyKind,
     checkpointing: &Checkpointing<'_>,
+    mut after_round: impl FnMut(&Session),
 ) -> Result<bool, CliError> {
     let mut since_checkpoint = 0usize;
     loop {
         let finished = kind.step(run);
+        after_round(run.session());
         since_checkpoint += 1;
         let halted = !finished
             && checkpointing
@@ -347,7 +367,7 @@ fn run_resumed<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         run.session().rounds_run(),
         kind.label()
     )?;
-    let finished = drive(&mut run, &mut kind, &checkpointing)?;
+    let finished = drive(&mut run, &mut kind, &checkpointing, |_| {})?;
     finish_closed_loop(
         &run,
         &kind,
@@ -513,28 +533,44 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
 
     let checkpointing = parse_checkpointing(args, churn.is_some())?;
 
-    if let Some(churn) = churn {
-        // Closed-loop run: the session engine plus an adaptation policy, stepped
-        // through the crash-safe driver so checkpoints can be cut between rounds.
-        let mut kind = if args.has("--repair") {
-            let mut controller =
-                RepairController::new(scheme.instance().clone(), scheme.clone(), nominal, floor);
-            controller.set_repair_algorithm(repair_algorithm.map(str::to_string));
-            PolicyKind::Repair(Box::new(controller))
-        } else {
-            PolicyKind::Static(StaticPolicy)
-        };
-        writeln!(
-            out,
-            "simulating {} chunks over {} edges (policy {}, nominal throughput {:.4}, adaptation {})",
-            config.num_chunks,
-            overlay.edges().len(),
-            config.policy.label(),
-            nominal,
-            kind.label()
-        )?;
-        let mut run = AdaptiveRun::new(overlay, config, churn, nominal);
-        let finished = drive(&mut run, &mut kind, &checkpointing)?;
+    // One driver for every run: the session engine under an adaptation policy, stepped
+    // through the crash-safe loop so checkpoints can be cut between rounds. A run
+    // without `--churn` is the static policy over an empty schedule (a frozen overlay).
+    let mut kind = if args.has("--repair") {
+        let mut controller =
+            RepairController::new(scheme.instance().clone(), scheme.clone(), nominal, floor);
+        controller.set_repair_algorithm(repair_algorithm.map(str::to_string));
+        PolicyKind::Repair(Box::new(controller))
+    } else {
+        PolicyKind::Static(StaticPolicy)
+    };
+    let closed_loop = churn.is_some();
+    write!(
+        out,
+        "simulating {} chunks over {} edges (policy {}, nominal throughput {:.4}",
+        config.num_chunks,
+        overlay.edges().len(),
+        config.policy.label(),
+        nominal
+    )?;
+    if closed_loop {
+        write!(out, ", adaptation {}", kind.label())?;
+    }
+    writeln!(out, ")")?;
+    let mut run = AdaptiveRun::new(
+        overlay,
+        config,
+        churn.unwrap_or_else(ChurnSchedule::empty),
+        nominal,
+    );
+    let trace = args.has("--trace");
+    let mut samples = Vec::new();
+    let finished = drive(&mut run, &mut kind, &checkpointing, |session| {
+        if trace && session.rounds_run().is_multiple_of(TRACE_EVERY) {
+            samples.push(worst_progress(session));
+        }
+    })?;
+    if closed_loop {
         return finish_closed_loop(
             &run,
             &kind,
@@ -544,31 +580,18 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             out,
         );
     }
+    if trace && !run.session().rounds_run().is_multiple_of(TRACE_EVERY) {
+        samples.push(worst_progress(run.session()));
+    }
+    for (time, progress) in samples {
+        writeln!(
+            out,
+            "  t = {time:>8.2}  worst progress {:.1}%",
+            progress * 100.0
+        )?;
+    }
 
-    let simulator = Simulator::new(overlay, config);
-    writeln!(
-        out,
-        "simulating {} chunks over {} edges (policy {}, nominal throughput {:.4})",
-        config.num_chunks,
-        simulator.overlay().edges().len(),
-        config.policy.label(),
-        nominal
-    )?;
-
-    let report = if args.has("--trace") {
-        let (report, trace) = simulator.run_traced(50);
-        for (time, progress) in trace.worst_progress_series() {
-            writeln!(
-                out,
-                "  t = {time:>8.2}  worst progress {:.1}%",
-                progress * 100.0
-            )?;
-        }
-        report
-    } else {
-        simulator.run()
-    };
-
+    let report = run.session().report();
     writeln!(out, "rounds simulated : {}", report.rounds_run)?;
     writeln!(out, "all completed    : {}", report.all_completed())?;
     match report.min_achieved_rate() {
@@ -693,6 +716,43 @@ mod tests {
         .unwrap();
         assert!(output.contains("policy rarest-first"));
         assert!(output.contains("worst progress"));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn trace_samples_every_fifty_rounds_and_the_final_round() {
+        let path = scheme_path();
+        let args = |trace: bool| {
+            let mut args = vec!["--scheme".to_string(), path.clone()];
+            args.extend(trace.then(|| "--trace".to_string()));
+            run_args(args).unwrap()
+        };
+        let (traced, plain) = (args(true), args(false));
+        let (samples, report): (Vec<&str>, Vec<&str>) = traced
+            .lines()
+            .partition(|line| line.contains("worst progress"));
+        assert_eq!(report, plain.lines().collect::<Vec<_>>());
+        let rounds: usize = plain
+            .lines()
+            .find_map(|line| line.strip_prefix("rounds simulated : "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert!(
+            rounds > 2 * TRACE_EVERY && !rounds.is_multiple_of(TRACE_EVERY),
+            "{rounds}"
+        );
+        let round_duration = SimConfig::default().round_duration;
+        let mut expected: Vec<usize> = (1..=rounds / TRACE_EVERY)
+            .map(|k| k * TRACE_EVERY)
+            .collect();
+        expected.push(rounds);
+        assert_eq!(samples.len(), expected.len(), "{traced}");
+        for (line, round) in samples.iter().zip(&expected) {
+            let time = format!("t = {:>8.2}", *round as f64 * round_duration);
+            assert!(line.contains(&time), "{line} should sample round {round}");
+        }
+        assert!(samples.last().unwrap().ends_with("worst progress 100.0%"));
         std::fs::remove_file(path).ok();
     }
 

@@ -1,15 +1,16 @@
 //! Command-line interface to the bounded multi-port broadcast toolkit.
 //!
-//! The binary (`bmp-cli`) exposes the full pipeline a platform operator would run:
+//! The binary (`bmp`, built from this `bmp-cli` crate) exposes the full pipeline a platform
+//! operator would run:
 //!
 //! ```text
-//! bmp-cli generate  --receivers 100 --open-prob 0.7 --dist plab --out platform.json
-//! bmp-cli bounds    --instance platform.json
-//! bmp-cli solve     --instance platform.json --out overlay.json --dot overlay.dot
-//! bmp-cli verify    --scheme overlay.json
-//! bmp-cli decompose --scheme overlay.json --message 1000
-//! bmp-cli simulate  --scheme overlay.json --chunks 500 --policy rarest
-//! bmp-cli export    --scheme overlay.json --format degrees
+//! bmp generate  --receivers 100 --open-prob 0.7 --dist plab --out platform.json
+//! bmp bounds    --instance platform.json
+//! bmp solve     --instance platform.json --out overlay.json --dot overlay.dot
+//! bmp verify    --scheme overlay.json
+//! bmp decompose --scheme overlay.json --message 1000
+//! bmp simulate  --scheme overlay.json --chunks 500 --policy rarest
+//! bmp export    --scheme overlay.json --format degrees
 //! ```
 //!
 //! Every subcommand lives in its own module and is unit-tested through the same [`run`] entry
@@ -37,9 +38,9 @@ use std::io::Write;
 
 /// Usage text printed by `help` and on unknown commands.
 pub const USAGE: &str = "\
-bmp-cli — broadcasting under the bounded multi-port model
+bmp — broadcasting under the bounded multi-port model
 
-USAGE: bmp-cli <command> [flags]
+USAGE: bmp <command> [flags]
 
 COMMANDS:
   generate   sample a random platform instance          (--receivers, --open-prob, --dist, --seed, --source, --out)
@@ -47,8 +48,8 @@ COMMANDS:
   solve      compute a low-degree broadcast overlay     (--instance, --algorithm, --tolerance, --out, --dot)
   verify     check a scheme's constraints and degrees   (--scheme, --throughput)
   decompose  split a scheme into weighted broadcast trees  (--scheme, --throughput, --message, --out)
-  simulate   run the chunk-level streaming simulator    (--scheme, --chunks, --policy, --seed, --jitter, --live,
-             and the closed-loop session engine          --trace, --churn SPEC, --repair, --repair-algorithm,
+  simulate   step a scheme's broadcast in the session   (--scheme, --chunks, --policy, --seed, --jitter, --live,
+             engine: frozen, or under churn and repair   --trace, --churn SPEC, --repair, --repair-algorithm,
                                                          --floor, --checkpoint FILE, --checkpoint-every,
                                                          --halt-after, --resume FILE, --report FILE)
   serve      run a sharded multi-session broadcast fleet  (--sessions, --shards, --receivers, --chunks, --seed,
@@ -78,6 +79,9 @@ A `--scheme` file that violates its constraints is refused; `verify` lists the
 violations.
 ";
 
+/// The hint the `bmp` binary prints under every error.
+pub const USAGE_HINT: &str = "run `bmp help` for usage";
+
 /// Parses `args` (excluding the binary name) and runs the corresponding subcommand, writing
 /// human-readable output to `out`.
 ///
@@ -105,7 +109,7 @@ pub fn run<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
             Ok(())
         }
         other => Err(CliError::Usage(format!(
-            "unknown command {other:?}; run `bmp-cli help` for the command list"
+            "unknown command {other:?}; run `bmp help` for the command list"
         ))),
     }
 }
@@ -125,6 +129,16 @@ mod tests {
     fn help_is_printed_for_empty_and_help_commands() {
         assert!(run_strings(&[]).unwrap().contains("USAGE"));
         assert!(run_strings(&["help"]).unwrap().contains("COMMANDS"));
+    }
+
+    #[test]
+    fn usage_and_hints_name_the_bmp_binary() {
+        assert!(USAGE.starts_with("bmp — "), "{USAGE}");
+        assert!(USAGE.contains("\nUSAGE: bmp <command> [flags]\n"));
+        assert_eq!(USAGE_HINT, "run `bmp help` for usage");
+        let err = run_strings(&["frobnicate"]).unwrap_err().to_string();
+        assert!(err.contains("run `bmp help`"), "{err}");
+        assert!(!USAGE.contains("bmp-cli") && !err.contains("bmp-cli"));
     }
 
     #[test]

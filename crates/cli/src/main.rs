@@ -1,4 +1,4 @@
-//! `bmp-cli` binary entry point: a thin wrapper around [`bmp_cli::run`].
+//! `bmp` binary entry point: a thin wrapper around [`bmp_cli::run`].
 
 use std::process::ExitCode;
 
@@ -9,7 +9,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("{error}");
-            eprintln!("run `bmp-cli help` for usage");
+            eprintln!("{}", bmp_cli::USAGE_HINT);
             ExitCode::FAILURE
         }
     }

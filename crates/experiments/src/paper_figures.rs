@@ -6,7 +6,7 @@ use bmp_core::scheme::BroadcastScheme;
 use bmp_core::solver::{AcyclicGuardedAlgorithm, EvalCtx, Solver, Telemetry};
 use bmp_core::word::CodingWord;
 use bmp_platform::paper::figure1;
-use bmp_sim::{Overlay, SimConfig, Simulator};
+use bmp_sim::{run_adaptive, ChurnSchedule, Overlay, SimConfig, StaticPolicy};
 
 /// The Figure 1/2/5 reproduction bundle.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +46,14 @@ pub fn run() -> PaperFiguresReport {
         round_duration: 0.25,
         ..SimConfig::default()
     };
-    let report = Simulator::new(overlay, sim_config).run();
+    let report = run_adaptive(
+        overlay,
+        sim_config,
+        &ChurnSchedule::empty(),
+        &mut StaticPolicy,
+        measured_throughput,
+    )
+    .report;
     let simulated_rate = report.min_achieved_rate().unwrap_or(0.0);
     PaperFiguresReport {
         cyclic_optimum,

@@ -12,7 +12,7 @@ use crate::stats::Summary;
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_platform::distribution::NamedDistribution;
 use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
-use bmp_sim::{ChunkPolicy, Overlay, SimConfig, Simulator};
+use bmp_sim::{run_adaptive, ChunkPolicy, ChurnSchedule, Overlay, SimConfig, StaticPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -79,7 +79,14 @@ fn run_trial(receivers: usize, policy: ChunkPolicy, seed: u64) -> Option<(f64, b
         ..SimConfig::default()
     }
     .scaled_to(solution.throughput, 2.0);
-    let report = Simulator::new(Overlay::from_scheme(&solution.scheme), sim_config).run();
+    let report = run_adaptive(
+        Overlay::from_scheme(&solution.scheme),
+        sim_config,
+        &ChurnSchedule::empty(),
+        &mut StaticPolicy,
+        solution.throughput,
+    )
+    .report;
     match report.min_achieved_rate() {
         Some(rate) => Some((rate / solution.throughput, true)),
         // A starved run counts as rate 0 (its partial progress is reflected by the

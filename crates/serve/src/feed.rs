@@ -11,6 +11,11 @@ use crate::mix_seed;
 use bmp_sim::{ChurnSchedule, FaultPlan};
 use serde::{Deserialize, Serialize};
 
+/// Most departure waves one session's churn schedule may hold
+/// ([`crate::FleetConfig::validate`] refuses more): each wave is two scheduled events,
+/// materialized up front for every session.
+pub const MAX_CHURN_WAVES: usize = 1_000;
+
 /// Per-fleet churn parameters, expanded per session by [`ChurnFeed`]. Serializable so
 /// a fleet checkpoint can embed the feed configuration it was running under.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

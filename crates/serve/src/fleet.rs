@@ -16,8 +16,8 @@
 //! restart is bit-exact, so co-residency (a shard-layout artifact) never leaks into
 //! any result.
 
-use crate::admission::{AdmissionPolicy, AdmissionVerdict};
-use crate::feed::{ChurnConfig, ChurnFeed};
+use crate::admission::{AdmissionDecision, AdmissionPolicy, AdmissionVerdict};
+use crate::feed::{ChurnConfig, ChurnFeed, MAX_CHURN_WAVES};
 use crate::metrics::{FleetMetrics, FleetReport, SessionStats};
 use crate::mix_seed;
 use crate::supervise::{
@@ -99,8 +99,11 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// Checks that the configuration can run: at least one session and one shard, at
-    /// least two receivers and one chunk per session, a floor in `(0, 1]` and a
-    /// per-session checkpoint cadence of at least one round.
+    /// least two receivers and one chunk per session, a floor in `(0, 1]`, a finite,
+    /// non-negative admission capacity, a churn feed with a finite, non-negative start,
+    /// a finite, positive spacing and at most [`MAX_CHURN_WAVES`] waves, and a
+    /// per-session checkpoint cadence of at least one round. Command-line flags and
+    /// resumed checkpoints share this one check.
     ///
     /// # Errors
     ///
@@ -119,6 +122,24 @@ impl FleetConfig {
                 "the repair floor must lie in (0, 1]",
             ),
             (
+                self.admission
+                    .capacity
+                    .is_none_or(|capacity| capacity.is_finite() && capacity >= 0.0),
+                "the admission capacity must be finite and non-negative",
+            ),
+            (
+                self.churn.start.is_finite() && self.churn.start >= 0.0,
+                "the churn start must be finite and non-negative",
+            ),
+            (
+                self.churn.spacing.is_finite() && self.churn.spacing > 0.0,
+                "the churn spacing must be finite and positive",
+            ),
+            (
+                self.churn.waves <= MAX_CHURN_WAVES,
+                "the churn feed allows at most 1000 waves per session",
+            ),
+            (
                 self.supervision.checkpoint_rounds >= 1,
                 "the per-session checkpoint cadence must be at least one round",
             ),
@@ -126,6 +147,39 @@ impl FleetConfig {
         .into_iter()
         .find_map(|(ok, message)| (!ok).then_some(message))
         .map_or(Ok(()), Err)
+    }
+}
+
+/// The coordinator's plan of a fleet, a pure function of its config: every session's
+/// seed and platform, and the admission log decided over the platforms' loads — all in
+/// session-id order.
+pub(crate) struct FleetPlan {
+    seeds: Vec<u64>,
+    instances: Vec<Instance>,
+    pub(crate) admissions: Vec<AdmissionDecision>,
+}
+
+impl FleetPlan {
+    /// Derives the seeds, generates the platforms and decides admission for `config`,
+    /// which must pass [`FleetConfig::validate`].
+    pub(crate) fn new(config: &FleetConfig) -> Self {
+        let generator = InstanceGenerator::new(
+            GeneratorConfig::new(config.receivers, 0.7).expect("valid generator config"),
+            UniformBandwidth::unif100(),
+        );
+        let seeds: Vec<u64> = (0..config.sessions)
+            .map(|session| mix_seed(config.seed, session as u64))
+            .collect();
+        let instances: Vec<Instance> = seeds
+            .iter()
+            .map(|&seed| generator.generate(&mut StdRng::seed_from_u64(seed)))
+            .collect();
+        let loads: Vec<f64> = instances.iter().map(session_load).collect();
+        FleetPlan {
+            admissions: config.admission.decide(&loads),
+            seeds,
+            instances,
+        }
     }
 }
 
@@ -608,8 +662,8 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
 /// # Panics
 ///
 /// As [`run_fleet`]; additionally if a resume checkpoint fails
-/// [`FleetCheckpoint::validate`], disagrees with `config` in anything but the shard
-/// count, or its admission log does not match the one recomputed from the config.
+/// [`FleetCheckpoint::validate`] (which recomputes its admission log from the embedded
+/// config) or disagrees with `config` in anything but the shard count.
 #[must_use]
 pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetRun {
     if let Err(message) = config.validate() {
@@ -623,19 +677,11 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
     } = options;
     // Coordinator: derive seeds, generate platforms, decide admission — all in
     // session-id order, before any shard thread exists.
-    let generator = InstanceGenerator::new(
-        GeneratorConfig::new(config.receivers, 0.7).expect("valid generator config"),
-        UniformBandwidth::unif100(),
-    );
-    let mut instances = Vec::with_capacity(config.sessions);
-    let mut seeds = Vec::with_capacity(config.sessions);
-    for session in 0..config.sessions {
-        let seed = mix_seed(config.seed, session as u64);
-        seeds.push(seed);
-        instances.push(generator.generate(&mut StdRng::seed_from_u64(seed)));
-    }
-    let loads: Vec<f64> = instances.iter().map(session_load).collect();
-    let admissions = config.admission.decide(&loads);
+    let FleetPlan {
+        seeds,
+        instances,
+        admissions,
+    } = FleetPlan::new(config);
 
     let (mut wave, mut completed, mut quarantined, mut pending) = match resume {
         Some(checkpoint) => {
@@ -644,11 +690,11 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
             }
             let FleetCheckpoint {
                 config: saved,
-                admissions: saved_admissions,
                 next_wave,
                 completed,
                 quarantined,
                 pending,
+                ..
             } = checkpoint;
             let mut reconciled = saved;
             reconciled.shards = config.shards;
@@ -656,11 +702,6 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
                 &reconciled, config,
                 "resume: the checkpoint was taken under a different fleet \
                  configuration (only the shard count may change)"
-            );
-            assert_eq!(
-                saved_admissions, admissions,
-                "resume: the checkpoint's admission log does not match the one \
-                 recomputed from the configuration"
             );
             (next_wave, completed, quarantined, pending)
         }
@@ -801,6 +842,55 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_names_the_first_unrunnable_field() {
+        let base = FleetConfig::default();
+        let churn = |start, spacing, waves| FleetConfig {
+            churn: ChurnConfig {
+                start,
+                spacing,
+                waves,
+            },
+            ..base.clone()
+        };
+        let capacity = |capacity| FleetConfig {
+            admission: AdmissionPolicy {
+                capacity: Some(capacity),
+                ..AdmissionPolicy::default()
+            },
+            ..base.clone()
+        };
+        for (config, field) in [
+            (capacity(f64::NAN), "admission capacity"),
+            (capacity(-1.0), "admission capacity"),
+            (capacity(f64::INFINITY), "admission capacity"),
+            (churn(-1.0, 3.0, 2), "churn start"),
+            (churn(f64::NAN, 3.0, 2), "churn start"),
+            (churn(4.0, 0.0, 2), "churn spacing"),
+            (churn(4.0, f64::INFINITY, 2), "churn spacing"),
+            (churn(4.0, f64::NAN, 2), "churn spacing"),
+            (
+                FleetConfig {
+                    floor: f64::NAN,
+                    ..base.clone()
+                },
+                "repair floor",
+            ),
+        ] {
+            let message = config.validate().unwrap_err();
+            assert!(message.contains(field), "{field}: {message}");
+        }
+        let too_many = churn(4.0, 3.0, MAX_CHURN_WAVES + 1).validate().unwrap_err();
+        assert!(too_many.contains(&format!("at most {MAX_CHURN_WAVES} waves")));
+        for config in [
+            base.clone(),
+            capacity(0.0),
+            churn(0.0, 1.0, MAX_CHURN_WAVES),
+        ] {
+            assert_eq!(config.validate(), Ok(()), "{config:?}");
+        }
+    }
 
     #[test]
     fn a_tiny_fleet_runs_and_reports_in_session_order() {

@@ -123,7 +123,7 @@ pub mod metrics;
 pub mod supervise;
 
 pub use admission::{AdmissionDecision, AdmissionPolicy, AdmissionVerdict, RejectReason};
-pub use feed::{ChurnConfig, ChurnFeed};
+pub use feed::{ChurnConfig, ChurnFeed, MAX_CHURN_WAVES};
 pub use fleet::{run_fleet, run_fleet_with, FleetConfig, FleetOptions, FleetRun};
 pub use metrics::{FleetMetrics, FleetReport, SessionStats};
 pub use supervise::{

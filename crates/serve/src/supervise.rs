@@ -28,7 +28,7 @@
 //! across shard counts.
 
 use crate::admission::AdmissionDecision;
-use crate::fleet::FleetConfig;
+use crate::fleet::{FleetConfig, FleetPlan};
 use crate::metrics::SessionStats;
 use bmp_sim::{AdaptiveRun, CheckpointError, RunCheckpoint};
 use serde::{Deserialize, Serialize};
@@ -300,19 +300,25 @@ impl FleetCheckpoint {
         serde_json::to_string_pretty(self).expect("fleet checkpoint serializes")
     }
 
-    /// Checks that the embedded config passes [`crate::FleetConfig::validate`] and that
+    /// Checks that the embedded config passes [`crate::FleetConfig::validate`], that the
+    /// admission log is the one the coordinator decides for that config, and that
     /// every pending session's saved state resumes ([`AdaptiveRun::resume`]) into a
     /// controller-driven run, so a malformed checkpoint is rejected when it loads instead
     /// of panicking the coordinator or a shard mid-wave.
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] naming the config's first violated condition, or
-    /// the first pending session's error prefixed with its id.
+    /// Returns a [`CheckpointError`] naming the config's first violated condition, the
+    /// admission-log mismatch, or the first pending session's error prefixed with its id.
     pub fn validate(&self) -> Result<(), CheckpointError> {
         self.config
             .validate()
             .map_err(|message| CheckpointError(format!("fleet config: {message}")))?;
+        if self.admissions != FleetPlan::new(&self.config).admissions {
+            return Err(CheckpointError(
+                "admission log: it does not match the one recomputed from the fleet config".into(),
+            ));
+        }
         for entry in &self.pending {
             let Some(state) = &entry.state else { continue };
             let invalid =

@@ -8,6 +8,10 @@
 //! returns a freshly solved overlay for the surviving platform, which the driver
 //! hot-swaps into the running session without losing already-delivered chunks.
 //!
+//! [`AdaptiveRun`] is the only driver of a broadcast: a frozen-overlay validation run is
+//! [`run_adaptive`] with [`ChurnSchedule::empty`] under [`StaticPolicy`], and the
+//! `simulate` command, the experiments and the fleet all step the same loop.
+//!
 //! ```text
 //!      churn event                  AdaptationPolicy::adapt
 //!   ┌──────────────┐   departed   ┌─────────────────────────┐   Some(overlay)
@@ -90,11 +94,10 @@
 //! fault script does *not* survive the checkpoint — fault plans live in the test
 //! harness, not in the production snapshot.
 
-use crate::engine::SimConfig;
 use crate::events::{ChurnAction, ChurnSchedule};
 use crate::metrics::SimReport;
 use crate::overlay::Overlay;
-use crate::session::{ensure, CheckpointError, Session, SessionSnapshot};
+use crate::session::{ensure, CheckpointError, Session, SessionSnapshot, SimConfig};
 use bmp_core::churn::{degradation_tolerance, repair_with, residual_throughput, RepairPlan};
 use bmp_core::scheme::BroadcastScheme;
 use bmp_core::solver::{registry, EvalCtx};

@@ -1,259 +1,15 @@
-//! Round-based simulation engine implementing push-based chunk streaming.
-//!
-//! Every overlay edge accumulates "credit" at its allocated rate; whenever a full chunk worth
-//! of credit is available and the sender holds a chunk missing at the receiver, one chunk is
-//! pushed (which chunk is decided by the configured [`ChunkPolicy`]). The engine supports file
-//! broadcast and live streaming sources, bandwidth jitter, scheduled churn events and optional
-//! per-round progress tracing.
-//!
-//! [`Simulator`] is the one-shot frozen-overlay front end: it drives an
-//! [`AdaptiveRun`] under [`StaticPolicy`] — the one churn loop of the crate — from round
-//! 0 to completion, applying the attached churn schedule as it goes. Closed-loop runs
-//! that *react* to churn (re-solve and hot-swap the overlay mid-broadcast) use
-//! [`crate::adapt`] with another policy.
+//! Whole-broadcast tests of the session engine: [`SimConfig`](crate::SimConfig)
+//! validation, and what a frozen or churned overlay delivers when the one driver,
+//! [`run_adaptive`](crate::run_adaptive), steps it under
+//! [`StaticPolicy`](crate::StaticPolicy) from round 0 to completion.
 
-use crate::adapt::{AdaptiveRun, StaticPolicy};
-use crate::events::ChurnSchedule;
-use crate::metrics::SimReport;
-use crate::overlay::Overlay;
-use crate::policy::ChunkPolicy;
-use crate::session::Session;
-use crate::trace::{ProgressTrace, TraceSample};
-use serde::{Deserialize, Serialize};
-
-/// How the source obtains the data it broadcasts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SourceMode {
-    /// The source holds the whole message from the start (file broadcast).
-    File,
-    /// The source produces chunks at the given rate (live streaming): a chunk can only be
-    /// forwarded once the source has produced it.
-    Live {
-        /// Production rate of the stream (data units per time unit).
-        rate: f64,
-    },
-}
-
-/// Configuration of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimConfig {
-    /// Number of chunks composing the message.
-    pub num_chunks: usize,
-    /// Size of one chunk, in bandwidth × time units.
-    pub chunk_size: f64,
-    /// Duration of one simulated round.
-    pub round_duration: f64,
-    /// Maximum number of rounds to simulate.
-    pub max_rounds: usize,
-    /// Seed of the pseudo-random generator (runs are reproducible).
-    pub seed: u64,
-    /// Relative bandwidth jitter: each round, each edge rate is multiplied by a value drawn
-    /// uniformly from `[1 − jitter, 1 + jitter]`. Zero means deterministic rates.
-    pub jitter: f64,
-    /// Source behaviour (file broadcast or live stream).
-    pub source_mode: SourceMode,
-    /// Which useful chunk is pushed over an edge when several are missing at the receiver.
-    pub policy: ChunkPolicy,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            num_chunks: 200,
-            chunk_size: 1.0,
-            round_duration: 0.25,
-            max_rounds: 100_000,
-            seed: 0x5EED,
-            jitter: 0.0,
-            source_mode: SourceMode::File,
-            policy: ChunkPolicy::RandomUseful,
-        }
-    }
-}
-
-impl SimConfig {
-    /// Adjusts `chunk_size` and `round_duration` so that an edge of rate `reference_rate`
-    /// transfers roughly `chunks_per_round` chunks per round. Keeps the number of chunks.
-    #[must_use]
-    pub fn scaled_to(mut self, reference_rate: f64, chunks_per_round: f64) -> Self {
-        if reference_rate > 0.0 && chunks_per_round > 0.0 {
-            self.chunk_size = reference_rate * self.round_duration / chunks_per_round;
-        }
-        self
-    }
-
-    /// Checks that the configuration is usable: at least one chunk, a finite, positive
-    /// chunk size and round duration, jitter in `[0, 1)`, and a finite, positive rate in
-    /// live mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated condition.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        [
-            (self.num_chunks > 0, "need at least one chunk"),
-            (
-                self.chunk_size.is_finite() && self.chunk_size > 0.0,
-                "chunk size must be finite and positive",
-            ),
-            (
-                self.round_duration.is_finite() && self.round_duration > 0.0,
-                "round duration must be finite and positive",
-            ),
-            (
-                (0.0..1.0).contains(&self.jitter),
-                "jitter must lie in [0, 1)",
-            ),
-            (
-                match self.source_mode {
-                    SourceMode::File => true,
-                    SourceMode::Live { rate } => rate.is_finite() && rate > 0.0,
-                },
-                "live rate must be finite and positive",
-            ),
-        ]
-        .into_iter()
-        .find_map(|(ok, message)| (!ok).then_some(message))
-        .map_or(Ok(()), Err)
-    }
-
-    /// Returns the configuration with a different chunk-selection policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: ChunkPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-/// The simulation engine.
-#[derive(Debug, Clone)]
-pub struct Simulator {
-    overlay: Overlay,
-    config: SimConfig,
-    churn: ChurnSchedule,
-}
-
-impl Simulator {
-    /// Creates a simulator for `overlay` with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is degenerate (no chunks, non-positive chunk size or round
-    /// duration).
-    #[must_use]
-    pub fn new(overlay: Overlay, config: SimConfig) -> Self {
-        if let Err(message) = config.validate() {
-            panic!("{message}");
-        }
-        Simulator {
-            overlay,
-            config,
-            churn: ChurnSchedule::empty(),
-        }
-    }
-
-    /// Attaches a churn schedule: departed nodes stop sending and receiving from the event
-    /// time onwards, rejoining nodes resume with the chunks they already held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event targets a node outside the overlay.
-    #[must_use]
-    pub fn with_churn(mut self, churn: ChurnSchedule) -> Self {
-        for event in churn.events() {
-            assert!(
-                event.node < self.overlay.num_nodes(),
-                "churn event targets node {} but the overlay has {} nodes",
-                event.node,
-                self.overlay.num_nodes()
-            );
-        }
-        self.churn = churn;
-        self
-    }
-
-    /// The overlay being simulated.
-    #[must_use]
-    pub fn overlay(&self) -> &Overlay {
-        &self.overlay
-    }
-
-    /// Runs the simulation and returns the per-node delivery report.
-    #[must_use]
-    pub fn run(&self) -> SimReport {
-        self.drive(|_| {}).report()
-    }
-
-    /// Runs the simulation while sampling a progress trace every `sample_every` rounds
-    /// (and once more after the last round when it is not on the sampling grid).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every` is zero.
-    #[must_use]
-    pub fn run_traced(&self, sample_every: usize) -> (SimReport, ProgressTrace) {
-        assert!(sample_every > 0, "sample_every must be positive");
-        let mut trace = ProgressTrace::new(
-            self.config.num_chunks,
-            self.overlay.num_nodes().saturating_sub(1),
-        );
-        let session = self.drive(|session| {
-            if session.rounds_run().is_multiple_of(sample_every) {
-                trace.samples.push(sample(session));
-            }
-        });
-        if trace
-            .samples
-            .last()
-            .is_none_or(|s| s.round + 1 != session.rounds_run())
-        {
-            trace.samples.push(sample(&session));
-        }
-        (session.report(), trace)
-    }
-
-    /// Steps an [`AdaptiveRun`] under [`StaticPolicy`] until the broadcast completes or
-    /// the round budget runs out, calling `after_round` after every round, and returns
-    /// the final session.
-    fn drive(&self, mut after_round: impl FnMut(&Session)) -> Session {
-        let mut run = AdaptiveRun::new(self.overlay.clone(), self.config, self.churn.clone(), 0.0);
-        if run.session().is_complete() && self.config.max_rounds > 0 {
-            // A session complete before round 0 (a source-only overlay) is finished for
-            // `AdaptiveRun`, which never steps it; the one-shot simulator has always
-            // reported one round for it.
-            let mut session = run.session().clone();
-            session.step();
-            after_round(&session);
-            return session;
-        }
-        while !run.is_finished() {
-            run.step(&mut StaticPolicy);
-            after_round(run.session());
-        }
-        run.session().clone()
-    }
-}
-
-/// Progress sample of `session` after its latest round.
-fn sample(session: &Session) -> TraceSample {
-    let (count, completion) = (&session.counts()[1..], &session.completions()[1..]);
-    TraceSample {
-        round: session.rounds_run().saturating_sub(1),
-        time: session.time(),
-        min_chunks: count
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(session.config().num_chunks),
-        mean_chunks: count.iter().sum::<usize>() as f64 / count.len().max(1) as f64,
-        completed_receivers: completion.iter().filter(|c| c.is_some()).count(),
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::adapt::{run_adaptive, AdaptiveRun, StaticPolicy};
     use crate::events::{ChurnAction, ChurnEvent, ChurnSchedule};
+    use crate::metrics::SimReport;
+    use crate::overlay::Overlay;
+    use crate::policy::ChunkPolicy;
+    use crate::session::{Session, SimConfig, SourceMode};
     use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
     use bmp_core::cyclic_open::cyclic_open_optimal_scheme;
     use bmp_platform::paper::{figure1, figure14};
@@ -261,6 +17,17 @@ mod tests {
 
     fn line_overlay() -> Overlay {
         Overlay::new(3, vec![(0, 1, 2.0), (1, 2, 2.0)])
+    }
+
+    /// A whole broadcast through the one driver: [`run_adaptive`] under
+    /// [`StaticPolicy`], with `churn` applied as rounds pass.
+    fn broadcast(overlay: Overlay, config: SimConfig, churn: &ChurnSchedule) -> SimReport {
+        run_adaptive(overlay, config, churn, &mut StaticPolicy, 0.0).report
+    }
+
+    /// A frozen-overlay broadcast: [`broadcast`] without churn.
+    fn frozen(overlay: Overlay, config: SimConfig) -> SimReport {
+        broadcast(overlay, config, &ChurnSchedule::empty())
     }
 
     #[test]
@@ -271,7 +38,7 @@ mod tests {
             round_duration: 0.25,
             ..SimConfig::default()
         };
-        let report = Simulator::new(line_overlay(), config).run();
+        let report = frozen(line_overlay(), config);
         assert!(report.all_completed());
         let rate = report.min_achieved_rate().unwrap();
         // Nominal throughput 2; pipelining costs one chunk of delay per hop.
@@ -282,8 +49,8 @@ mod tests {
     #[test]
     fn simulation_is_reproducible() {
         let config = SimConfig::default();
-        let a = Simulator::new(line_overlay(), config).run();
-        let b = Simulator::new(line_overlay(), config).run();
+        let a = frozen(line_overlay(), config);
+        let b = frozen(line_overlay(), config);
         assert_eq!(a, b);
     }
 
@@ -297,7 +64,7 @@ mod tests {
             round_duration: 0.25,
             ..SimConfig::default()
         };
-        let report = Simulator::new(overlay, config).run();
+        let report = frozen(overlay, config);
         assert!(report.all_completed());
         let rate = report.min_achieved_rate().unwrap();
         assert!(
@@ -317,7 +84,7 @@ mod tests {
             round_duration: 0.2,
             ..SimConfig::default()
         };
-        let report = Simulator::new(overlay, config).run();
+        let report = frozen(overlay, config);
         assert!(report.all_completed());
         let rate = report.min_achieved_rate().unwrap();
         // The cyclic overlay has longer relay paths, so the chunk-granularity overhead is
@@ -338,7 +105,7 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let report = Simulator::new(overlay, config).run();
+        let report = frozen(overlay, config);
         assert!(report.all_completed());
         // The receivers finish shortly after the source itself finished producing.
         let source_done = report.completion_time[0].unwrap();
@@ -361,7 +128,7 @@ mod tests {
             jitter: 0.2,
             ..SimConfig::default()
         };
-        let report = Simulator::new(overlay, config).run();
+        let report = frozen(overlay, config);
         assert!(report.all_completed());
         let rate = report.min_achieved_rate().unwrap();
         assert!(rate > 0.7 * solution.throughput, "achieved {rate}");
@@ -377,7 +144,7 @@ mod tests {
             round_duration: 0.5,
             ..SimConfig::default()
         };
-        let report = Simulator::new(overlay, config).run();
+        let report = frozen(overlay, config);
         assert!(report.all_completed());
         let rate_2 = report.achieved_rate(2).unwrap();
         assert!(rate_2 <= 0.5 + 1e-9);
@@ -392,7 +159,7 @@ mod tests {
             max_rounds: 500,
             ..SimConfig::default()
         };
-        let report = Simulator::new(overlay, config).run();
+        let report = frozen(overlay, config);
         assert!(!report.all_completed());
         assert_eq!(report.completion_time[2], None);
         assert_eq!(report.chunks_received[2], 0);
@@ -475,7 +242,7 @@ mod tests {
             num_chunks: 0,
             ..SimConfig::default()
         };
-        let _ = Simulator::new(line_overlay(), config);
+        let _ = Session::new(line_overlay(), config);
     }
 
     #[test]
@@ -490,7 +257,7 @@ mod tests {
             round_duration: 0.25,
             ..SimConfig::default()
         };
-        let report = Simulator::new(overlay, config).run();
+        let report = frozen(overlay, config);
         assert!(report.all_completed());
         assert!(report.min_achieved_rate().unwrap() > 0.8 * t);
     }
@@ -507,7 +274,7 @@ mod tests {
                 policy,
                 ..SimConfig::default()
             };
-            let report = Simulator::new(overlay.clone(), config).run();
+            let report = frozen(overlay.clone(), config);
             assert!(report.all_completed(), "policy {} failed", policy.label());
             let rate = report.min_achieved_rate().unwrap();
             assert!(
@@ -529,29 +296,8 @@ mod tests {
             policy: ChunkPolicy::Sequential,
             ..SimConfig::default()
         };
-        let report = Simulator::new(line_overlay(), config).run();
+        let report = frozen(line_overlay(), config);
         assert!(report.all_completed());
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_run() {
-        let config = SimConfig {
-            num_chunks: 100,
-            chunk_size: 0.5,
-            round_duration: 0.25,
-            ..SimConfig::default()
-        };
-        let simulator = Simulator::new(line_overlay(), config);
-        let plain = simulator.run();
-        let (traced, trace) = simulator.run_traced(4);
-        assert_eq!(plain, traced);
-        assert!(!trace.is_empty());
-        // Progress is monotone without churn.
-        assert_eq!(trace.largest_regression(), 0);
-        // The trace agrees with the report on the completion time (up to sampling rounding).
-        let done = trace.time_to_all_completed().unwrap();
-        assert!(done >= traced.makespan().unwrap() - 1e-9);
-        assert!(done <= traced.makespan().unwrap() + 4.0 * config.round_duration);
     }
 
     #[test]
@@ -565,9 +311,7 @@ mod tests {
             ..SimConfig::default()
         };
         let churn = ChurnSchedule::departures_at(5.0, &[1]);
-        let report = Simulator::new(line_overlay(), config)
-            .with_churn(churn)
-            .run();
+        let report = broadcast(line_overlay(), config, &churn);
         assert!(!report.all_completed());
         assert!(report.chunks_received[2] < 100);
         // Node 2 only received while node 1 was alive (~5 time units at rate ≤ 2).
@@ -595,9 +339,7 @@ mod tests {
                 action: ChurnAction::Rejoin,
             },
         ]);
-        let report = Simulator::new(line_overlay(), config)
-            .with_churn(churn)
-            .run();
+        let report = broadcast(line_overlay(), config, &churn);
         assert!(report.all_completed());
         // The outage delays completion by roughly its duration.
         assert!(report.makespan().unwrap() > 100.0 * 0.5 / 2.0 + 5.0);
@@ -616,9 +358,7 @@ mod tests {
         };
         // Node 5 is the weakest guarded node; it departs almost immediately.
         let churn = ChurnSchedule::departures_at(0.5, &[5]);
-        let report = Simulator::new(overlay, config)
-            .with_churn(churn.clone())
-            .run();
+        let report = broadcast(overlay, config, &churn);
         // The survivors still finish.
         for &node in &churn.surviving_receivers(6) {
             assert!(
@@ -632,33 +372,7 @@ mod tests {
     #[should_panic(expected = "targets node")]
     fn churn_on_unknown_node_is_rejected() {
         let churn = ChurnSchedule::departures_at(1.0, &[9]);
-        let _ = Simulator::new(line_overlay(), SimConfig::default()).with_churn(churn);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample_every")]
-    fn zero_sampling_interval_is_rejected() {
-        let _ = Simulator::new(line_overlay(), SimConfig::default()).run_traced(0);
-    }
-
-    #[test]
-    fn source_only_overlay_reports_one_round() {
-        // The session is complete before round 0; the one-shot simulator still runs (and
-        // reports) exactly one round, with and without tracing.
-        let config = SimConfig {
-            num_chunks: 10,
-            ..SimConfig::default()
-        };
-        let simulator = Simulator::new(Overlay::new(1, Vec::new()), config);
-        let report = simulator.run();
-        assert_eq!(report.rounds_run, 1);
-        assert_eq!(report.completion_time, vec![Some(0.0)]);
-        assert_eq!(report.chunks_received, vec![10]);
-        let (traced, trace) = simulator.run_traced(4);
-        assert_eq!(traced, report);
-        assert_eq!(trace.samples.len(), 1);
-        assert_eq!(trace.samples[0].round, 0);
-        assert!((trace.samples[0].time - config.round_duration).abs() < 1e-12);
+        let _ = AdaptiveRun::new(line_overlay(), SimConfig::default(), churn, 0.0);
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! Massoulié et al. \[4\]: the message is split into chunks and every sender repeatedly pushes
 //! a *random useful* chunk to each of its overlay neighbours, at the rate assigned to that
 //! edge. This crate provides a discrete-time simulator of that data plane, in two layers:
+//! a stepped data plane, and the one driver that steps it.
 //!
-//! # The one-shot simulator
+//! # Validating an overlay
 //!
-//! [`engine::Simulator`] validates an overlay end to end: a scheme of nominal throughput
-//! `T` should deliver the whole message to every node at a rate close to `T`. It supports
-//! chunk-policy ablation, bandwidth jitter, live-stream sources, scheduled churn and
-//! progress tracing — but the overlay it simulates is frozen for the whole run. It is a
-//! frozen-overlay front end over the session engine below: it drives an
-//! [`adapt::AdaptiveRun`] under [`adapt::StaticPolicy`], so the crate has one churn loop.
+//! A scheme of nominal throughput `T` should deliver the whole message to every node at a
+//! rate close to `T`. [`adapt::run_adaptive`] with an empty [`events::ChurnSchedule`]
+//! under [`adapt::StaticPolicy`] checks exactly that over a frozen overlay, with
+//! chunk-policy ablation ([`SimConfig::policy`]), bandwidth jitter and live-stream
+//! sources ([`SourceMode`]) configured through [`SimConfig`]; a schedule of departures
+//! and rejoins applies scheduled churn to the same frozen overlay.
 //!
 //! # The session engine (closed-loop adaptive simulation)
 //!
@@ -50,35 +51,33 @@
 //!
 //! Module map: [`overlay`] (static weighted digraphs extracted from a
 //! [`bmp_core::scheme::BroadcastScheme`]), [`bitset`] (packed possession sets),
-//! [`session`] (stepped data plane), [`engine`] (one-shot frozen-overlay front end),
-//! [`adapt`] (control loop, checkpoint/resume), [`faults`] (deterministic fault
-//! injection), [`policy`] (chunk selection), [`events`] (churn schedules), [`trace`]
-//! (progress time series), [`metrics`] (delivery reports).
+//! [`session`] (stepped data plane and its [`SimConfig`]), [`adapt`] (the one driver:
+//! control loop, checkpoint/resume), [`faults`] (deterministic fault injection),
+//! [`policy`] (chunk selection), [`events`] (churn schedules), [`metrics`] (delivery
+//! reports).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapt;
 pub mod bitset;
-pub mod engine;
+#[cfg(test)]
+mod engine;
 pub mod events;
 pub mod faults;
 pub mod metrics;
 pub mod overlay;
 pub mod policy;
 pub mod session;
-pub mod trace;
 
 pub use adapt::{
     run_adaptive, AdaptDecision, AdaptationPolicy, AdaptiveRun, ControllerDecision,
     ControllerSnapshot, RepairController, RunCheckpoint, SessionOutcome, StaticPolicy, SwapEvent,
 };
 pub use bitset::ChunkBitset;
-pub use engine::{SimConfig, Simulator, SourceMode};
 pub use events::{ChurnAction, ChurnEvent, ChurnSchedule};
 pub use faults::{merge_schedules, FaultPlan, DEFAULT_STORM_SEED};
 pub use metrics::SimReport;
 pub use overlay::Overlay;
 pub use policy::ChunkPolicy;
-pub use session::{CheckpointError, RoundStats, Session, SessionSnapshot};
-pub use trace::{ProgressTrace, TraceSample};
+pub use session::{CheckpointError, RoundStats, Session, SessionSnapshot, SimConfig, SourceMode};

@@ -1,12 +1,14 @@
 //! The stepped session engine: data-plane state that survives overlay hot-swaps.
 //!
-//! [`crate::engine::Simulator`] runs a whole broadcast in one call over a frozen overlay.
-//! A [`Session`] is the same data plane — word-packed chunk possession
+//! A [`Session`] is the data plane of one simulated swarm — word-packed chunk possession
 //! ([`crate::bitset::ChunkBitset`]), per-edge credit, per-node completion — exposed
-//! round-by-round, so a *controller* can sit in the loop: observe churn, re-solve the
-//! surviving platform, and [`Session::hot_swap`] the freshly computed overlay into the
-//! running broadcast without losing a single delivered chunk. The adaptation layer that
-//! drives it lives in [`crate::adapt`].
+//! round-by-round under a [`SimConfig`]. Every simulation steps it through one driver,
+//! [`crate::adapt::AdaptiveRun`] (one-shot: [`crate::adapt::run_adaptive`]): a
+//! frozen-overlay run is that driver under [`crate::adapt::StaticPolicy`], and a
+//! *controller* in the same loop
+//! can observe churn, re-solve the surviving platform, and [`Session::hot_swap`] the
+//! freshly computed overlay into the running broadcast without losing a single
+//! delivered chunk.
 //!
 //! Determinism contract: the session owns its RNG, seeded once from
 //! [`SimConfig::seed`] at construction and never re-seeded — not even by a hot-swap —
@@ -17,9 +19,9 @@
 //! the credit of surviving `(from, to)` pairs over and starts new edges at zero credit.
 
 use crate::bitset::ChunkBitset;
-use crate::engine::{SimConfig, SourceMode};
 use crate::metrics::SimReport;
 use crate::overlay::Overlay;
+use crate::policy::ChunkPolicy;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -30,6 +32,110 @@ use std::fmt;
 /// Credit an edge may lack and still push a chunk, absorbing the rounding of repeated
 /// `rate × round_duration` accruals.
 const DELIVERY_SLACK: f64 = 1e-12;
+
+/// How the source obtains the data it broadcasts.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum SourceMode {
+    /// The source holds the whole message from the start (file broadcast).
+    File,
+    /// The source produces chunks at the given rate (live streaming): a chunk can only be
+    /// forwarded once the source has produced it.
+    Live {
+        /// Production rate of the stream (data units per time unit).
+        rate: f64,
+    },
+}
+
+/// Configuration of a simulation run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SimConfig {
+    /// Number of chunks composing the message.
+    pub num_chunks: usize,
+    /// Size of one chunk, in bandwidth × time units.
+    pub chunk_size: f64,
+    /// Duration of one simulated round.
+    pub round_duration: f64,
+    /// Maximum number of rounds to simulate.
+    pub max_rounds: usize,
+    /// Seed of the pseudo-random generator (runs are reproducible).
+    pub seed: u64,
+    /// Relative bandwidth jitter: each round, each edge rate is multiplied by a value drawn
+    /// uniformly from `[1 − jitter, 1 + jitter]`. Zero means deterministic rates.
+    pub jitter: f64,
+    /// Source behaviour (file broadcast or live stream).
+    pub source_mode: SourceMode,
+    /// Which useful chunk is pushed over an edge when several are missing at the receiver.
+    pub policy: ChunkPolicy,
+}
+
+impl Default for SimConfig {
+    fn default() -> Self {
+        SimConfig {
+            num_chunks: 200,
+            chunk_size: 1.0,
+            round_duration: 0.25,
+            max_rounds: 100_000,
+            seed: 0x5EED,
+            jitter: 0.0,
+            source_mode: SourceMode::File,
+            policy: ChunkPolicy::RandomUseful,
+        }
+    }
+}
+
+impl SimConfig {
+    /// Adjusts `chunk_size` and `round_duration` so that an edge of rate `reference_rate`
+    /// transfers roughly `chunks_per_round` chunks per round. Keeps the number of chunks.
+    #[must_use]
+    pub fn scaled_to(mut self, reference_rate: f64, chunks_per_round: f64) -> Self {
+        if reference_rate > 0.0 && chunks_per_round > 0.0 {
+            self.chunk_size = reference_rate * self.round_duration / chunks_per_round;
+        }
+        self
+    }
+
+    /// Checks that the configuration is usable: at least one chunk, a finite, positive
+    /// chunk size and round duration, jitter in `[0, 1)`, and a finite, positive rate in
+    /// live mode.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated condition.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        [
+            (self.num_chunks > 0, "need at least one chunk"),
+            (
+                self.chunk_size.is_finite() && self.chunk_size > 0.0,
+                "chunk size must be finite and positive",
+            ),
+            (
+                self.round_duration.is_finite() && self.round_duration > 0.0,
+                "round duration must be finite and positive",
+            ),
+            (
+                (0.0..1.0).contains(&self.jitter),
+                "jitter must lie in [0, 1)",
+            ),
+            (
+                match self.source_mode {
+                    SourceMode::File => true,
+                    SourceMode::Live { rate } => rate.is_finite() && rate > 0.0,
+                },
+                "live rate must be finite and positive",
+            ),
+        ]
+        .into_iter()
+        .find_map(|(ok, message)| (!ok).then_some(message))
+        .map_or(Ok(()), Err)
+    }
+
+    /// Returns the configuration with a different chunk-selection policy.
+    #[must_use]
+    pub fn with_policy(mut self, policy: ChunkPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+}
 
 /// Why a checkpoint could not be resumed: the first invariant a corrupted or hand-edited
 /// [`SessionSnapshot`], [`crate::adapt::RunCheckpoint`] or
@@ -518,7 +624,8 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
+    use crate::adapt::{run_adaptive, StaticPolicy};
+    use crate::events::ChurnSchedule;
 
     fn line_overlay() -> Overlay {
         Overlay::new(3, vec![(0, 1, 2.0), (1, 2, 2.0)])
@@ -543,7 +650,14 @@ mod tests {
             }
         }
         let stepped = session.report();
-        let one_shot = Simulator::new(line_overlay(), config()).run();
+        let one_shot = run_adaptive(
+            line_overlay(),
+            config(),
+            &ChurnSchedule::empty(),
+            &mut StaticPolicy,
+            0.0,
+        )
+        .report;
         assert_eq!(stepped, one_shot);
         assert_eq!(session.swaps(), 0);
         assert!((session.time() - stepped.rounds_run as f64 * 0.25).abs() < 1e-12);

@@ -8,7 +8,7 @@ use bmp::core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp::core::bounds::cyclic_upper_bound;
 use bmp::platform::distribution::NamedDistribution;
 use bmp::platform::generator::{GeneratorConfig, InstanceGenerator};
-use bmp::sim::{Overlay, SimConfig, Simulator, SourceMode};
+use bmp::sim::{run_adaptive, ChurnSchedule, Overlay, SimConfig, SourceMode, StaticPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,7 +53,14 @@ fn main() {
         ..SimConfig::default()
     }
     .scaled_to(solution.throughput, 2.0);
-    let report = Simulator::new(overlay, sim_config).run();
+    let report = run_adaptive(
+        overlay,
+        sim_config,
+        &ChurnSchedule::empty(),
+        &mut StaticPolicy,
+        solution.throughput,
+    )
+    .report;
 
     let source_done = report.completion_time[0].unwrap_or(f64::NAN);
     match report.makespan() {

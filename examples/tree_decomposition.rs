@@ -67,7 +67,14 @@ fn main() {
         round_duration: 0.25,
         ..SimConfig::default()
     };
-    let report = Simulator::new(Overlay::from_scheme(&solution.scheme), config).run();
+    let report = run_adaptive(
+        Overlay::from_scheme(&solution.scheme),
+        config,
+        &ChurnSchedule::empty(),
+        &mut StaticPolicy,
+        solution.throughput,
+    )
+    .report;
     println!("simulated completion times (random-useful-chunk data plane):");
     for node in 1..instance.num_nodes() {
         match report.completion_time[node] {

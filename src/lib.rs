@@ -38,7 +38,7 @@ pub mod prelude {
         distribution::BandwidthDistribution, generator::InstanceGenerator, instance::Instance,
         node::NodeClass,
     };
-    pub use bmp_sim::engine::{SimConfig, Simulator};
+    pub use bmp_sim::{run_adaptive, ChurnSchedule, SimConfig, StaticPolicy};
 }
 
 /// Every solver in the workspace: the `bmp-core` registry plus the tree-decomposition

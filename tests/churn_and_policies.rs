@@ -30,7 +30,14 @@ fn every_policy_sustains_the_overlay_rate() {
             ..SimConfig::default()
         }
         .scaled_to(solution.throughput, 2.0);
-        let report = Simulator::new(overlay.clone(), config).run();
+        let report = run_adaptive(
+            overlay.clone(),
+            config,
+            &ChurnSchedule::empty(),
+            &mut StaticPolicy,
+            solution.throughput,
+        )
+        .report;
         assert!(report.all_completed(), "policy {}", policy.label());
         let rate = report.min_achieved_rate().unwrap();
         assert!(
@@ -63,9 +70,14 @@ fn static_residual_analysis_predicts_simulated_starvation() {
     }
     .scaled_to(solution.throughput, 2.0);
     let churn = ChurnSchedule::departures_at(0.0, &[victim]);
-    let report = Simulator::new(Overlay::from_scheme(&solution.scheme), config)
-        .with_churn(churn.clone())
-        .run();
+    let report = run_adaptive(
+        Overlay::from_scheme(&solution.scheme),
+        config,
+        &churn,
+        &mut StaticPolicy,
+        solution.throughput,
+    )
+    .report;
 
     let survivors = churn.surviving_receivers(instance.num_nodes());
     let all_survivors_done = survivors
@@ -121,9 +133,14 @@ fn repair_restores_the_optimum_of_the_surviving_platform() {
     }
     .scaled_to(plan.throughput, 2.0);
     let churn = ChurnSchedule::departures_at(0.0, &[victim]);
-    let report = Simulator::new(Overlay::new(instance.num_nodes(), plan.edges), config)
-        .with_churn(churn.clone())
-        .run();
+    let report = run_adaptive(
+        Overlay::new(instance.num_nodes(), plan.edges),
+        config,
+        &churn,
+        &mut StaticPolicy,
+        plan.throughput,
+    )
+    .report;
     for node in churn.surviving_receivers(instance.num_nodes()) {
         assert!(report.completion_time[node].is_some(), "survivor {node}");
     }
@@ -156,9 +173,14 @@ fn rejoin_after_an_outage_still_completes() {
             action: bmp::sim::ChurnAction::Rejoin,
         },
     ]);
-    let report = Simulator::new(Overlay::from_scheme(&solution.scheme), config)
-        .with_churn(churn)
-        .run();
+    let report = run_adaptive(
+        Overlay::from_scheme(&solution.scheme),
+        config,
+        &churn,
+        &mut StaticPolicy,
+        solution.throughput,
+    )
+    .report;
     // Once the relay is back, everyone eventually finishes (the outage only delays delivery).
     assert!(report.all_completed());
     assert!(report.makespan().unwrap() >= 0.5 * horizon);

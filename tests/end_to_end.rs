@@ -7,7 +7,7 @@ use bmp::core::cyclic_open::cyclic_open_optimal_scheme;
 use bmp::platform::distribution::NamedDistribution;
 use bmp::platform::generator::{GeneratorConfig, InstanceGenerator};
 use bmp::platform::{Instance, NodeClass};
-use bmp::sim::{Overlay, SimConfig, Simulator};
+use bmp::sim::{run_adaptive, ChurnSchedule, Overlay, SimConfig, StaticPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,7 +86,14 @@ fn simulation_delivers_close_to_nominal_rate() {
         ..SimConfig::default()
     }
     .scaled_to(solution.throughput, 2.0);
-    let report = Simulator::new(overlay, config).run();
+    let report = run_adaptive(
+        overlay,
+        config,
+        &ChurnSchedule::empty(),
+        &mut StaticPolicy,
+        solution.throughput,
+    )
+    .report;
     assert!(report.all_completed());
     let rate = report.min_achieved_rate().unwrap();
     assert!(

@@ -59,7 +59,14 @@ fn analytical_completion_estimate_tracks_the_simulator() {
         round_duration: 0.25,
         ..SimConfig::default()
     };
-    let report = Simulator::new(Overlay::from_scheme(&solution.scheme), config).run();
+    let report = run_adaptive(
+        Overlay::from_scheme(&solution.scheme),
+        config,
+        &ChurnSchedule::empty(),
+        &mut StaticPolicy,
+        solution.throughput,
+    )
+    .report;
     assert!(report.all_completed());
     let simulated = report.makespan().unwrap();
 
