@@ -16,7 +16,7 @@ pub struct ArgList {
 }
 
 /// Flags that take no value (presence/absence switches).
-const BOOLEAN_FLAGS: &[&str] = &["--trace", "--repair", "--queue"];
+pub(crate) const BOOLEAN_FLAGS: &[&str] = &["--trace", "--repair", "--queue"];
 
 /// The accepted flags of one subcommand.
 ///
@@ -99,6 +99,27 @@ impl ArgList {
         Ok(())
     }
 
+    /// Refuses every flag present besides `--resume` and `allowed`: a resumed run is
+    /// fixed by its checkpoint, so each command lists what may accompany `--resume`, and
+    /// a flag added to the command later conflicts with it by default.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Usage`] naming the first conflicting flag.
+    pub fn reject_resume_conflicts(&self, allowed: &[&str]) -> Result<(), CliError> {
+        match self
+            .flag_names()
+            .find(|name| *name != "--resume" && !allowed.contains(name))
+        {
+            Some(name) => Err(CliError::Usage(format!(
+                "{name} conflicts with --resume: the checkpoint fixes the run (only {} may \
+                 accompany it)",
+                allowed.join(", ")
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Whether the boolean switch `flag` was given.
     #[must_use]
     pub fn has(&self, flag: &str) -> bool {
@@ -121,18 +142,22 @@ impl ArgList {
             .ok_or_else(|| CliError::Usage(format!("missing required flag {flag}")))
     }
 
+    /// Parses the value of `flag` as type `T`, `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Usage`] when the value does not parse.
+    pub fn get_optional<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        self.get(flag).map(|raw| parse_value(flag, raw)).transpose()
+    }
+
     /// Parses the value of `flag` as type `T`, falling back to `default` when absent.
     ///
     /// # Errors
     ///
     /// Returns [`CliError::Usage`] when the value does not parse.
     pub fn get_parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| CliError::Usage(format!("flag {flag} has an invalid value {raw:?}"))),
-        }
+        Ok(self.get_optional(flag)?.unwrap_or(default))
     }
 
     /// Parses the value of a mandatory flag as type `T`.
@@ -141,9 +166,7 @@ impl ArgList {
     ///
     /// Returns [`CliError::Usage`] when the flag is missing or does not parse.
     pub fn require_parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<T, CliError> {
-        let raw = self.require(flag)?;
-        raw.parse()
-            .map_err(|_| CliError::Usage(format!("flag {flag} has an invalid value {raw:?}")))
+        parse_value(flag, self.require(flag)?)
     }
 
     /// Parses `flag` as a finite, positive number, falling back to `default` (unchecked)
@@ -162,6 +185,46 @@ impl ArgList {
         }
         Ok(value)
     }
+}
+
+/// Parses the raw value of `flag`: the one invalid-value message of every accessor.
+fn parse_value<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, CliError> {
+    raw.parse()
+        .map_err(|_| CliError::Usage(format!("flag {flag} has an invalid value {raw:?}")))
+}
+
+/// `--checkpoint-every N` of `simulate` and `serve`: at least 1, and only together with
+/// `--checkpoint FILE`; `default` when absent.
+pub(crate) fn checkpoint_every(args: &ArgList, default: usize) -> Result<usize, CliError> {
+    if args.has("--checkpoint-every") && !args.has("--checkpoint") {
+        return Err(CliError::Usage(
+            "--checkpoint-every requires --checkpoint FILE (where to write)".into(),
+        ));
+    }
+    match args.get_parsed("--checkpoint-every", default)? {
+        0 => Err(CliError::Usage(
+            "--checkpoint-every must be at least 1".into(),
+        )),
+        every => Ok(every),
+    }
+}
+
+/// `--repair-algorithm NAME` of `simulate` and `serve`: `NAME` must be a registry solver.
+pub(crate) fn repair_algorithm(args: &ArgList) -> Result<Option<&str>, CliError> {
+    let Some(name) = args.get("--repair-algorithm") else {
+        return Ok(None);
+    };
+    if bmp_core::solver::find(name).is_none() {
+        let names: Vec<&str> = bmp_core::solver::registry()
+            .iter()
+            .map(|solver| solver.name())
+            .collect();
+        return Err(CliError::Usage(format!(
+            "unknown repair algorithm {name:?} (expected one of {})",
+            names.join(", ")
+        )));
+    }
+    Ok(Some(name))
 }
 
 #[cfg(test)]
@@ -233,8 +296,39 @@ mod tests {
     fn defaults_and_bad_values() {
         let args = ArgList::parse(&strings(&["generate", "--receivers", "ten"])).unwrap();
         assert_eq!(args.get_parsed("--seed", 7u64).unwrap(), 7);
-        assert!(args.get_parsed("--receivers", 0usize).is_err());
-        assert!(args.require_parsed::<usize>("--receivers").is_err());
+        assert_eq!(args.get_optional::<u64>("--seed").unwrap(), None);
+        // Every accessor reports a bad value in the same words.
+        let expected = r#"usage error: flag --receivers has an invalid value "ten""#;
+        for err in [
+            args.get_parsed("--receivers", 0usize).unwrap_err(),
+            args.get_optional::<usize>("--receivers").unwrap_err(),
+            args.require_parsed::<usize>("--receivers").unwrap_err(),
+        ] {
+            assert_eq!(err.to_string(), expected);
+        }
+    }
+
+    #[test]
+    fn resume_accepts_only_the_allowed_flags() {
+        let allowed = ["--report"];
+        let ok = ArgList::parse(&strings(&[
+            "simulate", "--resume", "c.json", "--report", "r",
+        ]));
+        assert!(ok.unwrap().reject_resume_conflicts(&allowed).is_ok());
+        let switch = ArgList::parse(&strings(&["simulate", "--resume", "c.json", "--repair"]));
+        let message = switch
+            .unwrap()
+            .reject_resume_conflicts(&allowed)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            message.contains("--repair conflicts with --resume"),
+            "{message}"
+        );
+        assert!(
+            message.contains("only --report may accompany it"),
+            "{message}"
+        );
     }
 
     #[test]

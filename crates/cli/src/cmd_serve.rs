@@ -18,11 +18,18 @@
 //! bmp serve --resume fleet.ckpt --shards 8 --report fleet.json
 //! ```
 //!
-//! The resumed report is byte-identical to the uninterrupted run's. `--panic-session`
-//! and `--wedge-session` inject deterministic session failures to exercise the
-//! quarantine, watchdog and retry machinery end to end.
+//! The resumed report is byte-identical to the uninterrupted run's. Only `--shards`,
+//! the checkpoint flags and the output flags may accompany `--resume`; every other flag
+//! describes the fleet, which the checkpoint fixes. `--panic-session` and
+//! `--wedge-session` inject deterministic session failures to exercise the quarantine,
+//! watchdog and retry machinery end to end.
+//!
+//! The fleet flags carry no rules of their own: fresh and resumed fleets alike meet
+//! [`FleetConfig::validate`] (which holds the repair floor to
+//! [`bmp_sim::RepairController::check_floor`]), the check a fleet checkpoint also meets.
+//! `--report` and `--csv` create missing parent directories, like every CLI output.
 
-use crate::args::{ArgList, FlagSpec};
+use crate::args::{checkpoint_every, repair_algorithm, ArgList, FlagSpec};
 use crate::error::CliError;
 use crate::files;
 use bmp_serve::{
@@ -63,25 +70,15 @@ pub const FLAGS: FlagSpec = FlagSpec {
     ],
 };
 
-/// The flags that describe the fleet itself (as opposed to scheduling and output):
-/// these conflict with `--resume`, which carries the fleet description in the
-/// checkpoint.
-const RESUME_CONFLICTS: &[&str] = &[
-    "--sessions",
-    "--receivers",
-    "--chunks",
-    "--seed",
-    "--floor",
-    "--max-sessions",
-    "--capacity",
-    "--repair-algorithm",
-    "--churn",
-    "--fault-plan",
-    "--max-rounds",
-    "--no-progress",
-    "--retries",
-    "--panic-session",
-    "--wedge-session",
+/// The flags that may accompany `--resume` — scheduling and output; the checkpoint
+/// carries the fleet description, so every other flag conflicts.
+const RESUME_ALLOWS: &[&str] = &[
+    "--shards",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--halt-after",
+    "--report",
+    "--csv",
 ];
 
 /// Parses a `START:SPACING:WAVES` churn feed specification; the ranges are
@@ -145,31 +142,10 @@ fn parse_session_fault(
     Ok((session, round, once))
 }
 
-/// Parses an optional flag.
-fn get_optional<T: std::str::FromStr>(args: &ArgList, flag: &str) -> Result<Option<T>, CliError> {
-    args.get(flag)
-        .map(|raw| {
-            raw.parse::<T>()
-                .map_err(|_| CliError::Usage(format!("invalid value {raw:?} for {flag}")))
-        })
-        .transpose()
-}
-
-/// Builds the fleet configuration from scratch (the non-`--resume` path).
+/// Builds the fleet configuration from scratch (the non-`--resume` path); the caller
+/// validates it.
 fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
-    let repair_algorithm = args.get("--repair-algorithm");
-    if let Some(name) = repair_algorithm {
-        if bmp_core::solver::find(name).is_none() {
-            let names: Vec<&str> = bmp_core::solver::registry()
-                .iter()
-                .map(|solver| solver.name())
-                .collect();
-            return Err(CliError::Usage(format!(
-                "unknown repair algorithm {name:?} (expected one of {})",
-                names.join(", ")
-            )));
-        }
-    }
+    let repair_algorithm = repair_algorithm(args)?;
     let churn = match args.get("--churn") {
         Some(raw) => parse_churn(raw)?,
         None => ChurnConfig::default(),
@@ -180,8 +156,8 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         None => None,
     };
     let supervision = SupervisionConfig {
-        max_rounds: get_optional(args, "--max-rounds")?,
-        no_progress_rounds: get_optional(args, "--no-progress")?,
+        max_rounds: args.get_optional("--max-rounds")?,
+        no_progress_rounds: args.get_optional("--no-progress")?,
         max_retries: args.get_parsed("--retries", SupervisionConfig::default().max_retries)?,
         ..SupervisionConfig::default()
     };
@@ -198,7 +174,7 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         let (session, round, _) = parse_session_fault(raw, "--wedge-session", false)?;
         session_faults.wedges.push(SessionWedge { session, round });
     }
-    let config = FleetConfig {
+    Ok(FleetConfig {
         sessions: args.get_parsed("--sessions", 8)?,
         shards: args.get_parsed("--shards", 1)?,
         receivers: args.get_parsed("--receivers", 4)?,
@@ -209,19 +185,15 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         flow_threads: FleetConfig::default().flow_threads,
         repair_algorithm: repair_algorithm.map(str::to_string),
         admission: AdmissionPolicy {
-            max_sessions: get_optional(args, "--max-sessions")?,
-            capacity: get_optional(args, "--capacity")?,
+            max_sessions: args.get_optional("--max-sessions")?,
+            capacity: args.get_optional("--capacity")?,
             queue: args.has("--queue"),
         },
         churn,
         fault_plan,
         supervision,
         session_faults,
-    };
-    config
-        .validate()
-        .map_err(|message| CliError::Usage(format!("invalid fleet flags: {message}")))?;
-    Ok(config)
+    })
 }
 
 /// Runs the `serve` subcommand.
@@ -242,8 +214,8 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
 /// Checkpointing: `--checkpoint FILE` streams a fleet checkpoint to FILE every
 /// `--checkpoint-every K` waves (default 1), `--halt-after N` parks every session at
 /// round N and halts (requires `--checkpoint`), and `--resume FILE` continues a
-/// halted fleet — only `--shards` and the output flags may accompany it; the fleet
-/// description comes from the checkpoint.
+/// halted fleet — only `--shards`, the checkpoint flags and the output flags may
+/// accompany it; the fleet description comes from the checkpoint.
 ///
 /// # Errors
 ///
@@ -251,53 +223,31 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
 /// unwritable output paths.
 pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     args.reject_unknown_flags(&FLAGS)?;
-    let checkpoint_path = args.get("--checkpoint");
-    let halt_after: Option<usize> = get_optional(args, "--halt-after")?;
-    let checkpoint_every: usize = args.get_parsed("--checkpoint-every", 1)?;
-    if checkpoint_path.is_none() {
-        if halt_after.is_some() {
-            return Err(CliError::Usage(
-                "--halt-after requires --checkpoint (the parked fleet must be persisted)".into(),
-            ));
-        }
-        if args.get("--checkpoint-every").is_some() {
-            return Err(CliError::Usage(
-                "--checkpoint-every requires --checkpoint".into(),
-            ));
-        }
+    if args.has("--resume") {
+        args.reject_resume_conflicts(RESUME_ALLOWS)?;
     }
-    let resume = match args.get("--resume") {
-        Some(path) => {
-            for flag in RESUME_CONFLICTS {
-                if args.get(flag).is_some() {
-                    return Err(CliError::Usage(format!(
-                        "{flag} conflicts with --resume: the fleet description comes \
-                         from the checkpoint (only --shards and output flags apply)"
-                    )));
-                }
-            }
-            if args.has("--queue") {
-                return Err(CliError::Usage(
-                    "--queue conflicts with --resume: the admission policy comes from \
-                     the checkpoint"
-                        .into(),
-                ));
-            }
-            Some(files::read_fleet_checkpoint(path)?)
-        }
-        None => None,
-    };
+    let checkpoint_path = args.get("--checkpoint");
+    let halt_after: Option<usize> = args.get_optional("--halt-after")?;
+    let checkpoint_every = checkpoint_every(args, 1)?;
+    if halt_after.is_some() && checkpoint_path.is_none() {
+        return Err(CliError::Usage(
+            "--halt-after requires --checkpoint (the parked fleet must be persisted)".into(),
+        ));
+    }
+    let resume = args
+        .get("--resume")
+        .map(files::read_fleet_checkpoint)
+        .transpose()?;
     let config = match &resume {
-        Some(checkpoint) => {
-            let mut config = checkpoint.config.clone();
-            config.shards = args.get_parsed("--shards", config.shards)?;
-            if config.shards == 0 {
-                return Err(CliError::Usage("--shards must be at least 1".into()));
-            }
-            config
-        }
+        Some(checkpoint) => FleetConfig {
+            shards: args.get_parsed("--shards", checkpoint.config.shards)?,
+            ..checkpoint.config.clone()
+        },
         None => config_from_flags(args)?,
     };
+    config
+        .validate()
+        .map_err(|message| CliError::Usage(format!("invalid fleet flags: {message}")))?;
 
     writeln!(
         out,
@@ -348,14 +298,11 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         FleetRun::Completed(report) => {
             render_summary(&report, out)?;
             if let Some(path) = args.get("--report") {
-                std::fs::write(path, report.to_json()).map_err(|e| {
-                    CliError::Io(format!("cannot write fleet report {path:?}: {e}"))
-                })?;
+                files::write_text(path, &report.to_json())?;
                 writeln!(out, "fleet report written to {path}")?;
             }
             if let Some(path) = args.get("--csv") {
-                std::fs::write(path, report.to_csv())
-                    .map_err(|e| CliError::Io(format!("cannot write fleet CSV {path:?}: {e}")))?;
+                files::write_text(path, &report.to_csv())?;
                 writeln!(out, "per-session CSV written to {path}")?;
             }
         }
@@ -438,6 +385,7 @@ fn render_summary<W: Write>(report: &FleetReport, out: &mut W) -> Result<(), Cli
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::BOOLEAN_FLAGS;
     use crate::files::testutil::{at, edit_json, temp_path};
 
     fn run_args(args: Vec<String>) -> Result<String, CliError> {
@@ -491,6 +439,53 @@ mod tests {
         let csv = std::fs::read_to_string(dir.join("fleet.csv")).unwrap();
         assert_eq!(csv.lines().count(), 5);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn report_and_csv_create_their_directories() {
+        let dir = temp_path("serve-new-dir");
+        let report = dir.join("reports/fleet.json");
+        let csv = dir.join("tables/fleet.csv");
+        run_args(vec![
+            "--sessions".into(),
+            "2".into(),
+            "--chunks".into(),
+            "24".into(),
+            "--report".into(),
+            report.to_str().unwrap().into(),
+            "--csv".into(),
+            csv.to_str().unwrap().into(),
+        ])
+        .unwrap();
+        assert!(std::fs::read_to_string(&report).unwrap().starts_with('{'));
+        assert_eq!(std::fs::read_to_string(&csv).unwrap().lines().count(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_flag_outside_the_resume_allow_list_conflicts_with_resume() {
+        let allowed = "only --shards, --checkpoint, --checkpoint-every, --halt-after, --report, \
+                       --csv may accompany it";
+        for &flag in FLAGS.flags {
+            if flag == "--resume" || RESUME_ALLOWS.contains(&flag) {
+                continue;
+            }
+            let mut args = vec![
+                "--resume".to_string(),
+                "never-read.ckpt".into(),
+                flag.into(),
+            ];
+            if !BOOLEAN_FLAGS.contains(&flag) {
+                args.push("1".into());
+            }
+            match run_args(args) {
+                Err(CliError::Usage(message)) => {
+                    assert!(message.starts_with(&format!("{flag} conflicts with --resume")));
+                    assert!(message.contains(allowed), "{message}");
+                }
+                other => panic!("{flag} with --resume: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -631,6 +626,8 @@ mod tests {
 
     #[test]
     fn bad_flags_are_usage_errors() {
+        let never_written = temp_path("serve-never-written.ckpt");
+        let never_written = never_written.to_str().unwrap();
         for args in [
             vec!["--sessions".to_string(), "0".into()],
             vec!["--shards".to_string(), "0".into()],
@@ -655,6 +652,14 @@ mod tests {
             vec!["--panic-session".to_string(), "1:2:often".into()],
             vec!["--wedge-session".to_string(), "1:2:once".into()],
             vec!["--halt-after".to_string(), "5".into()],
+            vec!["--checkpoint-every".to_string(), "2".into()],
+            vec![
+                "--checkpoint".to_string(),
+                never_written.into(),
+                "--checkpoint-every".into(),
+                "0".into(),
+            ],
+            vec!["--max-rounds".to_string(), "many".into()],
             vec![
                 "--resume".to_string(),
                 "nope.ckpt".into(),
@@ -667,5 +672,6 @@ mod tests {
                 "{args:?} should be a usage error"
             );
         }
+        assert!(!std::path::Path::new(never_written).exists());
     }
 }

@@ -19,9 +19,17 @@
 //! complete run state (`--checkpoint-every N` rounds), `--halt-after N` stops
 //! mid-broadcast as a crash stand-in, and `--resume FILE` continues from a checkpoint —
 //! producing a final report bit-identical to the uninterrupted run under the same seed
-//! and trace (`--report FILE` writes it as JSON for byte-for-byte comparison).
+//! and trace (`--report FILE` writes it as JSON for byte-for-byte comparison). A
+//! resumed run is fixed by its checkpoint: only the crash-safety and report flags may
+//! accompany `--resume`, and any other flag is refused.
+//!
+//! The flags carry no rules of their own: each value is checked by the type that owns
+//! it, the same check a checkpoint decoder or a library caller meets —
+//! [`SimConfig::validate`] on the scaled session config (`--chunks`, `--jitter`,
+//! `--live`), [`ChurnSchedule::try_new`] and [`ChurnSchedule::check_nodes`] (`--churn`),
+//! and [`RepairController::check_floor`] (`--floor`).
 
-use crate::args::{ArgList, FlagSpec};
+use crate::args::{checkpoint_every, repair_algorithm, ArgList, FlagSpec};
 use crate::error::CliError;
 use crate::files;
 use bmp_core::scheme::BroadcastScheme;
@@ -83,9 +91,9 @@ pub const FLAGS: FlagSpec = FlagSpec {
 
 /// Parses a churn specification: `TIME:NODES` events separated by `;`, nodes separated
 /// by `,`. A node is an index (departure), `+index` (rejoin), or the word `busiest`
-/// (the scheme's busiest relay departs).
+/// (the scheme's busiest relay departs). The schedule's rules are
+/// [`ChurnSchedule::try_new`]'s and [`ChurnSchedule::check_nodes`]'.
 fn parse_churn(raw: &str, scheme: &BroadcastScheme) -> Result<ChurnSchedule, CliError> {
-    let num_nodes = scheme.instance().num_nodes();
     let mut events = Vec::new();
     for part in raw.split(';').filter(|part| !part.trim().is_empty()) {
         let (time_raw, nodes_raw) = part.split_once(':').ok_or_else(|| {
@@ -96,11 +104,6 @@ fn parse_churn(raw: &str, scheme: &BroadcastScheme) -> Result<ChurnSchedule, Cli
         let time: f64 = time_raw.trim().parse().map_err(|_| {
             CliError::Usage(format!("invalid churn event time {:?}", time_raw.trim()))
         })?;
-        if !time.is_finite() || time < 0.0 {
-            return Err(CliError::Usage(format!(
-                "churn event time {time} must be non-negative and finite"
-            )));
-        }
         for token in nodes_raw.split(',') {
             let token = token.trim();
             let (action, name) = match token.strip_prefix('+') {
@@ -116,14 +119,6 @@ fn parse_churn(raw: &str, scheme: &BroadcastScheme) -> Result<ChurnSchedule, Cli
                     ))
                 })?
             };
-            if node == 0 {
-                return Err(CliError::Usage("the source (node 0) cannot churn".into()));
-            }
-            if node >= num_nodes {
-                return Err(CliError::Usage(format!(
-                    "churn node {node} out of range (the platform has {num_nodes} nodes)"
-                )));
-            }
             events.push(ChurnEvent { time, node, action });
         }
     }
@@ -132,7 +127,11 @@ fn parse_churn(raw: &str, scheme: &BroadcastScheme) -> Result<ChurnSchedule, Cli
             "empty churn specification (expected TIME:NODE[,NODE...][;...])".into(),
         ));
     }
-    Ok(ChurnSchedule::new(events))
+    let schedule = ChurnSchedule::try_new(events).map_err(CliError::Usage)?;
+    schedule
+        .check_nodes(scheme.instance().num_nodes())
+        .map_err(CliError::Usage)?;
+    Ok(schedule)
 }
 
 /// Loads the `--scheme FILE` overlay, refusing a scheme that fails
@@ -219,29 +218,10 @@ fn parse_checkpointing<'a>(
             }
         }
     }
-    if args.has("--checkpoint-every") && !args.has("--checkpoint") {
-        return Err(CliError::Usage(
-            "--checkpoint-every requires --checkpoint FILE (where to write)".into(),
-        ));
-    }
-    let every: usize = args.get_parsed("--checkpoint-every", 50usize)?;
-    if every == 0 {
-        return Err(CliError::Usage(
-            "--checkpoint-every must be at least 1 round".into(),
-        ));
-    }
-    let halt_after = args
-        .get("--halt-after")
-        .map(|raw| {
-            raw.parse::<usize>().map_err(|_| {
-                CliError::Usage(format!("flag --halt-after has an invalid value {raw:?}"))
-            })
-        })
-        .transpose()?;
     Ok(Checkpointing {
         path: args.get("--checkpoint"),
-        every,
-        halt_after,
+        every: checkpoint_every(args, 50)?,
+        halt_after: args.get_optional("--halt-after")?,
     })
 }
 
@@ -330,29 +310,19 @@ fn finish_closed_loop<W: Write>(
     Ok(())
 }
 
-/// Runs `simulate --resume FILE`: rehydrates a checkpointed closed-loop run (the
-/// checkpoint fixes the overlay, churn trace, configuration and policy, so the usual
-/// input flags conflict) and steps it to completion — or to the next `--halt-after`.
+/// The flags that may accompany `--resume`: the checkpoint fixes the overlay, churn
+/// trace, configuration and policy, so every other flag conflicts.
+const RESUME_ALLOWS: &[&str] = &[
+    "--checkpoint",
+    "--checkpoint-every",
+    "--halt-after",
+    "--report",
+];
+
+/// Runs `simulate --resume FILE`: rehydrates a checkpointed closed-loop run and steps
+/// it to completion — or to the next `--halt-after`.
 fn run_resumed<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
-    for flag in [
-        "--scheme",
-        "--chunks",
-        "--policy",
-        "--seed",
-        "--jitter",
-        "--live",
-        "--trace",
-        "--churn",
-        "--repair",
-        "--repair-algorithm",
-        "--floor",
-    ] {
-        if args.has(flag) {
-            return Err(CliError::Usage(format!(
-                "{flag} conflicts with --resume (the checkpoint already fixes the run)"
-            )));
-        }
-    }
+    args.reject_resume_conflicts(RESUME_ALLOWS)?;
     let checkpointing = parse_checkpointing(args, true)?;
     let path = args.get("--resume").expect("caller checked");
     let checkpoint = files::read_checkpoint(path)?;
@@ -430,7 +400,8 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 ///
 /// Flags: `--scheme FILE` (required unless resuming), `--chunks N` (at least 1,
 /// default 300), `--policy NAME` (default random), `--seed S`, `--jitter J` (in
-/// `[0, 1)`, default 0), `--live RATE` (finite and positive), `--trace`
+/// `[0, 1)`, default 0), `--live RATE` (finite and positive; these three are
+/// [`SimConfig::validate`]'s ranges), `--trace`
 /// (worst-receiver progress every 50 rounds; frozen-overlay runs only), `--churn SPEC`
 /// (scheduled departures/rejoins, e.g. `"5:busiest"` or `"5:3,7;12:+3"`), `--repair`
 /// (adapt by re-solve + hot-swap instead of the static baseline),
@@ -441,8 +412,9 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 /// Crash safety (closed-loop runs only): `--checkpoint FILE` writes the run state
 /// every `--checkpoint-every N` rounds (default 50) and at the end, `--halt-after N`
 /// stops mid-broadcast after N rounds (a crash stand-in), `--resume FILE` continues a
-/// checkpointed run bit-identically, and `--report FILE` writes the final delivery
-/// report as JSON for byte-for-byte comparison.
+/// checkpointed run bit-identically (only the crash-safety flags and `--report` may
+/// accompany it), and `--report FILE` writes the final delivery report as JSON for
+/// byte-for-byte comparison.
 ///
 /// # Errors
 ///
@@ -457,28 +429,20 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     let nominal = scheme.throughput();
     let overlay = Overlay::from_scheme(&scheme);
 
-    let num_chunks: usize = args.get_parsed("--chunks", 300usize)?;
-    if num_chunks == 0 {
-        return Err(CliError::Usage("--chunks must be at least 1".into()));
-    }
-    let jitter: f64 = args.get_parsed("--jitter", 0.0)?;
-    if !(0.0..1.0).contains(&jitter) {
-        return Err(CliError::Usage(format!(
-            "--jitter {jitter} must lie in [0, 1)"
-        )));
-    }
     let mut config = SimConfig {
-        num_chunks,
-        jitter,
+        num_chunks: args.get_parsed("--chunks", 300)?,
+        jitter: args.get_parsed("--jitter", 0.0)?,
         policy: parse_policy(args.get("--policy").unwrap_or("random"))?,
         ..SimConfig::default()
     };
     config.seed = args.get_parsed("--seed", config.seed)?;
-    if args.get("--live").is_some() {
-        let rate = args.get_positive("--live", 0.0)?;
+    if let Some(rate) = args.get_optional("--live")? {
         config.source_mode = SourceMode::Live { rate };
     }
     let config = config.scaled_to(nominal, 2.0);
+    config
+        .validate()
+        .map_err(|message| CliError::Usage(format!("invalid simulation flags: {message}")))?;
 
     let churn = args
         .get("--churn")
@@ -499,31 +463,16 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             "--floor only applies with --repair (it is the repair controller's threshold)".into(),
         ));
     }
-    let repair_algorithm = args.get("--repair-algorithm");
-    if repair_algorithm.is_some() && !args.has("--repair") {
+    if args.has("--repair-algorithm") && !args.has("--repair") {
         return Err(CliError::Usage(
             "--repair-algorithm only applies with --repair (it pins the repair chain's first solver)"
                 .into(),
         ));
     }
-    if let Some(name) = repair_algorithm {
-        if bmp_core::solver::find(name).is_none() {
-            let names: Vec<&str> = bmp_core::solver::registry()
-                .iter()
-                .map(|solver| solver.name())
-                .collect();
-            return Err(CliError::Usage(format!(
-                "unknown repair algorithm {name:?} (expected one of {})",
-                names.join(", ")
-            )));
-        }
-    }
+    let repair_algorithm = repair_algorithm(args)?;
     let floor: f64 = args.get_parsed("--floor", 0.9)?;
-    if !(0.0..=1.0).contains(&floor) || floor == 0.0 {
-        return Err(CliError::Usage(format!(
-            "--floor {floor} must lie in (0, 1]"
-        )));
-    }
+    RepairController::check_floor(floor)
+        .map_err(|message| CliError::Usage(format!("--floor {floor}: {message}")))?;
     if args.has("--trace") && churn.is_some() {
         return Err(CliError::Usage(
             "--trace is only available without --churn (the closed loop reports its own timeline)"
@@ -619,6 +568,7 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::BOOLEAN_FLAGS;
     use crate::files::testutil::{at, edit_json, temp_path};
     use bmp_core::AcyclicGuardedSolver;
     use bmp_platform::paper::figure1;
@@ -1203,6 +1153,86 @@ mod tests {
             Err(CliError::Io(_))
         ));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn every_flag_outside_the_resume_allow_list_conflicts_with_resume() {
+        let allowed =
+            "only --checkpoint, --checkpoint-every, --halt-after, --report may accompany it";
+        for &flag in FLAGS.flags {
+            if flag == "--resume" || RESUME_ALLOWS.contains(&flag) {
+                continue;
+            }
+            let mut args = vec![
+                "--resume".to_string(),
+                "never-read.json".into(),
+                flag.into(),
+            ];
+            if !BOOLEAN_FLAGS.contains(&flag) {
+                args.push("1".into());
+            }
+            match run_args(args) {
+                Err(CliError::Usage(message)) => {
+                    assert!(message.starts_with(&format!("{flag} conflicts with --resume")));
+                    assert!(message.contains(allowed), "{message}");
+                }
+                other => panic!("{flag} with --resume: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn churn_rules_read_the_same_from_every_door() {
+        let scheme = scheme_path();
+        let checkpoint = temp_path("sim-churn-rules.json")
+            .to_str()
+            .unwrap()
+            .to_string();
+        run_args(vec![
+            "--scheme".into(),
+            scheme.clone(),
+            "--churn".into(),
+            "5:3;12:+3".into(),
+            "--checkpoint".into(),
+            checkpoint.clone(),
+            "--halt-after".into(),
+            "2".into(),
+        ])
+        .unwrap();
+        let original = std::fs::read_to_string(&checkpoint).unwrap();
+        for (time, node, spec) in [(5, 0, "5:0"), (-1, 3, "-1:3")] {
+            let events = || {
+                vec![ChurnEvent {
+                    time: f64::from(time),
+                    node,
+                    action: ChurnAction::Depart,
+                }]
+            };
+            let rule = ChurnSchedule::try_new(events()).unwrap_err();
+            // The constructor panics with the rule.
+            let panic = std::panic::catch_unwind(|| ChurnSchedule::new(events())).unwrap_err();
+            assert_eq!(panic.downcast_ref::<String>(), Some(&rule));
+            // The command line refuses the spec with the rule.
+            let cli = ["--scheme", &scheme, "--churn", spec]
+                .map(String::from)
+                .to_vec();
+            match run_args(cli) {
+                Err(CliError::Usage(message)) => assert_eq!(message, rule),
+                other => panic!("{spec}: expected a usage error, got {other:?}"),
+            }
+            // A checkpoint document holding the event is refused with the rule.
+            std::fs::write(&checkpoint, &original).unwrap();
+            edit_json(&checkpoint, |cp| {
+                *at(cp, &["churn", "events", "0", "time"]) = serde::Value::I64(time.into());
+                *at(cp, &["churn", "events", "0", "node"]) = serde::Value::I64(node as i64);
+            });
+            let message = run_args(vec!["--resume".into(), checkpoint.clone()])
+                .unwrap_err()
+                .to_string();
+            assert!(message.contains(&rule), "{spec}: {message} lacks {rule}");
+        }
+        std::fs::remove_file(scheme).ok();
+        std::fs::remove_file(checkpoint).ok();
     }
 
     #[test]

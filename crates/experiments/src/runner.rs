@@ -22,9 +22,13 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses the binaries' common flags from an argument iterator (anything unknown is
-    /// ignored so that binaries can add their own flags later).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parses the binaries' common flags from an argument iterator.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming an unknown argument or an `--out` without a directory,
+    /// so a typo (`--quik`) never silently runs the full experiment.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut options = RunOptions::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
@@ -32,20 +36,25 @@ impl RunOptions {
                 "--quick" | "-q" => options.quick = true,
                 "--full" => options.quick = false,
                 "--out" | "-o" => {
-                    if let Some(dir) = iter.next() {
-                        options.output_dir = PathBuf::from(dir);
-                    }
+                    let dir = iter
+                        .next()
+                        .ok_or_else(|| format!("{arg} expects a directory"))?;
+                    options.output_dir = PathBuf::from(dir);
                 }
-                _ => {}
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        options
+        Ok(options)
     }
 
-    /// Parses the options from the process arguments.
+    /// Parses the options from the process arguments; on a bad argument, prints the
+    /// reason and the accepted flags to stderr and exits with status 2.
     #[must_use]
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("error: {message} (accepted: --quick | -q, --full, --out | -o DIR)");
+            std::process::exit(2)
+        })
     }
 
     /// Path of an output file inside the output directory.
@@ -75,29 +84,36 @@ mod tests {
 
     #[test]
     fn parse_flags() {
-        let options = RunOptions::parse(
-            ["--quick", "--out", "/tmp/results", "--unknown"]
-                .iter()
-                .map(ToString::to_string),
-        );
+        let args = |args: &[&str]| RunOptions::parse(args.iter().map(ToString::to_string));
+        let options = args(&["--quick", "--out", "/tmp/results"]).unwrap();
         assert!(options.quick);
         assert_eq!(options.output_dir, PathBuf::from("/tmp/results"));
         assert_eq!(
             options.output_path("fig7.csv"),
             PathBuf::from("/tmp/results/fig7.csv")
         );
+        // A typo or a value-less `--out` is refused, never ignored.
+        for bad in [
+            &["--quik"][..],
+            &["--quick", "--unknown"],
+            &["--out"],
+            &["-o"],
+        ] {
+            assert!(args(bad).is_err(), "{bad:?} should be refused");
+        }
     }
 
     #[test]
     fn defaults() {
-        let options = RunOptions::parse(std::iter::empty::<String>());
+        let options = RunOptions::parse(std::iter::empty::<String>()).unwrap();
         assert!(!options.quick);
         assert_eq!(options.output_dir, PathBuf::from("experiment-results"));
     }
 
     #[test]
     fn full_flag_overrides_quick() {
-        let options = RunOptions::parse(["--quick", "--full"].iter().map(ToString::to_string));
+        let options =
+            RunOptions::parse(["--quick", "--full"].iter().map(ToString::to_string)).unwrap();
         assert!(!options.quick);
     }
 

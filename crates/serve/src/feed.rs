@@ -3,12 +3,12 @@
 //!
 //! Every session's schedule is derived from the fleet seed and the session id alone
 //! ([`crate::mix_seed`]), then generated by the same seeded storm generator the fault
-//! harness uses ([`bmp_sim::FaultPlan::churn_storm`]): each wave departs a seed-chosen
+//! harness uses ([`bmp_sim::churn_storm`]): each wave departs a seed-chosen
 //! receiver and rejoins it two spacings later. Shard layout never enters the
 //! derivation, so the feed hands out identical schedules no matter which shard asks.
 
 use crate::mix_seed;
-use bmp_sim::{ChurnSchedule, FaultPlan};
+use bmp_sim::{churn_storm, ChurnSchedule};
 use serde::{Deserialize, Serialize};
 
 /// Most departure waves one session's churn schedule may hold
@@ -60,7 +60,8 @@ impl ChurnFeed {
         if self.config.waves == 0 || num_nodes < 2 {
             return ChurnSchedule::new(Vec::new());
         }
-        FaultPlan::storm(mix_seed(self.seed, session as u64)).churn_storm(
+        churn_storm(
+            mix_seed(self.seed, session as u64),
             num_nodes,
             self.config.start,
             self.config.spacing,

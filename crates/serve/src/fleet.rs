@@ -109,44 +109,37 @@ impl FleetConfig {
     ///
     /// Returns the first violated condition.
     pub fn validate(&self) -> Result<(), &'static str> {
-        [
-            (self.sessions >= 1, "a fleet needs at least one session"),
-            (self.shards >= 1, "a fleet needs at least one shard"),
-            (
-                self.receivers >= 2,
-                "a session platform needs at least two receivers",
-            ),
-            (self.chunks >= 1, "a session needs at least one chunk"),
-            (
-                self.floor > 0.0 && self.floor <= 1.0,
-                "the repair floor must lie in (0, 1]",
-            ),
-            (
-                self.admission
-                    .capacity
-                    .is_none_or(|capacity| capacity.is_finite() && capacity >= 0.0),
-                "the admission capacity must be finite and non-negative",
-            ),
-            (
-                self.churn.start.is_finite() && self.churn.start >= 0.0,
-                "the churn start must be finite and non-negative",
-            ),
-            (
-                self.churn.spacing.is_finite() && self.churn.spacing > 0.0,
-                "the churn spacing must be finite and positive",
-            ),
-            (
-                self.churn.waves <= MAX_CHURN_WAVES,
-                "the churn feed allows at most 1000 waves per session",
-            ),
-            (
-                self.supervision.checkpoint_rounds >= 1,
-                "the per-session checkpoint cadence must be at least one round",
-            ),
-        ]
-        .into_iter()
-        .find_map(|(ok, message)| (!ok).then_some(message))
-        .map_or(Ok(()), Err)
+        let rule = |ok: bool, message| if ok { Ok(()) } else { Err(message) };
+        rule(self.sessions >= 1, "a fleet needs at least one session")?;
+        rule(self.shards >= 1, "a fleet needs at least one shard")?;
+        rule(
+            self.receivers >= 2,
+            "a session platform needs at least two receivers",
+        )?;
+        rule(self.chunks >= 1, "a session needs at least one chunk")?;
+        RepairController::check_floor(self.floor)?;
+        rule(
+            self.admission
+                .capacity
+                .is_none_or(|capacity| capacity.is_finite() && capacity >= 0.0),
+            "the admission capacity must be finite and non-negative",
+        )?;
+        rule(
+            self.churn.start.is_finite() && self.churn.start >= 0.0,
+            "the churn start must be finite and non-negative",
+        )?;
+        rule(
+            self.churn.spacing.is_finite() && self.churn.spacing > 0.0,
+            "the churn spacing must be finite and positive",
+        )?;
+        rule(
+            self.churn.waves <= MAX_CHURN_WAVES,
+            "the churn feed allows at most 1000 waves per session",
+        )?;
+        rule(
+            self.supervision.checkpoint_rounds >= 1,
+            "the per-session checkpoint cadence must be at least one round",
+        )
     }
 }
 

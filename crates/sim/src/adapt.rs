@@ -256,7 +256,8 @@ impl RepairController {
     ///
     /// # Panics
     ///
-    /// Panics if `floor_fraction` is outside `(0, 1]` or `nominal` is not positive.
+    /// Panics if `floor_fraction` fails [`RepairController::check_floor`] or `nominal`
+    /// is not positive.
     #[must_use]
     pub fn new(
         instance: Instance,
@@ -264,10 +265,9 @@ impl RepairController {
         nominal: f64,
         floor_fraction: f64,
     ) -> Self {
-        assert!(
-            floor_fraction > 0.0 && floor_fraction <= 1.0,
-            "floor fraction must lie in (0, 1]"
-        );
+        if let Err(message) = RepairController::check_floor(floor_fraction) {
+            panic!("{message}");
+        }
         assert!(nominal > 0.0, "nominal throughput must be positive");
         RepairController {
             floor: floor_fraction * nominal,
@@ -281,6 +281,21 @@ impl RepairController {
             degraded: false,
             degraded_floor: None,
             preferred_solver: None,
+        }
+    }
+
+    /// Checks a repair floor fraction: the controller repairs below `floor_fraction ×`
+    /// nominal, so it must lie in `(0, 1]`. Every input of a floor (`simulate --floor`,
+    /// a fleet config, this constructor) is held to this one check.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rule when `floor_fraction` is outside `(0, 1]` or NaN.
+    pub fn check_floor(floor_fraction: f64) -> Result<(), &'static str> {
+        if floor_fraction > 0.0 && floor_fraction <= 1.0 {
+            Ok(())
+        } else {
+            Err("the repair floor must lie in (0, 1]")
         }
     }
 
@@ -709,16 +724,12 @@ impl AdaptiveRun {
     ///
     /// # Panics
     ///
-    /// Panics if a churn event targets a node outside the overlay.
+    /// Panics if a churn event targets a node outside the overlay
+    /// ([`ChurnSchedule::check_nodes`]).
     #[must_use]
     pub fn new(overlay: Overlay, config: SimConfig, churn: ChurnSchedule, nominal: f64) -> Self {
-        let n = overlay.num_nodes();
-        for event in churn.events() {
-            assert!(
-                event.node < n,
-                "churn event targets node {} but the overlay has {n} nodes",
-                event.node
-            );
+        if let Err(message) = churn.check_nodes(overlay.num_nodes()) {
+            panic!("{message}");
         }
         AdaptiveRun {
             session: Session::new(overlay, config),
@@ -906,14 +917,9 @@ impl AdaptiveRun {
             nominal.is_finite() && nominal >= 0.0,
             "checkpoint field `nominal` must be finite and non-negative"
         );
-        let n = session.overlay().num_nodes();
-        for event in churn.events() {
-            ensure!(
-                event.node < n,
-                "checkpointed churn event targets node {} but the overlay has {n} nodes",
-                event.node
-            );
-        }
+        churn
+            .check_nodes(session.overlay().num_nodes())
+            .map_err(CheckpointError)?;
         ensure!(
             next_event <= churn.events().len(),
             "checkpoint event cursor {next_event} is past the end of the schedule"

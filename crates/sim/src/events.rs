@@ -49,18 +49,51 @@ impl ChurnSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if an event targets the source (node 0) or has a negative or non-finite time.
+    /// Panics if an event breaks a rule of [`ChurnSchedule::try_new`].
     #[must_use]
-    pub fn new(mut events: Vec<ChurnEvent>) -> Self {
+    pub fn new(events: Vec<ChurnEvent>) -> Self {
+        ChurnSchedule::try_new(events).unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// Fallible [`ChurnSchedule::new`], the one check of a schedule's rules for every
+    /// input (command-line specs, checkpoint documents, constructors).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first event that targets the source (node 0) or has
+    /// a negative or non-finite time.
+    pub fn try_new(mut events: Vec<ChurnEvent>) -> Result<Self, String> {
         for event in &events {
-            assert_ne!(event.node, 0, "the source cannot churn");
-            assert!(
-                event.time.is_finite() && event.time >= 0.0,
-                "event times must be non-negative and finite"
-            );
+            if event.node == 0 {
+                return Err(format!(
+                    "the source cannot churn (the event at time {} targets node 0)",
+                    event.time
+                ));
+            }
+            if !(event.time.is_finite() && event.time >= 0.0) {
+                return Err(format!(
+                    "churn event time {} must be non-negative and finite",
+                    event.time
+                ));
+            }
         }
         events.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
-        ChurnSchedule { events }
+        Ok(ChurnSchedule { events })
+    }
+
+    /// Checks that every event targets a node of an `num_nodes`-node overlay.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first event outside the overlay.
+    pub fn check_nodes(&self, num_nodes: usize) -> Result<(), String> {
+        match self.events.iter().find(|event| event.node >= num_nodes) {
+            Some(event) => Err(format!(
+                "churn event targets node {} but the overlay has {num_nodes} nodes",
+                event.node
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Convenience constructor: the listed nodes all depart at `time` and never come back.
@@ -127,8 +160,7 @@ impl Serialize for ChurnSchedule {
     }
 }
 
-/// Validated deserialization: the same invariants [`ChurnSchedule::new`] enforces by
-/// panicking (no source churn, finite non-negative times) surface as errors here, so a
+/// Validated deserialization: [`ChurnSchedule::try_new`]'s rules surface as errors, so a
 /// corrupted or hand-edited checkpoint is rejected instead of aborting the process.
 impl Deserialize for ChurnSchedule {
     fn from_value(value: &Value) -> Result<Self, DeError> {
@@ -137,17 +169,7 @@ impl Deserialize for ChurnSchedule {
             .ok_or_else(|| DeError::expected("object", "ChurnSchedule"))?;
         let events =
             Vec::<ChurnEvent>::from_value(serde::field(fields, "events", "ChurnSchedule")?)?;
-        for event in &events {
-            if event.node == 0 {
-                return Err(DeError::custom("churn schedule targets the source"));
-            }
-            if !(event.time.is_finite() && event.time >= 0.0) {
-                return Err(DeError::custom(
-                    "churn event times must be non-negative and finite",
-                ));
-            }
-        }
-        Ok(ChurnSchedule::new(events))
+        ChurnSchedule::try_new(events).map_err(DeError::custom)
     }
 }
 
@@ -238,6 +260,29 @@ mod tests {
     #[should_panic(expected = "source cannot churn")]
     fn source_cannot_churn() {
         let _ = ChurnSchedule::departures_at(1.0, &[0]);
+    }
+
+    #[test]
+    fn try_new_and_check_nodes_name_the_first_broken_event() {
+        let event = |time, node| ChurnEvent {
+            time,
+            node,
+            action: ChurnAction::Depart,
+        };
+        assert_eq!(
+            ChurnSchedule::try_new(vec![event(1.0, 2), event(2.0, 0)]).unwrap_err(),
+            "the source cannot churn (the event at time 2 targets node 0)"
+        );
+        assert_eq!(
+            ChurnSchedule::try_new(vec![event(f64::NAN, 2)]).unwrap_err(),
+            "churn event time NaN must be non-negative and finite"
+        );
+        let schedule = ChurnSchedule::try_new(vec![event(2.0, 5), event(1.0, 2)]).unwrap();
+        assert_eq!(schedule.check_nodes(6), Ok(()));
+        assert_eq!(
+            schedule.check_nodes(4),
+            Err("churn event targets node 5 but the overlay has 4 nodes".into())
+        );
     }
 
     #[test]

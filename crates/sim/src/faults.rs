@@ -202,15 +202,12 @@ impl FaultPlan {
         }
     }
 
-    /// A seeded churn storm at named instants: `waves` depart/rejoin pairs over the
-    /// receivers of an `num_nodes`-node platform, the `i`-th wave departing a
-    /// seed-chosen receiver at `start + i × spacing` and rejoining it two spacings
-    /// later. Merge it into a run's schedule with [`merge_schedules`].
+    /// This plan's churn storm: [`churn_storm`] under the plan's storm seed. Merge it
+    /// into a run's schedule with [`merge_schedules`].
     ///
     /// # Panics
     ///
-    /// Panics if the platform has no receivers (`num_nodes < 2`) or `spacing` is not
-    /// positive.
+    /// Panics where [`churn_storm`] does.
     #[must_use]
     pub fn churn_storm(
         &self,
@@ -219,26 +216,47 @@ impl FaultPlan {
         spacing: f64,
         waves: usize,
     ) -> ChurnSchedule {
-        assert!(num_nodes >= 2, "a churn storm needs at least one receiver");
-        assert!(spacing > 0.0, "storm spacing must be positive");
-        let mut rng = StdRng::seed_from_u64(self.storm_seed ^ 0x570_2217);
-        let mut events = Vec::with_capacity(2 * waves);
-        for wave in 0..waves {
-            let node = rng.gen_range(1..num_nodes);
-            let depart_at = start + wave as f64 * spacing;
-            events.push(ChurnEvent {
-                time: depart_at,
-                node,
-                action: ChurnAction::Depart,
-            });
-            events.push(ChurnEvent {
-                time: depart_at + 2.0 * spacing,
-                node,
-                action: ChurnAction::Rejoin,
-            });
-        }
-        ChurnSchedule::new(events)
+        churn_storm(self.storm_seed, num_nodes, start, spacing, waves)
     }
+}
+
+/// A seeded churn storm at named instants: `waves` depart/rejoin pairs over the
+/// receivers of an `num_nodes`-node platform, the `i`-th wave departing a
+/// `storm_seed`-chosen receiver at `start + i × spacing` and rejoining it two spacings
+/// later. Depends on the seed alone, so callers that inject no other fault (the fleet's
+/// churn feed) need no [`FaultPlan`].
+///
+/// # Panics
+///
+/// Panics if the platform has no receivers (`num_nodes < 2`) or `spacing` is not
+/// positive.
+#[must_use]
+pub fn churn_storm(
+    storm_seed: u64,
+    num_nodes: usize,
+    start: f64,
+    spacing: f64,
+    waves: usize,
+) -> ChurnSchedule {
+    assert!(num_nodes >= 2, "a churn storm needs at least one receiver");
+    assert!(spacing > 0.0, "storm spacing must be positive");
+    let mut rng = StdRng::seed_from_u64(storm_seed ^ 0x570_2217);
+    let mut events = Vec::with_capacity(2 * waves);
+    for wave in 0..waves {
+        let node = rng.gen_range(1..num_nodes);
+        let depart_at = start + wave as f64 * spacing;
+        events.push(ChurnEvent {
+            time: depart_at,
+            node,
+            action: ChurnAction::Depart,
+        });
+        events.push(ChurnEvent {
+            time: depart_at + 2.0 * spacing,
+            node,
+            action: ChurnAction::Rejoin,
+        });
+    }
+    ChurnSchedule::new(events)
 }
 
 /// Merges two churn schedules into one time-ordered schedule (events at equal times
@@ -326,6 +344,8 @@ mod tests {
         let plan = FaultPlan::storm(3);
         let storm = plan.churn_storm(6, 2.0, 1.0, 4);
         assert_eq!(storm, plan.churn_storm(6, 2.0, 1.0, 4));
+        // The plan's storm is the seed-only generator's: no fault draw enters it.
+        assert_eq!(storm, churn_storm(3, 6, 2.0, 1.0, 4));
         assert_eq!(storm.events().len(), 8);
         for event in storm.events() {
             assert!(event.node >= 1 && event.node < 6);

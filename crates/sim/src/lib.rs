@@ -76,7 +76,7 @@ pub use adapt::{
 };
 pub use bitset::ChunkBitset;
 pub use events::{ChurnAction, ChurnEvent, ChurnSchedule};
-pub use faults::{merge_schedules, FaultPlan, DEFAULT_STORM_SEED};
+pub use faults::{churn_storm, merge_schedules, FaultPlan, DEFAULT_STORM_SEED};
 pub use metrics::SimReport;
 pub use overlay::Overlay;
 pub use policy::ChunkPolicy;

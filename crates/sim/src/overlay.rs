@@ -18,7 +18,6 @@ pub struct OverlayEdge {
 pub struct Overlay {
     num_nodes: usize,
     edges: Vec<OverlayEdge>,
-    outgoing: Vec<Vec<usize>>,
 }
 
 impl Overlay {
@@ -41,7 +40,6 @@ impl Overlay {
     /// `0..num_nodes`, is a self-loop, or has a non-positive or non-finite rate.
     pub fn try_new(num_nodes: usize, edge_list: Vec<(usize, usize, f64)>) -> Result<Self, String> {
         let mut edges = Vec::with_capacity(edge_list.len());
-        let mut outgoing = vec![Vec::new(); num_nodes];
         for (from, to, rate) in edge_list {
             if from >= num_nodes || to >= num_nodes {
                 return Err(format!(
@@ -56,14 +54,9 @@ impl Overlay {
                     "edge rate must be positive and finite: {from} -> {to} at {rate}"
                 ));
             }
-            outgoing[from].push(edges.len());
             edges.push(OverlayEdge { from, to, rate });
         }
-        Ok(Overlay {
-            num_nodes,
-            edges,
-            outgoing,
-        })
+        Ok(Overlay { num_nodes, edges })
     }
 
     /// Extracts the overlay of a broadcast scheme (one edge per positive rate).
@@ -84,12 +77,6 @@ impl Overlay {
         &self.edges
     }
 
-    /// Indices (into [`Overlay::edges`]) of the edges leaving `node`.
-    #[must_use]
-    pub fn outgoing(&self, node: usize) -> &[usize] {
-        &self.outgoing[node]
-    }
-
     /// Total rate entering `node`.
     #[must_use]
     pub fn in_rate(&self, node: usize) -> f64 {
@@ -97,15 +84,6 @@ impl Overlay {
             .iter()
             .filter(|e| e.to == node)
             .map(|e| e.rate)
-            .sum()
-    }
-
-    /// Total rate leaving `node`.
-    #[must_use]
-    pub fn out_rate(&self, node: usize) -> f64 {
-        self.outgoing[node]
-            .iter()
-            .map(|&e| self.edges[e].rate)
             .sum()
     }
 }
@@ -121,9 +99,10 @@ mod tests {
         let overlay = Overlay::new(3, vec![(0, 1, 2.0), (1, 2, 1.5), (0, 2, 0.5)]);
         assert_eq!(overlay.num_nodes(), 3);
         assert_eq!(overlay.edges().len(), 3);
-        assert_eq!(overlay.outgoing(0).len(), 2);
+        let leaving: Vec<_> = overlay.edges().iter().filter(|e| e.from == 0).collect();
+        assert_eq!(leaving.len(), 2);
         assert!((overlay.in_rate(2) - 2.0).abs() < 1e-12);
-        assert!((overlay.out_rate(0) - 2.5).abs() < 1e-12);
+        assert!((leaving.iter().map(|e| e.rate).sum::<f64>() - 2.5).abs() < 1e-12);
     }
 
     #[test]
