@@ -17,7 +17,7 @@ pub const FLAGS: FlagSpec = FlagSpec {
 /// Flags: `--scheme FILE` (required), `--throughput T` (finite, positive rate to
 /// decompose; defaults to the scheme's max-flow throughput), `--message M` (also print
 /// the stripe plan for a message of finite, positive size `M`), `--out FILE` (write the
-/// decomposition as JSON).
+/// decomposition as JSON: the O(m) parent-run table of [`bmp_trees::decompose`]).
 ///
 /// Acyclic schemes are decomposed exactly (interval decomposition); cyclic schemes fall back
 /// to the greedy arborescence-packing heuristic.
@@ -49,8 +49,9 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
 
     writeln!(out, "throughput : {:.6}", decomposition.throughput())?;
     writeln!(out, "trees      : {}", decomposition.num_trees())?;
-    writeln!(out, "max depth  : {}", decomposition.max_depth())?;
-    for (index, tree) in decomposition.trees().iter().enumerate() {
+    writeln!(out, "max depth  : {}", decomposition.max_depth()?)?;
+    for (index, tree) in decomposition.trees().enumerate() {
+        let tree = tree?;
         writeln!(
             out,
             "  tree {index}: weight {:.4}, depth {}, edges {:?}",
@@ -83,6 +84,7 @@ mod tests {
     use bmp_core::cyclic_open::cyclic_open_optimal_scheme;
     use bmp_core::AcyclicGuardedSolver;
     use bmp_platform::paper::{figure1, figure14};
+    use bmp_trees::TreeDecomposition;
 
     fn run_args(args: Vec<String>) -> Result<String, CliError> {
         let list = ArgList::parse(&args)?;
@@ -109,9 +111,11 @@ mod tests {
         assert!(output.contains("exact interval decomposition"));
         assert!(output.contains("trees      :"));
         assert!(output.contains("stripe plan"));
-        assert!(std::fs::read_to_string(&json_path)
-            .unwrap()
-            .contains("trees"));
+        let written: TreeDecomposition =
+            serde_json::from_str(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+        written.verify(&solution.scheme).unwrap();
+        let listed = format!("trees      : {}\n", written.num_trees());
+        assert!(output.contains(&listed), "{output}");
         std::fs::remove_file(path).ok();
         std::fs::remove_file(json_path).ok();
     }

@@ -67,9 +67,9 @@ acyclic-open, cyclic-open, exhaustive, omega-word, auto, tree-decomposition);
 an unknown NAME lists the registry with one-line descriptions. Unrecognized
 flags are rejected with the subcommand's accepted flag list.
 
-`solve` and `simulate` split each flow evaluation over up to min(cores, 8)
-lanes on platforms of at least 512 nodes and 96 sinks; results are identical
-to a sequential run.
+`solve`, `verify`, `simulate`, `decompose` and `export` split each flow
+evaluation over up to min(cores, 8) lanes on platforms of at least 512 nodes
+and 96 sinks; results are identical to a sequential run.
 
 `simulate --churn \"5:busiest;12:+3\"` injects scheduled departures/rejoins and
 reports delivered goodput; adding `--repair` re-solves the surviving platform

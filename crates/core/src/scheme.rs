@@ -433,12 +433,11 @@ impl BroadcastScheme {
     }
 
     /// Throughput of the scheme: `min_k maxflow(C0 → Ck)` over all receivers (Section II-D),
-    /// [`EvalCtx::throughput`] on a fresh sequential context.
+    /// [`EvalCtx::throughput`] on a fresh context, whose fan-out follows the platform size
+    /// like every other evaluation (the value does not depend on it).
     #[must_use]
     pub fn throughput(&self) -> f64 {
-        let mut ctx = EvalCtx::new();
-        ctx.set_parallelism(1);
-        ctx.throughput(self)
+        EvalCtx::new().throughput(self)
     }
 
     /// Topological order of the scheme's digraph if it is acyclic, `None` otherwise.

@@ -450,10 +450,8 @@ impl RepairController {
             snapshot.nominal.is_finite() && snapshot.nominal > 0.0,
             "controller snapshot: nominal throughput must be finite and positive"
         );
-        ensure!(
-            snapshot.floor > 0.0 && snapshot.floor <= snapshot.nominal,
-            "controller snapshot: floor must lie in (0, nominal]"
-        );
+        Self::check_floor(snapshot.floor / snapshot.nominal)
+            .map_err(|rule| CheckpointError(format!("controller snapshot: {rule}")))?;
         ensure!(
             snapshot.degraded == snapshot.degraded_floor.is_some(),
             "controller snapshot: degradation flag and floor disagree"
@@ -1410,6 +1408,26 @@ mod tests {
             ),
         ] {
             assert!(message.contains(field), "{field}: {message}");
+        }
+    }
+
+    #[test]
+    fn resume_rejects_a_floor_outside_the_nominal_with_the_floor_rule() {
+        let (instance, scheme, nominal, overlay) = solved_figure1();
+        let controller = RepairController::new(instance, scheme, nominal, 0.9);
+        let checkpoint = AdaptiveRun::new(overlay, config(), ChurnSchedule::empty(), nominal)
+            .checkpoint(Some(&controller));
+        for floor in [0.0, -1.0, nominal * 1.5, f64::NAN] {
+            let mut tampered = checkpoint.clone();
+            tampered.controller.as_mut().unwrap().floor = floor;
+            let message = AdaptiveRun::resume(tampered)
+                .map(|_| ())
+                .unwrap_err()
+                .to_string();
+            assert!(
+                message.contains("the repair floor must lie in (0, 1]"),
+                "floor {floor}: {message}"
+            );
         }
     }
 

@@ -29,47 +29,29 @@ impl Arborescence {
     /// invalid: a parent assigned to the source, a missing parent for a receiver, a parent
     /// index out of range, or a cycle.
     pub fn new(parent: Vec<Option<NodeId>>, weight: f64) -> Result<Self, TreesError> {
-        if parent.is_empty() {
-            return Err(TreesError::InvalidArborescence(
-                "empty parent vector".into(),
-            ));
-        }
-        if parent[0].is_some() {
-            return Err(TreesError::InvalidArborescence(
-                "the source cannot have a parent".into(),
-            ));
+        let invalid = |reason: String| Err(TreesError::InvalidArborescence(reason));
+        match parent.first() {
+            None => return invalid("empty parent vector".into()),
+            Some(Some(_)) => return invalid("the source cannot have a parent".into()),
+            Some(None) => {}
         }
         if !(weight.is_finite() && weight > 0.0) {
-            return Err(TreesError::InvalidArborescence(format!(
+            return invalid(format!(
                 "tree weight must be positive and finite, got {weight}"
-            )));
+            ));
         }
         let n = parent.len();
-        for (v, p) in parent.iter().enumerate().skip(1) {
+        for (v, &p) in parent.iter().enumerate().skip(1) {
             match p {
-                None => {
-                    return Err(TreesError::InvalidArborescence(format!(
-                        "receiver C{v} has no parent"
-                    )))
-                }
-                Some(u) if *u >= n => {
-                    return Err(TreesError::InvalidArborescence(format!(
-                        "parent {u} of C{v} is out of range"
-                    )))
-                }
-                Some(u) if *u == v => {
-                    return Err(TreesError::InvalidArborescence(format!(
-                        "C{v} cannot be its own parent"
-                    )))
-                }
+                None => return invalid(format!("receiver C{v} has no parent")),
+                Some(u) if u >= n => return invalid(format!("parent {u} of C{v} is out of range")),
+                Some(u) if u == v => return invalid(format!("C{v} cannot be its own parent")),
                 Some(_) => {}
             }
         }
         let tree = Arborescence { parent, weight };
         if tree.depths().iter().any(Option::is_none) {
-            return Err(TreesError::InvalidArborescence(
-                "the parent pointers contain a cycle".into(),
-            ));
+            return invalid("the parent pointers contain a cycle".into());
         }
         Ok(tree)
     }
@@ -92,11 +74,6 @@ impl Arborescence {
         self.weight
     }
 
-    /// Rescales the rate carried by the tree.
-    pub fn set_weight(&mut self, weight: f64) {
-        self.weight = weight;
-    }
-
     /// Directed edges `(parent, child)` of the tree.
     #[must_use]
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
@@ -114,12 +91,13 @@ impl Arborescence {
         let n = self.parent.len();
         let mut depth: Vec<Option<usize>> = vec![None; n];
         depth[0] = Some(0);
+        let mut path = Vec::new();
         for start in 1..n {
             if depth[start].is_some() {
                 continue;
             }
             // Walk up to a node of known depth, then unwind.
-            let mut path = Vec::new();
+            path.clear();
             let mut current = start;
             while depth[current].is_none() {
                 if path.contains(&current) {
@@ -146,12 +124,6 @@ impl Arborescence {
     #[must_use]
     pub fn max_depth(&self) -> usize {
         self.depths().into_iter().flatten().max().unwrap_or(0)
-    }
-
-    /// Outdegree of `node` within this tree (number of children).
-    #[must_use]
-    pub fn outdegree(&self, node: NodeId) -> usize {
-        self.parent.iter().filter(|&&p| p == Some(node)).count()
     }
 
     /// Checks that every edge of the tree is supported by the scheme (positive rate) and that
@@ -195,6 +167,13 @@ mod tests {
     use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
     use bmp_platform::paper::figure1;
 
+    fn children(tree: &Arborescence, node: NodeId) -> usize {
+        tree.edges()
+            .iter()
+            .filter(|&&(parent, _)| parent == node)
+            .count()
+    }
+
     fn chain(n: usize, weight: f64) -> Arborescence {
         let parent = (0..n)
             .map(|v| if v == 0 { None } else { Some(v - 1) })
@@ -211,8 +190,8 @@ mod tests {
         assert_eq!(tree.parent(3), Some(2));
         assert_eq!(tree.edges(), vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(tree.max_depth(), 3);
-        assert_eq!(tree.outdegree(0), 1);
-        assert_eq!(tree.outdegree(3), 0);
+        assert_eq!(children(&tree, 0), 1);
+        assert_eq!(children(&tree, 3), 0);
         assert_eq!(tree.depths(), vec![Some(0), Some(1), Some(2), Some(3)]);
     }
 
@@ -221,7 +200,7 @@ mod tests {
         let parent = vec![None, Some(0), Some(0), Some(0)];
         let tree = Arborescence::new(parent, 1.0).unwrap();
         assert_eq!(tree.max_depth(), 1);
-        assert_eq!(tree.outdegree(0), 3);
+        assert_eq!(children(&tree, 0), 3);
     }
 
     #[test]
@@ -323,12 +302,5 @@ mod tests {
         let json = serde_json::to_string(&tree).unwrap();
         let back: Arborescence = serde_json::from_str(&json).unwrap();
         assert_eq!(tree, back);
-    }
-
-    #[test]
-    fn set_weight_updates() {
-        let mut tree = chain(3, 1.0);
-        tree.set_weight(2.5);
-        assert_eq!(tree.weight(), 2.5);
     }
 }

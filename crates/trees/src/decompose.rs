@@ -12,6 +12,17 @@
 //!
 //! The number of trees produced is at most `E − R + 1`, where `E` is the number of overlay
 //! edges actually used and `R` the number of receivers.
+//!
+//! # Storage and document format
+//!
+//! Consecutive trees differ in a few parents, so a [`TreeDecomposition`] is one parent-run
+//! table: the tree weights in level order and, per node, `(first_tree, parent)` for every
+//! run of trees sharing that node's parent. The interval decomposition starts at most one
+//! run per used edge, so the table is O(m). It is also the `bmp decompose --out` document,
+//! `{"throughput": T, "weights": [w0, …], "runs": [[], [[0, p], [k, q], …], …]}`: the
+//! source's runs are empty, and every receiver's start at tree 0 with strictly increasing
+//! first trees below the tree count. A hand-edited document that breaks this reads back,
+//! but materializing, aggregating or verifying it reports a [`TreesError`].
 
 use crate::arborescence::Arborescence;
 use crate::error::TreesError;
@@ -20,39 +31,75 @@ use bmp_flow::eps;
 use bmp_platform::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// A set of weighted broadcast trees carrying a broadcast of rate [`TreeDecomposition::throughput`].
+/// A set of weighted broadcast trees carrying a broadcast of rate
+/// [`TreeDecomposition::throughput`], stored as a parent-run table (see the module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TreeDecomposition {
-    trees: Vec<Arborescence>,
-    throughput: f64,
-    num_nodes: usize,
+    pub(crate) throughput: f64,
+    /// Weight of every tree, in level order.
+    weights: Vec<f64>,
+    /// Per node, `(first_tree, parent)` for every maximal run of trees sharing its parent.
+    runs: Vec<Vec<(usize, NodeId)>>,
 }
 
 impl TreeDecomposition {
-    /// Bundles explicitly constructed trees into a decomposition.
-    ///
-    /// The caller is responsible for the stated `throughput` matching the sum of the tree
-    /// weights; [`TreeDecomposition::verify`] checks this (and the capacity constraints)
-    /// against a scheme.
-    #[must_use]
-    pub fn from_trees(trees: Vec<Arborescence>, throughput: f64, num_nodes: usize) -> Self {
+    /// An empty table over `num_nodes` nodes carrying `throughput`.
+    pub(crate) fn new(num_nodes: usize, throughput: f64) -> Self {
         TreeDecomposition {
-            trees,
             throughput,
-            num_nodes,
+            weights: Vec::new(),
+            runs: vec![Vec::new(); num_nodes],
         }
     }
 
-    /// The broadcast trees, in increasing level order.
+    /// Appends `tree` (spanning this table's nodes). With `merge`, a tree whose parents all
+    /// equal the last tree's widens the last tree by its weight instead.
+    pub(crate) fn push(&mut self, tree: &Arborescence, merge: bool) {
+        let index = self.weights.len();
+        let last_parent = |runs: &[(usize, NodeId)]| runs.last().map(|&(_, parent)| parent);
+        let mut nodes = self.runs.iter().enumerate();
+        if merge && index > 0 && nodes.all(|(v, runs)| last_parent(runs) == tree.parent(v)) {
+            self.weights[index - 1] += tree.weight();
+            return;
+        }
+        for (v, runs) in self.runs.iter_mut().enumerate() {
+            if let Some(parent) = tree.parent(v).filter(|&p| last_parent(runs) != Some(p)) {
+                runs.push((index, parent));
+            }
+        }
+        self.weights.push(tree.weight());
+    }
+
+    /// The broadcast trees in level order, materialized one at a time from the table.
+    ///
+    /// Every tree goes through [`Arborescence::new`], so a table whose runs are out of order
+    /// or whose parents do not form a spanning arborescence yields an error item.
+    pub fn trees(&self) -> impl Iterator<Item = Result<Arborescence, TreesError>> + '_ {
+        let mut parent = vec![None; self.num_nodes()];
+        let mut next = vec![0_usize; self.num_nodes()];
+        (0..self.num_trees()).map(move |index| {
+            for (v, runs) in self.runs.iter().enumerate() {
+                if let Some(&(first, p)) = runs.get(next[v]).filter(|run| run.0 <= index) {
+                    if first < index {
+                        return Err(disordered(v));
+                    }
+                    (parent[v], next[v]) = (Some(p), next[v] + 1);
+                }
+            }
+            Arborescence::new(parent.clone(), self.weights[index])
+        })
+    }
+
+    /// The tree weights, in level order.
     #[must_use]
-    pub fn trees(&self) -> &[Arborescence] {
-        &self.trees
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
     /// Number of trees in the decomposition.
     #[must_use]
     pub fn num_trees(&self) -> usize {
-        self.trees.len()
+        self.weights.len()
     }
 
     /// Total rate carried by the decomposition (sum of the tree weights).
@@ -64,48 +111,47 @@ impl TreeDecomposition {
     /// Number of nodes of the underlying platform (including the source).
     #[must_use]
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.runs.len()
     }
 
-    /// Total weight of the trees that route through the edge `from → to`.
-    #[must_use]
-    pub fn edge_usage(&self, from: NodeId, to: NodeId) -> f64 {
-        self.trees
-            .iter()
-            .filter(|t| t.parent(to) == Some(from))
-            .map(Arborescence::weight)
-            .sum()
-    }
-
-    /// All edges used by at least one tree, with their aggregate usage.
-    #[must_use]
-    pub fn used_edges(&self) -> Vec<(NodeId, NodeId, f64)> {
-        let mut usage = vec![0.0_f64; self.num_nodes * self.num_nodes];
-        for tree in &self.trees {
-            for (u, v) in tree.edges() {
-                usage[u * self.num_nodes + v] += tree.weight();
-            }
-        }
-        let mut edges = Vec::new();
-        for u in 0..self.num_nodes {
-            for v in 0..self.num_nodes {
-                if usage[u * self.num_nodes + v] > 0.0 {
-                    edges.push((u, v, usage[u * self.num_nodes + v]));
+    /// All edges used by at least one tree, with their aggregate usage, in row-major order.
+    /// Each usage adds the tree weights one by one in level order.
+    ///
+    /// # Errors
+    ///
+    /// [`TreesError::InvalidArborescence`] when some node's runs are out of order or range.
+    pub fn used_edges(&self) -> Result<Vec<(NodeId, NodeId, f64)>, TreesError> {
+        let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
+        for (v, runs) in self.runs.iter().enumerate() {
+            let first_edge = edges.len();
+            for (i, &(first, u)) in runs.iter().enumerate() {
+                let end = runs.get(i + 1).map_or(self.num_trees(), |run| run.0);
+                let weights = (self.weights.get(first..end))
+                    .filter(|weights| !weights.is_empty())
+                    .ok_or_else(|| disordered(v))?;
+                let slot = (edges[first_edge..].iter().position(|e| e.0 == u))
+                    .map_or(edges.len(), |offset| first_edge + offset);
+                if slot == edges.len() {
+                    edges.push((u, v, 0.0));
+                }
+                for &weight in weights {
+                    edges[slot].2 += weight;
                 }
             }
         }
-        edges
+        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        Ok(edges)
     }
 
     /// Largest tree depth over all trees (an upper bound on the pipeline start-up delay in
     /// hops).
-    #[must_use]
-    pub fn max_depth(&self) -> usize {
-        self.trees
-            .iter()
-            .map(Arborescence::max_depth)
-            .max()
-            .unwrap_or(0)
+    ///
+    /// # Errors
+    ///
+    /// The first error of [`TreeDecomposition::trees`].
+    pub fn max_depth(&self) -> Result<usize, TreesError> {
+        self.trees()
+            .try_fold(0, |depth, tree| Ok(depth.max(tree?.max_depth())))
     }
 
     /// Largest, over all nodes, of the number of *distinct children* the node has across all
@@ -114,15 +160,10 @@ impl TreeDecomposition {
     /// in the scheme the decomposition was extracted from.
     #[must_use]
     pub fn connection_degree(&self, node: NodeId) -> usize {
-        let mut children = vec![false; self.num_nodes];
-        for tree in &self.trees {
-            for (u, v) in tree.edges() {
-                if u == node {
-                    children[v] = true;
-                }
-            }
-        }
-        children.iter().filter(|&&c| c).count()
+        self.runs
+            .iter()
+            .filter(|runs| runs.iter().any(|&(_, parent)| parent == node))
+            .count()
     }
 
     /// Checks the decomposition against the scheme it was extracted from:
@@ -137,17 +178,17 @@ impl TreeDecomposition {
     ///
     /// Returns the first violation found as a [`TreesError::InvalidArborescence`].
     pub fn verify(&self, scheme: &BroadcastScheme) -> Result<(), TreesError> {
-        for tree in &self.trees {
-            tree.check_against_scheme(scheme)?;
+        for tree in self.trees() {
+            tree?.check_against_scheme(scheme)?;
         }
-        let total: f64 = self.trees.iter().map(Arborescence::weight).sum();
+        let total: f64 = self.weights.iter().sum();
         if !eps::approx_eq(total, self.throughput) {
             return Err(TreesError::InvalidArborescence(format!(
                 "tree weights sum to {total}, expected {}",
                 self.throughput
             )));
         }
-        for (u, v, usage) in self.used_edges() {
+        for (u, v, usage) in self.used_edges()? {
             let rate = scheme.rate(u, v);
             if usage > rate + RATE_EPS * rate.abs().max(1.0) {
                 return Err(TreesError::InvalidArborescence(format!(
@@ -157,6 +198,10 @@ impl TreeDecomposition {
         }
         Ok(())
     }
+}
+
+fn disordered(node: NodeId) -> TreesError {
+    TreesError::InvalidArborescence(format!("C{node}'s parent runs are out of order or range"))
 }
 
 /// Decomposes an acyclic broadcast scheme of throughput `throughput` into weighted broadcast
@@ -180,21 +225,22 @@ pub fn decompose_acyclic(
     for (pos, &node) in order.iter().enumerate() {
         position[node] = pos;
     }
+    let mut feeders: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+    for (u, v, rate) in scheme.edges() {
+        feeders[v].push((u, rate));
+    }
 
     // For every receiver, the feeders laid out over [0, throughput), earliest feeder first.
     // `coverage[v]` is a list of (feeder, start, end) with 0 = start_1 < end_1 = start_2 < …
     let mut coverage: Vec<Vec<(NodeId, f64, f64)>> = vec![Vec::new(); n];
     for v in scheme.instance().receivers() {
-        let mut feeders: Vec<NodeId> = (0..n)
-            .filter(|&u| u != v && scheme.rate(u, v) > RATE_EPS)
-            .collect();
-        feeders.sort_by_key(|&u| position[u]);
+        feeders[v].sort_by_key(|&(u, _)| position[u]);
         let mut level = 0.0_f64;
-        for u in feeders {
+        for &(u, rate) in &feeders[v] {
             if level >= throughput - RATE_EPS {
                 break;
             }
-            let end = (level + scheme.rate(u, v)).min(throughput);
+            let end = (level + rate).min(throughput);
             coverage[v].push((u, level, end));
             level = end;
         }
@@ -225,7 +271,7 @@ pub fn decompose_acyclic(
     breakpoints.dedup_by(|a, b| (*a - *b).abs() <= RATE_EPS);
 
     // One tree per consecutive pair of breakpoints.
-    let mut trees: Vec<Arborescence> = Vec::with_capacity(breakpoints.len() - 1);
+    let mut decomposition = TreeDecomposition::new(n, throughput);
     for window in breakpoints.windows(2) {
         let (start, end) = (window[0], window[1]);
         let width = end - start;
@@ -233,38 +279,18 @@ pub fn decompose_acyclic(
             continue;
         }
         let level = 0.5 * (start + end);
+        // The stretch above covers every level; a receiver left without a parent would be
+        // reported by `Arborescence::new` rather than panic.
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         for v in scheme.instance().receivers() {
             parent[v] = coverage[v]
                 .iter()
                 .find(|&&(_, s, e)| s <= level && level < e)
                 .map(|&(u, _, _)| u);
-            if parent[v].is_none() {
-                // The stretch above guarantees coverage; this is unreachable in practice but
-                // kept as a defensive error rather than a panic.
-                return Err(TreesError::InsufficientIncoming {
-                    node: v,
-                    received: level,
-                    required: throughput,
-                });
-            }
         }
-        let tree = Arborescence::new(parent, width)?;
-        // Merge with the previous tree when the parent functions coincide.
-        if let Some(last) = trees.last_mut() {
-            if (0..n).all(|v| last.parent(v) == tree.parent(v)) {
-                last.set_weight(last.weight() + width);
-                continue;
-            }
-        }
-        trees.push(tree);
+        decomposition.push(&Arborescence::new(parent, width)?, true);
     }
-
-    Ok(TreeDecomposition {
-        trees,
-        throughput,
-        num_nodes: n,
-    })
+    Ok(decomposition)
 }
 
 #[cfg(test)]
@@ -305,8 +331,9 @@ mod tests {
         let decomposition = decompose_acyclic(&scheme, t).unwrap();
         decomposition.verify(&scheme).unwrap();
         assert_eq!(decomposition.num_trees(), 1);
-        assert_eq!(decomposition.max_depth(), 1);
-        assert_eq!(decomposition.trees()[0].outdegree(0), 3);
+        assert_eq!(decomposition.max_depth(), Ok(1));
+        let tree = decomposition.trees().next().unwrap().unwrap();
+        assert_eq!(tree.edges(), vec![(0, 1), (0, 2), (0, 3)]);
     }
 
     #[test]
@@ -316,7 +343,7 @@ mod tests {
         let decomposition = decompose_acyclic(&scheme, t).unwrap();
         decomposition.verify(&scheme).unwrap();
         assert_eq!(decomposition.num_trees(), 1);
-        assert_eq!(decomposition.max_depth(), 3);
+        assert_eq!(decomposition.max_depth(), Ok(3));
     }
 
     #[test]
@@ -332,12 +359,27 @@ mod tests {
     fn edge_usage_matches_used_edges() {
         let solution = AcyclicGuardedSolver::default().solve(&figure1());
         let decomposition = decompose_acyclic(&solution.scheme, solution.throughput).unwrap();
-        for (u, v, usage) in decomposition.used_edges() {
-            assert!(eps::approx_eq(decomposition.edge_usage(u, v), usage));
+        // Per-edge usage summed over the materialized trees, weight by weight in level order.
+        let n = decomposition.num_nodes();
+        let mut usage = vec![0.0_f64; n * n];
+        for tree in decomposition.trees() {
+            let tree = tree.unwrap();
+            for (u, v) in tree.edges() {
+                usage[u * n + v] += tree.weight();
+            }
+        }
+        let used = decomposition.used_edges().unwrap();
+        let expected: Vec<(NodeId, NodeId, f64)> = (0..n * n)
+            .filter(|&i| usage[i] > 0.0)
+            .map(|i| (i / n, i % n, usage[i]))
+            .collect();
+        // Bit-identical sums, in row-major order.
+        assert_eq!(used, expected);
+        for (u, v, usage) in used {
             // Capacity respected up to the RATE_EPS dust documented in `verify`.
             assert!(usage <= solution.scheme.rate(u, v) + RATE_EPS);
         }
-        assert_eq!(decomposition.edge_usage(5, 0), 0.0);
+        assert!(expected.iter().all(|&(u, v, _)| (u, v) != (5, 0)));
     }
 
     #[test]
@@ -387,7 +429,8 @@ mod tests {
         // so compare structure exactly and weights approximately.
         assert_eq!(back.num_trees(), decomposition.num_trees());
         assert_eq!(back.num_nodes(), decomposition.num_nodes());
-        for (a, b) in decomposition.trees().iter().zip(back.trees()) {
+        for (a, b) in decomposition.trees().zip(back.trees()) {
+            let (a, b) = (a.unwrap(), b.unwrap());
             assert_eq!(a.edges(), b.edges());
             assert!(eps::approx_eq(a.weight(), b.weight()));
         }
@@ -395,6 +438,47 @@ mod tests {
             back.throughput(),
             decomposition.throughput()
         ));
+    }
+
+    #[test]
+    fn hand_corrupted_documents_are_errors_not_panics() {
+        let solution = AcyclicGuardedSolver::default().solve(&figure1());
+        let decomposition = decompose_acyclic(&solution.scheme, solution.throughput).unwrap();
+        let trees = decomposition.num_trees();
+        // The receiver with the most runs has its runs edited in a copy, which is written
+        // out and read back as a hand-edited `--out` document would be.
+        let v = (1..decomposition.num_nodes())
+            .max_by_key(|&v| decomposition.runs[v].len())
+            .unwrap();
+        assert!(decomposition.runs[v].len() >= 2, "{decomposition:?}");
+        type Edit<'a> = dyn Fn(&mut Vec<(usize, NodeId)>) + 'a;
+        let corrupt = |node: NodeId, edit: &Edit<'_>| {
+            let mut copy = decomposition.clone();
+            edit(&mut copy.runs[node]);
+            let text = serde_json::to_string(&copy).unwrap();
+            serde_json::from_str::<TreeDecomposition>(&text).unwrap()
+        };
+        let edits: [(&str, &Edit<'_>); 6] = [
+            ("runs out of order", &|runs| runs.swap(0, 1)),
+            ("duplicate first tree", &|runs| runs[1].0 = runs[0].0),
+            ("first tree out of range", &|runs| runs[1].0 = trees + 3),
+            ("run past the last tree", &|runs| runs.push((trees, 0))),
+            ("parent out of range", &|runs| runs[0].1 = 99),
+            ("no runs", &|runs| runs.clear()),
+        ];
+        for (what, edit) in edits {
+            let verdict = corrupt(v, edit).verify(&solution.scheme);
+            assert!(
+                matches!(verdict, Err(TreesError::InvalidArborescence(_))),
+                "{what}: {verdict:?}"
+            );
+        }
+        let parented_source = corrupt(0, &|runs| runs.push((0, 1)));
+        assert!(parented_source.trees().next().unwrap().is_err());
+        assert!(parented_source.max_depth().is_err());
+        assert!(crate::stripe::completion_estimate(&parented_source, 10.0, 1.0).is_err());
+        let out_of_range = corrupt(v, &|runs| runs[1].0 = trees + 3);
+        assert!(out_of_range.used_edges().is_err());
     }
 
     #[test]

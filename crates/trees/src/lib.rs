@@ -12,9 +12,11 @@
 //! * [`arborescence`] — spanning arborescences rooted at the source and their validation,
 //! * [`decompose`] — the exact interval decomposition of *acyclic* schemes (the low-degree
 //!   schemes built by `bmp-core` are all acyclic except for the cyclic construction of
-//!   Theorem 5.2),
-//! * [`packing`] — Edmonds-style packing value of arbitrary schemes and a greedy packing
-//!   heuristic that also handles cyclic schemes,
+//!   Theorem 5.2), and [`TreeDecomposition`], which stores any decomposition as one O(m)
+//!   parent-run table — also its serialized (`bmp decompose --out`) form,
+//!   `{"throughput", "weights", "runs"}` — and materializes one tree at a time,
+//! * [`packing`] — a greedy packing heuristic that also handles cyclic schemes, measured
+//!   against the Edmonds bound,
 //! * [`stripe`] — striping a finite message over a decomposition and estimating per-node
 //!   completion times under pipelined chunked transfer,
 //! * [`solver`] — an adapter registering the tree-based schedule in the unified solver
@@ -34,6 +36,6 @@ pub mod stripe;
 pub use arborescence::Arborescence;
 pub use decompose::{decompose_acyclic, TreeDecomposition};
 pub use error::TreesError;
-pub use packing::{greedy_packing, packing_value};
+pub use packing::greedy_packing;
 pub use solver::{full_registry, TreeDecompositionAlgorithm};
 pub use stripe::{completion_estimate, makespan_estimate, stripe_message, StripePlan};

@@ -4,11 +4,11 @@
 //! weight of a fractional packing of spanning arborescences rooted at the source, subject to
 //! the edge capacities `c_{i,j}`, equals the minimum over all receivers of the maximum flow
 //! from the source to that receiver — i.e. exactly the paper's definition of the throughput of
-//! a broadcast scheme. [`packing_value`] computes this bound. [`greedy_packing`] extracts an
-//! explicit packing by repeatedly peeling off a bottleneck-weighted arborescence from the
-//! residual capacities; it is exact on the single-path and star cases and a lower bound in
-//! general (the exact interval decomposition of [`crate::decompose`] should be preferred for
-//! acyclic schemes).
+//! a broadcast scheme, which [`GreedyPacking::upper_bound`] records. [`greedy_packing`]
+//! extracts an explicit packing by repeatedly peeling off a bottleneck-weighted arborescence
+//! from the residual capacities; it is exact on the single-path and star cases and a lower
+//! bound in general (the exact interval decomposition of [`crate::decompose`] should be
+//! preferred for acyclic schemes).
 
 use crate::arborescence::Arborescence;
 use crate::decompose::TreeDecomposition;
@@ -18,19 +18,13 @@ use bmp_platform::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// The Edmonds packing bound of a scheme: the largest total rate any packing of broadcast
-/// trees can carry, equal to the scheme's throughput `min_k maxflow(C0 → Ck)`.
-#[must_use]
-pub fn packing_value(scheme: &BroadcastScheme) -> f64 {
-    scheme.throughput()
-}
-
 /// Outcome of the greedy packing heuristic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GreedyPacking {
     /// The extracted trees, bundled as a decomposition.
     pub decomposition: TreeDecomposition,
-    /// The Edmonds bound of the input scheme, for comparison.
+    /// The Edmonds bound of the input scheme (its throughput `min_k maxflow(C0 → Ck)`), for
+    /// comparison.
     pub upper_bound: f64,
 }
 
@@ -62,8 +56,7 @@ pub fn greedy_packing(scheme: &BroadcastScheme) -> Result<GreedyPacking, TreesEr
     let edges = scheme.edges();
     let mut residual: Vec<f64> = edges.iter().map(|&(_, _, rate)| rate).collect();
 
-    let mut trees: Vec<Arborescence> = Vec::new();
-    let mut total = 0.0_f64;
+    let mut decomposition = TreeDecomposition::new(n, 0.0);
     while let Some(tree) = bfs_arborescence(&edges, &residual, n) {
         // Bottleneck of this tree in the residual capacities.
         let bottleneck = tree
@@ -77,15 +70,13 @@ pub fn greedy_packing(scheme: &BroadcastScheme) -> Result<GreedyPacking, TreesEr
         for &(_, edge) in tree.iter().flatten() {
             residual[edge] -= bottleneck;
         }
-        total += bottleneck;
+        decomposition.throughput += bottleneck;
         let parent = tree.iter().map(|link| link.map(|(u, _)| u)).collect();
-        trees.push(Arborescence::new(parent, bottleneck)?);
+        decomposition.push(&Arborescence::new(parent, bottleneck)?, false);
     }
-
-    let decomposition = TreeDecomposition::from_trees(trees, total, n);
     Ok(GreedyPacking {
         decomposition,
-        upper_bound: packing_value(scheme),
+        upper_bound: scheme.throughput(),
     })
 }
 
@@ -128,10 +119,10 @@ mod tests {
     use bmp_platform::Instance;
 
     #[test]
-    fn packing_value_is_the_scheme_throughput() {
+    fn upper_bound_is_the_scheme_throughput() {
         let solution = AcyclicGuardedSolver::default().solve(&figure1());
         assert!(eps::approx_eq(
-            packing_value(&solution.scheme),
+            greedy_packing(&solution.scheme).unwrap().upper_bound,
             solution.scheme.throughput()
         ));
     }

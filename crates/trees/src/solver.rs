@@ -14,6 +14,7 @@
 //! `bmp-core`, not the other way around.
 
 use crate::decompose::decompose_acyclic;
+use crate::error::TreesError;
 use bmp_core::solver::{EvalCtx, Solution, SolveRecorder, Solver};
 use bmp_core::{BroadcastScheme, CoreError};
 use bmp_platform::Instance;
@@ -42,14 +43,14 @@ impl Solver for TreeDecompositionAlgorithm {
                 ..base
             });
         }
-        let decomposition = decompose_acyclic(&base.scheme, base.throughput).map_err(|e| {
-            CoreError::Unsupported {
-                algorithm: "tree-decomposition",
-                reason: e.to_string(),
-            }
-        })?;
+        let unsupported = |e: TreesError| CoreError::Unsupported {
+            algorithm: "tree-decomposition",
+            reason: e.to_string(),
+        };
+        let decomposition =
+            decompose_acyclic(&base.scheme, base.throughput).map_err(unsupported)?;
         let mut scheme = BroadcastScheme::new(instance.clone());
-        for (from, to, weight) in decomposition.used_edges() {
+        for (from, to, weight) in decomposition.used_edges().map_err(unsupported)? {
             // The trees cover each overlay edge up to its allocated rate; summing their
             // weights can overshoot it by accumulated rounding, so clamp to the base
             // rate to keep the aggregate scheme exactly as feasible as the base overlay.

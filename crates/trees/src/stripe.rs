@@ -27,14 +27,6 @@ pub struct StripePlan {
     pub stripes: Vec<f64>,
 }
 
-impl StripePlan {
-    /// Sum of all stripe sizes (equals the message size up to rounding).
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.stripes.iter().sum()
-    }
-}
-
 /// Splits a message of size `message_size` over the trees of `decomposition`, proportionally
 /// to the tree weights.
 ///
@@ -54,9 +46,9 @@ pub fn stripe_message(
         return Err(TreesError::NonPositiveThroughput(throughput));
     }
     let stripes = decomposition
-        .trees()
+        .weights()
         .iter()
-        .map(|t| message_size * t.weight() / throughput)
+        .map(|weight| message_size * weight / throughput)
         .collect();
     Ok(StripePlan {
         message_size,
@@ -73,7 +65,8 @@ pub fn stripe_message(
 ///
 /// # Errors
 ///
-/// Same conditions as [`stripe_message`]; additionally the chunk size must be positive.
+/// Same conditions as [`stripe_message`]; additionally the chunk size must be positive, and
+/// the first error of [`TreeDecomposition::trees`] is returned.
 pub fn completion_estimate(
     decomposition: &TreeDecomposition,
     message_size: f64,
@@ -90,8 +83,7 @@ pub fn completion_estimate(
     let fill_per_hop = chunk_size / throughput;
     let mut completion = vec![0.0_f64; n];
     for tree in decomposition.trees() {
-        let depths = tree.depths();
-        for (node, depth) in depths.iter().enumerate().skip(1) {
+        for (node, depth) in tree?.depths().iter().enumerate().skip(1) {
             let depth = depth.expect("constructed arborescences have no cycles");
             let arrival = stream_time + depth as f64 * fill_per_hop;
             if arrival > completion[node] {
@@ -139,9 +131,9 @@ mod tests {
     fn stripes_are_proportional_and_sum_to_the_message() {
         let (decomposition, throughput) = figure1_decomposition();
         let plan = stripe_message(&decomposition, 100.0).unwrap();
-        assert!((plan.total() - 100.0).abs() < 1e-9);
-        for (tree, stripe) in decomposition.trees().iter().zip(&plan.stripes) {
-            assert!((stripe - 100.0 * tree.weight() / throughput).abs() < 1e-9);
+        assert!((plan.stripes.iter().sum::<f64>() - 100.0).abs() < 1e-9);
+        for (tree, stripe) in decomposition.trees().zip(&plan.stripes) {
+            assert!((stripe - 100.0 * tree.unwrap().weight() / throughput).abs() < 1e-9);
         }
     }
 
@@ -185,7 +177,7 @@ mod tests {
         assert!(stripe_message(&decomposition, 0.0).is_err());
         assert!(stripe_message(&decomposition, f64::NAN).is_err());
         assert!(completion_estimate(&decomposition, 10.0, 0.0).is_err());
-        let empty = TreeDecomposition::from_trees(Vec::new(), 0.0, 6);
+        let empty = TreeDecomposition::new(6, 0.0);
         assert!(stripe_message(&empty, 10.0).is_err());
     }
 

@@ -5,7 +5,7 @@ use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_core::acyclic_open::acyclic_open_optimal_scheme;
 use bmp_flow::eps;
 use bmp_platform::Instance;
-use bmp_trees::{decompose_acyclic, greedy_packing, packing_value};
+use bmp_trees::{decompose_acyclic, greedy_packing};
 use proptest::prelude::*;
 
 /// Bandwidths in a range that keeps the solvers numerically comfortable.
@@ -36,7 +36,7 @@ proptest! {
         decomposition.verify(&solution.scheme).expect("decomposition invariants hold");
 
         // Weights sum to the throughput.
-        let total: f64 = decomposition.trees().iter().map(|t| t.weight()).sum();
+        let total: f64 = decomposition.trees().map(|t| t.unwrap().weight()).sum();
         prop_assert!(eps::approx_eq(total, solution.throughput));
 
         // Tree count bound E - R + 1.
@@ -73,7 +73,7 @@ proptest! {
         packing.decomposition.verify(&solution.scheme).unwrap();
         prop_assert!(eps::approx_le(
             packing.decomposition.throughput(),
-            packing_value(&solution.scheme)
+            solution.scheme.throughput()
         ));
         prop_assert!(packing.decomposition.num_trees() <= solution.scheme.edges().len());
     }
@@ -88,7 +88,8 @@ proptest! {
         let decomposition = decompose_acyclic(&solution.scheme, solution.throughput).unwrap();
         let message = f64::from(message);
         let plan = bmp_trees::stripe_message(&decomposition, message).unwrap();
-        prop_assert!((plan.total() - message).abs() < 1e-6 * message.max(1.0));
+        let total: f64 = plan.stripes.iter().sum();
+        prop_assert!((total - message).abs() < 1e-6 * message.max(1.0));
         let completion =
             bmp_trees::completion_estimate(&decomposition, message, message / 100.0).unwrap();
         // Every receiver completes no earlier than the fluid bound.

@@ -7,6 +7,11 @@
 //! 100-unit file over them, and cross-checks the analytical completion estimate against the
 //! chunk-level simulator.
 //!
+//! The decomposition is stored as a parent-run table (tree weights, plus per node the runs
+//! of trees sharing its parent), O(m) in the overlay's edges; `trees()` materializes one
+//! tree at a time, and serializing the decomposition writes that table as
+//! `{"throughput", "weights", "runs"}`.
+//!
 //! Run with `cargo run --example tree_decomposition`.
 
 use bmp::prelude::*;
@@ -33,9 +38,10 @@ fn main() {
         "decomposition: {} trees summing to rate {:.3} (max depth {})",
         decomposition.num_trees(),
         decomposition.throughput(),
-        decomposition.max_depth()
+        decomposition.max_depth().expect("verified above")
     );
-    for (index, tree) in decomposition.trees().iter().enumerate() {
+    for (index, tree) in decomposition.trees().enumerate() {
+        let tree = tree.expect("verified above");
         println!(
             "  tree {index}: weight {:.3}, depth {}, edges {:?}",
             tree.weight(),
