@@ -36,15 +36,17 @@ fn bench_dichotomic(c: &mut Criterion) {
 }
 
 /// Re-scoring near-identical schemes, the access pattern of a search loop probing a
-/// scheme whose edge set is fixed while the rates move. Two variants, identical CSR
-/// construction and flow solves, different buffer handling:
+/// scheme whose edge set is fixed while the rates move. Two variants on the same
+/// acyclic scheme:
 ///
 /// * `rebuild` — `FlowArena::from_edges` over `scheme.edges()` per probe (rate scan +
-///   CSR construction into freshly allocated buffers) then the batched evaluator;
-/// * `retained` — `EvalCtx::throughput`: same rate scan and construction, but into the
-///   buffers of the context's arena and edge list, which the previous probe sized.
+///   CSR construction into freshly allocated buffers) then the batched Dinic evaluator;
+/// * `retained` — `EvalCtx::throughput`: the same rate scan into the context's edge
+///   list, then the acyclic cut certificate (a Kahn pass and in-rate sums in buffers
+///   the previous probe sized), with no arena and no max-flow.
 ///
-/// The pair measures what the reused buffers save.
+/// The pair measures what the cut certificate saves over Dinic. The single-sink pair
+/// below still measures arena reuse: `EvalCtx::max_flow_to` always runs max-flow.
 fn bench_reevaluation(c: &mut Criterion) {
     let mut group = c.benchmark_group("dichotomic_reevaluation");
     group.sample_size(20);

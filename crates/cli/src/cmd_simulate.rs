@@ -283,7 +283,8 @@ fn finish_closed_loop<W: Write>(
         let ctx = controller.ctx();
         writeln!(
             out,
-            "controller telemetry : {} flow solves, {} bisection iters",
+            "controller telemetry : {} cut certifications, {} flow solves, {} bisection iters",
+            ctx.cut_certifications(),
             ctx.flow_solves(),
             ctx.bisection_iters()
         )?;

@@ -45,14 +45,20 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
         writeln!(out, "word       : {word}")?;
     }
     let scheme = &solution.scheme;
+    let acyclic = scheme.is_acyclic();
     writeln!(out, "throughput : {:.6}", solution.throughput)?;
     writeln!(
         out,
-        "verified   : {:.6} (max-flow)",
-        solution.verified_throughput
+        "verified   : {:.6} ({})",
+        solution.verified_throughput,
+        if acyclic {
+            "acyclic cut: smallest in-rate"
+        } else {
+            "max-flow"
+        }
     )?;
     writeln!(out, "feasible   : {}", scheme.is_feasible())?;
-    writeln!(out, "acyclic    : {}", scheme.is_acyclic())?;
+    writeln!(out, "acyclic    : {acyclic}")?;
     writeln!(out, "edges      : {}", scheme.edges().len())?;
     writeln!(
         out,
@@ -63,7 +69,8 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
     let telemetry = &solution.telemetry;
     writeln!(
         out,
-        "telemetry  : {} flow solves, {} bisection iters, {:.3} ms",
+        "telemetry  : {} cut certifications, {} flow solves, {} bisection iters, {:.3} ms",
+        telemetry.cut_certifications,
         telemetry.flow_solves,
         telemetry.bisection_iters,
         telemetry.wall_time.as_secs_f64() * 1e3
@@ -158,7 +165,9 @@ mod tests {
         assert!(output.contains("throughput : 4.0"));
         assert!(output.contains("feasible   : true"));
         assert!(output.contains("word       :"));
-        assert!(output.contains("telemetry  :"));
+        // The acyclic scheme was verified by its cut, and the labels say so.
+        assert!(output.contains("verified   : 4.000000 (acyclic cut: smallest in-rate)"));
+        assert!(output.contains("telemetry  : 1 cut certifications, 0 flow solves,"));
         // The word comes after the algorithm header (uniform report order).
         assert!(output.find("algorithm").unwrap() < output.find("word").unwrap());
         let scheme = files::read_scheme(&scheme_path).unwrap();
@@ -192,6 +201,14 @@ mod tests {
             .unwrap_or_else(|e| panic!("--algorithm {name} failed: {e}"));
             assert!(output.contains("feasible   : true"), "{name}: {output}");
             assert!(output.contains("telemetry  :"), "{name}: {output}");
+            // The verification label names the method that ran: max-flow only on the
+            // cyclic construction.
+            let method = if name == "cyclic-open" {
+                "(max-flow)"
+            } else {
+                "(acyclic cut: smallest in-rate)"
+            };
+            assert!(output.contains(method), "{name}: {output}");
             dispatched.push(name);
         }
         assert!(dispatched.len() >= 5, "only dispatched {dispatched:?}");

@@ -15,10 +15,11 @@ pub const FLAGS: FlagSpec = FlagSpec {
 /// Runs the `verify` subcommand.
 ///
 /// Flags: `--scheme FILE` (required), `--throughput T` (finite, positive target
-/// throughput; defaults to the max-flow throughput of the scheme itself).
+/// throughput; defaults to the throughput of the scheme itself).
 ///
-/// Prints the feasibility violations (bandwidth, firewall, malformed rates), the max-flow
-/// throughput, whether the scheme is acyclic, and the per-node degree excess with respect to
+/// Prints the feasibility violations (bandwidth, firewall, malformed rates), the
+/// throughput (the smallest in-rate over the receivers when the scheme is acyclic, the
+/// smallest max-flow to a receiver otherwise) and the method that measured it, whether the scheme is acyclic, and the per-node degree excess with respect to
 /// `⌈b_i / T⌉`.
 ///
 /// # Errors
@@ -29,6 +30,7 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     let scheme = files::read_scheme(args.require("--scheme")?)?;
     let violations = scheme.validate();
     let measured = scheme.throughput();
+    let acyclic = scheme.is_acyclic();
     let target = args.get_positive("--throughput", measured)?;
 
     if violations.is_empty() {
@@ -39,11 +41,13 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             writeln!(out, "  - {violation:?}")?;
         }
     }
-    writeln!(
-        out,
-        "throughput  : {measured:.6} (max-flow from the source to every receiver)"
-    )?;
-    writeln!(out, "acyclic     : {}", scheme.is_acyclic())?;
+    let method = if acyclic {
+        "acyclic cut: smallest in-rate over the receivers"
+    } else {
+        "max-flow from the source to every receiver"
+    };
+    writeln!(out, "throughput  : {measured:.6} ({method})")?;
+    writeln!(out, "acyclic     : {acyclic}")?;
     writeln!(out, "node  class    bandwidth  outdegree  bound  excess")?;
     let instance = scheme.instance();
     for node in instance.nodes() {
@@ -95,9 +99,22 @@ mod tests {
         let output = run_on(&solution.scheme, &[]);
         assert!(output.contains("constraints : satisfied"));
         assert!(output.contains("acyclic     : true"));
+        assert!(output.contains("(acyclic cut: smallest in-rate over the receivers)"));
         assert!(output.contains("max degree excess"));
         assert!(output.contains("C0"));
         assert!(output.contains("guarded"));
+    }
+
+    #[test]
+    fn a_cyclic_scheme_is_measured_by_max_flow() {
+        let instance = bmp_platform::Instance::open_only(10.0, vec![4.0, 4.0, 1.0]).unwrap();
+        let (scheme, throughput) =
+            bmp_core::cyclic_open::cyclic_open_optimal_scheme(&instance).unwrap();
+        let output = run_on(&scheme, &[]);
+        assert!(output.contains("acyclic     : false"));
+        assert!(output.contains(&format!(
+            "throughput  : {throughput:.6} (max-flow from the source to every receiver)"
+        )));
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   small variations in the communication performance of nodes"): the dichotomic search
 //!   for the largest fraction by which one node's upload rates can degrade before the
 //!   delivered throughput drops below a floor. Its probes re-score one working copy of
-//!   the scheme with only that node's outgoing rates moving, each on the evaluation
-//!   context's arena, rebuilt in the buffers of the previous probe. It is the fault
+//!   the scheme with only that node's outgoing rates moving, each through the
+//!   evaluation context's buffers of the previous probe (the cut certificate of an
+//!   acyclic scheme, the rebuilt arena and Dinic of a cyclic one). It is the fault
 //!   plane's [`FaultSite::Probe`] site.
 
 use crate::error::CoreError;
@@ -29,9 +30,11 @@ use bmp_platform::{Instance, NodeId};
 /// Throughput of `scheme` restricted to the surviving nodes: departed nodes neither send nor
 /// receive nor relay, and departed receivers are not counted in the minimum.
 ///
-/// The evaluation is the scheme's own, masked: every edge touching a departed node gets
-/// capacity 0 and only the surviving receivers are sinks. `ctx` rebuilds its arena from
-/// the masked edge list like any other evaluation.
+/// The evaluation is the scheme's own, masked: every edge touching a departed node is
+/// dropped and only the surviving receivers count. When the surviving edges form no
+/// cycle, `ctx` certifies the value as the smallest surviving in-rate in O(n + m)
+/// (one [`EvalCtx::cut_certifications`]); otherwise it rebuilds its arena from the
+/// masked edge list and runs Dinic to the survivors, like any other evaluation.
 ///
 /// # Panics
 ///
@@ -76,7 +79,7 @@ fn alive_mask(instance: &Instance, departed: &[NodeId]) -> Vec<bool> {
 /// through `ctx` ([`crate::search::DichotomicSearch`] at the context tolerance, probes
 /// accounted as [`crate::solver::Telemetry::bisection_iters`]). It clones one working
 /// copy up front and mutates only `node`'s outgoing rates per probe, so every probe
-/// rebuilds the context's arena in buffers that already fit.
+/// evaluates in the context's buffers that already fit.
 ///
 /// The probe is intercepted at [`FaultSite::Probe`] before any flow evaluation; without
 /// an installed fault script it always succeeds.

@@ -25,8 +25,8 @@
 //! * [`solver::Solver`] — the trait every algorithm implements: `name()`, `describe()`,
 //!   `solve(&Instance, &mut EvalCtx) -> Result<Solution, CoreError>`.
 //! * [`solver::Solution`] — the uniform result: scheme, claimed (and verified) throughput,
-//!   optional coding word, algorithm label, and [`solver::Telemetry`] (flow solves,
-//!   bisection probes, wall time).
+//!   optional coding word, algorithm label, and [`solver::Telemetry`] (cut
+//!   certifications, flow solves, bisection probes, wall time).
 //! * [`solver::EvalCtx`] — the evaluation context owning the flow arena and solver
 //!   workspace, and the only throughput-evaluation path: `BroadcastScheme::throughput`
 //!   is a convenience over a fresh context, and churn residuals are masked evaluations

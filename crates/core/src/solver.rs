@@ -6,23 +6,26 @@
 //!
 //! * [`Solver`] — `name()` / `describe()` / `solve(&Instance, &mut EvalCtx)`,
 //! * [`Solution`] — scheme + claimed throughput + optional coding word + algorithm label
-//!   \+ [`Telemetry`] (flow solves, bisection probes, wall time),
+//!   \+ [`Telemetry`] (cut certifications, flow solves, bisection probes, wall time),
 //! * [`EvalCtx`] — the flow-evaluation workspace owning the [`FlowArena`] and
 //!   [`FlowSolver`], and the only code that turns a scheme into a flow network
 //!   ([`BroadcastScheme::throughput`] is a one-line convenience over a fresh context). It
-//!   keeps one arena across evaluations. Every scheme evaluation takes one path: scan
-//!   the scheme's sparse rows ([`BroadcastScheme::edges_into`], O(n + m)); rebuild the
-//!   arena from them in its own buffers ([`FlowArena::rebuild`]); then run cold Dinic over
-//!   the receivers. A churn residual ([`crate::churn::residual_throughput`]) is the same
-//!   evaluation with the departed nodes' edges at capacity 0 and only the surviving
-//!   receivers as sinks.
+//!   keeps one arena across evaluations. Every scheme evaluation scans the scheme's
+//!   sparse rows ([`BroadcastScheme::edges_into`], O(n + m)) and runs a Kahn pass over
+//!   them. An acyclic scheme is certified there, in O(n + m): its throughput is the
+//!   smallest total in-rate over the receivers (the cut proof is on
+//!   `EvalCtx::masked_throughput`). Only a scheme with a cycle rebuilds the arena in
+//!   its own buffers ([`FlowArena::rebuild`]) and runs cold Dinic over the receivers. A
+//!   churn residual ([`crate::churn::residual_throughput`]) is the same evaluation with
+//!   the departed nodes' edges dropped and only the surviving receivers counted.
 //!
 //! # Parallel evaluation
 //!
-//! [`EvalCtx::set_parallelism`] fans `throughput` evaluations out through
-//! [`bmp_flow::FlowPool::global`]: the arena is rebuilt exactly as in the sequential
-//! path, then the per-receiver max-flows are split between the context's own solver and
-//! scoped helper threads (at most 8) that live for that one evaluation. Values **and**
+//! [`EvalCtx::set_parallelism`] fans the Dinic evaluations of cyclic schemes out through
+//! [`bmp_flow::FlowPool::global`] (the cut certificate of an acyclic scheme always runs
+//! on the calling thread): the arena is rebuilt exactly as in the sequential path, then
+//! the per-receiver max-flows are split between the context's own solver and scoped
+//! helper threads (at most 8) that live for that one evaluation. Values **and**
 //! the [`Telemetry`] counters are bit-for-bit identical to sequential evaluation — the
 //! fan-out only changes wall time — which the conformance suite asserts for every
 //! registry solver. `0` (the default) selects the
@@ -32,7 +35,8 @@
 //! — see `bmp_experiments::parallel::eval_parallelism`).
 //!
 //! Every solver verifies its own output before returning: [`SolveRecorder::finish`]
-//! re-scores the constructed scheme through [`EvalCtx::verify`], and a shortfall against
+//! re-scores the constructed scheme through [`EvalCtx::verify`] (by the cut certificate
+//! or by max-flow, whichever the scheme's shape selects), and a shortfall against
 //! the claimed throughput surfaces as [`CoreError::VerificationFailed`] instead of a
 //! silently wrong `Solution`. `verify` is the crate's one claim check: the experiment
 //! sweeps certify their spot-checked schemes through it too.
@@ -65,8 +69,12 @@ const VERIFY_TOL: f64 = 1e-6;
 /// Cost counters and timing of one [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Telemetry {
+    /// Number of scheme evaluations certified by the acyclic cut: one per evaluation
+    /// whose live edges form no cycle (see [`EvalCtx::throughput`]).
+    pub cut_certifications: u64,
     /// Number of per-sink max-flow evaluations requested through the context (batched
     /// evaluations count one per sink, even when the early-exit cap truncates a solve).
+    /// Only schemes with a live cycle run them, so this reads 0 on acyclic work.
     pub flow_solves: u64,
     /// Number of feasibility probes spent by dichotomic searches.
     pub bisection_iters: u64,
@@ -79,12 +87,13 @@ pub struct Telemetry {
 pub struct Solution {
     /// Registry name of the algorithm that actually ran (e.g. `"acyclic-guarded"`).
     pub algorithm: &'static str,
-    /// Throughput the algorithm claims; verified against the scheme by max-flow before
-    /// the solution is returned.
+    /// Throughput the algorithm claims; verified against the scheme by
+    /// [`EvalCtx::verify`] before the solution is returned.
     pub throughput: f64,
-    /// The scheme's throughput as measured by max-flow during verification (within the
-    /// verification tolerance of `throughput`, and free for callers to display — the
-    /// evaluation already happened).
+    /// The scheme's throughput as measured during verification — by the cut certificate
+    /// when the scheme is acyclic, by max-flow otherwise (within the verification
+    /// tolerance of `throughput`, and free for callers to display — the evaluation
+    /// already happened).
     pub verified_throughput: f64,
     /// The coding word / increasing order realising the scheme, for the algorithms that
     /// have one.
@@ -103,8 +112,8 @@ pub fn default_speculation() -> usize {
 }
 
 /// Whether contexts start with warm residual reuse: always `false`, since every
-/// evaluation runs cold Dinic. Kept because the benchmark harness records it among the
-/// program defaults.
+/// max-flow evaluation runs cold Dinic. Kept because the benchmark harness records it
+/// among the program defaults.
 #[must_use]
 pub fn default_incremental() -> bool {
     false
@@ -127,13 +136,15 @@ fn min_max_on(
     FlowPool::global().min_max_flow_with(solver, arena, source, sinks, threads)
 }
 
-/// Explicit flow-evaluation workspace: owns the arena and the solver buffers, keeps
-/// both across evaluations, and counts work for [`Telemetry`].
+/// Explicit flow-evaluation workspace: owns the arena, the solver and the cut
+/// certificate's buffers, keeps them across evaluations, and counts work for
+/// [`Telemetry`].
 ///
-/// Every evaluation scans the scheme's rows and rebuilds the arena in place
-/// ([`FlowArena::rebuild`]). In steady state (re-probing schemes of the same size — the
-/// access pattern of every dichotomic search loop) the arena, edge and [`FlowSolver`]
-/// buffers are already large enough, so an evaluation allocates nothing.
+/// Every evaluation scans the scheme's rows and certifies an acyclic scheme by its
+/// smallest in-rate; a cyclic one rebuilds the arena in place ([`FlowArena::rebuild`])
+/// for Dinic. In steady state (re-probing schemes of the same size — the access pattern
+/// of every dichotomic search loop) the edge, Kahn, arena and [`FlowSolver`] buffers are
+/// already large enough, so an evaluation allocates nothing.
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
     solver: FlowSolver,
@@ -144,6 +155,7 @@ pub struct EvalCtx {
     parallelism: usize,
     scratch_edges: Vec<(NodeId, NodeId, f64)>,
     scratch_sinks: Vec<NodeId>,
+    cut: AcyclicCut,
     tolerance: f64,
     /// Installed fault-injection script; `None` (production) makes every interception
     /// a single branch on a `None` discriminant.
@@ -152,6 +164,7 @@ pub struct EvalCtx {
     /// has already verified feasible on a closely related overlay (the repair path's
     /// residual probe). Consumed — never reused — by the first solver that takes it.
     warm_start_lower: Option<f64>,
+    cut_certifications: u64,
     flow_solves: u64,
     bisection_iters: u64,
 }
@@ -183,9 +196,11 @@ impl EvalCtx {
             parallelism: 0,
             scratch_edges: Vec::new(),
             scratch_sinks: Vec::new(),
+            cut: AcyclicCut::default(),
             tolerance,
             injected_faults: None,
             warm_start_lower: None,
+            cut_certifications: 0,
             flow_solves: 0,
             bisection_iters: 0,
         }
@@ -256,7 +271,14 @@ impl EvalCtx {
         0
     }
 
-    /// Total per-sink max-flow evaluations requested so far.
+    /// Total scheme evaluations certified by the acyclic cut so far.
+    #[must_use]
+    pub fn cut_certifications(&self) -> u64 {
+        self.cut_certifications
+    }
+
+    /// Total per-sink max-flow evaluations requested so far (only schemes with a live
+    /// cycle, and [`EvalCtx::max_flow_to`], run them).
     #[must_use]
     pub fn flow_solves(&self) -> u64 {
         self.flow_solves
@@ -276,7 +298,8 @@ impl EvalCtx {
         false
     }
 
-    /// Sets the fan-out of [`EvalCtx::throughput`] evaluations (see the module docs):
+    /// Sets the fan-out of the max-flow evaluations of cyclic schemes (see the module
+    /// docs):
     /// `0` (the default) picks per evaluation via
     /// [`bmp_flow::suggested_flow_threads`] (sequential for small instances, fanned out
     /// at fleet scale), `1` always evaluates sequentially on the calling thread, and
@@ -302,32 +325,60 @@ impl EvalCtx {
         self.parallelism
     }
 
-    /// Throughput of `scheme` (`min_k maxflow(source → C_k)`), evaluated on the
-    /// context's arena (see the type docs) at the configured parallelism
-    /// ([`EvalCtx::set_parallelism`]).
+    /// Throughput of `scheme` (`min_k maxflow(source → C_k)`): the smallest in-rate over
+    /// the receivers when the scheme is acyclic (one [`EvalCtx::cut_certifications`]),
+    /// max-flow on the context's arena at the configured parallelism
+    /// ([`EvalCtx::set_parallelism`]) otherwise (one [`EvalCtx::flow_solves`] per
+    /// receiver).
     pub fn throughput(&mut self, scheme: &BroadcastScheme) -> f64 {
         self.masked_throughput(scheme, None)
     }
 
     /// [`EvalCtx::throughput`] of `scheme` with the nodes where `alive` is `false` cut
-    /// out: every edge touching one gets capacity 0, and only the live receivers are
-    /// sinks (`f64::INFINITY` when none is). A zero-capacity arc never carries flow and
-    /// adds `+0.0` to its head's in-capacity, so the value is bit-for-bit the evaluation
-    /// of the edge list without those edges.
+    /// out: every edge touching one is dropped, and only the live receivers count
+    /// (`f64::INFINITY` when none is).
+    ///
+    /// After the O(n + m) row scan, a FIFO Kahn pass orders the live edges. When every
+    /// node gets ordered, the value is the smallest total live in-rate `in(w)` over the
+    /// live receivers, with no max-flow at all:
+    ///
+    /// * `maxflow(C₀ → v) ≤ in(v)`, the cut around `v` alone;
+    /// * conversely, take any cut `(S, T)` with `C₀ ∈ S` and a live receiver `v ∈ T`.
+    ///   Departed nodes have only zero-capacity edges, so moving them to `S` leaves the
+    ///   cut's capacity unchanged. The first node `w` of `T` in topological order is then
+    ///   a live receiver whose live in-edges all start in `S`, so the cut has capacity at
+    ///   least `in(w) ≥ min in`.
+    ///
+    /// Only a scheme with a live cycle rebuilds the arena, with the departed nodes'
+    /// edges at capacity 0 and the live receivers as sinks, and runs Dinic. A
+    /// zero-capacity arc never carries flow and adds `+0.0` to its head's in-capacity,
+    /// so that value is bit-for-bit the evaluation of the edge list without those edges.
     pub(crate) fn masked_throughput(
         &mut self,
         scheme: &BroadcastScheme,
         alive: Option<&[bool]>,
     ) -> f64 {
-        self.rebuild_arena(scheme, alive);
+        let instance = scheme.instance();
+        scheme.edges_into(&mut self.scratch_edges);
+        if let Some(alive) = alive {
+            for (from, to, capacity) in &mut self.scratch_edges {
+                if !(alive[*from] && alive[*to]) {
+                    *capacity = 0.0;
+                }
+            }
+        }
+        let receivers = instance
+            .receivers()
+            .filter(|&node| alive.is_none_or(|alive| alive[node]));
+        let n = instance.num_nodes();
+        if self.cut.order(n, &self.scratch_edges) {
+            self.cut_certifications += 1;
+            return self.cut.min_in_rate(receivers);
+        }
+        self.arena.rebuild(n, &self.scratch_edges);
         let sinks = &mut self.scratch_sinks;
         sinks.clear();
-        sinks.extend(
-            scheme
-                .instance()
-                .receivers()
-                .filter(|&node| alive.is_none_or(|alive| alive[node])),
-        );
+        sinks.extend(receivers);
         self.flow_solves += sinks.len() as u64;
         min_max_on(&mut self.solver, &self.arena, 0, sinks, self.parallelism)
     }
@@ -357,24 +408,71 @@ impl EvalCtx {
     /// Maximum flow from the source to `receiver` in `scheme`'s weighted digraph
     /// (on the context's arena, like [`EvalCtx::throughput`]).
     pub fn max_flow_to(&mut self, scheme: &BroadcastScheme, receiver: NodeId) -> f64 {
-        self.rebuild_arena(scheme, None);
+        scheme.edges_into(&mut self.scratch_edges);
+        self.arena
+            .rebuild(scheme.instance().num_nodes(), &self.scratch_edges);
         self.flow_solves += 1;
         self.solver.max_flow(&self.arena, 0, receiver)
     }
+}
 
-    /// Rebuilds the arena from `scheme`'s current rates, masked by `alive` (see
-    /// [`EvalCtx::masked_throughput`]).
-    fn rebuild_arena(&mut self, scheme: &BroadcastScheme, alive: Option<&[bool]>) {
-        scheme.edges_into(&mut self.scratch_edges);
-        if let Some(alive) = alive {
-            for (from, to, capacity) in &mut self.scratch_edges {
-                if !(alive[*from] && alive[*to]) {
-                    *capacity = 0.0;
+/// Buffers of the acyclic cut certificate of [`EvalCtx::masked_throughput`], kept on
+/// the context so a steady-state evaluation allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct AcyclicCut {
+    /// CSR offsets of the edge list per sender (`edges_into` groups it by sender).
+    row_start: Vec<usize>,
+    /// Live in-edges not yet ordered, per node.
+    indegree: Vec<u32>,
+    /// Total live in-rate per node, summed in edge-list order.
+    in_rate: Vec<f64>,
+    /// FIFO of the Kahn pass: every node ever ready, in the order it became ready.
+    queue: Vec<NodeId>,
+}
+
+impl AcyclicCut {
+    /// Runs a FIFO Kahn pass over the live (nonzero-capacity) edges of `edges`, which
+    /// must be grouped by sender, and sums every node's live in-rate. Returns whether
+    /// every one of the `n` nodes got ordered, i.e. whether the live edges are acyclic.
+    fn order(&mut self, n: usize, edges: &[(NodeId, NodeId, f64)]) -> bool {
+        self.row_start.clear();
+        self.row_start.resize(n + 1, 0);
+        self.indegree.clear();
+        self.indegree.resize(n, 0);
+        self.in_rate.clear();
+        self.in_rate.resize(n, 0.0);
+        for &(from, to, rate) in edges {
+            self.row_start[from + 1] += 1;
+            if rate != 0.0 {
+                self.indegree[to] += 1;
+                self.in_rate[to] += rate;
+            }
+        }
+        for node in 0..n {
+            self.row_start[node + 1] += self.row_start[node];
+        }
+        self.queue.clear();
+        self.queue
+            .extend((0..n).filter(|&node| self.indegree[node] == 0));
+        let mut head = 0;
+        while let Some(&node) = self.queue.get(head) {
+            head += 1;
+            for &(_, to, rate) in &edges[self.row_start[node]..self.row_start[node + 1]] {
+                if rate != 0.0 {
+                    self.indegree[to] -= 1;
+                    if self.indegree[to] == 0 {
+                        self.queue.push(to);
+                    }
                 }
             }
         }
-        self.arena
-            .rebuild(scheme.instance().num_nodes(), &self.scratch_edges);
+        self.queue.len() == n
+    }
+
+    /// The smallest live in-rate over `receivers` (`f64::INFINITY` when there is none),
+    /// as summed by the last [`AcyclicCut::order`].
+    fn min_in_rate(&self, receivers: impl Iterator<Item = NodeId>) -> f64 {
+        receivers.fold(f64::INFINITY, |min, v| min.min(self.in_rate[v]))
     }
 }
 
@@ -395,7 +493,7 @@ pub trait Solver: Send + Sync {
     ///
     /// [`CoreError::GuardedNodesNotSupported`] or [`CoreError::Unsupported`] when the
     /// algorithm cannot handle the instance; [`CoreError::VerificationFailed`] when the
-    /// constructed scheme fails its own max-flow verification.
+    /// constructed scheme fails its own verification ([`EvalCtx::verify`]).
     fn solve(&self, instance: &Instance, ctx: &mut EvalCtx) -> Result<Solution, CoreError>;
 }
 
@@ -403,11 +501,12 @@ pub trait Solver: Send + Sync {
 /// including out-of-crate adapters such as the `bmp-trees` tree-decomposition solver.
 ///
 /// Snapshot the context's counters with [`SolveRecorder::start`], run the algorithm,
-/// then let [`SolveRecorder::finish`] verify the claimed throughput by max-flow and
+/// then let [`SolveRecorder::finish`] verify the claimed throughput ([`EvalCtx::verify`]) and
 /// assemble the [`Solution`] with the counter deltas as [`Telemetry`].
 #[derive(Debug, Clone, Copy)]
 pub struct SolveRecorder {
     started: Instant,
+    cut_certifications: u64,
     flow_solves: u64,
     bisection_iters: u64,
 }
@@ -418,6 +517,7 @@ impl SolveRecorder {
     pub fn start(ctx: &EvalCtx) -> Self {
         SolveRecorder {
             started: Instant::now(),
+            cut_certifications: ctx.cut_certifications,
             flow_solves: ctx.flow_solves,
             bisection_iters: ctx.bisection_iters,
         }
@@ -430,6 +530,7 @@ impl SolveRecorder {
     #[must_use]
     pub fn telemetry(&self, ctx: &EvalCtx) -> Telemetry {
         Telemetry {
+            cut_certifications: ctx.cut_certifications - self.cut_certifications,
             flow_solves: ctx.flow_solves - self.flow_solves,
             bisection_iters: ctx.bisection_iters - self.bisection_iters,
             wall_time: self.started.elapsed(),
@@ -709,7 +810,18 @@ mod tests {
         assert_eq!(solution.word.as_ref().unwrap(), &legacy.word);
         assert_eq!(solution.scheme, legacy.scheme);
         assert!(solution.telemetry.bisection_iters > 0);
-        assert!(solution.telemetry.flow_solves > 0);
+        // The acyclic scheme is certified by its cut, without a max-flow, and the
+        // certified value is the Dinic oracle's.
+        assert!(solution.scheme.is_acyclic());
+        assert!(solution.telemetry.cut_certifications > 0);
+        assert_eq!(solution.telemetry.flow_solves, 0);
+        let oracle = FlowSolver::new().min_max_flow(
+            &FlowArena::from_edges(instance.num_nodes(), &solution.scheme.edges()),
+            0,
+            &instance.receivers().collect::<Vec<_>>(),
+        );
+        let certified = solution.verified_throughput;
+        assert!((certified - oracle).abs() <= 1e-12 * certified.max(1.0));
     }
 
     #[test]

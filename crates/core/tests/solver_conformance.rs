@@ -1,6 +1,7 @@
 //! Conformance suite for the unified solver registry: every registered solver, run over a
 //! corpus of small open/guarded instances, must produce a feasible scheme whose claimed
-//! throughput is certified by max-flow, with populated telemetry — and the trait
+//! throughput is certified (by its cut when acyclic, by max-flow otherwise) and agrees
+//! with a Dinic oracle, with populated telemetry — and the trait
 //! implementations must agree with the legacy free-function entry points they wrap.
 
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
@@ -61,7 +62,7 @@ fn every_solver_conforms_on_the_corpus() {
                 solver.name(),
                 solution.scheme.validate()
             );
-            // The claimed throughput is certified by max-flow on the returned scheme.
+            // The claimed throughput is certified on the returned scheme.
             let achieved = solution.scheme.throughput();
             assert!(
                 (achieved - solution.throughput).abs() <= 1e-5 * solution.throughput.max(1.0),
@@ -69,11 +70,33 @@ fn every_solver_conforms_on_the_corpus() {
                 solver.name(),
                 solution.throughput
             );
-            // Telemetry counters are populated: every solve verifies by max-flow, and
-            // word-based solvers spend dichotomic probes.
+            // Telemetry counters are populated and name the path that verified: the cut
+            // certificate on an acyclic scheme, max-flow on a cyclic one. Word-based
+            // solvers spend dichotomic probes.
+            let telemetry = &solution.telemetry;
+            if solution.scheme.is_acyclic() {
+                assert!(
+                    telemetry.cut_certifications > 0 && telemetry.flow_solves == 0,
+                    "{}: acyclic scheme not cut-certified: {telemetry:?}",
+                    solver.name()
+                );
+            } else {
+                assert!(
+                    telemetry.flow_solves > 0 && telemetry.cut_certifications == 0,
+                    "{}: cyclic scheme not flow-certified: {telemetry:?}",
+                    solver.name()
+                );
+            }
+            // The verified value is the sequential Dinic oracle's.
+            let oracle = FlowSolver::new().min_max_flow(
+                &FlowArena::from_edges(instance.num_nodes(), &solution.scheme.edges()),
+                0,
+                &instance.receivers().collect::<Vec<_>>(),
+            );
+            let verified = solution.verified_throughput;
             assert!(
-                solution.telemetry.flow_solves > 0,
-                "{}: no flow solves recorded",
+                (verified - oracle).abs() <= 1e-12 * verified.max(1.0),
+                "{}: verified {verified} vs Dinic {oracle}",
                 solver.name()
             );
             if is_word_based(solution.algorithm) && solution.throughput > 0.0 {
@@ -238,6 +261,7 @@ fn every_solver_matches_under_a_pooled_ctx() {
                     assert_eq!(sequential.word, parallel.word, "{name}");
                     assert_eq!(sequential.scheme, parallel.scheme, "{name}");
                     let (s, p) = (&sequential.telemetry, &parallel.telemetry);
+                    assert_eq!(s.cut_certifications, p.cut_certifications, "{name}");
                     assert_eq!(s.flow_solves, p.flow_solves, "{name}");
                     assert_eq!(s.bisection_iters, p.bisection_iters, "{name}");
                 }
@@ -277,6 +301,10 @@ fn auto_fan_out_at_scale_matches_sequential() {
             let other = solve(&mut ctx);
             assert_eq!(auto.scheme, other.scheme, "{algorithm} at {threads} lanes");
             assert_eq!(auto.throughput.to_bits(), other.throughput.to_bits());
+            assert_eq!(
+                auto.telemetry.cut_certifications,
+                other.telemetry.cut_certifications
+            );
             assert_eq!(auto.telemetry.flow_solves, other.telemetry.flow_solves);
             assert_eq!(
                 auto.telemetry.bisection_iters,
@@ -444,6 +472,7 @@ proptest! {
             // change.
             let t_seq = rec_seq.telemetry(&seq);
             let t_par = rec_par.telemetry(&par);
+            prop_assert_eq!(t_par.cut_certifications, t_seq.cut_certifications);
             prop_assert_eq!(t_par.flow_solves, t_seq.flow_solves);
             prop_assert_eq!(t_par.bisection_iters, t_seq.bisection_iters);
         }

@@ -1,8 +1,8 @@
 //! Minimal CSV writer used by the experiment binaries, plus the shared telemetry
 //! column convention: every experiment that evaluates flows through a
 //! [`bmp_core::solver::EvalCtx`] appends [`TELEMETRY_COLUMNS`] to its header and renders
-//! the aggregated counters with [`telemetry_cells`], so the cost of a sweep (flow
-//! solves, dichotomic probes, wall time) is visible next to its
+//! the aggregated counters with [`telemetry_cells`], so the cost of a sweep (cut
+//! certifications, flow solves, dichotomic probes, wall time) is visible next to its
 //! results instead of only in ad-hoc logs.
 
 use bmp_core::solver::Telemetry;
@@ -11,12 +11,18 @@ use std::io;
 use std::path::Path;
 
 /// Column names shared by every experiment CSV that reports evaluation telemetry.
-pub const TELEMETRY_COLUMNS: [&str; 3] = ["flow_solves", "bisection_iters", "wall_time_ms"];
+pub const TELEMETRY_COLUMNS: [&str; 4] = [
+    "cut_certifications",
+    "flow_solves",
+    "bisection_iters",
+    "wall_time_ms",
+];
 
 /// Renders `telemetry` as one cell per entry of [`TELEMETRY_COLUMNS`].
 #[must_use]
 pub fn telemetry_cells(telemetry: &Telemetry) -> Vec<String> {
     vec![
+        telemetry.cut_certifications.to_string(),
         telemetry.flow_solves.to_string(),
         telemetry.bisection_iters.to_string(),
         format!("{:.3}", telemetry.wall_time.as_secs_f64() * 1e3),
@@ -28,6 +34,7 @@ pub fn telemetry_cells(telemetry: &Telemetry) -> Vec<String> {
 pub fn telemetry_sum<'a>(telemetries: impl IntoIterator<Item = &'a Telemetry>) -> Telemetry {
     let mut total = Telemetry::default();
     for t in telemetries {
+        total.cut_certifications += t.cut_certifications;
         total.flow_solves += t.flow_solves;
         total.bisection_iters += t.bisection_iters;
         total.wall_time += t.wall_time;
@@ -158,16 +165,19 @@ mod tests {
     #[test]
     fn telemetry_cells_match_the_shared_columns() {
         let telemetry = Telemetry {
+            cut_certifications: 3,
             flow_solves: 12,
             bisection_iters: 7,
             wall_time: std::time::Duration::from_millis(4),
         };
         let cells = telemetry_cells(&telemetry);
         assert_eq!(cells.len(), TELEMETRY_COLUMNS.len());
-        assert_eq!(cells[0], "12");
-        assert_eq!(cells[1], "7");
-        assert_eq!(cells[2], "4.000");
+        assert_eq!(cells[0], "3");
+        assert_eq!(cells[1], "12");
+        assert_eq!(cells[2], "7");
+        assert_eq!(cells[3], "4.000");
         let total = telemetry_sum([&telemetry, &telemetry]);
+        assert_eq!(total.cut_certifications, 6);
         assert_eq!(total.flow_solves, 24);
         assert_eq!(total.bisection_iters, 14);
         assert_eq!(total.wall_time, std::time::Duration::from_millis(8));

@@ -255,7 +255,12 @@ mod tests {
     fn single_trial_is_consistent() {
         let mut ctx = EvalCtx::new();
         let trial = run_trial(&mut ctx, 20, 3).expect("trial runs");
-        assert!(ctx.flow_solves() > 0, "trial must evaluate through the ctx");
+        // The trial evaluates its acyclic schemes through the ctx, by their cut.
+        assert!(
+            ctx.cut_certifications() > 0,
+            "trial must evaluate through the ctx"
+        );
+        assert_eq!(ctx.flow_solves(), 0, "acyclic schemes need no max-flow");
         assert_eq!(trial.receivers, 20);
         assert!(trial.omega.throughput <= trial.optimal.throughput * (1.0 + 1e-6));
         assert!(trial.omega_throttled.throughput < trial.omega.throughput);

@@ -309,7 +309,9 @@ mod tests {
             // machinery consumed attempts beyond one-per-decision.
             assert!(cell.faults_fired > 0, "{cell:?}");
             assert!(cell.repair_attempts as usize > cell.trials, "{cell:?}");
-            assert!(cell.telemetry.flow_solves > 0);
+            // Every session overlay is acyclic, so the cut certified every evaluation.
+            assert!(cell.telemetry.cut_certifications > 0, "{cell:?}");
+            assert_eq!(cell.telemetry.flow_solves, 0, "{cell:?}");
         }
     }
 

@@ -471,9 +471,14 @@ impl ShardOutcome {
 }
 
 /// Runs one shard's share of one wave: builds every assigned session (inside
-/// `catch_unwind`), then steps them round-robin, one supervised round per session per
-/// pass (each inside `catch_unwind`). A panicking session is quarantined and its
-/// co-resident survivors are restarted from their last checkpoints — bit-exact, so
+/// `catch_unwind`), then visits them round-robin. Each visit (inside `catch_unwind`)
+/// steps one session through supervised rounds until it finishes, parks or is
+/// quarantined, or until its session-local round count reaches a multiple of
+/// [`SupervisionConfig::checkpoint_rounds`](crate::SupervisionConfig::checkpoint_rounds),
+/// where it has just saved its state. A visit thus keeps one session's working set
+/// hot for a whole checkpoint interval, and every session between visits sits exactly
+/// at its saved state. A panicking session is quarantined and its co-resident survivors
+/// are restarted from those saved states — bit-exact and without losing a round, so
 /// shard layout never shows in any result.
 fn run_shard(
     config: &FleetConfig,
@@ -511,6 +516,7 @@ fn run_shard(
             }
         }
     }
+    let cadence = config.supervision.checkpoint_rounds;
     loop {
         let mut any_running = false;
         for index in 0..live.len() {
@@ -518,8 +524,13 @@ fn run_shard(
                 continue;
             };
             any_running = true;
-            let verdict = catch_unwind(AssertUnwindSafe(|| {
-                step_once(config, session, halt_after, budget, deadline)
+            let verdict = catch_unwind(AssertUnwindSafe(|| loop {
+                let verdict = step_once(config, session, halt_after, budget, deadline);
+                if !matches!(verdict, StepVerdict::Running)
+                    || session.run.session().rounds_run().is_multiple_of(cadence)
+                {
+                    break verdict;
+                }
             }));
             match verdict {
                 Ok(StepVerdict::Running) => {}

@@ -103,6 +103,41 @@ fn a_transient_panic_is_retried_and_its_rerun_matches_the_fault_free_row() {
     assert_eq!(report.sessions, clean_report.sessions);
 }
 
+/// A shard visit steps one session up to its next checkpoint, so the cadence decides
+/// how sessions interleave on a shard, where the co-resident survivors of a panic
+/// restart and where the retry resumes. None of it may show in the report.
+#[test]
+fn a_transient_panic_report_is_identical_at_every_checkpoint_cadence_and_shard_count() {
+    let mut config = FleetConfig {
+        chunks: 96,
+        ..base_config()
+    };
+    config.session_faults.panics.push(SessionPanic {
+        session: 2,
+        round: 21,
+        transient: true,
+    });
+    let mut reference: Option<String> = None;
+    for checkpoint_rounds in [1usize, 16, 1000] {
+        for shards in [1usize, 2] {
+            let mut run = with_shards(&config, shards);
+            run.supervision.checkpoint_rounds = checkpoint_rounds;
+            let report = run_fleet(&run);
+            assert_eq!(report.quarantined.len(), 1, "the panic fired once");
+            assert_eq!(report.quarantined[0].round, 21);
+            assert_eq!(report.metrics.sessions_run, config.sessions);
+            let json = report.to_json();
+            match &reference {
+                None => reference = Some(json),
+                Some(expected) => assert_eq!(
+                    &json, expected,
+                    "checkpoint_rounds {checkpoint_rounds}, {shards} shards changed the report"
+                ),
+            }
+        }
+    }
+}
+
 #[test]
 fn a_wedged_session_gets_one_forced_repair_then_a_stuck_quarantine() {
     let mut config = base_config();

@@ -379,8 +379,8 @@ impl RepairController {
         self.ctx.set_parallelism(threads);
     }
 
-    /// The controller's evaluation context (telemetry: flow solves and bisection
-    /// probes).
+    /// The controller's evaluation context (telemetry: cut certifications, flow solves
+    /// and bisection probes).
     #[must_use]
     pub fn ctx(&self) -> &EvalCtx {
         &self.ctx
@@ -1067,8 +1067,26 @@ mod tests {
         assert_eq!(decision.attempts, 1);
         assert_eq!(decision.solver.as_deref(), Some("acyclic-guarded"));
         assert!(!decision.degraded && !decision.probe_timed_out);
-        assert!(controller.ctx().flow_solves() > 0);
+        // Every overlay the controller judged is acyclic, so its cut certified every
+        // evaluation without a max-flow.
+        assert!(controller.ctx().cut_certifications() > 0);
+        assert_eq!(controller.ctx().flow_solves(), 0);
         assert!(controller.ctx().bisection_iters() > 0);
+        // The residual the decision recorded is the Dinic oracle's on the scheme
+        // without the departed relay's edges.
+        let residual = controller.decisions()[0].residual;
+        let (_, scheme, _, _) = solved_figure1();
+        let edges: Vec<_> = scheme
+            .edges()
+            .into_iter()
+            .filter(|&(from, to, _)| from != 3 && to != 3)
+            .collect();
+        let oracle = bmp_flow::FlowSolver::new().min_max_flow(
+            &bmp_flow::FlowArena::from_edges(scheme.instance().num_nodes(), &edges),
+            0,
+            &[1, 2, 4, 5],
+        );
+        assert!((residual - oracle).abs() <= 1e-12 * residual.max(1.0));
     }
 
     #[test]
@@ -1510,10 +1528,12 @@ mod tests {
 
     #[test]
     fn fault_storm_acceptance_repaired_session_survives_where_static_starves() {
-        // The PR's acceptance storm: >= 3 injected solver failures, one injected probe
-        // timeout and one armed flow-worker panic, against an early load-bearing
-        // departure. The repaired session must complete without panicking and deliver
-        // at least half the nominal goodput; the static session delivers under 5%.
+        // The acceptance storm: >= 3 injected solver failures and one injected probe
+        // timeout, against an early load-bearing departure. The repaired session must
+        // complete without panicking and deliver at least half the nominal goodput; the
+        // static session delivers under 5%. (Its overlays are acyclic, so no evaluation
+        // fans out to the flow pool; the worker-panic arm is tested on a cyclic scheme
+        // in `faults::tests`.)
         let (instance, scheme, nominal, overlay) = solved_figure1();
         let churn = ChurnSchedule::departures_at(2.0, &[3]);
         let static_run = run_adaptive(
@@ -1523,34 +1543,25 @@ mod tests {
             &mut StaticPolicy,
             nominal,
         );
-        // Reference: the same run with every fault except the worker panic.
+        // Reference: the same faulted run on a sequential context.
         let faults = FaultPlan::disabled()
             .with_solve_failures(vec![0, 1, 2])
             .with_probe_timeouts(vec![0]);
         let mut reference = RepairController::new(instance.clone(), scheme.clone(), nominal, 0.9);
-        reference.set_parallelism(2);
+        reference.set_parallelism(1);
         faults.install(reference.ctx_mut());
         let expected = run_adaptive(overlay.clone(), config(), &churn, &mut reference, nominal);
         let mut controller = RepairController::new(instance, scheme, nominal, 0.9);
-        // Fanned-out evaluation: the first evaluation after installation spawns a
-        // helper, which takes the armed token and panics.
         controller.set_parallelism(2);
-        let pool = bmp_flow::FlowPool::global();
-        let contained_before = pool.panics_contained();
-        faults.with_worker_panics(1).install(controller.ctx_mut());
+        faults.install(controller.ctx_mut());
         let repaired = run_adaptive(overlay, config(), &churn, &mut controller, nominal);
         // Every scheduled solver/probe fault actually fired.
         assert_eq!(controller.ctx().injected_faults().unwrap().fired(), 4);
-        // No other test of this crate arms the global pool, so the one contained panic
-        // is this test's token, whichever evaluation spawned the helper that took it.
-        assert_eq!(pool.panics_contained() - contained_before, 1);
-        assert_eq!(
-            bmp_flow::disarm_worker_panics(),
-            0,
-            "the landed panic consumed its token"
-        );
-        // Containment recomputed the poisoned evaluation exactly: the run is
-        // bit-identical to the one that never panicked.
+        // Every repair and residual was certified by the acyclic cut, never by the pool.
+        assert_eq!(controller.ctx().flow_solves(), 0);
+        assert!(controller.ctx().cut_certifications() > 0);
+        // The fan-out setting changes nothing: the run is bit-identical to the
+        // sequential one.
         assert_eq!(repaired, expected);
         assert_eq!(controller.decisions(), reference.decisions());
         assert!(!controller.is_degraded());

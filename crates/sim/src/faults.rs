@@ -59,6 +59,12 @@ impl FaultPlan {
     /// A seeded fault storm: three solve failures, one forced verification failure and
     /// one probe timeout at seed-chosen early occurrences, plus one flow-worker panic.
     /// Identical seeds produce identical plans.
+    ///
+    /// The worker panic lands only in an evaluation that fans out to the flow pool, i.e.
+    /// the max-flow of a scheme with a cycle at a parallelism above 1. Acyclic overlays
+    /// (every repair and residual of a session) are certified by their cut and never
+    /// take the token, and `serve` sessions, at their default `flow_threads` of 1, never
+    /// consumed it either.
     #[must_use]
     pub fn storm(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -315,6 +321,40 @@ mod tests {
             FaultPlan::try_parse(" storm:7 "),
             Ok(Some(FaultPlan::storm(7)))
         );
+    }
+
+    #[test]
+    fn an_armed_worker_panic_lands_in_a_fanned_out_cyclic_evaluation() {
+        // The only test of this crate that arms the global pool, so the contained panic
+        // and the consumed token are this test's.
+        let instance = bmp_platform::Instance::open_only(10.0, vec![4.0, 4.0, 1.0]).unwrap();
+        let (scheme, _) = bmp_core::cyclic_open::cyclic_open_optimal_scheme(&instance).unwrap();
+        assert!(
+            !scheme.is_acyclic(),
+            "only a cyclic scheme reaches the pool"
+        );
+        let mut sequential = EvalCtx::new();
+        sequential.set_parallelism(1);
+        let expected = sequential.throughput(&scheme);
+        let mut ctx = EvalCtx::new();
+        ctx.set_parallelism(2);
+        let pool = bmp_flow::FlowPool::global();
+        let contained_before = pool.panics_contained();
+        FaultPlan::disabled()
+            .with_worker_panics(1)
+            .install(&mut ctx);
+        // Two lanes over three receivers spawn one helper, which takes the token.
+        let value = ctx.throughput(&scheme);
+        assert_eq!(pool.panics_contained() - contained_before, 1);
+        assert_eq!(
+            bmp_flow::disarm_worker_panics(),
+            0,
+            "the landed panic consumed its token"
+        );
+        // Containment recomputed the poisoned evaluation exactly.
+        assert_eq!(value.to_bits(), expected.to_bits());
+        assert_eq!(ctx.flow_solves(), 3);
+        assert_eq!(ctx.cut_certifications(), 0);
     }
 
     #[test]

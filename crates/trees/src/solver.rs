@@ -80,6 +80,7 @@ pub fn full_registry() -> Vec<Box<dyn Solver>> {
 mod tests {
     use super::*;
     use bmp_core::solver::AcyclicGuardedAlgorithm;
+    use bmp_flow::{FlowArena, FlowSolver};
     use bmp_platform::paper::figure1;
 
     #[test]
@@ -98,7 +99,17 @@ mod tests {
         assert!((solution.throughput - base.throughput).abs() < 1e-6);
         assert!(solution.scheme.is_feasible());
         assert!(solution.scheme.is_acyclic());
-        assert!(solution.telemetry.flow_solves > 0);
+        // The acyclic aggregate is certified by its cut, and the certified value is the
+        // Dinic oracle's.
+        assert!(solution.telemetry.cut_certifications > 0);
+        assert_eq!(solution.telemetry.flow_solves, 0);
+        let oracle = FlowSolver::new().min_max_flow(
+            &FlowArena::from_edges(instance.num_nodes(), &solution.scheme.edges()),
+            0,
+            &instance.receivers().collect::<Vec<_>>(),
+        );
+        let certified = solution.verified_throughput;
+        assert!((certified - oracle).abs() <= 1e-12 * certified.max(1.0));
         assert!(solution.telemetry.bisection_iters > 0);
         // Edge usage stays within the base overlay's rates.
         for (from, to, weight) in solution.scheme.edges() {

@@ -112,7 +112,8 @@ fn main() {
     );
     let ctx = controller.ctx();
     println!(
-        "controller telemetry: {} flow solves, {} bisection iters",
+        "controller telemetry: {} cut certifications, {} flow solves, {} bisection iters",
+        ctx.cut_certifications(),
         ctx.flow_solves(),
         ctx.bisection_iters()
     );
