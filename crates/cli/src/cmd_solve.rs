@@ -59,11 +59,11 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
     )?;
     writeln!(out, "feasible   : {}", scheme.is_feasible())?;
     writeln!(out, "acyclic    : {acyclic}")?;
-    writeln!(out, "edges      : {}", scheme.edges().len())?;
+    let outdegrees = scheme.outdegrees();
+    writeln!(out, "edges      : {}", outdegrees.iter().sum::<usize>())?;
     writeln!(
         out,
-        "outdegrees : {:?} (max excess over ceil(b_i/T): {})",
-        scheme.outdegrees(),
+        "outdegrees : {outdegrees:?} (max excess over ceil(b_i/T): {})",
         scheme.max_degree_excess(solution.throughput)
     )?;
     let telemetry = &solution.telemetry;

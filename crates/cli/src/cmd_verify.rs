@@ -3,6 +3,7 @@
 use crate::args::{ArgList, FlagSpec};
 use crate::error::CliError;
 use crate::files;
+use bmp_core::solver::EvalCtx;
 use bmp_platform::node::degree_lower_bound;
 use std::io::Write;
 
@@ -29,8 +30,11 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
     args.reject_unknown_flags(&FLAGS)?;
     let scheme = files::read_scheme(args.require("--scheme")?)?;
     let violations = scheme.validate();
-    let measured = scheme.throughput();
-    let acyclic = scheme.is_acyclic();
+    // One evaluation measures the throughput and, by how it measured it, the shape: the
+    // cut certificate applies exactly when the scheme's edges admit a topological order.
+    let mut ctx = EvalCtx::new();
+    let measured = ctx.throughput(&scheme);
+    let acyclic = ctx.cut_certifications() == 1;
     let target = args.get_positive("--throughput", measured)?;
 
     if violations.is_empty() {
@@ -115,6 +119,18 @@ mod tests {
         assert!(output.contains(&format!(
             "throughput  : {throughput:.6} (max-flow from the source to every receiver)"
         )));
+    }
+
+    #[test]
+    fn a_back_edge_at_dust_rate_leaves_the_scheme_acyclic() {
+        // Dust is never an edge, so a back edge at a rate of at most `RATE_EPS` closes no
+        // cycle: the cut certificate still measures the scheme.
+        let mut scheme = AcyclicGuardedSolver::default().solve(&figure1()).scheme;
+        let (from, to, _) = scheme.edges()[0];
+        scheme.set_rate(to, from, bmp_core::scheme::RATE_EPS);
+        let output = run_on(&scheme, &[]);
+        assert!(output.contains("acyclic     : true"));
+        assert!(output.contains("(acyclic cut: smallest in-rate over the receivers)"));
     }
 
     #[test]

@@ -316,13 +316,11 @@ impl BroadcastScheme {
         self.instance.bandwidth(node) - self.sent(node)
     }
 
-    /// Outdegree of `node`: number of receivers it sends a meaningful rate to.
+    /// Outdegree of `node`: the number of its [`BroadcastScheme::out_edges`], so a
+    /// self-rate (which only a hand-edited document can carry) is never counted.
     #[must_use]
     pub fn outdegree(&self, node: NodeId) -> usize {
-        self.rows[node]
-            .iter()
-            .filter(|&&(_, rate)| rate > RATE_EPS)
-            .count()
+        self.out_edges(node).count()
     }
 
     /// The edges leaving `node` as `(to, rate)` pairs in receiver order: its rates above
@@ -779,6 +777,20 @@ mod tests {
                 .iter()
                 .any(|v| matches!(v, SchemeViolation::BandwidthExceeded { node: 0, .. })));
         }
+    }
+
+    #[test]
+    fn outdegree_counts_only_edges_that_exist() {
+        let document = r#"{"format":2,"instance":{"bandwidths":[2.0,1.0,1.0],"n":2,"m":0},
+            "edges":[[0,1,1.0],[0,2,1.0],[1,1,0.5]]}"#;
+        let scheme: BroadcastScheme = serde_json::from_str(document).unwrap();
+        assert_eq!(scheme.rate(1, 1), 0.5);
+        assert_eq!(scheme.outdegree(1), 0);
+        assert_eq!(scheme.out_edges(1).count(), 0);
+        assert_eq!(
+            scheme.outdegrees().iter().sum::<usize>(),
+            scheme.edges().len()
+        );
     }
 
     #[test]

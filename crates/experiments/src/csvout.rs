@@ -1,4 +1,4 @@
-//! Minimal CSV writer used by the experiment binaries, plus the shared telemetry
+//! Minimal CSV writer used by the experiments, plus the shared telemetry
 //! column convention: every experiment that evaluates flows through a
 //! [`bmp_core::solver::EvalCtx`] appends [`TELEMETRY_COLUMNS`] to its header and renders
 //! the aggregated counters with [`telemetry_cells`], so the cost of a sweep (cut
@@ -7,8 +7,6 @@
 
 use bmp_core::solver::Telemetry;
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// Column names shared by every experiment CSV that reports evaluation telemetry.
 pub const TELEMETRY_COLUMNS: [&str; 4] = [
@@ -101,18 +99,6 @@ impl CsvTable {
         }
         out
     }
-
-    /// Writes the table to a file, creating parent directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv_string())
-    }
 }
 
 fn write_line(out: &mut String, cells: &[String]) {
@@ -201,7 +187,7 @@ mod tests {
         table.push_numeric_row(&[1.0]);
         let dir = std::env::temp_dir().join("bmp_csv_test");
         let path = dir.join("nested").join("out.csv");
-        table.write_to(&path).unwrap();
+        crate::runner::write_output(&path, &table.to_csv_string()).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("x\n1.000000"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,58 +1,79 @@
-//! Shared plumbing for the experiment binaries: output directory handling and a tiny
-//! command-line convention (`--quick`, `--out <dir>`).
+//! The command line of `bmp-experiments <name|all> [--quick | -q] [--out | -o DIR]`: which
+//! registry entry to run ([`crate::registry`]), at which scale, and where its output file
+//! goes.
 
+use crate::registry::{self, Experiment};
 use std::path::{Path, PathBuf};
 
-/// Options shared by all experiment binaries.
+/// Options shared by all experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
     /// Run a reduced version of the experiment (smoke-test scale).
     pub quick: bool,
-    /// Directory where CSV outputs are written.
+    /// Directory where the output files are written.
     pub output_dir: PathBuf,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            quick: false,
-            output_dir: PathBuf::from("experiment-results"),
-        }
-    }
+/// What the command line names: one registry entry, or `all` of them.
+#[derive(Debug)]
+pub enum Selection {
+    /// The entry called by its name.
+    One(&'static Experiment),
+    /// Every entry, in registry order.
+    All,
 }
 
 impl RunOptions {
-    /// Parses the binaries' common flags from an argument iterator.
+    /// Parses the experiment name (`all` or a registry name, anywhere on the line) and
+    /// the common flags from an argument iterator.
     ///
     /// # Errors
     ///
     /// Returns a message naming an unknown argument or an `--out` without a directory,
-    /// so a typo (`--quik`) never silently runs the full experiment.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut options = RunOptions::default();
+    /// so a typo (`--quik`) never silently runs the full experiment; a missing or
+    /// unknown name lists the registry.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(Selection, Self), String> {
+        let mut options = RunOptions {
+            quick: false,
+            output_dir: PathBuf::from("experiment-results"),
+        };
+        let mut name = None;
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--quick" | "-q" => options.quick = true,
-                "--full" => options.quick = false,
                 "--out" | "-o" => {
                     let dir = iter
                         .next()
                         .ok_or_else(|| format!("{arg} expects a directory"))?;
                     options.output_dir = PathBuf::from(dir);
                 }
+                other if name.is_none() && !other.starts_with('-') => name = Some(arg),
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        Ok(options)
+        let selection = match name.as_deref() {
+            Some("all") => Selection::All,
+            name => Selection::One(name.and_then(registry::find).ok_or_else(|| {
+                let problem = name.map_or("missing experiment name".into(), |name| {
+                    format!("unknown experiment {name:?}")
+                });
+                format!(
+                    "{problem}; registered experiments:\n{}",
+                    registry::listing()
+                )
+            })?),
+        };
+        Ok((selection, options))
     }
 
-    /// Parses the options from the process arguments; on a bad argument, prints the
-    /// reason and the accepted flags to stderr and exits with status 2.
+    /// Parses the process arguments; on a bad argument or name, prints the reason and
+    /// the usage to stderr and exits with status 2.
     #[must_use]
-    pub fn from_env() -> Self {
+    pub fn from_env() -> (Selection, Self) {
         Self::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
-            eprintln!("error: {message} (accepted: --quick | -q, --full, --out | -o DIR)");
+            eprintln!("error: {message}");
+            eprintln!("usage: bmp-experiments <name|all> [--quick | -q] [--out | -o DIR]");
             std::process::exit(2)
         })
     }
@@ -82,39 +103,60 @@ pub fn write_output(path: &Path, content: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<(Selection, RunOptions), String> {
+        RunOptions::parse(args.iter().map(ToString::to_string))
+    }
+
     #[test]
     fn parse_flags() {
-        let args = |args: &[&str]| RunOptions::parse(args.iter().map(ToString::to_string));
-        let options = args(&["--quick", "--out", "/tmp/results"]).unwrap();
+        let (selection, options) = parse(&["fig7", "--quick", "--out", "/tmp/results"]).unwrap();
+        assert!(matches!(selection, Selection::One(e) if e.name == "fig7"));
         assert!(options.quick);
         assert_eq!(options.output_dir, PathBuf::from("/tmp/results"));
         assert_eq!(
             options.output_path("fig7.csv"),
             PathBuf::from("/tmp/results/fig7.csv")
         );
-        // A typo or a value-less `--out` is refused, never ignored.
+        // The name may follow the flags.
+        let (selection, _) = parse(&["-q", "all"]).unwrap();
+        assert!(matches!(selection, Selection::All));
+        // A typo, a value-less `--out` or a second name is refused, never ignored.
         for bad in [
-            &["--quik"][..],
-            &["--quick", "--unknown"],
-            &["--out"],
-            &["-o"],
+            &["fault_storm", "--quik"][..],
+            &["fault_storm", "--quick", "--unknown"],
+            &["fault_storm", "--out"],
+            &["fault_storm", "-o"],
+            &["fault_storm", "depth"],
         ] {
-            assert!(args(bad).is_err(), "{bad:?} should be refused");
+            assert!(parse(bad).is_err(), "{bad:?} should be refused");
         }
     }
 
     #[test]
     fn defaults() {
-        let options = RunOptions::parse(std::iter::empty::<String>()).unwrap();
+        let (_, options) = parse(&["table1"]).unwrap();
         assert!(!options.quick);
         assert_eq!(options.output_dir, PathBuf::from("experiment-results"));
     }
 
     #[test]
-    fn full_flag_overrides_quick() {
-        let options =
-            RunOptions::parse(["--quick", "--full"].iter().map(ToString::to_string)).unwrap();
-        assert!(!options.quick);
+    fn missing_or_unknown_name_lists_the_registry() {
+        for bad in [&[][..], &["--quick"], &["fig8"]] {
+            let message = parse(bad).unwrap_err();
+            for experiment in &registry::EXPERIMENTS {
+                assert!(
+                    message.contains(experiment.name),
+                    "{bad:?}: {message} omits {}",
+                    experiment.name
+                );
+            }
+        }
+        assert!(parse(&["fig8"])
+            .unwrap_err()
+            .starts_with("unknown experiment \"fig8\""));
+        assert!(parse(&[])
+            .unwrap_err()
+            .starts_with("missing experiment name"));
     }
 
     #[test]
